@@ -289,39 +289,6 @@ impl ConstraintSet {
         self.char_ty
     }
 
-    /// The shard that owns constraint `idx` when the set is split `nshards`
-    /// ways. The assignment is a fixed round-robin over statement indices,
-    /// so it is stable across rounds of a parallel solve — per-statement
-    /// scan state can live in the owning shard for the whole run.
-    pub fn shard_of(idx: u32, nshards: usize) -> usize {
-        (idx as usize) % nshards.max(1)
-    }
-
-    /// Iterates over the `(index, constraint)` pairs owned by `shard` under
-    /// the fixed `nshards`-way split, in statement order.
-    pub fn shard_iter(
-        &self,
-        shard: usize,
-        nshards: usize,
-    ) -> impl Iterator<Item = (u32, &Constraint)> + '_ {
-        self.constraints
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| Self::shard_of(*i as u32, nshards) == shard)
-            .map(|(i, c)| (i as u32, c))
-    }
-
-    /// How many constraints each shard owns under an `nshards`-way split.
-    /// The round-robin assignment keeps the sizes within one of each other.
-    pub fn shard_sizes(&self, nshards: usize) -> Vec<usize> {
-        let nshards = nshards.max(1);
-        let mut sizes = vec![0usize; nshards];
-        for i in 0..self.constraints.len() {
-            sizes[Self::shard_of(i as u32, nshards)] += 1;
-        }
-        sizes
-    }
-
     /// Renders one operand as `name` / `name.0.1` with source names.
     fn fmt_op(&self, prog: &Program, op: OpRef) -> String {
         let name = esc_name(&prog.object(op.obj).name);
@@ -621,35 +588,6 @@ mod tests {
         let _ = ConstraintSet::compile(&prog);
         let _ = ConstraintSet::compile(&prog);
         assert_eq!(compiles_on_thread() - before, 2);
-    }
-
-    #[test]
-    fn shards_partition_the_constraints() {
-        let (_prog, cset) = compile(SRC);
-        for nshards in [1usize, 2, 3, 8] {
-            let sizes = cset.shard_sizes(nshards);
-            assert_eq!(sizes.len(), nshards);
-            assert_eq!(sizes.iter().sum::<usize>(), cset.len());
-            // Round-robin keeps shards balanced to within one constraint.
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced shards: {sizes:?}");
-            // shard_iter covers every index exactly once, in order, and
-            // agrees with shard_of.
-            let mut seen = vec![false; cset.len()];
-            for shard in 0..nshards {
-                let mut last = None;
-                for (i, _) in cset.shard_iter(shard, nshards) {
-                    assert_eq!(ConstraintSet::shard_of(i, nshards), shard);
-                    assert!(last < Some(i), "shard_iter out of order");
-                    last = Some(i);
-                    assert!(!seen[i as usize], "index {i} in two shards");
-                    seen[i as usize] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "some constraint unassigned");
-        }
-        // A degenerate shard count behaves like 1.
-        assert_eq!(ConstraintSet::shard_of(5, 0), 0);
     }
 
     #[test]

@@ -34,12 +34,6 @@ pub struct AnalysisConfig {
     /// How pointer arithmetic is treated (spread vs corrupted-pointer
     /// flagging; see [`ArithMode`]).
     pub arith_mode: ArithMode,
-    /// Solver threads for this run: 1 (the default) takes the sequential
-    /// worklist path; more run the deterministic sharded fixpoint, whose
-    /// edge set is identical for every thread count. The default comes
-    /// from `SCAST_SOLVER_THREADS` (see [`env_solver_threads`]) so a test
-    /// or CI matrix can exercise the parallel paths without code changes.
-    pub threads: usize,
     /// Cooperative resource budget for the solve (default unlimited).
     /// Budgeted configs must be solved through the fallible entry points
     /// ([`try_analyze`], [`AnalysisSession::try_solve`](crate::AnalysisSession::try_solve),
@@ -58,7 +52,6 @@ impl AnalysisConfig {
             compat: CompatMode::Structural,
             arith_stride: false,
             arith_mode: ArithMode::Spread,
-            threads: env_solver_threads(),
             budget: Budget::unlimited(),
         }
     }
@@ -87,12 +80,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Replaces the solver thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Replaces the solve budget (see [`Budget`]).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
@@ -113,16 +100,19 @@ impl AnalysisConfig {
             })
             .collect()
     }
-}
 
-/// The solver thread count selected by the `SCAST_SOLVER_THREADS`
-/// environment variable; 1 (sequential) when unset or unparsable.
-pub fn env_solver_threads() -> usize {
-    std::env::var("SCAST_SOLVER_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+    /// The framework instance this config selects, built with its layout,
+    /// compatibility and stride options.
+    pub(crate) fn field_model(&self) -> Box<dyn FieldModel> {
+        crate::models::make_model_with(
+            self.model,
+            &crate::models::ModelOptions {
+                layout: self.layout.clone(),
+                compat: self.compat,
+                arith_stride: self.arith_stride,
+            },
+        )
+    }
 }
 
 impl Default for AnalysisConfig {
@@ -484,15 +474,12 @@ mod tests {
             .with_compat(CompatMode::TagBased)
             .with_stride(true)
             .with_arith_mode(ArithMode::FlagUnknown)
-            .with_threads(4)
             .with_budget(Budget::unlimited().with_max_edges(10));
         assert_eq!(cfg.layout.name, "lp64");
         assert_eq!(cfg.compat, CompatMode::TagBased);
         assert!(cfg.arith_stride);
         assert_eq!(cfg.arith_mode, ArithMode::FlagUnknown);
-        assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.budget.max_edges, Some(10));
-        assert_eq!(cfg.with_threads(0).threads, 1, "clamped to sequential");
     }
 
     #[test]

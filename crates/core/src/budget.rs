@@ -3,31 +3,30 @@
 //! The fixpoint solver is monotone and always terminates, but "terminates"
 //! can still mean arbitrarily long on a pathological or adversarial
 //! program. A [`Budget`] bounds a run *cooperatively*: the solver checks it
-//! at iteration boundaries (sequential path) and round boundaries (sharded
-//! path), so a completed run is byte-identical with or without a budget —
-//! the checks are read-only and never alter the rule schedule — while an
-//! exceeded run returns a typed [`SolveError`] instead of hanging.
+//! at iteration boundaries, so a completed run is byte-identical with or
+//! without a budget — the checks are read-only and never alter the rule
+//! schedule — while an exceeded run returns a typed [`SolveError`] instead
+//! of hanging.
 //!
 //! Check placement (and why determinism holds):
 //!
-//! - **edge limit & cancellation**: after every statement firing
-//!   (sequential) / after every merge (sharded). Both are cheap — an `O(1)`
-//!   edge-count read and one relaxed atomic load.
+//! - **edge limit & cancellation**: after every statement firing. Both are
+//!   cheap — an `O(1)` edge-count read and one relaxed atomic load.
 //! - **deadline**: before the first iteration and then every
-//!   [`TIME_CHECK_INTERVAL`] firings (sequential) / every round (sharded),
-//!   because `Instant::now()` is comparatively expensive.
+//!   [`TIME_CHECK_INTERVAL`] firings, because `Instant::now()` is
+//!   comparatively expensive.
 //!
 //! Neither check mutates solver state, so two runs with the same inputs
 //! that both complete produce identical edge sets; runs that exceed the
-//! same budget kind return the same [`SolveError`] value at any thread
-//! count (the *error* is deterministic even though the partial state at
-//! abort is not — partial state is discarded).
+//! same budget kind return the same [`SolveError`] value (the *error* is
+//! deterministic even though the partial state at abort is not — partial
+//! state is discarded).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many sequential iterations pass between deadline checks.
+/// How many iterations pass between deadline checks.
 pub const TIME_CHECK_INTERVAL: u32 = 256;
 
 /// A cooperative resource budget for one solver run.
@@ -124,7 +123,7 @@ impl Budget {
     }
 
     /// The (pricier) wall-clock check, run every
-    /// [`TIME_CHECK_INTERVAL`] iterations / once per sharded round.
+    /// [`TIME_CHECK_INTERVAL`] iterations.
     #[inline]
     pub fn time_exceeded(&self) -> Option<SolveError> {
         match self.deadline {
@@ -135,7 +134,7 @@ impl Budget {
 }
 
 /// Why a budgeted solve was aborted. The value is deterministic for a
-/// given program + budget kind at any thread count; partial solver state
+/// given program + budget kind; partial solver state
 /// is discarded on abort, so an aborted session can keep solving other
 /// configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

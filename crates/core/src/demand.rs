@@ -4,12 +4,11 @@
 //! queried pointer touches a tiny fraction of it. The demand mode slices
 //! the compiled [`ConstraintSet`] backward from the query's roots with
 //! [`ConstraintSlicer`] and runs the ordinary specialize+solve pipeline on
-//! the sub-set only — budgets, thread counts, and arithmetic modes
-//! included. The slicer's conservative address-taken closure makes the
-//! slice *complete* for every object it marks relevant, so the demand
-//! answer is byte-equal to what the exhaustive solver would report for the
-//! same query, under all four field models (see the slicer's module docs
-//! for the argument).
+//! the sub-set only — budgets and arithmetic modes included. The slicer's
+//! conservative address-taken closure makes the slice *complete* for every
+//! object it marks relevant, so the demand answer is byte-equal to what
+//! the exhaustive solver would report for the same query, under all four
+//! field models (see the slicer's module docs for the argument).
 //!
 //! Query roots per [`DemandQuery`] variant:
 //!
@@ -27,11 +26,10 @@
 
 use crate::analysis::{AnalysisConfig, AnalysisResult};
 use crate::budget::SolveError;
-use crate::models::{make_model_with, ModelOptions};
 use crate::modref::{mod_ref, FnModRef};
-use crate::solver::Solver;
+use crate::session::solve_seeded;
+use crate::solver::Seed;
 use std::collections::BTreeSet;
-use std::time::Instant;
 use structcast_constraints::{Constraint, ConstraintSet, ConstraintSlicer, SliceStats};
 use structcast_ir::{FuncId, ObjId, ObjKind, Program};
 
@@ -237,28 +235,16 @@ pub fn try_solve_demand_compiled(
     config: &AnalysisConfig,
 ) -> Result<DemandResult, SolveError> {
     let slice = slice_for_query(prog, constraints, query);
-    let model = make_model_with(
-        config.model,
-        &ModelOptions {
-            layout: config.layout.clone(),
-            compat: config.compat,
-            arith_stride: config.arith_stride,
-        },
-    );
-    let start = Instant::now();
-    let mut out = Solver::from_constraints(prog, &slice.set, model)
-        .with_arith_mode(config.arith_mode)
-        .run_with_threads_budgeted(config.threads, &config.budget)?;
+    let mut result = solve_seeded(prog, &slice.set, config, Seed::cold(slice.set.len()))?;
     // The solver records call sites by their index in the set it ran —
     // slice positions here. Remap to whole-program statement ids so
     // call-graph clients (MOD/REF) index the right statements.
-    for (sid, _) in &mut out.call_edges {
+    for (sid, _) in &mut result.call_edges {
         sid.0 = slice.stmt_map[sid.0 as usize];
     }
-    out.call_edges.sort_unstable();
-    let elapsed = start.elapsed();
+    result.call_edges.sort_unstable();
     Ok(DemandResult {
-        result: AnalysisResult::from_solver(config.model, out, elapsed),
+        result,
         stats: slice.stats,
     })
 }

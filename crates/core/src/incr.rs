@@ -60,10 +60,8 @@ use crate::analysis::{AnalysisConfig, AnalysisResult};
 use crate::budget::SolveError;
 use crate::facts::FactStore;
 use crate::loc::Loc;
-use crate::models::{make_model_with, ModelOptions};
-use crate::session::try_solve_compiled;
-use crate::solver::{SeedState, Solver};
-use std::time::Instant;
+use crate::session::{solve_seeded, try_solve_compiled};
+use crate::solver::Seed;
 use structcast_constraints::{removed_survivors, Constraint, ConstraintSet, ProgramDiff};
 use structcast_ir::{Callee, ObjId, ObjKind, Program, Stmt};
 use structcast_types::FieldPath;
@@ -117,11 +115,6 @@ pub struct IncrSolve {
 /// `old_prog` under this exact `config` (model, layout, compat, stride,
 /// and arith mode all participate in fact normalization).
 ///
-/// The seeded fixpoint runs sequentially regardless of `config.threads` —
-/// regions are usually small, and the cold/incremental equivalence is
-/// thread-count-invariant anyway because both compute the same least
-/// fixpoint.
-///
 /// # Errors
 ///
 /// [`SolveError`] when `config.budget` trips before the region's fixpoint
@@ -155,21 +148,11 @@ pub fn resolve_incremental(
     }
 
     let inv = diff.inverse_obj_map(new_prog.objects.len());
-    // The previous solve's normalization, rebuilt from the (identical)
-    // config — needed to read old points-to sets for dereference targets.
-    let old_model = make_model_with(
-        config.model,
-        &ModelOptions {
-            layout: config.layout.clone(),
-            compat: config.compat,
-            arith_stride: config.arith_stride,
-        },
-    );
     let empty = FieldPath::empty();
     let map_old = |o: ObjId| -> Option<ObjId> { diff.obj_map[o.0 as usize] };
     // Old top-level points-to targets of an *old* object, as new ids.
     let old_pts_of_old = |o: ObjId| -> Vec<ObjId> {
-        let l = old_model.normalize(old_prog, o, &empty);
+        let l = old_result.normalize(old_prog, o, &empty);
         old_result
             .facts
             .points_to(&l)
@@ -426,24 +409,8 @@ pub fn resolve_incremental(
         })
         .collect();
 
-    let model = make_model_with(
-        config.model,
-        &ModelOptions {
-            layout: config.layout.clone(),
-            compat: config.compat,
-            arith_stride: config.arith_stride,
-        },
-    );
-    let start = Instant::now();
-    let out = Solver::from_constraints_seeded(
-        new_prog,
-        new_set,
-        model,
-        SeedState { facts: kept, unknown, queue, bound },
-    )
-    .with_arith_mode(config.arith_mode)
-    .run_budgeted(&config.budget)?;
-    let result = AnalysisResult::from_solver(config.model, out, start.elapsed());
+    let seed = Seed { facts: kept, unknown, queue, bound };
+    let result = solve_seeded(new_prog, new_set, config, seed)?;
     Ok(IncrSolve {
         result,
         stats: IncrStats {

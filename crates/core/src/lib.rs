@@ -118,9 +118,7 @@ mod session;
 mod solver;
 pub mod steensgaard;
 
-pub use analysis::{
-    analyze, analyze_source, env_solver_threads, try_analyze, AnalysisConfig, AnalysisResult,
-};
+pub use analysis::{analyze, analyze_source, try_analyze, AnalysisConfig, AnalysisResult};
 pub use budget::{Budget, SolveError, TIME_CHECK_INTERVAL};
 pub use demand::{
     slice_for_query, solve_demand_compiled, try_solve_demand_compiled, DemandQuery, DemandResult,

@@ -116,9 +116,9 @@ fn pct(n: u64, d: u64) -> f64 {
 /// All methods receive the [`Program`] for type information; locations
 /// passed in are already normalized (solver invariant).
 ///
-/// Instances are plain data (`Send + Sync`): the parallel solving layer
-/// shares one instance across shard workers and ships solved results
-/// between threads, so every model must be safely shareable. All methods
+/// Instances are plain data (`Send + Sync`): multi-model solving ships
+/// solved results between threads and the query server shares them
+/// across its workers, so every model must be safely shareable. All methods
 /// take `&self`; mutable instrumentation goes through the explicit
 /// [`ModelStats`] parameter instead.
 pub trait FieldModel: Send + Sync {

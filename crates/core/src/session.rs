@@ -6,11 +6,15 @@
 //! into one [`ConstraintSet`] compilation and lets each
 //! [`AnalysisSession::solve`] call pay only for model specialization and
 //! the fixpoint itself.
+//!
+//! Every solve kind reaches the fixpoint through [`solve_seeded`]: an
+//! exhaustive solve runs the whole constraint set from a cold seed, a
+//! demand solve runs a slice of it from a cold seed, and an incremental
+//! re-solve runs the edited set from the facts that survived the edit.
 
 use crate::analysis::{AnalysisConfig, AnalysisResult};
 use crate::budget::SolveError;
-use crate::models::{make_model_with, ModelOptions};
-use crate::solver::Solver;
+use crate::solver::{Seed, Solver};
 use std::time::Instant;
 use structcast_constraints::ConstraintSet;
 use structcast_ir::Program;
@@ -199,20 +203,24 @@ pub fn try_solve_compiled(
     constraints: &ConstraintSet,
     config: &AnalysisConfig,
 ) -> Result<AnalysisResult, SolveError> {
-    let model = make_model_with(
-        config.model,
-        &ModelOptions {
-            layout: config.layout.clone(),
-            compat: config.compat,
-            arith_stride: config.arith_stride,
-        },
-    );
+    solve_seeded(prog, constraints, config, Seed::cold(constraints.len()))
+}
+
+/// The one solve entry: builds `config`'s model, specializes `constraints`
+/// against it, and runs the fixpoint from `seed` under `config.budget`.
+/// `AnalysisResult::elapsed` covers specialization and solving.
+pub(crate) fn solve_seeded(
+    prog: &Program,
+    constraints: &ConstraintSet,
+    config: &AnalysisConfig,
+    seed: Seed,
+) -> Result<AnalysisResult, SolveError> {
+    let model = config.field_model();
     let start = Instant::now();
-    let out = Solver::from_constraints(prog, constraints, model)
+    let out = Solver::seeded(prog, constraints, model, seed)
         .with_arith_mode(config.arith_mode)
-        .run_with_threads_budgeted(config.threads, &config.budget)?;
-    let elapsed = start.elapsed();
-    Ok(AnalysisResult::from_solver(config.model, out, elapsed))
+        .run_budgeted(&config.budget)?;
+    Ok(AnalysisResult::from_solver(config.model, out, start.elapsed()))
 }
 
 /// Multi-model parallelism over an externally held constraint set: solves

@@ -38,8 +38,6 @@ use structcast_constraints::{Constraint, ConstraintSet};
 use structcast_ir::{FuncId, ObjId, Program};
 use structcast_types::{FieldPath, TypeId};
 
-mod par;
-
 thread_local! {
     /// Fixpoint runs performed on this thread (see [`solves_on_thread`]).
     static SOLVES: Cell<u64> = const { Cell::new(0) };
@@ -168,24 +166,37 @@ pub struct Solver<'p> {
     cstmts: Vec<CStmt>,
 }
 
-/// Pre-solved state carried across an edit by the incremental layer:
-/// the facts that survived retraction, the surviving corrupted-pointer
-/// flags, and the statement region whose derivations were discarded.
-pub(crate) struct SeedState {
-    /// Surviving facts, already normalized for the target model (they
-    /// were produced by an identical model over the previous program and
+/// The state a run starts from. A cold seed holds no facts and queues
+/// every statement; the incremental layer's seed carries the facts that
+/// survived an edit's retraction, the surviving corrupted-pointer flags,
+/// and only the statement region whose derivations were discarded.
+pub(crate) struct Seed {
+    /// Facts already known, normalized for the target model (incremental
+    /// seeds: produced by an identical model over the previous program and
     /// translated object-by-object).
     pub facts: FactStore,
-    /// Surviving [`ArithMode::FlagUnknown`] locations.
+    /// [`ArithMode::FlagUnknown`] locations already known.
     pub unknown: Vec<Loc>,
-    /// Statement indices to re-run (the dirty region).
+    /// Statement indices to run, in order.
     pub queue: Vec<u32>,
-    /// Call edges carried over for calls *outside* the region: each
+    /// Call edges carried over for calls *outside* `queue`: each
     /// `(stmt index, callee)` is pre-bound at construction — the binding
-    /// copies are synthesized (and enqueued, which is idempotent) so
-    /// later growth on their sources re-fires them, and `finish` reports
-    /// the edge without the call constraint ever firing.
+    /// copies are synthesized dormant, watching their sources so later
+    /// growth re-fires them, and `finish` reports the edge without the
+    /// call constraint ever firing.
     pub bound: Vec<(u32, FuncId)>,
+}
+
+impl Seed {
+    /// No facts, every one of `n` statements queued in index order.
+    pub fn cold(n: usize) -> Seed {
+        Seed {
+            facts: FactStore::new(),
+            unknown: Vec::new(),
+            queue: (0..n as u32).collect(),
+            bound: Vec::new(),
+        }
+    }
 }
 
 /// What a finished run produced.
@@ -559,61 +570,44 @@ impl<'p> Solver<'p> {
         cset: &ConstraintSet,
         model: Box<dyn FieldModel>,
     ) -> Self {
-        let n = cset.len();
-        let mut en = Engine {
-            prog,
-            model,
-            facts: FactStore::new(),
-            stats: ModelStats::default(),
-            subs: vec![Vec::new(); prog.objects.len()],
-            subbed: HashSet::new(),
-            queued: vec![true; n],
-            worklist: (0..n as u32).collect(),
-            bound_calls: HashSet::new(),
-            iterations: 0,
-            arith_mode: ArithMode::Spread,
-            unknown: HashSet::new(),
-            scan_cursors: HashMap::new(),
-            pair_cursors: HashMap::new(),
-            norm_cache: HashMap::new(),
-            delta_buf: Vec::new(),
-        };
-        let cstmts: Vec<CStmt> = cset.iter().map(|c| en.specialize(cset, c)).collect();
-        Solver { en, cstmts }
+        Solver::seeded(prog, cset, model, Seed::cold(cset.len()))
     }
 
-    /// Creates a solver seeded with facts surviving an edit, running only
-    /// the statements in `seed.queue` plus whatever their derivations
-    /// wake. Every dormant (non-queued) statement is statically
-    /// subscribed to the objects it reads — including the objects behind
-    /// its seeded dereference targets — so a fact growing on a *clean*
-    /// object during the re-run still re-fires its consumers. Dormant
-    /// statements re-fire with fresh cursors, which is redundant but
-    /// idempotent (the fact store dedups edges), never wrong.
+    /// The one engine constructor: specializes `cset` against `model` and
+    /// starts from `seed`, running the statements in `seed.queue` plus
+    /// whatever their derivations wake.
     ///
-    /// The caller (the incremental layer) is responsible for the seed
-    /// invariant: every seeded fact must be in the cold fixpoint (no
-    /// stale facts), and for every object whose cold facts exceed its
-    /// seeded facts, the missing derivations must be reachable from the
-    /// queued statements under monotone closure (retracted objects'
-    /// writers queued; everything else is covered by the static
-    /// subscriptions). Under that invariant the run's output is
-    /// byte-identical to a cold [`Solver::from_constraints`] run.
-    pub(crate) fn from_constraints_seeded(
+    /// When the seed leaves statements unqueued, every such dormant
+    /// statement is statically subscribed to the objects it reads —
+    /// including the objects behind its seeded dereference targets — so a
+    /// fact growing on a *clean* object during the run still re-fires its
+    /// consumers, and `seed.bound` is pre-bound. Dormant statements re-fire
+    /// with fresh cursors, which is redundant but idempotent (the fact
+    /// store dedups edges), never wrong.
+    ///
+    /// The caller is responsible for the seed invariant: every seeded fact
+    /// must be in the cold fixpoint (no stale facts), and for every object
+    /// whose cold facts exceed its seeded facts, the missing derivations
+    /// must be reachable from the queued statements under monotone closure
+    /// (retracted objects' writers queued; everything else is covered by
+    /// the static subscriptions). Under that invariant the run's output is
+    /// byte-identical to a cold run.
+    pub(crate) fn seeded(
         prog: &'p Program,
         cset: &ConstraintSet,
         model: Box<dyn FieldModel>,
-        seed: SeedState,
+        seed: Seed,
     ) -> Self {
         let n = cset.len();
         let mut queued = vec![false; n];
-        let mut worklist = VecDeque::new();
+        let mut worklist = VecDeque::with_capacity(seed.queue.len());
         for &i in &seed.queue {
             if (i as usize) < n && !queued[i as usize] {
                 queued[i as usize] = true;
                 worklist.push_back(i);
             }
         }
+        let dormant = worklist.len() < n;
         let mut en = Engine {
             prog,
             model,
@@ -632,12 +626,31 @@ impl<'p> Solver<'p> {
             norm_cache: HashMap::new(),
             delta_buf: Vec::new(),
         };
-        for l in &seed.unknown {
-            let id = en.facts.intern(l.clone());
+        for l in seed.unknown {
+            let id = en.facts.intern(l);
             en.unknown.insert(id);
         }
         let cstmts: Vec<CStmt> = cset.iter().map(|c| en.specialize(cset, c)).collect();
-        for (i, c) in cstmts.iter().enumerate() {
+        let mut solver = Solver { en, cstmts };
+        if dormant {
+            solver.subscribe_dormant();
+            for &(i, fid) in &seed.bound {
+                let (args, ret) = match solver.cstmts.get(i as usize) {
+                    Some(CStmt::CallDirect { args, ret, .. })
+                    | Some(CStmt::CallIndirect { args, ret, .. }) => (args.clone(), *ret),
+                    _ => continue,
+                };
+                solver.bind_call(i as usize, fid, &args, ret, false);
+            }
+        }
+        solver
+    }
+
+    /// Subscribes every unqueued statement to the objects it reads (see
+    /// [`Solver::seeded`]).
+    fn subscribe_dormant(&mut self) {
+        let en = &mut self.en;
+        for (i, c) in self.cstmts.iter().enumerate() {
             let idx = i as u32;
             if en.queued[i] {
                 continue;
@@ -669,23 +682,13 @@ impl<'p> Solver<'p> {
                         en.subscribe(idx, en.facts.obj_of(t));
                     }
                 }
-                // Dormant calls are pre-bound from `seed.bound` below; an
+                // Dormant calls are pre-bound from `Seed::bound`; an
                 // indirect one also watches its function pointer so callee
                 // growth re-fires it.
                 CStmt::CallDirect { .. } => {}
                 CStmt::CallIndirect { p, .. } => en.subscribe(idx, en.facts.obj_of(*p)),
             }
         }
-        let mut solver = Solver { en, cstmts };
-        for &(i, fid) in &seed.bound {
-            let (args, ret) = match solver.cstmts.get(i as usize) {
-                Some(CStmt::CallDirect { args, ret, .. })
-                | Some(CStmt::CallIndirect { args, ret, .. }) => (args.clone(), *ret),
-                _ => continue,
-            };
-            solver.bind_call_inner(i as usize, fid, &args, ret, false);
-        }
-        solver
     }
 
     /// Selects the pointer-arithmetic treatment (default: spread).
@@ -736,38 +739,6 @@ impl<'p> Solver<'p> {
         Ok(finish(self.en))
     }
 
-    /// Runs to fixpoint on `threads` shards (see the `par` module). One thread takes
-    /// the sequential [`Solver::run`] path unchanged; more shard the
-    /// statements and propagate deltas in rendezvous rounds. Both compute
-    /// the same least fixpoint, so the resulting edge set is identical
-    /// regardless of the thread count (the `iterations` work measure and
-    /// per-shard stats aggregation order differ).
-    pub fn run_with_threads(self, threads: usize) -> SolverOutput {
-        self.run_with_threads_budgeted(threads, &Budget::unlimited())
-            .expect("an unlimited budget cannot be exceeded")
-    }
-
-    /// [`run_with_threads`](Solver::run_with_threads) under a [`Budget`].
-    /// The sharded path checks the budget at round boundaries (every merge
-    /// is an iteration boundary for every shard), so completed runs remain
-    /// byte-identical across thread counts and exceeded runs return the
-    /// same typed error at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_budgeted`](Solver::run_budgeted).
-    pub fn run_with_threads_budgeted(
-        self,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<SolverOutput, SolveError> {
-        if threads <= 1 {
-            self.run_budgeted(budget)
-        } else {
-            par::run_sharded(self, threads, budget)
-        }
-    }
-
     /// Fires one compiled statement. The `CStmt` stays borrowed from
     /// `self.cstmts` while the engine mutates — disjoint fields, so no
     /// clone is needed; only the call arms copy their (small) operand
@@ -799,31 +770,27 @@ impl<'p> Solver<'p> {
             CStmt::CallDirect { fid, args, ret } => {
                 let (fid, ret) = (*fid, *ret);
                 let args = args.clone();
-                self.bind_call(idx as usize, fid, &args, ret);
+                self.bind_call(idx as usize, fid, &args, ret, true);
             }
             CStmt::CallIndirect { p, args, ret } => {
                 let (p, ret) = (*p, *ret);
                 let args = args.clone();
                 let callees = self.en.scan_new_callees(idx, p);
                 for fid in callees {
-                    self.bind_call(idx as usize, fid, &args, ret);
+                    self.bind_call(idx as usize, fid, &args, ret, true);
                 }
             }
         }
     }
 
     /// Synthesizes parameter/return `Copy` bindings for a call site's newly
-    /// discovered callee (once per (site, callee) pair).
-    fn bind_call(&mut self, idx: usize, fid: FuncId, args: &[ObjId], ret: Option<ObjId>) {
-        self.bind_call_inner(idx, fid, args, ret, true);
-    }
-
-    /// [`bind_call`](Solver::bind_call), optionally without enqueueing the
-    /// synthesized bindings. The seeded constructor pre-binds carried-over
-    /// call edges this way: the binding facts already survived retraction,
-    /// so the copies only need to exist (for `finish`'s call-edge report)
-    /// and watch their sources (to re-fire on growth), not fire now.
-    fn bind_call_inner(
+    /// discovered callee (once per (site, callee) pair). With `enqueue`
+    /// off the bindings are left dormant, subscribed to their sources: the
+    /// seeded constructor pre-binds carried-over call edges this way, since
+    /// their binding facts already survived retraction — the copies only
+    /// need to exist (for `finish`'s call-edge report) and re-fire on
+    /// growth, not fire now.
+    fn bind_call(
         &mut self,
         idx: usize,
         fid: FuncId,
@@ -855,8 +822,7 @@ impl<'p> Solver<'p> {
     }
 }
 
-/// Packages a drained engine into the run's output (shared by the
-/// sequential and sharded drivers).
+/// Packages a drained engine into the run's output.
 fn finish(en: Engine<'_>) -> SolverOutput {
     let unknown: BTreeSet<Loc> = en
         .unknown

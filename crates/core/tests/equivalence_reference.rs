@@ -400,12 +400,7 @@ fn session_solve_honors_non_default_model_options() {
                     compat: *compat,
                     arith_stride: *stride,
                 };
-                // Honor the suite-wide thread matrix: the session reads
-                // SCAST_SOLVER_THREADS through its config default, so the
-                // direct run must shard identically for the iteration
-                // counts to be comparable.
-                let direct = Solver::new(&prog, make_model_with(kind, &opts))
-                    .run_with_threads(structcast::env_solver_threads());
+                let direct = Solver::new(&prog, make_model_with(kind, &opts)).run();
                 assert_eq!(
                     edge_bytes(&from_session.facts),
                     edge_bytes(&direct.facts),
@@ -415,67 +410,6 @@ fn session_solve_honors_non_default_model_options() {
                     from_session.iterations, direct.iterations,
                     "{name}/{kind}/{what}: iteration counts"
                 );
-            }
-        }
-    }
-}
-
-/// The deterministic sharded solver must be **byte-identical** to the
-/// sequential reference path at every thread count: same sorted edge
-/// dump, same unknown set, same (site, callee) bindings — for all four
-/// models, over the full casty corpus plus generated programs, in both
-/// arithmetic modes. One thread must take the sequential path itself
-/// (identical `iterations` is the observable evidence: the sharded driver
-/// counts rounds differently).
-#[test]
-fn sharded_solver_matches_sequential_at_1_2_8_threads() {
-    let mut programs: Vec<(String, String)> = casty_corpus()
-        .iter()
-        .map(|p| (p.name.to_string(), p.source.to_string()))
-        .collect();
-    for (seed, ratio) in [(7u64, 0.5), (97, 1.0), (2026, 0.0)] {
-        programs.push((
-            format!("progen(seed={seed}, r={ratio})"),
-            generate(&GenConfig::small(seed).with_cast_ratio(ratio)),
-        ));
-    }
-    for (name, src) in &programs {
-        let prog = lower_source(src).expect("program lowers");
-        for kind in ModelKind::ALL {
-            for mode in [ArithMode::Spread, ArithMode::FlagUnknown] {
-                let mk = || make_model(kind, Layout::ilp32(), CompatMode::Structural);
-                let seq = Solver::new(&prog, mk()).with_arith_mode(mode).run();
-                let seq_bytes = edge_bytes(&seq.facts);
-                for threads in [1usize, 2, 8] {
-                    let par = Solver::new(&prog, mk())
-                        .with_arith_mode(mode)
-                        .run_with_threads(threads);
-                    assert_eq!(
-                        edge_bytes(&par.facts),
-                        seq_bytes,
-                        "{name}/{kind}/{mode:?}: edge dump at {threads} threads \
-                         differs from sequential"
-                    );
-                    assert_eq!(
-                        par.unknown, seq.unknown,
-                        "{name}/{kind}/{mode:?}: unknown set at {threads} threads"
-                    );
-                    assert_eq!(
-                        par.resolved_indirect_calls, seq.resolved_indirect_calls,
-                        "{name}/{kind}/{mode:?}: bindings at {threads} threads"
-                    );
-                    assert_eq!(
-                        par.call_edges, seq.call_edges,
-                        "{name}/{kind}/{mode:?}: call edges at {threads} threads"
-                    );
-                    if threads == 1 {
-                        assert_eq!(
-                            par.iterations, seq.iterations,
-                            "{name}/{kind}/{mode:?}: one thread must take the \
-                             sequential path"
-                        );
-                    }
-                }
             }
         }
     }

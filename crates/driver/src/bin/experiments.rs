@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `--threads` sets how many workers the multi-model runners fan out over
-//! (default: `SCAST_SOLVER_THREADS`, else 4). Results are identical at any
-//! count; only wall-clock changes.
+//! (default 4). Results are identical at any count; only wall-clock
+//! changes.
 
 use std::process::ExitCode;
 use structcast_driver::{experiments as ex, report};
@@ -28,11 +28,8 @@ fn main() -> ExitCode {
     }
     let mut repeats = 3usize;
     let mut large = false;
-    // Multi-model fan-out width; the env default keeps CI matrices simple.
-    let mut threads = match structcast::env_solver_threads() {
-        1 => 4,
-        n => n,
-    };
+    // Multi-model fan-out width.
+    let mut threads = 4;
     let mut cmd = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {

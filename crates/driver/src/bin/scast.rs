@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scast <file.c> [--model collapse|cast|cis|offsets] [--layout ilp32|lp64|packed32]
-//!       [--var NAME]... [--demand NAME]... [--threads N] [--deadline-ms N] [--max-edges N]
+//!       [--var NAME]... [--demand NAME]... [--deadline-ms N] [--max-edges N]
 //!       [--deref-stats] [--dump-ir] [--dump-constraints] [--steensgaard] [--json]
 //! scast --corpus            # list the embedded benchmark corpus
 //! scast serve [--addr HOST:PORT] [--threads N] [--max-cache-mb N]
@@ -45,7 +45,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: scast <file.c> [--model collapse|cast|cis|offsets] \
          [--layout ilp32|lp64|packed32] [--var NAME]... [--demand NAME]... \
-         [--threads N] [--deadline-ms N] [--max-edges N] \
+         [--deadline-ms N] [--max-edges N] \
          [--deref-stats] [--dump-ir] [--dump-constraints] [--steensgaard] \
          [--stride] [--flag-unknown] [--dot] [--modref] [--json]\
          \n       scast --corpus\
@@ -412,7 +412,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let mut dump_constraints = false;
     let mut steens = false;
     let mut stride = false;
-    let mut threads = None;
     let mut deadline_ms: Option<u64> = None;
     let mut max_edges: Option<usize> = None;
     let mut flag_unknown = false;
@@ -431,11 +430,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--dump-constraints" => dump_constraints = true,
             "--steensgaard" => steens = true,
             "--stride" => stride = true,
-            "--threads" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                threads =
-                    Some(n.parse::<usize>().map_err(|_| format!("bad --threads `{n}`"))?);
-            }
             "--deadline-ms" => {
                 let n = it.next().unwrap_or_else(|| usage());
                 deadline_ms =
@@ -491,6 +485,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
         return Ok(());
     }
 
+    if let Some(v) = vars.iter().find(|v| prog.object_by_name(v).is_none()) {
+        return Err(format!("{file}: unknown pointer `{v}`"));
+    }
+
     if steens {
         let res = steensgaard(&prog);
         println!(
@@ -506,10 +504,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
     }
 
     let mut cfg = AnalysisConfig::new(model).with_layout(layout).with_stride(stride);
-    if let Some(n) = threads {
-        // Explicit flag beats the SCAST_SOLVER_THREADS default.
-        cfg = cfg.with_threads(n);
-    }
     if flag_unknown {
         cfg = cfg.with_arith_mode(structcast::ArithMode::FlagUnknown);
     }
@@ -526,8 +520,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     if !demand.is_empty() {
         // Demand mode: slice the constraint graph down to what each
         // queried pointer can see, and solve only the slice. The budget
-        // and thread flags govern the sliced solve exactly as they would
-        // the full one.
+        // flags govern the sliced solve exactly as they would the full one.
         let session = structcast::AnalysisSession::compile(&prog);
         for v in &demand {
             let query = structcast::DemandQuery::points_to_named(&prog, v)

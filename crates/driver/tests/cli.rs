@@ -165,6 +165,16 @@ fn demand_query_for_unknown_pointer_fails_cleanly() {
 }
 
 #[test]
+fn var_for_unknown_pointer_fails_cleanly() {
+    for args in [&["bst", "--var", "ghost"][..], &["bst", "--steensgaard", "--var", "ghost"]] {
+        let (stdout, stderr, ok) = scast(args);
+        assert!(!ok, "{args:?}: unknown pointer must exit nonzero");
+        assert!(stderr.contains("unknown pointer `ghost`"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: diagnostics go to stderr: {stdout}");
+    }
+}
+
+#[test]
 fn demand_composes_with_budgets() {
     // A roomy deadline completes and answers normally...
     let (stdout, _, ok) = scast(&["bst", "--demand", "g_tree", "--deadline-ms", "600000"]);
@@ -320,34 +330,6 @@ fn query_without_server_fails_cleanly() {
     let (_, stderr, ok) = scast(&["query", "--addr", "127.0.0.1:9", r#"{"op":"stats"}"#]);
     assert!(!ok);
     assert!(stderr.contains("cannot connect"), "{stderr}");
-}
-
-#[test]
-fn threads_flag_does_not_change_answers() {
-    // --threads selects the sharded fixpoint; every *answer* (edges, deref
-    // sites, averages) must be identical. Only the iteration count — how
-    // many statement evaluations the schedule needed — may differ, so
-    // strip that one field before comparing byte-for-byte.
-    let strip_iterations = |s: &str| -> String {
-        let start = s.find("\"iterations\":").expect("iterations field");
-        let end = start + s[start..].find(',').unwrap();
-        format!("{}{}", &s[..start], &s[end + 2..])
-    };
-    let (seq, _, ok1) = scast(&["tagged-union", "--json", "--threads", "1"]);
-    let (par, _, ok2) = scast(&["tagged-union", "--json", "--threads", "8"]);
-    assert!(ok1 && ok2);
-    assert_eq!(
-        strip_iterations(&seq),
-        strip_iterations(&par),
-        "sharded solve must match sequential answers byte-for-byte"
-    );
-}
-
-#[test]
-fn bad_threads_value_fails_cleanly() {
-    let (_, stderr, ok) = scast(&["tagged-union", "--threads", "many"]);
-    assert!(!ok);
-    assert!(stderr.contains("bad --threads"), "{stderr}");
 }
 
 #[test]

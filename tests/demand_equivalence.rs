@@ -2,14 +2,12 @@
 //!
 //! The demand mode's contract is *byte-equality*: for any queried pointer,
 //! the sliced solve must report exactly the points-to set the exhaustive
-//! solver reports, under every model and every thread count. This harness
-//! cross-checks that contract three ways:
+//! solver reports, under every model. This harness cross-checks that
+//! contract three ways:
 //!
 //! * 27 seeded `progen` programs (cast/malloc ladders like
 //!   `fuzz_soundness`), querying **every** abstract object — temps,
-//!   params, return slots included — under all 4 models, with the solver
-//!   thread count rotating through 1/2/8 so the sharded demand path is
-//!   exercised too;
+//!   params, return slots included — under all 4 models;
 //! * the cast-heavy corpus programs (the paper's Figure 4–6 rows),
 //!   querying every named object under all 4 models;
 //! * alias and MOD/REF demand queries spot-checked against the exhaustive
@@ -24,7 +22,6 @@ use structcast::{AnalysisConfig, AnalysisResult, AnalysisSession, ModelKind, Obj
 use structcast_progen::{casty_corpus, generate, GenConfig};
 
 const PROGEN_PROGRAMS: usize = 27;
-const THREAD_LADDER: [usize; 3] = [1, 2, 8];
 
 /// The generator shape for program `i`: seeds crossed with cast- and
 /// malloc-ratio ladders, biased toward the casty corner where the models
@@ -52,11 +49,9 @@ fn check_points_to(
     assert_eq!(
         d.result.points_to(prog, obj),
         full.points_to(prog, obj),
-        "{label}: demand points-to for `{}` (obj {obj:?}, model {}, threads {}) \
-         diverged from exhaustive",
+        "{label}: demand points-to for `{}` (obj {obj:?}, model {}) diverged from exhaustive",
         prog.object(obj).name,
         cfg.model,
-        cfg.threads,
     );
     assert!(
         d.stats.slice_statements <= d.stats.total_statements,
@@ -65,14 +60,14 @@ fn check_points_to(
     d
 }
 
-fn check_program(label: &str, src: &str, threads: usize, every: usize) {
+fn check_program(label: &str, src: &str, every: usize) {
     let prog = match structcast::lower_source(src) {
         Ok(p) => p,
         Err(e) => panic!("{label}: lowering failed: {e}"),
     };
     let session = AnalysisSession::compile(&prog);
     for kind in ModelKind::ALL {
-        let cfg = AnalysisConfig::new(kind).with_threads(threads);
+        let cfg = AnalysisConfig::new(kind);
         let full = session.solve(&cfg);
 
         // Points-to: every `every`-th object (1 = all of them).
@@ -92,7 +87,7 @@ fn check_program(label: &str, src: &str, threads: usize, every: usize) {
                 assert_eq!(
                     d.result.may_alias(&prog, a, b),
                     full.may_alias(&prog, a, b),
-                    "{label}: demand alias `{}` ~ `{}` ({kind}, t{threads}) diverged",
+                    "{label}: demand alias `{}` ~ `{}` ({kind}) diverged",
                     prog.object(a).name,
                     prog.object(b).name,
                 );
@@ -106,7 +101,7 @@ fn check_program(label: &str, src: &str, threads: usize, every: usize) {
             assert_eq!(
                 d.modref_of(&prog, f.id),
                 full_mr.of(f.id),
-                "{label}: demand MOD/REF for `{}` ({kind}, t{threads}) diverged",
+                "{label}: demand MOD/REF for `{}` ({kind}) diverged",
                 f.name,
             );
         }
@@ -118,27 +113,7 @@ fn progen_programs_demand_equals_exhaustive() {
     for i in 0..PROGEN_PROGRAMS {
         let cfg = eq_config(i);
         let src = generate(&cfg);
-        // Rotate the thread ladder so 1, 2, and 8 threads each cover a
-        // third of the seeds (the solver's edge sets are thread-count
-        // invariant, so demand must be too).
-        let threads = THREAD_LADDER[i % THREAD_LADDER.len()];
-        check_program(
-            &format!("progen[{i}] (seed={})", cfg.seed),
-            &src,
-            threads,
-            1,
-        );
-    }
-}
-
-#[test]
-fn one_program_covers_the_full_thread_ladder() {
-    // Belt and braces: the same program through every thread count, so a
-    // thread-dependent slice bug cannot hide in the rotation.
-    let cfg = eq_config(5);
-    let src = generate(&cfg);
-    for threads in THREAD_LADDER {
-        check_program(&format!("ladder (seed={})", cfg.seed), &src, threads, 1);
+        check_program(&format!("progen[{i}] (seed={})", cfg.seed), &src, 1);
     }
 }
 
@@ -147,7 +122,7 @@ fn casty_corpus_demand_equals_exhaustive() {
     for p in casty_corpus() {
         // Corpus programs are bigger; stride the object list to keep the
         // run CI-friendly while still sampling temps and named state.
-        check_program(&format!("corpus[{}]", p.name), p.source, 1, 3);
+        check_program(&format!("corpus[{}]", p.name), p.source, 3);
     }
 }
 

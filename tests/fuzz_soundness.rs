@@ -11,8 +11,7 @@
 //! Determinism: program `i` is generated from a fixed function of `i`, so
 //! a failure report's seed reproduces the exact program. The iteration
 //! count defaults to 100 and scales with `SCAST_FUZZ_ITERS` (long local
-//! runs), while `SCAST_SOLVER_THREADS` picks the intra-solve shard count
-//! as everywhere else.
+//! runs).
 
 use std::collections::HashSet;
 use structcast::{

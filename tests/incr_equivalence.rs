@@ -4,8 +4,8 @@
 //! source edit, `diff_programs` + `compile_incremental` +
 //! `resolve_incremental` must produce exactly the constraint set and
 //! exactly the solved edge set a cold compile-and-solve of the edited
-//! program produces — under every model and regardless of the cold side's
-//! thread count. This harness checks the contract two ways:
+//! program produces — under every model. This harness checks the contract
+//! two ways:
 //!
 //! * **Seeded edit traces** over `progen` programs: chains of
 //!   single-function edits (retargets, inserts, swaps, dups, constant
@@ -24,8 +24,6 @@ use structcast::{
     Program,
 };
 use structcast_progen::{corpus, edit_trace, generate, GenConfig};
-
-const THREAD_LADDER: [usize; 3] = [1, 2, 8];
 
 /// Asserts the full incremental contract for one `old -> new` edit under
 /// one config, returning the incremental result for chaining.
@@ -72,14 +70,14 @@ fn check_edit(
     (new_prog, new_set, inc.result)
 }
 
-fn check_trace(label: &str, base: &str, seed: u64, steps: usize, kind: ModelKind, threads: usize) {
-    let cfg = AnalysisConfig::new(kind).with_threads(threads);
+fn check_trace(label: &str, base: &str, seed: u64, steps: usize, kind: ModelKind) {
+    let cfg = AnalysisConfig::new(kind);
     let mut prog = structcast_ir::lower_source(base).unwrap();
     let mut set = ConstraintSet::compile(&prog);
     let mut res = structcast::solve_compiled(&prog, &set, &cfg);
     for (k, step) in edit_trace(base, seed, steps).iter().enumerate() {
         let step_label = format!(
-            "{label} seed={seed} step={k} ({} in {}) model={kind} t{threads}",
+            "{label} seed={seed} step={k} ({} in {}) model={kind}",
             step.kind.label(),
             step.function
         );
@@ -96,16 +94,15 @@ fn progen_traces_match_cold_all_models() {
         gen.stmts_per_function = 10;
         gen.cast_ratio = [0.0, 0.4, 0.8, 1.0][i % 4];
         let base = generate(&gen);
-        let threads = THREAD_LADDER[i % THREAD_LADDER.len()];
-        check_trace("progen", &base, 11 + i as u64, 6, kind, threads);
+        check_trace("progen", &base, 11 + i as u64, 6, kind);
     }
 }
 
 #[test]
 fn progen_casty_trace_matches_cold() {
     let base = generate(&GenConfig::small(0xCA57).with_cast_ratio(1.0));
-    for (i, kind) in ModelKind::ALL.into_iter().enumerate() {
-        check_trace("casty", &base, 23, 4, kind, THREAD_LADDER[i % 3]);
+    for kind in ModelKind::ALL {
+        check_trace("casty", &base, 23, 4, kind);
     }
 }
 
@@ -116,7 +113,7 @@ fn progen_malloc_heavy_trace_matches_cold() {
     gen.functions = 5;
     let base = generate(&gen);
     for kind in ModelKind::ALL {
-        check_trace("mallocy", &base, 31, 4, kind, 2);
+        check_trace("mallocy", &base, 31, 4, kind);
     }
 }
 
