@@ -562,7 +562,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             if !f.defined {
                 continue;
             }
-            let sets = mr.of(f.id);
+            let sets = mr.sets(f.id);
             let names = |set: &std::collections::BTreeSet<structcast::ObjId>| {
                 set.iter()
                     .map(|o| prog.object(*o).name.clone())

@@ -152,15 +152,18 @@ impl Solved {
         let mut vars = BTreeSet::new();
         let mut points_to = BTreeMap::new();
         let mut pt_locs = BTreeMap::new();
-        for obj in &prog.objects {
-            if !obj.kind.is_named_variable() {
+        // A name resolves to the first object carrying it (as in
+        // `Program::object_by_name`), whatever that object's kind.
+        let mut first: HashMap<&str, ObjId> = HashMap::new();
+        for (i, obj) in prog.objects.iter().enumerate() {
+            let id = *first.entry(&obj.name).or_insert(ObjId(i as u32));
+            if !obj.kind.is_named_variable() || !vars.insert(obj.name.clone()) {
                 continue;
             }
-            vars.insert(obj.name.clone());
-            let locs = match res.points_to_named(prog, &obj.name) {
-                Some(l) if !l.is_empty() => l,
-                _ => continue,
-            };
+            let locs = res.points_to(prog, id);
+            if locs.is_empty() {
+                continue;
+            }
             let mut shown: Vec<String> = locs.iter().map(|l| l.display(prog)).collect();
             shown.sort();
             shown.dedup();
@@ -173,8 +176,8 @@ impl Solved {
             if !f.defined {
                 continue;
             }
-            let sets = mr.of(f.id);
-            let names = |set: &BTreeSet<structcast::ObjId>| {
+            let sets = mr.sets(f.id);
+            let names = |set: &BTreeSet<ObjId>| {
                 set.iter().map(|o| prog.object(*o).name.clone()).collect::<Vec<_>>()
             };
             modref_map.insert(f.name.clone(), (names(&sets.mods), names(&sets.refs)));

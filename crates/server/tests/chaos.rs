@@ -4,7 +4,8 @@
 //! sweep.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use structcast_server::json::Json;
 use structcast_server::metrics::ERROR_KINDS;
@@ -310,6 +311,18 @@ fn stalled_connection_gets_a_timeout_reply() {
     handle.wait();
 }
 
+/// Connects until a request actually lands on a worker instead of being
+/// shed at accept, and returns that served connection.
+fn connect_until_served(addr: SocketAddr) -> Client {
+    loop {
+        let mut c = Client::connect(addr).unwrap();
+        if ok(&c.stats().unwrap()) {
+            return c;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// With every worker busy and no queue, a new connection is shed with an
 /// `overloaded` reply carrying `retry_after_ms`.
 #[test]
@@ -323,10 +336,11 @@ fn overloaded_server_sheds_with_retry_after() {
     let addr = handle.addr();
 
     // Engage the only worker: a completed request proves the connection
-    // was dequeued and is now held by the worker.
-    let mut busy = Client::connect(addr).unwrap();
-    let resp = busy.stats().unwrap();
-    assert!(ok(&resp));
+    // was dequeued and is now held by the worker. A rendezvous queue
+    // (backlog 0) sheds anything that arrives before the worker is in
+    // `recv`, so even this first connection may be shed under load.
+    let mut busy = connect_until_served(addr);
+    let shed_before = handle.metrics().shed();
 
     // Next connection: queue of 0, worker busy — shed at accept.
     let mut shed = Client::connect(addr).unwrap();
@@ -339,25 +353,17 @@ fn overloaded_server_sheds_with_retry_after() {
             .is_some(),
         "{resp}"
     );
-    assert_eq!(handle.metrics().shed(), 1);
+    assert_eq!(handle.metrics().shed(), shed_before + 1);
 
     // The busy client's connection still works, and releasing it lets a
     // fresh client in.
     assert!(ok(&busy.stats().unwrap()));
     drop(shed);
     drop(busy);
-    // The only worker may still be tearing down `busy`'s connection, and
-    // a rendezvous queue (backlog 0) sheds anything that arrives before
-    // it is back in `recv` — so retry until a request actually lands on
-    // the worker. A shutdown sent on a shed connection would be consumed
-    // by the `overloaded` reply and never reach the server.
-    let mut c = loop {
-        let mut c = Client::connect(addr).unwrap();
-        if ok(&c.stats().unwrap()) {
-            break c;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    // The only worker may still be tearing down `busy`'s connection. A
+    // shutdown sent on a shed connection would be consumed by the
+    // `overloaded` reply and never reach the server.
+    let mut c = connect_until_served(addr);
     let shed_total = handle.metrics().shed();
     c.shutdown_server().unwrap();
     let summary = handle.wait();
@@ -473,14 +479,24 @@ fn replica_killed_mid_storm_is_shed_then_restarts_warm_with_zero_misses() {
     let victim = fleet_h.route("bst");
     assert!(victim < 2);
 
+    // Every worker pauses after 10 rounds until the victim is dead, so
+    // the remaining 50 rounds certainly reach the downed owner. (The
+    // warm storm lasts about as long as a fixed sleep would, so a sleep
+    // before the kill could let it finish first.)
+    let mid_storm = Arc::new(Barrier::new(4));
     let workers: Vec<_> = (0..3)
         .map(|i| {
             let storm = storm.clone();
+            let mid_storm = Arc::clone(&mid_storm);
             std::thread::spawn(move || -> (usize, u64) {
                 let mut c = Client::connect(addr).unwrap();
                 let mut shed = 0u64;
                 let mut served = 0usize;
                 for round in 0..60 {
+                    if round == 10 {
+                        mid_storm.wait(); // engaged
+                        mid_storm.wait(); // victim killed
+                    }
                     for j in 0..storm.len() {
                         let q = &storm[(i + round + j) % storm.len()];
                         let line = c.request_line(q).unwrap();
@@ -512,8 +528,9 @@ fn replica_killed_mid_storm_is_shed_then_restarts_warm_with_zero_misses() {
         .collect();
 
     // Let the storm engage, then SIGKILL the victim mid-flight.
-    std::thread::sleep(Duration::from_millis(50));
+    mid_storm.wait();
     fleet_h.kill_replica(victim).expect("victim had a live process");
+    mid_storm.wait();
 
     // While the owner is down, an update aimed at its keyspace must NOT
     // fail over to the successor (whose WAL is not the owner's): it sheds
