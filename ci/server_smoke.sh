@@ -15,6 +15,8 @@
 # counted restore), an update accepted between snapshots must survive a
 # SIGKILL via write-ahead-journal replay, and a 2-replica fleet router
 # must report both replicas alive and shut the whole fleet down cleanly.
+# A 200,000-deep nesting bomb sent to the server and through the router
+# must come back as a typed bad_request while both keep serving.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -148,6 +150,25 @@ echo "$UPDATE" | grep -q '"dropped_demand": 1' || {
 "$SCAST" query --addr "$ADDR" '{"op":"points_to","program":"live","var":"q"}' |
     grep -q '"points_to": \["x"\]' || { echo "post-edit answer wrong"; exit 1; }
 echo "update round trip: reused_fns=$REUSED, post-edit answer correct, invalidation slice-precise"
+
+# Nesting bomb: one 200,000-deep NDJSON line must get a typed bad_request
+# (the decoders bound nesting) instead of overflowing a worker's stack and
+# aborting the process; the server keeps answering afterwards.
+nesting_bomb() {
+    local addr=$1 what=$2 reply
+    reply=$(printf '%*s\n' 200000 '' | tr ' ' '[' | "$SCAST" query --addr "$addr" -)
+    echo "$reply" | grep -q '"bad_request"' || {
+        echo "$what: nesting bomb must get bad_request:"; echo "$reply" | cut -c1-300; exit 1
+    }
+    echo "$reply" | grep -q 'nesting deeper than' || {
+        echo "$what: bad_request must name the nesting bound:"; echo "$reply"; exit 1
+    }
+}
+nesting_bomb "$ADDR" server
+"$SCAST" query --addr "$ADDR" '{"op":"stats"}' | grep -q '"ok": true' || {
+    echo "server stopped answering after a nesting bomb"; exit 1
+}
+echo "nesting bomb: typed bad_request, server still serving"
 
 "$SCAST" query --addr "$ADDR" '{"op":"shutdown"}' | grep -q '"shutdown": true'
 wait "$SERVER_PID"
@@ -322,6 +343,12 @@ ALIVE=$(echo "$FSTATS" | grep -o '"alive": true' | wc -l)
 [ "$ALIVE" -eq 2 ] || { echo "expected 2 live replicas:"; echo "$FSTATS"; exit 1; }
 echo "$FSTATS" | grep -q '"router"' || { echo "router counters missing:"; echo "$FSTATS"; exit 1; }
 echo "fleet: 2 replicas alive behind the router, queries answered"
+
+nesting_bomb "$ADDRF" fleet
+FSTATS=$("$SCAST" query --addr "$ADDRF" '{"op":"fleet_stats"}')
+ALIVE=$(echo "$FSTATS" | grep -o '"alive": true' | wc -l)
+[ "$ALIVE" -eq 2 ] || { echo "expected 2 live replicas after a nesting bomb:"; echo "$FSTATS"; exit 1; }
+echo "fleet: nesting bomb answered bad_request, both replicas still alive"
 
 "$SCAST" query --addr "$ADDRF" '{"op":"shutdown"}' | grep -q '"shutdown": true'
 wait "$FLEET_PID"

@@ -1,47 +1,47 @@
 //! The compile-once, solve-once, query-many session cache.
 //!
-//! Layer 1 (`ProgramEntry`, keyed by **source hash**) holds a lowered
-//! `Program` plus its stage-1 `ConstraintSet` — one entry per distinct
-//! source text, so reloading a program is free and queries never recompile.
-//! Layer 2 (`Solved`, keyed by source hash × [`QueryOpts::cache_key`])
-//! memoizes one solved instance as a plain-data summary: points-to sets of
-//! every named variable, MOD/REF tables, and the figure metrics. Workers
-//! answer queries from these immutable summaries without touching the
-//! solver, so a warm query is a map lookup behind an `RwLock` read guard.
-//! A third map (`DemandAnswer`, keyed by source hash ×
-//! `demand/<subject>/<config key>`) memoizes per-pointer demand-mode
-//! answers under the solved layer: a demand query first checks its own
-//! map, then derives from a warm full summary, and only slices+solves
-//! cold ([`SessionCache::demand`]).
+//! One store memoizes the three stages a query passes through; the layer
+//! is a tag on the value (`Cached`), not a separate map:
 //!
-//! Both layers live behind `RwLock`s with the **miss work done outside the
-//! lock**: concurrent queries for different keys solve in parallel, and a
-//! rare same-key race costs one redundant solve (both compute the same
+//! - a compiled program ([`ProgramEntry`]: lowered `Program` plus stage-1
+//!   `ConstraintSet`), keyed `(source hash, "")`, so reloading a program
+//!   is free and queries never recompile;
+//! - a solved instance ([`Solved`]), keyed `(source hash, cache key)`
+//!   ([`QueryOpts::cache_key`]): the plain-data summary (points-to sets,
+//!   MOD/REF tables, figure metrics) a warm query reads without a solver;
+//! - a demand answer ([`DemandAnswer`]), keyed `(source hash,
+//!   "demand/<subject>/<cache key>")` ([`SessionCache::demand`]).
+//!
+//! No cache key is empty or starts with `demand/`, so the shapes never
+//! collide. The slot map, the name → hash aliases and the resident byte
+//! total sit under one `RwLock`, so the total always equals the sum of the
+//! slot sizes. A hit takes the read guard; **miss work is done outside the
+//! lock**, so queries for different keys solve in parallel, and a rare
+//! same-key race costs one redundant solve (both compute the same
 //! deterministic result; the first insert wins).
 //!
 //! # Bounding
 //!
-//! The cache is bounded by an approximate byte budget shared across both
-//! layers. Each slot carries a size estimate (computed once at insert) and
-//! a last-use tick bumped on every hit; when an insert pushes the total
-//! past [`SessionCache::max_bytes`], the globally least-recently-used
-//! slots are evicted — never the slot the inserting call is about to
-//! return — until the total fits again. Eviction is *forgetting*, not
-//! invalidation: entries are keyed by content hash, so an evicted program
-//! that is loaded again recompiles once and yields identical results, and
-//! a racing query that held an `Arc` to an evicted entry keeps a fully
-//! valid (just no longer shared) value. Evicting a program does not evict
-//! its solved summaries — they are self-contained plain data and stay
-//! correct for any future reload of the same source.
+//! Each slot carries a size estimate (computed once at insert) and a
+//! last-use tick bumped on every hit. Every insert runs under the write
+//! guard: it adds the slot's bytes and, while the total exceeds
+//! [`SessionCache::max_bytes`], evicts the globally least-recently-used
+//! slot — never the one being inserted, so a lone entry larger than the
+//! whole budget stays resident rather than thrashing. Eviction is
+//! *forgetting*, not invalidation: entries are keyed by content hash, so
+//! an evicted program that is loaded again recompiles once and yields
+//! identical results, and a query holding an `Arc` to an evicted entry
+//! keeps a valid (just no longer shared) value. Evicting a program leaves
+//! its summaries: they are self-contained and stay correct for any reload.
 //!
-//! Locks recover from poisoning (`PoisonError::into_inner`): every cached
-//! value is immutable once inserted and the maps are structurally valid
-//! after any panic-at-insert, so a poisoned guard's data is still sound.
+//! The lock recovers from poisoning (`PoisonError::into_inner`): every
+//! cached value is immutable once inserted and the store is structurally
+//! valid after any panic-at-insert, so a poisoned guard's data is sound.
 
 use crate::metrics::Metrics;
 use crate::proto::QueryOpts;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use structcast::{
@@ -336,32 +336,91 @@ pub struct UpdateReport {
     pub resolve: Duration,
 }
 
+/// A slot key: `(source hash, "")` for a program, `(source hash, cache
+/// key)` for a solved summary, `(source hash, "demand/<subject>/<cache
+/// key>")` for a demand answer.
+type Key = (u64, String);
+
+/// One cached value; the variant is the layer it belongs to.
+enum Cached {
+    Program(Arc<ProgramEntry>),
+    Solved(Arc<Solved>),
+    Demand(Arc<DemandAnswer>),
+}
+
+/// A value type the store holds, one per [`Cached`] variant.
+trait Layer: Sized {
+    fn wrap(value: Arc<Self>) -> Cached;
+    fn unwrap(value: &Cached) -> Option<&Arc<Self>>;
+    fn bytes(&self) -> usize;
+}
+
+macro_rules! layer {
+    ($ty:ty, $variant:ident) => {
+        impl Layer for $ty {
+            fn wrap(value: Arc<Self>) -> Cached { Cached::$variant(value) }
+            fn unwrap(value: &Cached) -> Option<&Arc<Self>> {
+                if let Cached::$variant(v) = value { Some(v) } else { None }
+            }
+            fn bytes(&self) -> usize { self.approx_bytes() }
+        }
+    };
+}
+layer!(ProgramEntry, Program);
+layer!(Solved, Solved);
+layer!(DemandAnswer, Demand);
+
 /// A cached value plus the bookkeeping the evictor reads: its (fixed) size
 /// estimate and a last-use tick bumped on every hit. The tick is an atomic
-/// so hits can record recency under the cheap *read* lock.
-struct Slot<T> {
-    value: Arc<T>,
+/// so hits can record recency under the cheap *read* guard.
+struct Slot {
+    value: Cached,
     bytes: usize,
     last_use: AtomicU64,
 }
 
-/// Which map a victim lives in (cross-layer LRU picks globally).
-enum Victim {
-    Program(u64),
-    Solved((u64, String)),
-    Demand((u64, String)),
+/// Everything behind the cache's one lock.
+#[derive(Default)]
+struct Store {
+    slots: HashMap<Key, Slot>,
+    /// Program name (and hex hash) → source hash; latest load wins.
+    names: HashMap<String, u64>,
+    /// Σ `slot.bytes` over `slots`.
+    bytes: usize,
 }
 
-/// The concurrent two-layer cache; see the module docs.
+/// Every resident value by layer, read in one pass for the snapshot
+/// writer.
+#[derive(Default)]
+pub struct Resident {
+    /// Program entries.
+    pub programs: Vec<Arc<ProgramEntry>>,
+    /// Solved summaries with their keys.
+    pub solved: Vec<((u64, String), Arc<Solved>)>,
+    /// Demand answers with their keys.
+    pub demand: Vec<((u64, String), Arc<DemandAnswer>)>,
+}
+
+/// Per-layer `(count, bytes)` plus the resident total, from one read of
+/// the store — the three byte figures always sum to `bytes`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Layers {
+    /// Program entries.
+    pub programs: (usize, usize),
+    /// Solved summaries.
+    pub solved: (usize, usize),
+    /// Demand answers.
+    pub demand: (usize, usize),
+    /// Approximate resident bytes across all layers.
+    pub bytes: usize,
+}
+
+/// The concurrent session cache; see the module docs.
 pub struct SessionCache {
     metrics: Arc<Metrics>,
     max_bytes: usize,
     tick: AtomicU64,
-    bytes: AtomicUsize,
-    programs: RwLock<HashMap<u64, Slot<ProgramEntry>>>,
-    names: RwLock<HashMap<String, u64>>,
-    solved: RwLock<HashMap<(u64, String), Slot<Solved>>>,
-    demand: RwLock<HashMap<(u64, String), Slot<DemandAnswer>>>,
+    store: RwLock<Store>,
 }
 
 impl SessionCache {
@@ -378,11 +437,7 @@ impl SessionCache {
             metrics,
             max_bytes,
             tick: AtomicU64::new(0),
-            bytes: AtomicUsize::new(0),
-            programs: RwLock::new(HashMap::new()),
-            names: RwLock::new(HashMap::new()),
-            solved: RwLock::new(HashMap::new()),
-            demand: RwLock::new(HashMap::new()),
+            store: RwLock::new(Store::default()),
         }
     }
 
@@ -391,102 +446,67 @@ impl SessionCache {
         self.max_bytes
     }
 
-    /// The current approximate resident bytes across both layers.
+    /// The current approximate resident bytes across all layers.
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Relaxed)
+        read(&self.store).bytes
+    }
+
+    /// A fresh recency tick.
+    fn tick(&self) -> u64 {
+        self.tick.fetch_add(1, Relaxed) + 1
     }
 
     /// Marks a slot used now and clones out its value.
-    fn touch<T>(&self, slot: &Slot<T>) -> Arc<T> {
-        slot.last_use.store(self.tick.fetch_add(1, Relaxed) + 1, Relaxed);
-        Arc::clone(&slot.value)
+    fn touch<T: Layer>(&self, slot: &Slot) -> Option<Arc<T>> {
+        slot.last_use.store(self.tick(), Relaxed);
+        T::unwrap(&slot.value).cloned()
     }
 
-    /// Wraps `value` in a slot stamped with a fresh tick.
-    fn slot<T>(&self, value: Arc<T>, bytes: usize) -> Slot<T> {
-        Slot {
-            value,
+    /// The value resident under `key`, marked used now.
+    fn get<T: Layer>(&self, key: &Key) -> Option<Arc<T>> {
+        read(&self.store).slots.get(key).and_then(|s| self.touch(s))
+    }
+
+    /// The one insert, first-in wins: returns the value already resident
+    /// under `key` if there is one, else inserts `value` stamped with a
+    /// fresh tick, adds its bytes, and evicts globally least-recently-used
+    /// slots other than `key` until the total fits the budget again.
+    fn put<T: Layer>(&self, store: &mut Store, key: Key, value: Arc<T>) -> Arc<T> {
+        // A slot of another layer under `key` can only come from a snapshot
+        // with a malformed demand key; the value is then served uncached.
+        if let Some(slot) = store.slots.get(&key) {
+            return self.touch(slot).unwrap_or(value);
+        }
+        let bytes = value.bytes();
+        store.bytes += bytes;
+        let slot = Slot {
+            value: T::wrap(Arc::clone(&value)),
             bytes,
-            last_use: AtomicU64::new(self.tick.fetch_add(1, Relaxed) + 1),
-        }
-    }
-
-    /// Evicts least-recently-used slots (across both layers) until the
-    /// total fits the budget again, sparing the just-inserted keys — a
-    /// single entry larger than the whole budget stays resident rather
-    /// than thrashing. Lock order is programs → solved → demand,
-    /// everywhere.
-    fn enforce_cap(&self, keep_program: Option<u64>, keep_solved: Option<&(u64, String)>) {
-        if self.max_bytes == 0 {
-            return;
-        }
-        if self.bytes.load(Relaxed) <= self.max_bytes {
-            self.metrics.set_cache_bytes(self.bytes.load(Relaxed) as u64);
-            return;
-        }
-        let mut programs = write(&self.programs);
-        let mut solved = write(&self.solved);
-        let mut demand = write(&self.demand);
-        let (mut evicted_p, mut evicted_s) = (0u64, 0u64);
-        while self.bytes.load(Relaxed) > self.max_bytes {
-            let mut best: Option<(u64, Victim)> = None;
-            for (k, s) in programs.iter() {
-                if keep_program == Some(*k) {
-                    continue;
-                }
-                let lu = s.last_use.load(Relaxed);
-                if best.as_ref().is_none_or(|(b, _)| lu < *b) {
-                    best = Some((lu, Victim::Program(*k)));
-                }
-            }
-            for (k, s) in solved.iter() {
-                if keep_solved == Some(k) {
-                    continue;
-                }
-                let lu = s.last_use.load(Relaxed);
-                if best.as_ref().is_none_or(|(b, _)| lu < *b) {
-                    best = Some((lu, Victim::Solved(k.clone())));
-                }
-            }
-            for (k, s) in demand.iter() {
-                // `keep_solved` doubles as the demand-key guard: the two
-                // layers share one key space and a caller inserts into
-                // only one of them per call.
-                if keep_solved == Some(k) {
-                    continue;
-                }
-                let lu = s.last_use.load(Relaxed);
-                if best.as_ref().is_none_or(|(b, _)| lu < *b) {
-                    best = Some((lu, Victim::Demand(k.clone())));
-                }
-            }
-            match best {
-                Some((_, Victim::Program(k))) => {
-                    let slot = programs.remove(&k).expect("victim was just seen");
-                    self.bytes.fetch_sub(slot.bytes, Relaxed);
-                    evicted_p += 1;
-                }
-                Some((_, Victim::Solved(k))) => {
-                    let slot = solved.remove(&k).expect("victim was just seen");
-                    self.bytes.fetch_sub(slot.bytes, Relaxed);
-                    evicted_s += 1;
-                }
-                Some((_, Victim::Demand(k))) => {
-                    let slot = demand.remove(&k).expect("victim was just seen");
-                    self.bytes.fetch_sub(slot.bytes, Relaxed);
-                    evicted_s += 1;
-                }
-                // Everything left is protected: over budget but stuck.
-                None => break,
+            last_use: AtomicU64::new(self.tick()),
+        };
+        store.slots.insert(key.clone(), slot);
+        let (mut programs, mut others) = (0u64, 0u64);
+        while self.max_bytes != 0 && store.bytes > self.max_bytes {
+            let victim = store
+                .slots
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, s)| s.last_use.load(Relaxed))
+                .map(|(k, _)| k.clone());
+            // Everything left is the new slot: over budget but resident.
+            let Some(victim) = victim else { break };
+            let slot = store.slots.remove(&victim).expect("victim was just seen");
+            store.bytes -= slot.bytes;
+            match slot.value {
+                Cached::Program(_) => programs += 1,
+                _ => others += 1,
             }
         }
-        drop(demand);
-        drop(solved);
-        drop(programs);
-        if evicted_p + evicted_s > 0 {
-            self.metrics.record_evictions(evicted_p, evicted_s);
+        if programs + others > 0 {
+            self.metrics.record_evictions(programs, others);
         }
-        self.metrics.set_cache_bytes(self.bytes.load(Relaxed) as u64);
+        self.metrics.set_cache_bytes(store.bytes as u64);
+        value
     }
 
     /// Loads (compiles) `source`, reusing the cached entry when the same
@@ -494,58 +514,47 @@ impl SessionCache {
     /// (latest load of a name wins); unnamed programs are addressed by
     /// their hash. Lower failures are reported, not cached.
     pub fn load(&self, name: Option<&str>, source: &str) -> Result<Arc<ProgramEntry>, String> {
-        let key = source_hash(source);
-        let cached = read(&self.programs).get(&key).map(|s| self.touch(s));
-        let (entry, hit) = match cached {
+        let key = (source_hash(source), String::new());
+        let (entry, hit) = match self.get(&key) {
             Some(e) => (e, true),
             None => {
                 let start = Instant::now();
                 let prog = structcast::lower_source(source).map_err(|e| e.to_string())?;
                 let constraints = ConstraintSet::compile(&prog);
                 let compile = start.elapsed();
-                let hash_hex = format!("{key:016x}");
-                let entry = Arc::new(ProgramEntry {
-                    key,
+                let hash_hex = format!("{:016x}", key.0);
+                let entry = ProgramEntry {
+                    key: key.0,
                     name: name.unwrap_or(&hash_hex).to_string(),
                     hash_hex,
                     source: source.to_string(),
                     prog,
                     constraints,
                     compile,
-                });
-                // Double-checked insert: a racing loader's entry is
-                // identical (same source), so first-in wins. An eviction
-                // racing in between simply means both see a miss — each
-                // recompiles, first insert still wins.
-                let mut programs = write(&self.programs);
-                let entry = match programs.get(&key) {
-                    Some(s) => self.touch(s),
-                    None => {
-                        let bytes = entry.approx_bytes();
-                        self.bytes.fetch_add(bytes, Relaxed);
-                        programs.insert(key, self.slot(Arc::clone(&entry), bytes));
-                        entry
-                    }
                 };
-                drop(programs);
-                self.enforce_cap(Some(key), None);
-                (entry, false)
+                (Arc::new(entry), false)
             }
         };
-        self.metrics.record_program(hit, entry.compile);
-        let mut names = write(&self.names);
+        let mut store = write(&self.store);
+        // A racing loader's entry is identical (same source): first-in
+        // wins. An eviction racing in between the miss and this insert
+        // simply means both see a miss — each recompiles once.
+        let entry = if hit { entry } else { self.put(&mut store, key, entry) };
         if let Some(n) = name {
-            names.insert(n.to_string(), key);
+            store.names.insert(n.to_string(), entry.key);
         }
-        names.insert(entry.hash_hex.clone(), key);
+        store.names.insert(entry.hash_hex.clone(), entry.key);
+        drop(store);
+        self.metrics.record_program(hit, entry.compile);
         Ok(entry)
     }
 
     /// Resolves a loaded program by name or hash. An evicted program
     /// resolves to `None` exactly like one never loaded — callers reload.
     pub fn entry(&self, program: &str) -> Option<Arc<ProgramEntry>> {
-        let key = *read(&self.names).get(program)?;
-        read(&self.programs).get(&key).map(|s| self.touch(s))
+        let store = read(&self.store);
+        let key = (*store.names.get(program)?, String::new());
+        store.slots.get(&key).and_then(|s| self.touch(s))
     }
 
     // ----- snapshot export/restore -----
@@ -557,25 +566,17 @@ impl SessionCache {
     // solved, so the honesty counters (`program_misses`, `solve_misses`,
     // and the per-thread compile/solve tallies) must not move.
 
-    /// Every resident program entry, for the snapshot writer.
-    pub fn export_programs(&self) -> Vec<Arc<ProgramEntry>> {
-        read(&self.programs).values().map(|s| Arc::clone(&s.value)).collect()
-    }
-
-    /// Every resident solved summary with its key, for the snapshot writer.
-    pub fn export_solved(&self) -> Vec<((u64, String), Arc<Solved>)> {
-        read(&self.solved)
-            .iter()
-            .map(|(k, s)| (k.clone(), Arc::clone(&s.value)))
-            .collect()
-    }
-
-    /// Every resident demand answer with its key, for the snapshot writer.
-    pub fn export_demand(&self) -> Vec<((u64, String), Arc<DemandAnswer>)> {
-        read(&self.demand)
-            .iter()
-            .map(|(k, s)| (k.clone(), Arc::clone(&s.value)))
-            .collect()
+    /// Every resident value, for the snapshot writer.
+    pub fn export(&self) -> Resident {
+        let mut out = Resident::default();
+        for (k, slot) in &read(&self.store).slots {
+            match &slot.value {
+                Cached::Program(e) => out.programs.push(Arc::clone(e)),
+                Cached::Solved(s) => out.solved.push((k.clone(), Arc::clone(s))),
+                Cached::Demand(a) => out.demand.push((k.clone(), Arc::clone(a))),
+            }
+        }
+        out
     }
 
     /// Inserts a restored program entry, registering its name and hash
@@ -583,36 +584,22 @@ impl SessionCache {
     /// compile and no hit/miss recorded. First-in wins against a racing
     /// loader; the byte budget applies as usual.
     pub fn restore_program(&self, entry: Arc<ProgramEntry>) {
-        let key = entry.key;
-        let name = entry.name.clone();
-        let hash_hex = entry.hash_hex.clone();
-        {
-            let mut programs = write(&self.programs);
-            if let std::collections::hash_map::Entry::Vacant(slot) = programs.entry(key) {
-                let bytes = entry.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                slot.insert(self.slot(entry, bytes));
-            }
-        }
-        let mut names = write(&self.names);
-        names.insert(name, key);
-        names.insert(hash_hex, key);
-        drop(names);
-        self.enforce_cap(Some(key), None);
+        let mut store = write(&self.store);
+        store.names.insert(entry.name.clone(), entry.key);
+        store.names.insert(entry.hash_hex.clone(), entry.key);
+        self.put(&mut store, (entry.key, String::new()), entry);
     }
 
     /// Inserts a restored solved summary under its original key, with no
     /// solve and no hit/miss recorded.
     pub fn restore_solved(&self, key: (u64, String), solved: Arc<Solved>) {
-        self.insert_solved(&key, solved);
-        self.enforce_cap(None, Some(&key));
+        self.put(&mut write(&self.store), key, solved);
     }
 
     /// Inserts a restored demand answer under its original key, with no
     /// slice/solve and no hit/miss recorded.
     pub fn restore_demand(&self, key: (u64, String), answer: Arc<DemandAnswer>) {
-        self.insert_demand(&key, answer);
-        self.enforce_cap(None, Some(&key));
+        self.put(&mut write(&self.store), key, answer);
     }
 
     /// The solved summary for `(entry, opts)`, memoized. A hit re-runs
@@ -634,7 +621,7 @@ impl SessionCache {
         opts: &QueryOpts,
     ) -> Result<(Arc<Solved>, Duration), SolveError> {
         let key = (entry.key, opts.cache_key());
-        if let Some(s) = read(&self.solved).get(&key).map(|s| self.touch(s)) {
+        if let Some(s) = self.get(&key) {
             self.metrics.record_solve(true, Duration::ZERO);
             return Ok((s, Duration::ZERO));
         }
@@ -643,23 +630,7 @@ impl SessionCache {
         let solved = Arc::new(Solved::build(entry, opts.clone(), res));
         let paid = start.elapsed();
         self.metrics.record_solve(false, paid);
-        let solved = self.insert_solved(&key, solved);
-        self.enforce_cap(None, Some(&key));
-        Ok((solved, paid))
-    }
-
-    /// Double-checked solved-map insert; first-in wins, recency stamped.
-    fn insert_solved(&self, key: &(u64, String), solved: Arc<Solved>) -> Arc<Solved> {
-        let mut map = write(&self.solved);
-        match map.get(key) {
-            Some(s) => self.touch(s),
-            None => {
-                let bytes = solved.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                map.insert(key.clone(), self.slot(Arc::clone(&solved), bytes));
-                solved
-            }
-        }
+        Ok((self.put(&mut write(&self.store), key, solved), paid))
     }
 
     /// The solved summaries for `(entry, opts)` for **several** option
@@ -684,13 +655,10 @@ impl SessionCache {
     ) -> Result<(Vec<Arc<Solved>>, Duration), SolveError> {
         let mut out: Vec<Option<Arc<Solved>>> = vec![None; opts_list.len()];
         let mut misses: Vec<usize> = Vec::new();
-        {
-            let map = read(&self.solved);
-            for (i, opts) in opts_list.iter().enumerate() {
-                match map.get(&(entry.key, opts.cache_key())).map(|s| self.touch(s)) {
-                    Some(s) => out[i] = Some(s),
-                    None => misses.push(i),
-                }
+        for (i, opts) in opts_list.iter().enumerate() {
+            match self.get(&(entry.key, opts.cache_key())) {
+                Some(s) => out[i] = Some(s),
+                None => misses.push(i),
             }
         }
         for _ in 0..opts_list.len() - misses.len() {
@@ -714,8 +682,7 @@ impl SessionCache {
                         self.metrics.record_solve(false, res.elapsed);
                         let solved = Arc::new(Solved::build(entry, opts_list[i].clone(), res));
                         let key = (entry.key, opts_list[i].cache_key());
-                        out[i] = Some(self.insert_solved(&key, solved));
-                        self.enforce_cap(None, Some(&key));
+                        out[i] = Some(self.put(&mut write(&self.store), key, solved));
                     }
                     Err(e) => {
                         if first_err.is_none() {
@@ -737,7 +704,7 @@ impl SessionCache {
     ///
     /// Lookup order, cheapest first:
     ///
-    /// 1. the demand map itself — a repeated demand query is a map lookup;
+    /// 1. the answer's own slot — a repeated demand query is a map lookup;
     /// 2. an already-cached **full** solve for the same options — the
     ///    exhaustive fixpoint was paid earlier, so the answer is derived
     ///    from its summary for free (recorded as a demand *hit* with
@@ -747,7 +714,7 @@ impl SessionCache {
     /// `subject` distinguishes answers under one config (e.g.
     /// `"points_to/p"`, `"alias/p/q"`, `"modref/f"`); callers must derive
     /// it injectively from the query. Cached demand answers share the byte
-    /// budget and LRU policy with both other layers.
+    /// budget and LRU policy with every other slot.
     ///
     /// # Errors
     ///
@@ -761,26 +728,15 @@ impl SessionCache {
         query: &DemandQuery,
         subject: &str,
     ) -> Result<(Arc<DemandAnswer>, Duration, bool), SolveError> {
-        let key = (entry.key, format!("demand/{subject}/{}", opts.cache_key()));
-        if let Some(a) = read(&self.demand).get(&key).map(|s| self.touch(s)) {
+        let key = demand_key(entry.key, subject, opts);
+        if let Some(a) = self.get(&key) {
             self.metrics.record_demand(true, 0, 0, Duration::ZERO);
             return Ok((a, Duration::ZERO, true));
         }
         // A warm full solve answers any demand query without slicing.
-        let full_key = (entry.key, opts.cache_key());
-        if let Some(s) = read(&self.solved).get(&full_key).map(|s| self.touch(s)) {
-            let total = entry.constraints.len();
-            let answer = Arc::new(DemandAnswer {
-                payload: payload_from_solved(entry, query, &s),
-                slice_statements: total,
-                total_statements: total,
-                solve: Duration::ZERO,
-                subject: subject.to_string(),
-                opts: opts.clone(),
-            });
+        if let Some(answer) = self.demand_fallback(entry, opts, query, subject) {
             self.metrics.record_demand(true, 0, 0, Duration::ZERO);
-            let answer = self.insert_demand(&key, answer);
-            self.enforce_cap(None, Some(&key));
+            let answer = self.put(&mut write(&self.store), key, Arc::new(answer));
             return Ok((answer, Duration::ZERO, true));
         }
         let start = Instant::now();
@@ -800,9 +756,7 @@ impl SessionCache {
             d.stats.total_statements as u64,
             paid,
         );
-        let answer = self.insert_demand(&key, answer);
-        self.enforce_cap(None, Some(&key));
-        Ok((answer, paid, false))
+        Ok((self.put(&mut write(&self.store), key, answer), paid, false))
     }
 
     /// Residency probe: the full summary for `(entry, opts)` if it is
@@ -811,16 +765,14 @@ impl SessionCache {
     /// is answerable without cold work, and the demand fallback uses it
     /// as its source of warm truth.
     pub fn solved_if_resident(&self, entry: &ProgramEntry, opts: &QueryOpts) -> Option<Arc<Solved>> {
-        let key = (entry.key, opts.cache_key());
-        read(&self.solved).get(&key).map(|s| self.touch(s))
+        self.get(&(entry.key, opts.cache_key()))
     }
 
     /// Residency probe for a cached demand answer (same key derivation as
     /// [`demand`](Self::demand)), metric-free like
     /// [`solved_if_resident`](Self::solved_if_resident).
     pub fn demand_is_resident(&self, entry: &ProgramEntry, opts: &QueryOpts, subject: &str) -> bool {
-        let key = (entry.key, format!("demand/{subject}/{}", opts.cache_key()));
-        read(&self.demand).get(&key).is_some()
+        read(&self.store).slots.contains_key(&demand_key(entry.key, subject, opts))
     }
 
     /// Degradation-ladder fallback: answers `query` from a *resident*
@@ -846,20 +798,6 @@ impl SessionCache {
             subject: subject.to_string(),
             opts: opts.clone(),
         })
-    }
-
-    /// Double-checked demand-map insert; first-in wins, recency stamped.
-    fn insert_demand(&self, key: &(u64, String), answer: Arc<DemandAnswer>) -> Arc<DemandAnswer> {
-        let mut map = write(&self.demand);
-        match map.get(key) {
-            Some(s) => self.touch(s),
-            None => {
-                let bytes = answer.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                map.insert(key.clone(), self.slot(Arc::clone(&answer), bytes));
-                answer
-            }
-        }
     }
 
     /// Applies an edited `source` to the cached session `program`: diffs
@@ -901,7 +839,7 @@ impl SessionCache {
         let key = source_hash(source);
         let new_prog = structcast::lower_source(source).map_err(|e| e.to_string())?;
 
-        // Diff + incremental compile, outside every lock.
+        // Diff + incremental compile, outside the lock.
         let diff = diff_programs(&old.prog, &new_prog);
         let (new_set, reuse) = compile_incremental(&old.prog, &old.constraints, &new_prog, &diff);
         let compile = start.elapsed();
@@ -922,16 +860,21 @@ impl SessionCache {
         });
         let total_statements = entry.constraints.len();
 
-        // Re-solve every resident summary of the old session, also outside
-        // the locks; record each option key's re-run region for the demand
-        // survival check below.
-        let old_solved: Vec<(String, Arc<Solved>)> = read(&self.solved)
-            .iter()
-            .filter(|(k, _)| k.0 == old.key)
-            .map(|(k, s)| (k.1.clone(), self.touch(s)))
-            .collect();
+        // The old session's resident summaries and demand answers.
+        let mut old_solved: Vec<(String, Arc<Solved>)> = Vec::new();
+        let mut old_demand: Vec<Arc<DemandAnswer>> = Vec::new();
+        for ((_, k), slot) in read(&self.store).slots.iter().filter(|(k, _)| k.0 == old.key) {
+            if let Some(s) = self.touch::<Solved>(slot) {
+                old_solved.push((k.clone(), s));
+            } else if let Some(a) = self.touch::<DemandAnswer>(slot) {
+                old_demand.push(a);
+            }
+        }
+
+        // Re-solve every summary, also outside the lock; record each
+        // option key's re-run region for the demand survival check below.
         let mut regions: HashMap<String, HashSet<u32>> = HashMap::new();
-        let mut migrated: Vec<((u64, String), Arc<Solved>)> = Vec::new();
+        let mut migrated: Vec<(Key, Arc<Solved>)> = Vec::new();
         let mut region_statements = 0usize;
         let mut retracted_edges = 0usize;
         let mut kept_edges = 0usize;
@@ -964,14 +907,9 @@ impl SessionCache {
 
         // Demand answers: keep exactly those whose re-derived slice avoids
         // the re-run region of their own option key.
-        let old_demand: Vec<Arc<DemandAnswer>> = read(&self.demand)
-            .iter()
-            .filter(|(k, _)| k.0 == old.key)
-            .map(|(_, s)| self.touch(s))
-            .collect();
-        let mut kept: Vec<((u64, String), Arc<DemandAnswer>)> = Vec::new();
+        let mut kept: Vec<(Key, Arc<DemandAnswer>)> = Vec::new();
         let mut dropped_demand = 0usize;
-        for a in &old_demand {
+        for a in old_demand {
             let survives = regions.get(&a.opts.cache_key()).is_some_and(|region| {
                 demand_query_for_subject(&entry.prog, &a.subject).is_some_and(|q| {
                     slice_for_query(&entry.prog, &entry.constraints, &q)
@@ -981,53 +919,30 @@ impl SessionCache {
                 })
             });
             if survives {
-                let dk = (key, format!("demand/{}/{}", a.subject, a.opts.cache_key()));
-                kept.push((dk, Arc::clone(a)));
+                kept.push((demand_key(key, &a.subject, &a.opts), a));
             } else {
                 dropped_demand += 1;
             }
         }
         let kept_demand = kept.len();
 
-        // Commit under the usual programs → solved → demand lock order.
-        // Double-checked inserts everywhere: a racing load/solve of the
-        // same edited source computed identical values, first-in wins.
-        let mut programs = write(&self.programs);
-        let mut solved = write(&self.solved);
-        let mut demand = write(&self.demand);
-        let entry = match programs.get(&key) {
-            Some(s) => self.touch(s),
-            None => {
-                let bytes = entry.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                programs.insert(key, self.slot(Arc::clone(&entry), bytes));
-                entry
-            }
-        };
+        // Commit under one write guard; first-in wins everywhere (a racing
+        // load/solve of the same edited source computed identical values).
+        // The program goes in last so its own insert spares it: the session
+        // always resolves after an update.
+        let mut store = write(&self.store);
         for (k, s) in migrated {
-            solved.entry(k).or_insert_with(|| {
-                let bytes = s.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                self.slot(s, bytes)
-            });
+            self.put(&mut store, k, s);
         }
         for (k, a) in kept {
-            demand.entry(k).or_insert_with(|| {
-                let bytes = a.approx_bytes();
-                self.bytes.fetch_add(bytes, Relaxed);
-                self.slot(a, bytes)
-            });
+            self.put(&mut store, k, a);
         }
-        drop(demand);
-        drop(solved);
-        drop(programs);
-        let mut names = write(&self.names);
+        let entry = self.put(&mut store, (key, String::new()), entry);
         if program != old.hash_hex {
-            names.insert(program.to_string(), key);
+            store.names.insert(program.to_string(), key);
         }
-        names.insert(entry.hash_hex.clone(), key);
-        drop(names);
-        self.enforce_cap(Some(key), None);
+        store.names.insert(entry.hash_hex.clone(), key);
+        drop(store);
 
         Ok(UpdateReport {
             entry,
@@ -1048,31 +963,26 @@ impl SessionCache {
         })
     }
 
-    /// `(programs, solved instances)` currently cached.
-    pub fn sizes(&self) -> (usize, usize) {
-        (read(&self.programs).len(), read(&self.solved).len())
+    /// Per-layer `(count, bytes)` and the resident total, from one read.
+    pub fn layers(&self) -> Layers {
+        let store = read(&self.store);
+        let mut l = Layers { bytes: store.bytes, ..Layers::default() };
+        for slot in store.slots.values() {
+            let (n, b) = match slot.value {
+                Cached::Program(_) => &mut l.programs,
+                Cached::Solved(_) => &mut l.solved,
+                Cached::Demand(_) => &mut l.demand,
+            };
+            *n += 1;
+            *b += slot.bytes;
+        }
+        l
     }
+}
 
-    /// Demand answers currently cached.
-    pub fn demand_sizes(&self) -> usize {
-        read(&self.demand).len()
-    }
-
-    /// Approximate resident bytes per layer, `(programs, solved, demand)`,
-    /// from one consistent snapshot (all three read guards held in the
-    /// usual order). At quiescence the three sum to [`bytes`](Self::bytes)
-    /// exactly — both sides add the same per-slot estimates — which the
-    /// `stats` op exposes and the chaos suite asserts.
-    pub fn layer_bytes(&self) -> (usize, usize, usize) {
-        let programs = read(&self.programs);
-        let solved = read(&self.solved);
-        let demand = read(&self.demand);
-        (
-            programs.values().map(|s| s.bytes).sum(),
-            solved.values().map(|s| s.bytes).sum(),
-            demand.values().map(|s| s.bytes).sum(),
-        )
-    }
+/// The slot key of a demand answer.
+fn demand_key(hash: u64, subject: &str, opts: &QueryOpts) -> Key {
+    (hash, format!("demand/{subject}/{}", opts.cache_key()))
 }
 
 /// Re-derives the [`DemandQuery`] a cached answer's subject string names,
@@ -1144,12 +1054,8 @@ fn payload_from_solved(entry: &ProgramEntry, query: &DemandQuery, s: &Solved) ->
 
 impl std::fmt::Debug for SessionCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (p, s) = self.sizes();
         f.debug_struct("SessionCache")
-            .field("programs", &p)
-            .field("solved", &s)
-            .field("demand", &self.demand_sizes())
-            .field("bytes", &self.bytes())
+            .field("layers", &self.layers())
             .field("max_bytes", &self.max_bytes)
             .finish()
     }
@@ -1263,7 +1169,8 @@ mod tests {
             .0;
         assert_eq!(cis.kind, ModelKind::CommonInitialSeq);
         assert_eq!(off.kind, ModelKind::Offsets);
-        assert_eq!(c.sizes(), (1, 2));
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (1, 2));
         // Unnamed programs are addressable by hash.
         assert!(c.entry(&entry.hash_hex).is_some());
         assert!(c.entry("never-loaded").is_none());
@@ -1292,7 +1199,8 @@ mod tests {
         let c = cache();
         let err = c.load(Some("bad"), "int x = ;;;").unwrap_err();
         assert!(err.contains("parse error"), "{err}");
-        assert_eq!(c.sizes(), (0, 0));
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (0, 0));
         assert!(c.entry("bad").is_none());
     }
 
@@ -1317,7 +1225,8 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), Some(vec!["x".to_string()]));
         }
-        assert_eq!(c.sizes(), (1, 1));
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (1, 1));
     }
 
     #[test]
@@ -1330,12 +1239,14 @@ mod tests {
         };
         let err = c.solved(&entry, &opts).unwrap_err();
         assert_eq!(err, SolveError::EdgeLimit { limit: 0 });
-        assert_eq!(c.sizes(), (1, 0), "failed solves are not cached");
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (1, 0), "failed solves are not cached");
         // Retried with no budget, the same opts key solves and caches.
         opts.max_edges = None;
         let (s, _) = c.solved(&entry, &opts).unwrap();
         assert!(s.edges > 0);
-        assert_eq!(c.sizes(), (1, 1));
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (1, 1));
         // ...and a *hit* is served even under an impossible budget: a hit
         // computes nothing, so the budget has nothing to bound.
         opts.max_edges = Some(0);
@@ -1410,8 +1321,8 @@ mod tests {
         let c = SessionCache::with_max_bytes(Arc::clone(&metrics), 1);
         let entry = c.load(Some("intro"), SRC).unwrap();
         // The program itself is over budget but protected during insert;
-        // enforce_cap leaves a sole oversized tenant resident.
-        assert_eq!(c.sizes().0, 1);
+        // `put` leaves a sole oversized tenant resident.
+        assert_eq!(c.layers().programs.0, 1);
         let (s, _) = c.solved(&entry, &QueryOpts::default()).unwrap();
         assert!(s.edges > 0);
         let (pe, se) = metrics.evictions();
@@ -1453,7 +1364,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a1, &a2));
         assert_eq!(solves_on_thread(), solves0);
         assert_eq!(metrics.demand_counts(), (1, 1));
-        assert_eq!(c.demand_sizes(), 1);
+        assert_eq!(c.layers().demand.0, 1);
 
         // A *different* subject under a warm full solve derives for free.
         let (full, _) = c.solved(&entry, &opts).unwrap();
@@ -1467,7 +1378,7 @@ mod tests {
         );
         assert_eq!(a3.slice_statements, a3.total_statements, "nothing was sliced");
         assert_eq!(solves_on_thread(), solves0 + 1, "only the full solve ran");
-        assert_eq!(c.demand_sizes(), 2);
+        assert_eq!(c.layers().demand.0, 2);
     }
 
     #[test]
@@ -1502,11 +1413,11 @@ mod tests {
         let (q, s) = pt_query(&entry, "p");
         let err = c.demand(&entry, &opts, &q, &s).unwrap_err();
         assert_eq!(err, SolveError::EdgeLimit { limit: 0 });
-        assert_eq!(c.demand_sizes(), 0, "failed demand solves are not cached");
+        assert_eq!(c.layers().demand.0, 0, "failed demand solves are not cached");
         // Retried unbudgeted, the same key solves and caches...
         opts.max_edges = None;
         let (a, ..) = c.demand(&entry, &opts, &q, &s).unwrap();
-        assert_eq!(c.demand_sizes(), 1);
+        assert_eq!(c.layers().demand.0, 1);
         // ...and a hit is then served even under an impossible budget.
         opts.max_edges = Some(0);
         let (hit, _, warm) = c.demand(&entry, &opts, &q, &s).unwrap();
@@ -1648,7 +1559,8 @@ mod tests {
         let c = cache();
         let err = c.update("ghost", SRC).unwrap_err();
         assert!(err.contains("unknown program"), "{err}");
-        assert_eq!(c.sizes(), (0, 0), "a failed update modifies nothing");
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0), (0, 0), "a failed update modifies nothing");
     }
 
     #[test]
@@ -1658,9 +1570,41 @@ mod tests {
         c.solved(&entry, &QueryOpts::default()).unwrap();
         let (q, s) = pt_query(&entry, "p");
         c.demand(&entry, &QueryOpts::default(), &q, &s).unwrap();
-        let (p, sv, d) = c.layer_bytes();
+        let l = c.layers();
+        let (p, sv, d) = (l.programs.1, l.solved.1, l.demand.1);
         assert!(p > 0 && sv > 0 && d > 0);
         assert_eq!(p + sv + d, c.bytes(), "layer split must sum to the gauge");
+    }
+
+    #[test]
+    fn eviction_is_globally_lru_across_layers() {
+        // Size every slot on an unbounded probe cache first.
+        let opts = QueryOpts::default();
+        let probe = cache();
+        let a = probe.load(Some("a"), SRC).unwrap();
+        let s_bytes = probe.solved(&a, &opts).unwrap().0.approx_bytes();
+        let (q, subject) = pt_query(&a, "p");
+        let d_bytes = probe.demand(&a, &opts, &q, &subject).unwrap().0.approx_bytes();
+        let b_bytes = probe.load(None, &variant(1)).unwrap().approx_bytes();
+        // Room for A, its summary, one demand answer and a little more:
+        // B fits once exactly the summary is gone.
+        let budget = a.approx_bytes() + s_bytes + d_bytes + b_bytes.saturating_sub(s_bytes).max(1);
+        let metrics = Arc::new(Metrics::new());
+        let c = SessionCache::with_max_bytes(Arc::clone(&metrics), budget);
+        let a = c.load(Some("a"), SRC).unwrap();
+        c.solved(&a, &opts).unwrap();
+        assert!(c.demand(&a, &opts, &q, &subject).unwrap().2, "derived from the summary");
+        assert_eq!(metrics.evictions(), (0, 0), "A, its summary and one answer fit");
+        // Touch A: its summary is now the least-recently-used slot.
+        assert!(c.entry("a").is_some());
+        c.load(Some("b"), &variant(1)).unwrap();
+        assert_eq!(metrics.evictions(), (0, 1), "one non-program slot evicted");
+        assert!(c.solved_if_resident(&a, &opts).is_none(), "the oldest slot went");
+        assert!(c.entry("a").is_some(), "the just-touched program survives");
+        assert!(c.demand_is_resident(&a, &opts, &subject));
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0, l.demand.0), (2, 0, 1));
+        assert_eq!(l.programs.1 + l.solved.1 + l.demand.1, c.bytes());
     }
 
     #[test]
@@ -1671,6 +1615,6 @@ mod tests {
             c.load(None, &variant(i)).unwrap();
         }
         assert_eq!(metrics.evictions(), (0, 0));
-        assert_eq!(c.sizes().0, 8);
+        assert_eq!(c.layers().programs.0, 8);
     }
 }

@@ -791,7 +791,17 @@ fn route_binary(shared: &Arc<FleetShared>, stream: TcpStream, conns: &mut Conns)
     if reader.read_exact(&mut preamble).is_err() || preamble != BINARY_PREAMBLE {
         return;
     }
-    while let Ok(Some(value)) = read_frame(&mut reader) {
+    loop {
+        let value = match read_frame(&mut reader) {
+            Ok(Some(v)) => v,
+            // Undecodable bytes get the replica's typed reply, not a hang-up.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let msg = format!("unreadable frame: {e}");
+                let _ = write_frame(&mut writer, &error_response_with("bad_request", &msg, []));
+                break;
+            }
+            _ => break,
+        };
         // A batch routes by its first request's key — the batch is one
         // frame and stays whole on one replica.
         let probe = match &value {

@@ -11,6 +11,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting either codec decodes. Protocol requests
+/// and replies nest at most 4 deep; the bound keeps a hostile line or
+/// frame from recursing the decoder off the end of a worker's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 ///
 /// # Examples
@@ -116,7 +121,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after value"));
@@ -251,10 +256,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -265,7 +274,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{', "expected `{`")?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -279,7 +288,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':', "expected `:` after object key")?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -293,7 +302,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[', "expected `[`")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -303,7 +312,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -494,6 +503,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "invalid json at byte 128: nesting deeper than 128");
+        // Objects count too, and a bomb fails at the bound instead of recursing.
+        assert!(Json::parse(&r#"{"a":"#.repeat(MAX_DEPTH + 1)).is_err());
+        assert_eq!(Json::parse(&"[".repeat(200_000)).unwrap_err(), err);
     }
 
     #[test]

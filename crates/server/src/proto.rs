@@ -5,7 +5,7 @@
 //! responses; parsing is strict about types but lenient about extra keys
 //! (clients may tag requests with their own bookkeeping fields).
 
-use crate::json::Json;
+use crate::json::{Json, MAX_DEPTH};
 use std::time::Duration;
 use structcast::{AnalysisConfig, Budget, CompatMode, Layout, ModelKind, SolveError};
 
@@ -411,8 +411,13 @@ impl<'a> BjReader<'a> {
         String::from_utf8(self.take(n)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.take(1)?[0] {
+    /// One value inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        let tag = self.take(1)?[0];
+        if depth == MAX_DEPTH && (tag == BJ_ARR || tag == BJ_OBJ) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos - 1));
+        }
+        match tag {
             BJ_NULL => Ok(Json::Null),
             BJ_FALSE => Ok(Json::Bool(false)),
             BJ_TRUE => Ok(Json::Bool(true)),
@@ -427,7 +432,7 @@ impl<'a> BjReader<'a> {
                 let n = self.count()?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 Ok(Json::Arr(items))
             }
@@ -436,7 +441,7 @@ impl<'a> BjReader<'a> {
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = self.str()?;
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     pairs.push((k, v));
                 }
                 Ok(Json::Obj(pairs))
@@ -454,7 +459,7 @@ impl<'a> BjReader<'a> {
 /// tag, bad UTF-8) — decoding never panics on untrusted bytes.
 pub fn bjson_decode(bytes: &[u8]) -> Result<Json, String> {
     let mut r = BjReader { buf: bytes, pos: 0 };
-    let v = r.value()?;
+    let v = r.value(0)?;
     if r.pos != bytes.len() {
         return Err(format!(
             "{} trailing bytes after binary value",
@@ -751,6 +756,19 @@ mod tests {
         assert!(bjson_decode(&padded).is_err());
         // A length prefix pointing past the end of input.
         assert!(bjson_decode(&[BJ_STR, 0xff, 0xff, 0xff, 0x7f, b'x']).is_err());
+    }
+
+    #[test]
+    fn bjson_nesting_is_bounded_with_a_typed_error() {
+        let nested = |n: usize| (0..n).fold(Json::Null, |v, _| Json::Arr(vec![v]));
+        let deepest = nested(MAX_DEPTH);
+        assert_eq!(bjson_decode(&bjson_encode(&deepest)).unwrap(), deepest);
+        // Each level is a tag byte plus a u32 count: level 129 starts at 640.
+        let err = bjson_decode(&bjson_encode(&nested(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 640");
+        // A bomb far past the bound fails the same way instead of recursing.
+        let bomb = [BJ_ARR, 1, 0, 0, 0].repeat(200_000);
+        assert_eq!(bjson_decode(&bomb).unwrap_err(), err);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! Every request is dispatched inside `catch_unwind`: a panicking handler
 //! costs that request an `internal` error reply, never a pool worker. The
-//! shared state a panic could poison — the [`SessionCache`] locks — holds
+//! shared state a panic could poison — the [`SessionCache`] lock — holds
 //! only immutable-once-inserted values, so the cache recovers poisoned
 //! guards instead of propagating. Stalled clients are bounded by a
 //! per-connection read deadline; tripped budgets and malformed requests
@@ -1191,30 +1191,29 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
             })
         }
         Request::Stats => {
-            let (programs, solved) = shared.cache.sizes();
-            // Refresh the byte gauge so `stats` reflects the cache as-is,
-            // not as of the last eviction sweep.
-            shared.metrics.set_cache_bytes(shared.cache.bytes() as u64);
+            // Counts, layer bytes and `cache_bytes` all come from one
+            // reading of the cache, so they agree even when an insert moves
+            // the metrics gauge between that reading and the snapshot.
+            let l = shared.cache.layers();
             let Json::Obj(mut pairs) = shared.metrics.snapshot() else {
                 unreachable!("snapshot is an object");
             };
-            pairs.push(("cached_programs".to_string(), Json::count(programs as u64)));
-            pairs.push(("cached_solves".to_string(), Json::count(solved as u64)));
-            pairs.push((
-                "cached_demand".to_string(),
-                Json::count(shared.cache.demand_sizes() as u64),
-            ));
+            if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == "cache_bytes") {
+                *v = Json::count(l.bytes as u64);
+            }
+            pairs.push(("cached_programs".to_string(), Json::count(l.programs.0 as u64)));
+            pairs.push(("cached_solves".to_string(), Json::count(l.solved.0 as u64)));
+            pairs.push(("cached_demand".to_string(), Json::count(l.demand.0 as u64)));
             pairs.push((
                 "max_cache_bytes".to_string(),
                 Json::count(shared.cache.max_bytes() as u64),
             ));
-            let (pb, sb, db) = shared.cache.layer_bytes();
             pairs.push((
                 "cache_layer_bytes".to_string(),
                 Json::obj([
-                    ("programs", Json::count(pb as u64)),
-                    ("solved", Json::count(sb as u64)),
-                    ("demand", Json::count(db as u64)),
+                    ("programs", Json::count(l.programs.1 as u64)),
+                    ("solved", Json::count(l.solved.1 as u64)),
+                    ("demand", Json::count(l.demand.1 as u64)),
                 ]),
             ));
             Ok(ok_response(pairs))
@@ -1229,16 +1228,16 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
             let bytes = save_snapshot(shared, dir)
                 .map_err(|e| ServeError::Internal(e.to_string()))?;
             *paid += start.elapsed();
-            let (programs, solved) = shared.cache.sizes();
+            let l = shared.cache.layers();
             Ok(ok_response([
                 (
                     "path",
                     Json::str(dir.join(crate::snapshot::SNAPSHOT_FILE).display().to_string()),
                 ),
                 ("bytes", Json::count(bytes)),
-                ("programs", Json::count(programs as u64)),
-                ("solves", Json::count(solved as u64)),
-                ("demand", Json::count(shared.cache.demand_sizes() as u64)),
+                ("programs", Json::count(l.programs.0 as u64)),
+                ("solves", Json::count(l.solved.0 as u64)),
+                ("demand", Json::count(l.demand.0 as u64)),
             ]))
         }
     }

@@ -924,10 +924,11 @@ fn decode_demand(bytes: &[u8]) -> Result<Entries<DemandAnswer>, SnapshotError> {
 /// insertion order, thread count, or whether the state itself was restored
 /// from a snapshot.
 pub fn encode(cache: &SessionCache) -> Vec<u8> {
+    let resident = cache.export();
     let sections = [
-        (TAG_PROGRAMS, encode_programs(&cache.export_programs())),
-        (TAG_SOLVED, encode_solved(&cache.export_solved())),
-        (TAG_DEMAND, encode_demand(&cache.export_demand())),
+        (TAG_PROGRAMS, encode_programs(&resident.programs)),
+        (TAG_SOLVED, encode_solved(&resident.solved)),
+        (TAG_DEMAND, encode_demand(&resident.demand)),
     ];
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);

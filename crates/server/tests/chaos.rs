@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use structcast_server::json::Json;
@@ -20,8 +21,9 @@ fn error_kind(resp: &Json) -> Option<&str> {
 }
 
 /// Asserts the `stats` reply's per-layer cache byte split sums exactly to
-/// the global `cache_bytes` gauge. Only meaningful at quiescence (no
-/// in-flight inserts between the two readings).
+/// the global `cache_bytes` gauge. Holds on every reply, also while other
+/// connections insert and evict: `stats` reads the counts, the layer
+/// bytes and the gauge from one reading of the cache.
 fn assert_layer_bytes_reconcile(stats: &Json) {
     let layers = stats.get("cache_layer_bytes").expect("layer split in stats");
     let layer = |k: &str| layers.get(k).and_then(Json::as_u64).unwrap();
@@ -712,15 +714,9 @@ fn replica_killed_mid_storm_is_shed_then_restarts_warm_with_zero_misses() {
 
 /// Acceptance sweep: 50 distinct generated programs through a byte-capped
 /// server. The accounted cache stays under the cap and evictions fire.
-#[test]
-fn bounded_cache_sweep_stays_under_cap_with_evictions() {
-    // A cap small enough that 50 small programs cannot all fit.
-    let cfg = ServerConfig {
-        max_cache_bytes: 192 * 1024,
-        ..ServerConfig::default()
-    };
-    let handle = serve(&cfg).unwrap();
-    let mut c = Client::connect(handle.addr()).unwrap();
+/// Loads 50 small generated programs, querying every fifth under all four
+/// models so the solved layer fills too.
+fn bounded_sweep(c: &mut Client) {
     for seed in 0..50u64 {
         let src = structcast_progen::generate(&structcast_progen::GenConfig::small(seed));
         let req = Json::obj([
@@ -740,6 +736,18 @@ fn bounded_cache_sweep_stays_under_cap_with_evictions() {
             assert!(ok(&resp), "seed {seed}: {resp}");
         }
     }
+}
+
+#[test]
+fn bounded_cache_sweep_stays_under_cap_with_evictions() {
+    // A cap small enough that 50 small programs cannot all fit.
+    let cfg = ServerConfig {
+        max_cache_bytes: 192 * 1024,
+        ..ServerConfig::default()
+    };
+    let handle = serve(&cfg).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    bounded_sweep(&mut c);
     let stats = c.stats().unwrap();
     let bytes = stats.get("cache_bytes").and_then(Json::as_u64).unwrap();
     let cap = stats.get("max_cache_bytes").and_then(Json::as_u64).unwrap();
@@ -755,6 +763,42 @@ fn bounded_cache_sweep_stays_under_cap_with_evictions() {
     let resp = Json::parse(&resp).unwrap();
     // Whether g0_x0 exists depends on the generator; well-formed either way.
     assert_well_formed(&resp);
+    c.shutdown_server().unwrap();
+    handle.wait();
+}
+
+/// `stats` stays self-consistent under load: while one connection runs the
+/// bounded sweep (inserting and evicting across all layers), a second
+/// polls `stats` and every reply's layer split sums to its `cache_bytes`.
+#[test]
+fn stats_layer_bytes_reconcile_on_every_reply_under_load() {
+    let cfg = ServerConfig {
+        max_cache_bytes: 192 * 1024,
+        ..ServerConfig::default()
+    };
+    let handle = serve(&cfg).unwrap();
+    let addr = handle.addr();
+    let done = Arc::new(AtomicBool::new(false));
+    let poller = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut polls = 0usize;
+            while !done.load(Ordering::Relaxed) {
+                assert_layer_bytes_reconcile(&c.stats().unwrap());
+                polls += 1;
+            }
+            polls
+        })
+    };
+    let mut c = Client::connect(addr).unwrap();
+    bounded_sweep(&mut c);
+    done.store(true, Ordering::Relaxed);
+    let polls = poller.join().unwrap();
+    assert!(polls > 0, "the poller must have raced the sweep");
+    let (pe, se) = handle.metrics().evictions();
+    assert!(pe > 0, "the sweep must evict while stats is polled ({pe}p/{se}s)");
+    assert_layer_bytes_reconcile(&c.stats().unwrap());
     c.shutdown_server().unwrap();
     handle.wait();
 }

@@ -13,7 +13,7 @@ use structcast_server::json::Json;
 use structcast_server::metrics::ERROR_KINDS;
 use structcast_server::proto::{read_frame, BINARY_PREAMBLE, MAX_FRAME_LEN};
 use structcast_server::wal;
-use structcast_server::{serve, Client, RetryOpts, ServerConfig};
+use structcast_server::{fleet, serve, Client, FleetConfig, RetryOpts, ServerConfig};
 
 fn ok(resp: &Json) -> bool {
     resp.get("ok").and_then(Json::as_bool) == Some(true)
@@ -542,6 +542,35 @@ impl Mangler {
     }
 }
 
+/// Sends one 200,000-deep NDJSON line (`[[[[...`) and returns the reply.
+fn ndjson_bomb(addr: SocketAddr) -> Json {
+    let mut c = Client::connect(addr).unwrap();
+    Json::parse(&c.request_line(&"[".repeat(200_000)).unwrap()).unwrap()
+}
+
+/// Sends one 200,000-deep BJSON frame and returns the reply frame. Each
+/// level is tag 5 (array) with a one-element count: ~1 MB, well under
+/// `MAX_FRAME_LEN`.
+fn bjson_bomb(addr: SocketAddr) -> Json {
+    let body = [5u8, 1, 0, 0, 0].repeat(200_000);
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(&BINARY_PREAMBLE).unwrap();
+    s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(&body).unwrap();
+    read_frame(&mut BufReader::new(&s)).unwrap().expect("a reply frame")
+}
+
+/// A nesting bomb must come back as a typed `bad_request` naming the
+/// bound and the byte offset — not as a stack overflow that aborts the
+/// process.
+fn assert_nesting_rejected(resp: &Json) {
+    assert_eq!(error_kind(resp), Some("bad_request"), "{resp}");
+    let msg = resp.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+    let msg = msg.unwrap_or_default();
+    assert!(msg.contains("nesting deeper than 128") && msg.contains("at byte"), "{resp}");
+}
+
 /// Hostile NDJSON sweep: seeded garbage lines — random bytes, truncated
 /// JSON, wrong shapes — must each produce a typed error reply (or a
 /// clean close for unreadable bytes), never kill a worker, and leave the
@@ -591,6 +620,7 @@ fn hostile_ndjson_lines_get_typed_errors_and_never_kill_a_worker() {
         }
     }
     assert!(replies > 0, "most garbage lines get typed replies");
+    assert_nesting_rejected(&ndjson_bomb(addr));
     // The server survived the sweep and no worker died.
     let mut c = Client::connect(addr).unwrap();
     assert!(ok(&c.stats().unwrap()));
@@ -647,6 +677,7 @@ fn hostile_binary_frames_get_typed_errors_and_never_kill_a_worker() {
         }
     }
     assert!(typed > 0, "mangled frames get typed replies");
+    assert_nesting_rejected(&bjson_bomb(addr));
     let mut c = Client::connect(addr).unwrap();
     assert!(ok(&c.stats().unwrap()));
     let m = handle.metrics();
@@ -655,4 +686,28 @@ fn hostile_binary_frames_get_typed_errors_and_never_kill_a_worker() {
     assert_eq!(m.requests(), m.ok() + errors, "metrics reconcile after the sweep");
     let _ = c.shutdown_server();
     handle.wait();
+}
+
+/// The fleet router decodes every line and frame it routes with the same
+/// two decoders: a nesting bomb through it gets the same typed reply, and
+/// both replica processes stay live.
+#[test]
+fn fleet_router_rejects_nesting_bombs_and_keeps_both_replicas() {
+    let cfg = FleetConfig {
+        replicas: 2,
+        program: env!("CARGO_BIN_EXE_scastd").into(),
+        forward_timeout: Duration::from_secs(10),
+        ..FleetConfig::default()
+    };
+    let h = fleet(&cfg).expect("spawn 2 replicas + router");
+    assert_nesting_rejected(&ndjson_bomb(h.addr()));
+    assert_nesting_rejected(&bjson_bomb(h.addr()));
+    let mut c = Client::connect(h.addr()).unwrap();
+    let stats = Json::parse(&c.request_line(r#"{"op":"fleet_stats"}"#).unwrap()).unwrap();
+    let rows = stats.get("replicas").and_then(Json::as_arr).expect("replica rows");
+    let alive = rows.iter().filter(|r| r.get("alive").and_then(Json::as_bool) == Some(true));
+    assert_eq!(alive.count(), 2, "{stats}");
+    let _ = c.request_line(r#"{"op":"shutdown"}"#);
+    drop(c);
+    h.wait();
 }

@@ -90,6 +90,22 @@ fn encode_is_deterministic_and_restore_reserializes_byte_identically() {
     assert_eq!(snapshot::encode(&reversed), bytes);
 }
 
+/// A decoded snapshot is outside input, and its demand keys are not
+/// checked: an answer stored under a program's key must neither displace
+/// the program nor unbalance the byte total (all layers share one map).
+#[test]
+fn restored_answer_under_a_program_key_keeps_the_program() {
+    let cache = warm_cache();
+    let bst = cache.entry("bst").unwrap();
+    let data = snapshot::decode(&snapshot::encode(&cache)).unwrap();
+    let (_, answer) = data.demand.into_iter().next().unwrap();
+    cache.restore_demand((bst.key, String::new()), Arc::new(answer));
+    assert!(cache.entry("bst").is_some_and(|e| Arc::ptr_eq(&e, &bst)));
+    let l = cache.layers();
+    assert_eq!((l.programs.0, l.demand.0), (2, 1));
+    assert_eq!(l.programs.1 + l.solved.1 + l.demand.1, cache.bytes());
+}
+
 #[test]
 fn restore_pays_zero_compiles_and_zero_solves() {
     let bytes = snapshot::encode(&warm_cache());
