@@ -102,6 +102,38 @@ impl ModelStats {
     }
 }
 
+/// Field-wise sum: adds a stored increment to a running total.
+impl std::ops::AddAssign for ModelStats {
+    fn add_assign(&mut self, o: ModelStats) {
+        self.lookup_calls += o.lookup_calls;
+        self.lookup_struct += o.lookup_struct;
+        self.lookup_mismatch += o.lookup_mismatch;
+        self.resolve_calls += o.resolve_calls;
+        self.resolve_struct += o.resolve_struct;
+        self.resolve_mismatch += o.resolve_mismatch;
+        self.out_of_bounds += o.out_of_bounds;
+    }
+}
+
+/// The counts accrued between two readings of one running total (`after -
+/// before`); every field of `before` must be at most the same field of
+/// `after`.
+impl std::ops::Sub for ModelStats {
+    type Output = ModelStats;
+
+    fn sub(self, o: ModelStats) -> ModelStats {
+        ModelStats {
+            lookup_calls: self.lookup_calls - o.lookup_calls,
+            lookup_struct: self.lookup_struct - o.lookup_struct,
+            lookup_mismatch: self.lookup_mismatch - o.lookup_mismatch,
+            resolve_calls: self.resolve_calls - o.resolve_calls,
+            resolve_struct: self.resolve_struct - o.resolve_struct,
+            resolve_mismatch: self.resolve_mismatch - o.resolve_mismatch,
+            out_of_bounds: self.out_of_bounds - o.out_of_bounds,
+        }
+    }
+}
+
 fn pct(n: u64, d: u64) -> f64 {
     if d == 0 {
         0.0
@@ -149,6 +181,15 @@ pub trait FieldModel: Send + Sync {
     ///
     /// The offset instance consults `facts` to enumerate the byte range
     /// lazily (semantically identical to the paper's per-byte pairs).
+    ///
+    /// **Purity contract.** When [`FieldModel::resolve_is_pure`] returns
+    /// true, the result and the `stats` increment must be a function of
+    /// `(type_of(dst.obj), dst.field, type_of(src.obj), src.field, τ)`
+    /// alone: `facts` is not read, and every returned pair lies in
+    /// `dst.obj` × `src.obj`. The solver then calls `resolve` at most once
+    /// per such type-level key and replays the stored pairs and `stats`
+    /// increment for every later call. Collapse Always, Collapse on Cast
+    /// and Common Initial Sequence meet the contract; Offsets does not.
     fn resolve(
         &self,
         prog: &Program,
@@ -158,6 +199,11 @@ pub trait FieldModel: Send + Sync {
         facts: &FactStore,
         stats: &mut ModelStats,
     ) -> Vec<(Loc, Loc)>;
+
+    /// Whether [`FieldModel::resolve`] meets its purity contract (it ignores
+    /// `facts` and depends only on the two locations' types and fields and
+    /// on `τ`), so the solver may memoize it per type-level key.
+    fn resolve_is_pure(&self) -> bool;
 
     /// Bulk copy of unknown length (`memcpy`): pairs covering everything
     /// from `src` onward into `dst` onward.
@@ -216,5 +262,34 @@ mod tests {
         assert!((s.lookup_struct_pct() - 50.0).abs() < 1e-9);
         assert!((s.lookup_mismatch_pct() - 40.0).abs() < 1e-9);
         assert_eq!(s.resolve_struct_pct(), 0.0);
+    }
+
+    #[test]
+    fn stats_add_and_subtract_fieldwise() {
+        let one = ModelStats {
+            lookup_calls: 1,
+            lookup_struct: 2,
+            lookup_mismatch: 3,
+            resolve_calls: 4,
+            resolve_struct: 5,
+            resolve_mismatch: 6,
+            out_of_bounds: 7,
+        };
+        let mut sum = one;
+        sum += one;
+        assert_eq!(
+            sum,
+            ModelStats {
+                lookup_calls: 2,
+                lookup_struct: 4,
+                lookup_mismatch: 6,
+                resolve_calls: 8,
+                resolve_struct: 10,
+                resolve_mismatch: 12,
+                out_of_bounds: 14,
+            }
+        );
+        assert_eq!(sum - one, one);
+        assert_eq!(one - one, ModelStats::default());
     }
 }

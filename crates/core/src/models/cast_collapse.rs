@@ -158,6 +158,12 @@ impl FieldModel for CollapseOnCastModel {
         pairs
     }
 
+    /// Pure: `lookup_impl` reads only the target's object type and path,
+    /// and returns locations inside the target's object.
+    fn resolve_is_pure(&self) -> bool {
+        true
+    }
+
     fn resolve_all(
         &self,
         prog: &Program,

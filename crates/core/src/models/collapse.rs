@@ -65,6 +65,12 @@ impl FieldModel for CollapseAlwaysModel {
         vec![(Loc::whole(dst.obj), Loc::whole(src.obj))]
     }
 
+    /// Pure: both pairs are the whole objects, and the Figure 3 class reads
+    /// only `τ` and the two object types.
+    fn resolve_is_pure(&self) -> bool {
+        true
+    }
+
     fn resolve_all(
         &self,
         _prog: &Program,

@@ -111,6 +111,12 @@ impl FieldModel for OffsetsModel {
         self.byte_range_pairs(prog, dst, src, len, facts, stats)
     }
 
+    /// Not pure: the byte range is enumerated against the offsets that
+    /// currently hold facts, so the pair set grows with the store.
+    fn resolve_is_pure(&self) -> bool {
+        false
+    }
+
     fn resolve_all(
         &self,
         prog: &Program,

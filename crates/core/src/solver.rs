@@ -23,6 +23,21 @@
 //! `PtrArith`, and indirect-call discovery). Re-firing a statement against
 //! an unchanged points-to set is a no-op that touches no `Loc` at all.
 //!
+//! When the instance's `resolve` is pure ([`FieldModel::resolve_is_pure`]:
+//! Collapse Always, Collapse on Cast, CIS), Rules 3/4/5 also resolve each
+//! dereference target only once. `resolve` is called at most once per
+//! **type-level key** `(type_of(dst.obj), dst.field, type_of(src.obj),
+//! src.field, τ)` per run; the relative field pairs and the call's
+//! [`ModelStats`] increment are stored, and concrete pairs are built by
+//! re-attaching the two objects. Each Load, Store and Copy statement keeps
+//! a pair list: the interned `(dst, src)` pairs of the targets it has
+//! resolved, each with its copy cursor inline, plus the summed stats of
+//! those resolves. A firing copies deltas along the list, resolves only the
+//! pointer's new targets, and adds the stats sum once, so the Figure 3
+//! counts equal those of re-resolving every target on every firing. Offsets
+//! (whose `resolve` reads the store) and `CopyAll` re-resolve each firing
+//! and keep their cursors keyed by `(stmt, dst, src)`.
+//!
 //! Indirect calls are resolved inside the same fixpoint: when the points-to
 //! set of a call's function pointer grows a function object, parameter and
 //! return bindings are synthesized as fresh `Copy` statements (monotone, so
@@ -30,7 +45,7 @@
 
 use crate::budget::{Budget, SolveError, TIME_CHECK_INTERVAL};
 use crate::facts::FactStore;
-use crate::loc::{Loc, LocId};
+use crate::loc::{FieldRep, Loc, LocId};
 use crate::model::{FieldModel, ModelStats};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -120,6 +135,159 @@ enum CStmt {
     },
 }
 
+/// One copy edge of a [`PairList`] with its read position into `pts(src)`.
+#[derive(Clone, Copy)]
+struct Pair {
+    dst: LocId,
+    src: LocId,
+    cur: u32,
+}
+
+/// A Load, Store or Copy statement's resolved copy edges under a pure
+/// `resolve`.
+///
+/// A pair that two targets both produce appears twice, each copy with its
+/// own cursor. The second copy re-inserts only facts the first already
+/// inserted, so the facts, their order and the wakes equal those of one
+/// shared cursor.
+#[derive(Default)]
+struct PairList {
+    /// Targets of the dereferenced pointer resolved so far, in
+    /// `pts(ptr)` order (a Copy counts its one operand pair as a target).
+    resolved: u32,
+    /// Summed `ModelStats` increments of those targets' `resolve` calls,
+    /// added to the run's stats once per firing.
+    stats: ModelStats,
+    /// The targets' pairs, in target order then `resolve` order.
+    pairs: Vec<Pair>,
+}
+
+/// One memoized `resolve` call: the pairs' field ids and the call's stats
+/// increment.
+struct Resolved {
+    fields: Vec<(u32, u32)>,
+    stats: ModelStats,
+}
+
+/// The operands' part of a `resolve` call under the purity contract:
+/// `(type_of(dst.obj), dst field id, type_of(src.obj), src field id, τ)`.
+type ShapeKey = (TypeId, u32, TypeId, u32, TypeId);
+
+/// The `resolve` memo and the per-statement pair lists of a run whose
+/// instance has a pure `resolve`. Dropped with the engine.
+#[derive(Default)]
+struct ResolveMemo {
+    /// Dense ids of the field components seen, and back.
+    field_ids: HashMap<FieldRep, u32>,
+    field_reps: Vec<FieldRep>,
+    /// `LocId` → its field id (`u32::MAX`: not assigned yet).
+    field_of: Vec<u32>,
+    /// `(obj, field id)` → interned location, so building a concrete pair
+    /// hashes two integers instead of a `Loc`.
+    loc_ids: HashMap<(ObjId, u32), LocId>,
+    /// Type-level key → the one `resolve` call made for it.
+    results: HashMap<ShapeKey, Resolved>,
+    /// Statement index → its pair list.
+    lists: Vec<PairList>,
+}
+
+impl ResolveMemo {
+    fn field_id(&mut self, facts: &FactStore, l: LocId) -> u32 {
+        let i = l.index();
+        if i >= self.field_of.len() {
+            self.field_of.resize(facts.num_locs(), u32::MAX);
+        }
+        if self.field_of[i] == u32::MAX {
+            let id = self.intern_field(&facts.loc(l).field);
+            self.field_of[i] = id;
+            self.loc_ids.insert((facts.obj_of(l), id), l);
+        }
+        self.field_of[i]
+    }
+
+    fn intern_field(&mut self, f: &FieldRep) -> u32 {
+        if let Some(&id) = self.field_ids.get(f) {
+            return id;
+        }
+        let id = self.field_reps.len() as u32;
+        self.field_reps.push(f.clone());
+        self.field_ids.insert(f.clone(), id);
+        id
+    }
+
+    /// Appends the interned pairs of `resolve(dst, src, τ)` to `list`,
+    /// calling the model only on the first use of the type-level key, and
+    /// adds the call's stats increment to the list's sum either way.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_onto(
+        &mut self,
+        prog: &Program,
+        model: &dyn FieldModel,
+        facts: &mut FactStore,
+        dst: LocId,
+        src: LocId,
+        tau: TypeId,
+        list: &mut PairList,
+    ) {
+        let (dobj, sobj) = (facts.obj_of(dst), facts.obj_of(src));
+        let key = (
+            prog.type_of(dobj),
+            self.field_id(facts, dst),
+            prog.type_of(sobj),
+            self.field_id(facts, src),
+            tau,
+        );
+        if let Some(r) = self.results.get(&key) {
+            list.stats += r.stats;
+        } else {
+            let (dl, sl) = (facts.loc(dst), facts.loc(src));
+            let before = list.stats;
+            let pairs = model.resolve(prog, dl, sl, tau, facts, &mut list.stats);
+            let stats = list.stats - before;
+            let mut fields = Vec::with_capacity(pairs.len());
+            for (d, s) in pairs {
+                assert!(
+                    d.obj == dobj && s.obj == sobj,
+                    "a pure resolve returned a pair outside its operands' objects"
+                );
+                fields.push((self.intern_field(&d.field), self.intern_field(&s.field)));
+            }
+            self.results.insert(key, Resolved { fields, stats });
+        }
+        let reps = &self.field_reps;
+        let mut concrete = |obj: ObjId, f: u32| {
+            *self.loc_ids.entry((obj, f)).or_insert_with(|| {
+                facts.intern(Loc {
+                    obj,
+                    field: reps[f as usize].clone(),
+                })
+            })
+        };
+        for &(df, sf) in &self.results[&key].fields {
+            list.pairs.push(Pair {
+                dst: concrete(dobj, df),
+                src: concrete(sobj, sf),
+                cur: 0,
+            });
+        }
+    }
+
+    fn take_list(&mut self, idx: u32) -> PairList {
+        self.lists
+            .get_mut(idx as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    fn put_list(&mut self, idx: u32, list: PairList) {
+        let i = idx as usize;
+        if i >= self.lists.len() {
+            self.lists.resize_with(i + 1, PairList::default);
+        }
+        self.lists[i] = list;
+    }
+}
+
 /// The mutable engine state, split from the compiled statement list so
 /// firing can borrow a `CStmt` while mutating everything else.
 struct Engine<'p> {
@@ -147,11 +315,15 @@ struct Engine<'p> {
     /// scan-style rules whose per-target work is independent of other
     /// facts (Rule 2, `PtrArith` spread, callee discovery).
     scan_cursors: HashMap<(u32, LocId), u32>,
-    /// Per-`(stmt, dst, src)` copy position into `pts(src)`. Keyed by the
-    /// full pair because one source location can feed different
-    /// destinations discovered at different times (e.g. overlapping
-    /// Offsets ranges), each needing its own replay point.
+    /// Per-`(stmt, dst, src)` copy position into `pts(src)` for `CopyAll`,
+    /// and for Rules 3/4/5 when `memo` is `None`. Keyed by the full pair
+    /// because one source location can feed different destinations
+    /// discovered at different times (e.g. overlapping Offsets ranges),
+    /// each needing its own replay point.
     pair_cursors: HashMap<(u32, LocId, LocId), u32>,
+    /// The `resolve` memo and Rules 3/4/5 pair lists; `None` when the
+    /// instance's `resolve` is not pure (Offsets).
+    memo: Option<ResolveMemo>,
     /// `FieldModel::normalize` memo per `(obj, path)`.
     norm_cache: HashMap<ObjId, HashMap<FieldPath, LocId>>,
     /// Scratch for draining a delta while inserting facts.
@@ -347,18 +519,9 @@ impl<'p> Engine<'p> {
         (cur, total)
     }
 
-    /// Copies the unconsumed part of `pts(src)` into `pts(dst)` (the delta
-    /// since this `(stmt, dst, src)` pair last fired), and propagates the
+    /// Copies `pts(src)[cur..total]` into `pts(dst)` and propagates the
     /// corrupted-pointer flag alongside.
-    fn copy_pair(&mut self, idx: u32, dst: LocId, src: LocId) {
-        let total = self.facts.targets_len(src);
-        let cur = if total == 0 {
-            0
-        } else {
-            self.pair_cursors
-                .insert((idx, dst, src), total as u32)
-                .unwrap_or(0) as usize
-        };
+    fn copy_range(&mut self, dst: LocId, src: LocId, cur: usize, total: usize) {
         if cur < total {
             self.delta_buf.clear();
             self.delta_buf
@@ -368,8 +531,87 @@ impl<'p> Engine<'p> {
                 self.add_fact_ids(dst, t);
             }
         }
-        if self.unknown.contains(&src) {
+        // `ArithMode::Spread` never flags a location: skip the probe.
+        if !self.unknown.is_empty() && self.unknown.contains(&src) {
             self.mark_unknown(dst);
+        }
+    }
+
+    /// Copies the unconsumed part of `pts(src)` into `pts(dst)` (the delta
+    /// since this `(stmt, dst, src)` pair last fired).
+    fn copy_pair(&mut self, idx: u32, dst: LocId, src: LocId) {
+        let total = self.facts.targets_len(src);
+        let cur = if total == 0 {
+            0
+        } else {
+            self.pair_cursors
+                .insert((idx, dst, src), total as u32)
+                .unwrap_or(0) as usize
+        };
+        self.copy_range(dst, src, cur, total);
+    }
+
+    /// Copies each pair's delta and advances its inline cursor.
+    fn copy_pairs(&mut self, pairs: &mut [Pair]) {
+        for pair in pairs {
+            let total = self.facts.targets_len(pair.src);
+            self.copy_range(pair.dst, pair.src, pair.cur as usize, total);
+            pair.cur = total as u32;
+        }
+    }
+
+    /// Statement `idx`'s pair list, taken out of the memo for the firing
+    /// (`None` when `resolve` is not pure).
+    fn take_list(&mut self, idx: u32) -> Option<PairList> {
+        self.memo.as_mut().map(|m| m.take_list(idx))
+    }
+
+    /// Resolves `(dst, src)` through the memo, appends the pairs to `list`
+    /// and copies their deltas.
+    fn resolve_onto(&mut self, list: &mut PairList, dst: LocId, src: LocId, tau: TypeId) {
+        let memo = self
+            .memo
+            .as_mut()
+            .expect("pair lists exist only with a memo");
+        let start = list.pairs.len();
+        memo.resolve_onto(
+            self.prog,
+            &*self.model,
+            &mut self.facts,
+            dst,
+            src,
+            tau,
+            list,
+        );
+        self.copy_pairs(&mut list.pairs[start..]);
+    }
+
+    /// Ends a pair-list firing: adds the list's stats sum to the run's
+    /// counts and stores the list back.
+    fn finish_list(&mut self, idx: u32, list: PairList) {
+        self.stats += list.stats;
+        let memo = self
+            .memo
+            .as_mut()
+            .expect("pair lists exist only with a memo");
+        memo.put_list(idx, list);
+    }
+
+    /// `resolve(dst, src, τ)` against the store, copying each pair's delta
+    /// under a `(stmt, dst, src)` cursor (impure instances).
+    fn resolve_and_copy(&mut self, idx: u32, dst: LocId, src: LocId, tau: TypeId) {
+        let pairs = self.model.resolve(
+            self.prog,
+            self.facts.loc(dst),
+            self.facts.loc(src),
+            tau,
+            &self.facts,
+            &mut self.stats,
+        );
+        for (dl, sl) in pairs {
+            let di = self.facts.intern(dl);
+            let si = self.facts.intern(sl);
+            self.copy_pair(idx, di, si);
         }
     }
 
@@ -395,70 +637,69 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Rule 3: a direct copy; the resolve pair set can grow (Offsets
-    /// consults the store), so pairs are recomputed but copied as deltas.
+    /// Rule 3: a direct copy. Under a pure `resolve` the pair list is built
+    /// on the first firing and later firings only copy deltas along it;
+    /// otherwise the pairs are recomputed each firing (Offsets consults the
+    /// store, so its pair set can grow) but still copied as deltas.
     fn fire_copy(&mut self, idx: u32, d: LocId, s: LocId, tau: TypeId) {
         self.subscribe(idx, self.facts.obj_of(s));
-        let pairs = self.model.resolve(
-            self.prog,
-            self.facts.loc(d),
-            self.facts.loc(s),
-            tau,
-            &self.facts,
-            &mut self.stats,
-        );
-        for (dl, sl) in pairs {
-            let di = self.facts.intern(dl);
-            let si = self.facts.intern(sl);
-            self.copy_pair(idx, di, si);
+        let Some(mut list) = self.take_list(idx) else {
+            self.resolve_and_copy(idx, d, s, tau);
+            return;
+        };
+        self.copy_pairs(&mut list.pairs);
+        if list.resolved == 0 {
+            self.resolve_onto(&mut list, d, s, tau);
+            list.resolved = 1;
         }
+        self.finish_list(idx, list);
     }
 
-    /// Rule 4: copy through each target of the dereferenced pointer.
+    /// Rule 4: copy through each target of the dereferenced pointer. Under
+    /// a pure `resolve` only the targets past the list's `resolved` mark
+    /// are resolved; the others' pairs copy deltas from the list.
     fn fire_load(&mut self, idx: u32, d: LocId, p: LocId, tau: TypeId) {
         self.subscribe(idx, self.facts.obj_of(p));
         let total = self.facts.targets_len(p);
-        for k in 0..total {
+        let Some(mut list) = self.take_list(idx) else {
+            for k in 0..total {
+                let tgt = self.facts.target_at(p, k);
+                self.subscribe(idx, self.facts.obj_of(tgt));
+                self.resolve_and_copy(idx, d, tgt, tau);
+            }
+            return;
+        };
+        self.copy_pairs(&mut list.pairs);
+        for k in list.resolved as usize..total {
             let tgt = self.facts.target_at(p, k);
             self.subscribe(idx, self.facts.obj_of(tgt));
-            let pairs = self.model.resolve(
-                self.prog,
-                self.facts.loc(d),
-                self.facts.loc(tgt),
-                tau,
-                &self.facts,
-                &mut self.stats,
-            );
-            for (dl, sl) in pairs {
-                let di = self.facts.intern(dl);
-                let si = self.facts.intern(sl);
-                self.copy_pair(idx, di, si);
-            }
+            self.resolve_onto(&mut list, d, tgt, tau);
         }
+        list.resolved = total as u32;
+        self.finish_list(idx, list);
     }
 
     /// Rule 5: copy the source into each target of the stored-through
-    /// pointer.
+    /// pointer, resolving only new targets under a pure `resolve` (as in
+    /// [`Engine::fire_load`]).
     fn fire_store(&mut self, idx: u32, p: LocId, s: LocId, tau_p: TypeId) {
         self.subscribe(idx, self.facts.obj_of(p));
         self.subscribe(idx, self.facts.obj_of(s));
         let total = self.facts.targets_len(p);
-        for k in 0..total {
-            let tgt = self.facts.target_at(p, k);
-            let pairs = self.model.resolve(
-                self.prog,
-                self.facts.loc(tgt),
-                self.facts.loc(s),
-                tau_p,
-                &self.facts,
-                &mut self.stats,
-            );
-            for (dl, sl) in pairs {
-                let di = self.facts.intern(dl);
-                let si = self.facts.intern(sl);
-                self.copy_pair(idx, di, si);
+        let Some(mut list) = self.take_list(idx) else {
+            for k in 0..total {
+                let tgt = self.facts.target_at(p, k);
+                self.resolve_and_copy(idx, tgt, s, tau_p);
             }
+            return;
+        };
+        self.copy_pairs(&mut list.pairs);
+        for k in list.resolved as usize..total {
+            let tgt = self.facts.target_at(p, k);
+            self.resolve_onto(&mut list, tgt, s, tau_p);
         }
+        list.resolved = total as u32;
+        self.finish_list(idx, list);
     }
 
     /// Pointer arithmetic. Under Assumption 1 the result spreads over the
@@ -608,6 +849,7 @@ impl<'p> Solver<'p> {
             }
         }
         let dormant = worklist.len() < n;
+        let memo = model.resolve_is_pure().then(ResolveMemo::default);
         let mut en = Engine {
             prog,
             model,
@@ -623,6 +865,7 @@ impl<'p> Solver<'p> {
             unknown: HashSet::new(),
             scan_cursors: HashMap::new(),
             pair_cursors: HashMap::new(),
+            memo,
             norm_cache: HashMap::new(),
             delta_buf: Vec::new(),
         };
@@ -853,6 +1096,7 @@ mod tests {
     use super::*;
     use crate::model::ModelKind;
     use crate::models::make_model;
+    use std::sync::{Arc, Mutex};
     use structcast_ir::lower_source;
     use structcast_types::{CompatMode, Layout};
 
@@ -953,10 +1197,12 @@ mod tests {
     #[test]
     fn refiring_consumes_only_deltas() {
         // A chain a -> b -> c through loads: the second solve of each
-        // statement must not redo first-pass work. We can't observe the
-        // cursors directly, but iterations staying near the statement
-        // count (rather than quadratic blowup) plus a correct fixpoint is
-        // the behavioural contract.
+        // statement must not redo first-pass work. The copy cursors are
+        // private, so the contract checked here is behavioural: iterations
+        // stay near the statement count (rather than quadratic blowup) and
+        // the fixpoint is correct. The `resolve` side of "no first-pass
+        // work redone" is observed directly by
+        // `pure_resolve_runs_once_per_type_level_key`.
         let src = "int x, y, *p, *q, **pp;\n\
                    void f(void) { p = &x; pp = &p; q = *pp; p = &y; }";
         let (prog, out) = run(src, ModelKind::CommonInitialSeq);
@@ -965,5 +1211,106 @@ mod tests {
             vec!["x".to_string(), "y".to_string()]
         );
         assert!(out.iterations < 100, "iterations {}", out.iterations);
+    }
+
+    /// The type-level key a pure `resolve` call is memoized under.
+    type CallKey = (TypeId, FieldRep, TypeId, FieldRep, TypeId);
+
+    /// A real instance that counts its `resolve` calls per type-level key.
+    struct Counting {
+        inner: Box<dyn FieldModel>,
+        calls: Arc<Mutex<HashMap<CallKey, u64>>>,
+    }
+
+    impl FieldModel for Counting {
+        fn kind(&self) -> ModelKind {
+            self.inner.kind()
+        }
+
+        fn normalize(&self, prog: &Program, obj: ObjId, path: &FieldPath) -> Loc {
+            self.inner.normalize(prog, obj, path)
+        }
+
+        fn lookup(
+            &self,
+            prog: &Program,
+            tau: TypeId,
+            alpha: &FieldPath,
+            target: &Loc,
+            stats: &mut ModelStats,
+        ) -> Vec<Loc> {
+            self.inner.lookup(prog, tau, alpha, target, stats)
+        }
+
+        fn resolve(
+            &self,
+            prog: &Program,
+            dst: &Loc,
+            src: &Loc,
+            tau: TypeId,
+            facts: &FactStore,
+            stats: &mut ModelStats,
+        ) -> Vec<(Loc, Loc)> {
+            let key = (
+                prog.type_of(dst.obj),
+                dst.field.clone(),
+                prog.type_of(src.obj),
+                src.field.clone(),
+                tau,
+            );
+            *self.calls.lock().unwrap().entry(key).or_default() += 1;
+            self.inner.resolve(prog, dst, src, tau, facts, stats)
+        }
+
+        fn resolve_is_pure(&self) -> bool {
+            self.inner.resolve_is_pure()
+        }
+
+        fn resolve_all(
+            &self,
+            prog: &Program,
+            dst: &Loc,
+            src: &Loc,
+            facts: &FactStore,
+            stats: &mut ModelStats,
+        ) -> Vec<(Loc, Loc)> {
+            self.inner.resolve_all(prog, dst, src, facts, stats)
+        }
+
+        fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
+            self.inner.spread(prog, target, pointee)
+        }
+    }
+
+    #[test]
+    fn pure_resolve_runs_once_per_type_level_key() {
+        for name in ["oop-shapes", "intrusive-list", "plugin-registry", "symtab"] {
+            let src = structcast_progen::corpus_program(name).unwrap().source;
+            let prog = lower_source(src).unwrap();
+            for kind in ModelKind::ALL {
+                let model = || make_model(kind, Layout::ilp32(), CompatMode::Structural);
+                let calls = Arc::new(Mutex::new(HashMap::new()));
+                let counting = Counting {
+                    inner: model(),
+                    calls: Arc::clone(&calls),
+                };
+                let counted = Solver::new(&prog, Box::new(counting)).run();
+                let plain = Solver::new(&prog, model()).run();
+                assert_eq!(counted.stats, plain.stats, "{name} {kind}");
+                assert_eq!(counted.iterations, plain.iterations, "{name} {kind}");
+                let calls = calls.lock().unwrap();
+                let made: u64 = calls.values().sum();
+                if kind == ModelKind::Offsets {
+                    // Not pure: every counted resolve is a real call.
+                    assert_eq!(made, plain.stats.resolve_calls, "{name} {kind}");
+                } else {
+                    assert!(calls.values().all(|&n| n == 1), "{name} {kind}: {calls:?}");
+                    assert!(
+                        made < plain.stats.resolve_calls,
+                        "{name} {kind}: no call saved"
+                    );
+                }
+            }
+        }
     }
 }
