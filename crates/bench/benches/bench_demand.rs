@@ -28,6 +28,9 @@ use structcast_progen::{generate, GenConfig};
 /// slices, few enough to keep the bench quick.
 const QUERIES_PER_CASE: usize = 3;
 
+/// A queried pointer: its object and its name.
+type Pointer = (ObjId, String);
+
 struct Record {
     preset: &'static str,
     lines: usize,
@@ -94,7 +97,7 @@ fn main() {
                 })
                 .collect();
             candidates.sort();
-            let pointers: Vec<(ObjId, String)> = candidates
+            let pointers: Vec<Pointer> = candidates
                 .into_iter()
                 .take(QUERIES_PER_CASE)
                 .map(|(_, name, o)| (o, name))
@@ -127,7 +130,7 @@ fn main() {
             // mode — on pairs of the same focused pointers. An alias slice
             // is rooted at both variables, so it measures the cost of a
             // two-root slice against the one-root rows above.
-            let mut pairs: Vec<(&(ObjId, String), &(ObjId, String))> = Vec::new();
+            let mut pairs: Vec<(&Pointer, &Pointer)> = Vec::new();
             for i in 0..pointers.len() {
                 for j in i + 1..pointers.len() {
                     pairs.push((&pointers[i], &pointers[j]));

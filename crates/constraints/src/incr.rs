@@ -36,6 +36,7 @@
 use crate::{Builder, Constraint, ConstraintSet, OpRef, PathId};
 use std::collections::{HashMap, HashSet};
 use structcast_ir::{Callee, FuncId, Function, ObjId, ObjKind, Program, Stmt};
+use structcast_types::idhash::{IdHashMap, IdHashSet};
 use structcast_types::{FuncSig, IntKind, TypeId, TypeKind, TypeTable};
 
 /// The outcome of diffing two lowered programs: a stable old→new object
@@ -384,8 +385,8 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
     }
 
     let mut obj_map: Vec<Option<ObjId>> = vec![None; old.objects.len()];
-    let mut used: HashSet<u32> = HashSet::new();
-    let map = |obj_map: &mut Vec<Option<ObjId>>, used: &mut HashSet<u32>, o: ObjId, n: ObjId| {
+    let mut used: IdHashSet<u32> = IdHashSet::default();
+    let map = |obj_map: &mut Vec<Option<ObjId>>, used: &mut IdHashSet<u32>, o: ObjId, n: ObjId| {
         if used.insert(n.0) {
             obj_map[o.0 as usize] = Some(n);
         }
@@ -458,8 +459,8 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
     // Unnamed objects (temps, heap sites, string literals — and shadowed
     // locals the name maps skipped): positional proposals over the paired
     // statements, applied only when consistent and injective.
-    let mut proposals: HashMap<u32, HashSet<u32>> = HashMap::new();
-    let mut demote: HashSet<u32> = HashSet::new();
+    let mut proposals: IdHashMap<u32, IdHashSet<u32>> = IdHashMap::default();
+    let mut demote: IdHashSet<u32> = IdHashSet::default();
     for &(oi, nj) in &pairs {
         let oo = operands(old, &old.stmts[oi as usize]);
         let no = operands(new, &new.stmts[nj as usize]);
@@ -478,7 +479,7 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
             }
         }
     }
-    let mut claims: HashMap<u32, u32> = HashMap::new(); // target -> #claimants
+    let mut claims: IdHashMap<u32, u32> = IdHashMap::default(); // target -> #claimants
     for set in proposals.values() {
         if let [t] = *set.iter().copied().collect::<Vec<_>>().as_slice() {
             *claims.entry(t).or_default() += 1;
@@ -496,8 +497,8 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
         obj_map[o as usize] = None;
     }
 
-    let paired_old: HashSet<u32> = pairs.iter().map(|&(o, _)| o).collect();
-    let paired_new: HashSet<u32> = pairs.iter().map(|&(_, n)| n).collect();
+    let paired_old: IdHashSet<u32> = pairs.iter().map(|&(o, _)| o).collect();
+    let paired_new: IdHashSet<u32> = pairs.iter().map(|&(_, n)| n).collect();
     ProgramDiff {
         obj_map,
         dirty_stmts: (0..new.stmts.len() as u32)
@@ -527,7 +528,7 @@ fn translate_type(
     old: &TypeTable,
     new: &TypeTable,
     t: TypeId,
-    memo: &mut HashMap<TypeId, Option<TypeId>>,
+    memo: &mut IdHashMap<TypeId, Option<TypeId>>,
 ) -> Option<TypeId> {
     if let Some(&m) = memo.get(&t) {
         return m;
@@ -583,7 +584,7 @@ struct Translator<'a> {
     old_set: &'a ConstraintSet,
     new_prog: &'a Program,
     obj_map: &'a [Option<ObjId>],
-    type_memo: HashMap<TypeId, Option<TypeId>>,
+    type_memo: IdHashMap<TypeId, Option<TypeId>>,
 }
 
 impl Translator<'_> {
@@ -710,14 +711,14 @@ pub fn compile_incremental(
         prog: new_prog,
         char_ty,
         paths: Vec::new(),
-        path_ids: HashMap::new(),
+        path_ids: IdHashMap::default(),
     };
     let mut tr = Translator {
         old_prog,
         old_set,
         new_prog,
         obj_map: &diff.obj_map,
-        type_memo: HashMap::new(),
+        type_memo: IdHashMap::default(),
     };
     let pair_of_new = diff.pair_of_new(new_prog.stmts.len());
     let mut reuse = CompileReuse::default();
@@ -782,7 +783,7 @@ pub fn removed_survivors(
         old_set,
         new_prog,
         obj_map: &diff.obj_map,
-        type_memo: HashMap::new(),
+        type_memo: IdHashMap::default(),
     };
     diff.removed_stmts
         .iter()

@@ -46,9 +46,9 @@ pub use incr::{
 pub use slice::{ConstraintSlicer, Slice, SliceStats};
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use structcast_ir::{Callee, FuncId, ObjId, Program, Stmt};
+use structcast_types::idhash::IdHashMap;
 use structcast_types::{FieldPath, IntKind, TypeId, TypeKind};
 
 thread_local! {
@@ -225,7 +225,7 @@ impl ConstraintSet {
             prog,
             char_ty,
             paths: Vec::new(),
-            path_ids: HashMap::new(),
+            path_ids: IdHashMap::default(),
         };
         let constraints = prog.stmts.iter().map(|s| b.lower(s)).collect();
         ConstraintSet {
@@ -421,7 +421,7 @@ struct Builder<'p> {
     prog: &'p Program,
     char_ty: Option<TypeId>,
     paths: Vec<FieldPath>,
-    path_ids: HashMap<FieldPath, PathId>,
+    path_ids: IdHashMap<FieldPath, PathId>,
 }
 
 impl<'p> Builder<'p> {

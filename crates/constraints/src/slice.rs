@@ -44,8 +44,9 @@
 //! constraint touches.
 
 use crate::{Constraint, ConstraintSet};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use structcast_ir::{ObjId, Program};
+use structcast_types::idhash::IdHashMap;
 
 /// Size accounting for one slice, reported by benches, the server's
 /// demand metrics, and `scast --demand`.
@@ -100,7 +101,7 @@ pub struct ConstraintSlicer<'a> {
     /// possible points-to targets.
     at: BTreeSet<ObjId>,
     /// Constraint indices whose write set includes a given object.
-    writers: HashMap<ObjId, Vec<u32>>,
+    writers: IdHashMap<ObjId, Vec<u32>>,
     /// `store`/`copyall` indices: they write *through* pointers, into
     /// address-taken objects unknown before solving.
     indirect_writers: Vec<u32>,
@@ -127,7 +128,7 @@ impl<'a> ConstraintSlicer<'a> {
             .collect();
         let at_ret_slots: Vec<ObjId> = at_funcs.iter().filter_map(|f| f.ret_slot).collect();
 
-        let mut writers: HashMap<ObjId, Vec<u32>> = HashMap::new();
+        let mut writers: IdHashMap<ObjId, Vec<u32>> = IdHashMap::default();
         let mut indirect_writers: Vec<u32> = Vec::new();
         for (idx, c) in cset.constraints.iter().enumerate() {
             let idx = idx as u32;

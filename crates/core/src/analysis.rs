@@ -315,17 +315,21 @@ impl AnalysisResult {
     /// Per-dereference-site points-to set sizes: for every static pointer
     /// dereference in the program, the (weighted) size of the dereferenced
     /// pointer's points-to set. Collapse-Always struct targets are expanded
-    /// to their field counts, per Figure 4's fairness note.
+    /// to their field counts, per Figure 4's fairness note. Each distinct
+    /// pointer is normalized and weighed once; its other sites reuse the
+    /// size.
     pub fn deref_site_sizes(&self, prog: &Program) -> Vec<(StmtId, usize)> {
+        let mut by_ptr: Vec<Option<usize>> = vec![None; prog.objects.len()];
         prog.deref_sites()
             .into_iter()
             .map(|(sid, ptr)| {
-                let l = self.model.normalize(prog, ptr, &FieldPath::empty());
-                let size: usize = self
-                    .facts
-                    .points_to(&l)
-                    .map(|t| self.model.target_weight(prog, t))
-                    .sum();
+                let size = *by_ptr[ptr.0 as usize].get_or_insert_with(|| {
+                    let l = self.model.normalize(prog, ptr, &FieldPath::empty());
+                    self.facts
+                        .points_to(&l)
+                        .map(|t| self.model.target_weight(prog, t))
+                        .sum()
+                });
                 (sid, size)
             })
             .collect()
@@ -335,11 +339,19 @@ impl AnalysisResult {
     /// the metric of Figure 4. Sites whose pointer has an empty set (never
     /// assigned) contribute zero.
     pub fn average_deref_size(&self, prog: &Program) -> f64 {
+        self.deref_summary(prog).0
+    }
+
+    /// [`average_deref_size`](AnalysisResult::average_deref_size) and the
+    /// number of sites it averages over, from one walk of the sites. The
+    /// sizes are summed in site order.
+    pub fn deref_summary(&self, prog: &Program) -> (f64, usize) {
         let sizes = self.deref_site_sizes(prog);
         if sizes.is_empty() {
-            return 0.0;
+            return (0.0, 0);
         }
-        sizes.iter().map(|(_, s)| *s as f64).sum::<f64>() / sizes.len() as f64
+        let sum = sizes.iter().map(|(_, s)| *s as f64).sum::<f64>();
+        (sum / sizes.len() as f64, sizes.len())
     }
 
     /// Total number of points-to edges — the metric of Figure 6.
@@ -428,6 +440,38 @@ mod tests {
         let avg = res.average_deref_size(&prog);
         assert!(avg > 0.0, "{avg}");
         assert!(!res.deref_site_sizes(&prog).is_empty());
+    }
+
+    #[test]
+    fn deref_sizes_equal_a_per_site_recomputation() {
+        for name in ["oop-shapes", "intrusive-list", "symtab"] {
+            let src = structcast_progen::corpus_program(name).unwrap().source;
+            let prog = structcast_ir::lower_source(src).unwrap();
+            for kind in ModelKind::ALL {
+                let res = analyze(&prog, &AnalysisConfig::new(kind));
+                let naive: Vec<(StmtId, usize)> = prog
+                    .deref_sites()
+                    .into_iter()
+                    .map(|(sid, ptr)| {
+                        let l = res.model.normalize(&prog, ptr, &FieldPath::empty());
+                        let w = res
+                            .facts
+                            .points_to(&l)
+                            .map(|t| res.model.target_weight(&prog, t));
+                        (sid, w.sum())
+                    })
+                    .collect();
+                assert_eq!(res.deref_site_sizes(&prog), naive, "{name} {kind}");
+                let sum: f64 = naive.iter().map(|(_, s)| *s as f64).sum();
+                let (avg, sites) = res.deref_summary(&prog);
+                assert_eq!(sites, naive.len(), "{name} {kind}");
+                assert_eq!(
+                    avg.to_bits(),
+                    (sum / sites as f64).to_bits(),
+                    "{name} {kind}"
+                );
+            }
+        }
     }
 
     #[test]

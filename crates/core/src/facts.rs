@@ -13,25 +13,25 @@
 //! figure benches, MOD/REF) are unchanged.
 
 use crate::loc::{FieldRep, Loc, LocId};
-use std::collections::{HashMap, HashSet};
 use structcast_ir::ObjId;
+use structcast_types::idhash::{IdHashMap, IdHashSet};
 
 /// A set of `pointsTo` facts with source-object indexing and dense
 /// location interning.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
     /// `Loc` → dense id.
-    intern: HashMap<Loc, LocId>,
+    intern: IdHashMap<Loc, LocId>,
     /// Reverse side table: id → `Loc` (ids are indices).
     locs: Vec<Loc>,
     /// Per-source target list in *append order*, deduplicated via
     /// `edge_set`. Indexed by source `LocId`.
     targets: Vec<Vec<LocId>>,
     /// All `(src, tgt)` pairs, packed as `src << 32 | tgt`.
-    edge_set: HashSet<u64>,
+    edge_set: IdHashSet<u64>,
     /// Source locations that have at least one fact, grouped by object,
     /// in first-fact order.
-    sources_by_obj: HashMap<ObjId, Vec<LocId>>,
+    sources_by_obj: IdHashMap<ObjId, Vec<LocId>>,
     edges: usize,
 }
 

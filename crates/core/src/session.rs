@@ -110,13 +110,15 @@ impl<'p> AnalysisSession<'p> {
 
     /// Solves several configurations over the shared constraint set, up to
     /// `threads` of them concurrently — the common Figure 4–6 shape with
-    /// multi-model parallelism.
+    /// multi-model parallelism. `threads` is an upper bound: no more
+    /// workers run than there are configs or host CPUs.
     ///
     /// Results come back in `configs` order regardless of scheduling, and
     /// each is identical to a [`solve`](AnalysisSession::solve) of the same
     /// config (each worker runs the ordinary specialize+solve pipeline on
     /// plain data; nothing is shared but the read-only constraint set).
-    /// `threads <= 1` or a single config degenerate to a sequential map.
+    /// One worker (`threads <= 1`, a single config or a single CPU)
+    /// degenerates to a sequential map.
     /// Solves performed on the workers are credited to the calling
     /// thread's [`solves_on_thread`](crate::solves_on_thread) counter.
     pub fn solve_all(&self, configs: &[AnalysisConfig], threads: usize) -> Vec<AnalysisResult> {
@@ -137,8 +139,8 @@ impl<'p> AnalysisSession<'p> {
     }
 
     /// [`solve_all`](AnalysisSession::solve_all) over the four paper
-    /// instances with default options, solved concurrently on one thread
-    /// per model.
+    /// instances with default options, solved concurrently on up to one
+    /// thread per model (fewer on a host with fewer CPUs).
     pub fn solve_all_kinds(&self) -> Vec<AnalysisResult> {
         let configs = AnalysisConfig::default().for_all_kinds();
         self.solve_all(&configs, configs.len())
@@ -226,6 +228,7 @@ pub(crate) fn solve_seeded(
 /// Multi-model parallelism over an externally held constraint set: solves
 /// each of `configs` with [`solve_compiled`], distributing them over up to
 /// `threads` scoped worker threads pulling from a shared work index.
+/// `threads` is an upper bound (see [`try_solve_compiled_parallel`]).
 ///
 /// Results are placed by config index, so the output order is `configs`
 /// order no matter how the solves interleave. Worker-thread solve counts
@@ -250,13 +253,20 @@ pub fn solve_compiled_parallel(
 /// violation is reported in its own output slot, and a tripped budget never
 /// aborts sibling configs — the worker that hit it just moves on to the
 /// next work item.
+///
+/// `threads` is an upper bound: the call runs `min(threads, configs,
+/// available_parallelism)` workers, since a fixpoint is CPU-bound and a
+/// worker beyond the host's CPUs only adds a thread stack and allocator
+/// arena. One worker solves on the calling thread.
 pub fn try_solve_compiled_parallel(
     prog: &Program,
     constraints: &ConstraintSet,
     configs: &[AnalysisConfig],
     threads: usize,
 ) -> Vec<Result<AnalysisResult, SolveError>> {
-    if threads <= 1 || configs.len() <= 1 {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = worker_count(threads, configs.len(), cpus);
+    if workers == 1 {
         return configs
             .iter()
             .map(|c| try_solve_compiled(prog, constraints, c))
@@ -265,7 +275,6 @@ pub fn try_solve_compiled_parallel(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<Result<AnalysisResult, SolveError>>>> =
         configs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let workers = threads.min(configs.len());
     let credited: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -297,6 +306,12 @@ pub fn try_solve_compiled_parallel(
                 .expect("every config solved")
         })
         .collect()
+}
+
+/// Solve workers for `configs` configs on a host with `cpus` CPUs: at most
+/// `threads`, one per config and one per CPU, and at least one.
+fn worker_count(threads: usize, configs: usize, cpus: usize) -> usize {
+    threads.min(configs).min(cpus).max(1)
 }
 
 impl std::fmt::Debug for AnalysisSession<'_> {
@@ -346,24 +361,29 @@ mod tests {
         let session = AnalysisSession::compile(&prog);
         let configs = AnalysisConfig::default().for_all_kinds();
         let before = crate::solver::solves_on_thread();
-        let par = session.solve_all(&configs, 4);
-        assert_eq!(
-            crate::solver::solves_on_thread() - before,
-            4,
-            "worker-thread solves must be credited to the caller"
-        );
         let seq = session.solve_all(&configs, 1);
-        assert_eq!(crate::solver::solves_on_thread() - before, 8);
-        for ((p, s), cfg) in par.iter().zip(&seq).zip(&configs) {
-            assert_eq!(p.kind, cfg.model, "results must come back in config order");
-            assert_eq!(p.edge_count(), s.edge_count(), "{}", cfg.model);
-            assert_eq!(p.iterations, s.iterations, "{}", cfg.model);
+        assert_eq!(crate::solver::solves_on_thread() - before, 4);
+        // 64 exceeds the configs and the host's CPUs: capped, same answers.
+        for threads in [4, 64] {
+            let before = crate::solver::solves_on_thread();
+            let par = session.solve_all(&configs, threads);
             assert_eq!(
-                p.edge_displays(&prog),
-                s.edge_displays(&prog),
-                "{}",
-                cfg.model
+                crate::solver::solves_on_thread() - before,
+                4,
+                "worker-thread solves must be credited to the caller"
             );
+            for ((p, s), cfg) in par.iter().zip(&seq).zip(&configs) {
+                assert_eq!(p.kind, cfg.model, "results must come back in config order");
+                assert_eq!(p.edge_count(), s.edge_count(), "{}", cfg.model);
+                assert_eq!(p.iterations, s.iterations, "{}", cfg.model);
+                assert_eq!(p.stats, s.stats, "{}", cfg.model);
+                assert_eq!(
+                    p.edge_displays(&prog),
+                    s.edge_displays(&prog),
+                    "{}",
+                    cfg.model
+                );
+            }
         }
     }
 
@@ -378,6 +398,29 @@ mod tests {
         assert_eq!(results.len(), 3);
         let e = results[0].edge_count();
         assert!(results.iter().all(|r| r.edge_count() == e));
+    }
+
+    #[test]
+    fn worker_count_is_bounded_by_threads_configs_and_cpus() {
+        // (threads, configs, cpus) -> workers
+        for (threads, configs, cpus, want) in [
+            (0, 4, 8, 1),
+            (1, 4, 8, 1),
+            (4, 4, 8, 4),
+            (4, 4, 2, 2),
+            (64, 4, 8, 4),
+            (64, 4, 2, 2),
+            (64, 100, 16, 16),
+            (8, 3, 16, 3),
+            (4, 0, 8, 1),
+            (4, 4, 1, 1),
+        ] {
+            assert_eq!(
+                worker_count(threads, configs, cpus),
+                want,
+                "threads {threads}, configs {configs}, cpus {cpus}"
+            );
+        }
     }
 
     #[test]

@@ -19,9 +19,13 @@
 //! propagation**: constraints are specialized once into [`CStmt`]s holding
 //! pre-normalized operand ids, and each firing consumes only the *delta*
 //! of facts added since its last visit (per-pair copy cursors for Rules
-//! 3/4/5 and `CopyAll`, per-watched-location scan cursors for Rule 2,
-//! `PtrArith`, and indirect-call discovery). Re-firing a statement against
-//! an unchanged points-to set is a no-op that touches no `Loc` at all.
+//! 3/4/5 and `CopyAll`; one scan cursor per statement for Rule 2,
+//! `PtrArith`, and indirect-call discovery, each of which watches a single
+//! location). Re-firing a statement against an unchanged points-to set is a
+//! no-op that touches no `Loc` at all. Every table keyed by ids, field
+//! paths or offsets hashes with [`structcast_types::idhash`]; hash order
+//! never decides firing order, so the facts and their order do not depend
+//! on the hasher.
 //!
 //! When the instance's `resolve` is pure ([`FieldModel::resolve_is_pure`]:
 //! Collapse Always, Collapse on Cast, CIS), Rules 3/4/5 also resolve each
@@ -48,9 +52,10 @@ use crate::facts::FactStore;
 use crate::loc::{FieldRep, Loc, LocId};
 use crate::model::{FieldModel, ModelStats};
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use structcast_constraints::{Constraint, ConstraintSet};
 use structcast_ir::{FuncId, ObjId, Program};
+use structcast_types::idhash::{IdHashMap, IdHashSet};
 use structcast_types::{FieldPath, TypeId};
 
 thread_local! {
@@ -178,15 +183,15 @@ type ShapeKey = (TypeId, u32, TypeId, u32, TypeId);
 #[derive(Default)]
 struct ResolveMemo {
     /// Dense ids of the field components seen, and back.
-    field_ids: HashMap<FieldRep, u32>,
+    field_ids: IdHashMap<FieldRep, u32>,
     field_reps: Vec<FieldRep>,
     /// `LocId` → its field id (`u32::MAX`: not assigned yet).
     field_of: Vec<u32>,
     /// `(obj, field id)` → interned location, so building a concrete pair
     /// hashes two integers instead of a `Loc`.
-    loc_ids: HashMap<(ObjId, u32), LocId>,
+    loc_ids: IdHashMap<(ObjId, u32), LocId>,
     /// Type-level key → the one `resolve` call made for it.
-    results: HashMap<ShapeKey, Resolved>,
+    results: IdHashMap<ShapeKey, Resolved>,
     /// Statement index → its pair list.
     lists: Vec<PairList>,
 }
@@ -299,33 +304,34 @@ struct Engine<'p> {
     /// it changes.
     subs: Vec<Vec<u32>>,
     /// Subscription dedup: `(stmt, obj)` pairs already registered.
-    subbed: HashSet<(u32, u32)>,
+    subbed: IdHashSet<(u32, u32)>,
     queued: Vec<bool>,
     worklist: VecDeque<u32>,
     /// Indirect-call bindings already synthesized.
-    bound_calls: HashSet<(usize, FuncId)>,
+    bound_calls: IdHashSet<(usize, FuncId)>,
     /// Statement evaluations performed (a work measure).
     iterations: u64,
     /// How pointer arithmetic is treated.
     arith_mode: ArithMode,
     /// Locations flagged as possibly holding corrupted pointers
     /// ([`ArithMode::FlagUnknown`] only).
-    unknown: HashSet<LocId>,
-    /// Per-`(stmt, watched)` read position into `pts(watched)` for the
-    /// scan-style rules whose per-target work is independent of other
-    /// facts (Rule 2, `PtrArith` spread, callee discovery).
-    scan_cursors: HashMap<(u32, LocId), u32>,
+    unknown: IdHashSet<LocId>,
+    /// Per-statement read position into `pts(watched)` for the scan-style
+    /// rules whose per-target work is independent of other facts (Rule 2,
+    /// `PtrArith` spread, callee discovery). Each watches exactly one
+    /// location, so one slot per statement suffices; indexed like `queued`.
+    scan_cursors: Vec<u32>,
     /// Per-`(stmt, dst, src)` copy position into `pts(src)` for `CopyAll`,
     /// and for Rules 3/4/5 when `memo` is `None`. Keyed by the full pair
     /// because one source location can feed different destinations
     /// discovered at different times (e.g. overlapping Offsets ranges),
     /// each needing its own replay point.
-    pair_cursors: HashMap<(u32, LocId, LocId), u32>,
+    pair_cursors: IdHashMap<(u32, LocId, LocId), u32>,
     /// The `resolve` memo and Rules 3/4/5 pair lists; `None` when the
     /// instance's `resolve` is not pure (Offsets).
     memo: Option<ResolveMemo>,
     /// `FieldModel::normalize` memo per `(obj, path)`.
-    norm_cache: HashMap<ObjId, HashMap<FieldPath, LocId>>,
+    norm_cache: IdHashMap<ObjId, IdHashMap<FieldPath, LocId>>,
     /// Scratch for draining a delta while inserting facts.
     delta_buf: Vec<LocId>,
 }
@@ -512,11 +518,8 @@ impl<'p> Engine<'p> {
     /// window.
     fn take_scan_window(&mut self, idx: u32, watched: LocId) -> (usize, usize) {
         let total = self.facts.targets_len(watched);
-        let cur = self
-            .scan_cursors
-            .insert((idx, watched), total as u32)
-            .unwrap_or(0) as usize;
-        (cur, total)
+        let cur = std::mem::replace(&mut self.scan_cursors[idx as usize], total as u32);
+        (cur as usize, total)
     }
 
     /// Copies `pts(src)[cur..total]` into `pts(dst)` and propagates the
@@ -856,17 +859,17 @@ impl<'p> Solver<'p> {
             facts: seed.facts,
             stats: ModelStats::default(),
             subs: vec![Vec::new(); prog.objects.len()],
-            subbed: HashSet::new(),
+            subbed: IdHashSet::default(),
             queued,
             worklist,
-            bound_calls: HashSet::new(),
+            bound_calls: IdHashSet::default(),
             iterations: 0,
             arith_mode: ArithMode::Spread,
-            unknown: HashSet::new(),
-            scan_cursors: HashMap::new(),
-            pair_cursors: HashMap::new(),
+            unknown: IdHashSet::default(),
+            scan_cursors: vec![0; n],
+            pair_cursors: IdHashMap::default(),
             memo,
-            norm_cache: HashMap::new(),
+            norm_cache: IdHashMap::default(),
             delta_buf: Vec::new(),
         };
         for l in seed.unknown {
@@ -1055,6 +1058,7 @@ impl<'p> Solver<'p> {
             let new_idx = self.cstmts.len() as u32;
             self.cstmts.push(c);
             self.en.queued.push(false);
+            self.en.scan_cursors.push(0);
             if enqueue {
                 self.en.enqueue(new_idx);
             } else {
@@ -1096,6 +1100,7 @@ mod tests {
     use super::*;
     use crate::model::ModelKind;
     use crate::models::make_model;
+    use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
     use structcast_ir::lower_source;
     use structcast_types::{CompatMode, Layout};

@@ -14,9 +14,10 @@
 //! conditional joins, and indirect calls are resolved by iterating the
 //! unification pass until no new (site, callee) binding appears.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 use structcast_ir::{Callee, FuncId, ObjId, Program, Stmt};
+use structcast_types::idhash::{IdHashMap, IdHashSet};
 use structcast_types::TypeKind;
 
 /// Union-find over ECRs (equivalence-class representatives) with a pointee
@@ -26,7 +27,7 @@ struct Ecr {
     parent: Vec<u32>,
     /// pointee ECR of each class root (entries keyed by *some* historical
     /// root; always re-resolved through `find`).
-    pointee: HashMap<u32, u32>,
+    pointee: IdHashMap<u32, u32>,
 }
 
 impl Ecr {
@@ -106,7 +107,7 @@ pub fn steensgaard(prog: &Program) -> SteensgaardResult {
         ecr.add_node();
     }
 
-    let mut bound: HashSet<(usize, FuncId)> = HashSet::new();
+    let mut bound: IdHashSet<(usize, FuncId)> = IdHashSet::default();
     let mut extra: Vec<(ObjId, ObjId)> = Vec::new(); // copy bindings for calls
     let mut passes = 0;
     loop {
@@ -149,7 +150,7 @@ fn process(
     prog: &Program,
     idx: usize,
     s: &Stmt,
-    bound: &mut HashSet<(usize, FuncId)>,
+    bound: &mut IdHashSet<(usize, FuncId)>,
     extra: &mut Vec<(ObjId, ObjId)>,
 ) {
     match s {
@@ -209,7 +210,7 @@ fn discover_callees(
     idx: usize,
     fp: ObjId,
     s: &Stmt,
-    bound: &mut HashSet<(usize, FuncId)>,
+    bound: &mut IdHashSet<(usize, FuncId)>,
     extra: &mut Vec<(ObjId, ObjId)>,
 ) -> usize {
     let Stmt::Call { args, ret, .. } = s else {
@@ -236,7 +237,7 @@ fn bind_call(
     fid: FuncId,
     args: &[ObjId],
     ret: Option<ObjId>,
-    bound: &mut HashSet<(usize, FuncId)>,
+    bound: &mut IdHashSet<(usize, FuncId)>,
     extra: &mut Vec<(ObjId, ObjId)>,
 ) -> bool {
     if !bound.insert((idx, fid)) {
@@ -324,7 +325,7 @@ impl SteensgaardResult {
     /// object (a coarse size measure comparable to edge counts).
     pub fn class_count(&self) -> usize {
         let mut ecr = self.ecr.borrow_mut();
-        let mut roots = HashSet::new();
+        let mut roots = IdHashSet::default();
         for o in 0..self.n_objects as u32 {
             roots.insert(ecr.find(o));
         }

@@ -182,6 +182,7 @@ impl Solved {
             };
             modref_map.insert(f.name.clone(), (names(&sets.mods), names(&sets.refs)));
         }
+        let (avg_deref, deref_sites) = res.deref_summary(prog);
         Solved {
             kind: res.kind,
             edges: res.edge_count(),
@@ -191,8 +192,8 @@ impl Solved {
             points_to,
             pt_locs,
             modref: modref_map,
-            avg_deref: res.average_deref_size(prog),
-            deref_sites: prog.deref_sites().len(),
+            avg_deref,
+            deref_sites,
             opts,
             res,
         }

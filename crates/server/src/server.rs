@@ -349,6 +349,8 @@ pub fn serve(cfg: &ServerConfig) -> io::Result<ServerHandle> {
         })
         .collect();
 
+    // Connections the pool holds at most: one per worker plus the queue.
+    let capacity = cfg.threads.max(1) + cfg.backlog;
     let accept_shared = Arc::clone(&shared);
     let accept = std::thread::spawn(move || {
         for stream in listener.incoming() {
@@ -359,9 +361,19 @@ pub fn serve(cfg: &ServerConfig) -> io::Result<ServerHandle> {
             // Count the connection before enqueueing it (undone on a
             // failed send): the worker-side decrement can then never
             // observe the gauge at zero while it holds a connection.
-            accept_shared.pending.fetch_add(1, Ordering::SeqCst);
+            let held = accept_shared.pending.fetch_add(1, Ordering::SeqCst);
             match tx.try_send(stream) {
                 Ok(()) => {}
+                // A free worker may not be parked in `recv` yet (just
+                // spawned, or just done with a connection), and with no
+                // backlog the hand-off needs it there: wait for it rather
+                // than shed a connection the pool has room for.
+                Err(TrySendError::Full(stream)) if held < capacity => {
+                    if tx.send(stream).is_err() {
+                        accept_shared.pending.fetch_sub(1, Ordering::SeqCst);
+                        break;
+                    }
+                }
                 // Queue full: shed this connection with a structured
                 // reply rather than queueing unboundedly. The reply is
                 // written from the accept thread — cheap, the socket

@@ -12,8 +12,8 @@
 //!   experiments, matching the paper's motivation of matching "similar but
 //!   not identical" declarations from different translation units.
 
+use crate::idhash::IdHashSet;
 use crate::repr::{RecordId, TypeId, TypeKind, TypeTable};
-use std::collections::HashSet;
 
 /// How struct/union compatibility is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -44,7 +44,7 @@ pub enum CompatMode {
 /// assert!(!compatible(&t, int, uint, CompatMode::Structural));
 /// ```
 pub fn compatible(table: &TypeTable, a: TypeId, b: TypeId, mode: CompatMode) -> bool {
-    let mut assumed = HashSet::new();
+    let mut assumed = IdHashSet::default();
     compat_rec(table, a, b, mode, &mut assumed)
 }
 
@@ -53,7 +53,7 @@ fn compat_rec(
     a: TypeId,
     b: TypeId,
     mode: CompatMode,
-    assumed: &mut HashSet<(RecordId, RecordId)>,
+    assumed: &mut IdHashSet<(RecordId, RecordId)>,
 ) -> bool {
     if a == b {
         return true;

@@ -36,6 +36,7 @@
 mod cis;
 mod compat;
 mod fields;
+pub mod idhash;
 mod layout;
 mod repr;
 pub mod rng;
