@@ -9,10 +9,10 @@
 # evicted program. Finally, the live-editing path: `scast update` pushes a
 # one-function edit against a cached session and the reply must show
 # constraint reuse, the post-edit answer, and slice-precise invalidation
-# of cached demand entries. Then the fleet-grade serving paths: the binary
-# codec must answer byte-identically to NDJSON, a SIGKILLed server with a
-# snapshot directory must restart warm (zero compile/solve misses, one
-# counted restore), an update accepted between snapshots must survive a
+# of cached demand entries. `scast query --binary` (the removed binary
+# codec's flag) must fail with a usage error. Then the fleet-grade serving
+# paths: a SIGKILLed server with a snapshot directory must restart warm
+# (zero compile/solve misses, one counted restore), an update accepted between snapshots must survive a
 # SIGKILL via write-ahead-journal replay, and a 2-replica fleet router
 # must report both replicas alive and shut the whole fleet down cleanly.
 # A 200,000-deep nesting bomb sent to the server and through the router
@@ -107,16 +107,16 @@ E_SET=$(echo "$EXHAUSTIVE" | sed 's/.*"points_to": \(\[[^]]*\]\).*/\1/')
 }
 echo "demand round trip: points_to byte-equal to exhaustive ($D_SET)"
 
-# Binary codec differential: the same query over the length-prefixed
-# binary protocol must print the byte-identical reply.
-BINARY=$("$SCAST" query --addr "$ADDR" --binary \
-    '{"op":"points_to","program":"bst","var":"g_tree"}')
-[ "$BINARY" = "$EXHAUSTIVE" ] || {
-    echo "binary reply diverged from NDJSON:"
-    diff <(echo "$EXHAUSTIVE") <(echo "$BINARY") || true
-    exit 1
+# NDJSON is the only wire codec: `--binary` (like any unknown flag) is a
+# usage error with a non-zero exit, never a request line sent to the server.
+if BINARY_ERR=$("$SCAST" query --addr "$ADDR" --binary \
+    '{"op":"points_to","program":"bst","var":"g_tree"}' 2>&1); then
+    echo "scast query --binary must fail with a usage error:"; echo "$BINARY_ERR"; exit 1
+fi
+echo "$BINARY_ERR" | grep -q 'unknown flag `--binary`' || {
+    echo "scast query --binary must name the unknown flag:"; echo "$BINARY_ERR"; exit 1
 }
-echo "binary codec: reply byte-identical to NDJSON"
+echo "scast query --binary: rejected with a usage error"
 
 # Live-editing update round trip: load a two-function session, warm a full
 # summary and two demand answers, edit only g() via `scast update`, and

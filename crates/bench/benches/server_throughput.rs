@@ -5,10 +5,9 @@
 //! measures the service overhead (framing, dispatch, lock traffic), not
 //! the solver.
 //!
-//! Scenarios cover both codecs (NDJSON lines and the length-prefixed
-//! binary protocol) on a single server, plus the replica fleet behind the
-//! consistent-hash router at 1 and 2 replicas, plus the live-editing
-//! `update` path with and without the write-ahead journal (the
+//! Scenarios cover NDJSON queries on a single server, plus the replica
+//! fleet behind the consistent-hash router at 1 and 2 replicas, plus the
+//! live-editing `update` path with and without the write-ahead journal (the
 //! `wal_fsync` column prices the fsync-per-edit durability guarantee
 //! against `--no-wal`). Rows the host cannot measure honestly — replica
 //! parallelism on a single-CPU box, a fleet without a built `scastd` —
@@ -25,9 +24,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use structcast_server::json::Json;
-use structcast_server::{
-    fleet, serve, BinaryClient, Client, FleetConfig, Metrics, ServerConfig,
-};
+use structcast_server::{fleet, serve, Client, FleetConfig, Metrics, ServerConfig};
 
 const CLIENT_THREADS: usize = 4;
 
@@ -95,30 +92,6 @@ fn main() {
         }
         let elapsed = start.elapsed().as_secs_f64();
         records.push(record(scenario, "ndjson", 1, per_thread, elapsed, &metrics));
-    }
-
-    // The binary codec over the same warm server: identical queries, one
-    // length-prefixed frame per request instead of one line.
-    {
-        let start = Instant::now();
-        let threads: Vec<_> = (0..CLIENT_THREADS)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut c = BinaryClient::connect(addr).expect("connect");
-                    for i in 0..per_thread {
-                        let (prog, var) = TARGETS[(t + i) % TARGETS.len()];
-                        let req = Json::parse(&points_to_req(prog, var)).unwrap();
-                        let resp = c.request(&req).expect("query");
-                        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("client thread");
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        records.push(record("points_to", "binary", 1, per_thread, elapsed, &metrics));
     }
 
     // Warm means warm: the measured sections must not have compiled or

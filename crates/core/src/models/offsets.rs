@@ -176,7 +176,6 @@ impl OffsetsModel {
         let k = Self::off_of(src);
         let hi = k.saturating_add(len);
         let d_ty = prog.type_of(dst.obj);
-        let s_ty = prog.type_of(src.obj);
         let d_size = self.layout.size_of(&prog.types, d_ty);
         let mut out = Vec::new();
         for src_loc in facts.sources_in_range(src.obj, k, hi) {
@@ -189,11 +188,6 @@ impl OffsetsModel {
             let m = self.layout.canonical_offset(&prog.types, d_ty, m);
             out.push((Loc::off(dst.obj, m), src_loc));
         }
-        // Keep the head pair even before any facts exist so unions of
-        // scalars still copy once facts arrive via re-firing; harmless
-        // because copying an empty set is a no-op.
-        let s_size = self.layout.size_of(&prog.types, s_ty);
-        let _ = s_size;
         out
     }
 }

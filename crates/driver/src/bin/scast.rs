@@ -8,7 +8,7 @@
 //! scast serve [--addr HOST:PORT] [--threads N] [--max-cache-mb N]
 //!             [--snapshot DIR] [--snapshot-every-s N] [--no-wal] [--brownout N]
 //! scast fleet --replicas N [--addr HOST:PORT] [--snapshot DIR] [--threads N] [--no-wal]
-//! scast query --addr HOST:PORT [--timeout-ms N] [--binary]
+//! scast query --addr HOST:PORT [--timeout-ms N]
 //!             [--max-retries N] [--backoff-seed N] <request-json>... | -
 //! scast update --addr HOST:PORT --program NAME [--max-retries N] <file.c> | -
 //! ```
@@ -28,8 +28,7 @@
 //! from it: previously-answered queries come back with zero compile or
 //! solve misses. `scast fleet --replicas N` runs N serve processes behind
 //! a consistent-hash router that detects dead replicas and restarts them
-//! from their snapshots. `scast query --binary` speaks the length-prefixed
-//! binary codec instead of NDJSON (same requests, same replies).
+//! from their snapshots.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -39,7 +38,7 @@ use structcast::{
     try_analyze, AnalysisConfig, AnalysisResult, Budget, Layout, ModelKind, Program,
 };
 use structcast_server::json::Json;
-use structcast_server::{serve, BinaryClient, Client, FleetConfig, RetryOpts, ServerConfig};
+use structcast_server::{serve, Client, FleetConfig, RetryOpts, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -53,7 +52,7 @@ fn usage() -> ! {
          [--snapshot DIR] [--snapshot-every-s N] [--no-wal] [--brownout N]\
          \n       scast fleet --replicas N [--addr HOST:PORT] [--snapshot DIR] [--threads N] \
          [--no-wal]\
-         \n       scast query --addr HOST:PORT [--timeout-ms N] [--binary] \
+         \n       scast query --addr HOST:PORT [--timeout-ms N] \
          [--max-retries N] [--backoff-seed N] <request-json>... | -\
          \n       scast update --addr HOST:PORT --program NAME [--timeout-ms N] \
          [--max-retries N] [--backoff-seed N] <file.c> | -"
@@ -218,7 +217,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut addr = None;
     let mut timeout_ms: u64 = 5000;
-    let mut binary = false;
     let mut retry = RetryOpts { max_retries: 0, ..RetryOpts::default() };
     let mut reqs: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -230,7 +228,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 timeout_ms =
                     n.parse().map_err(|_| format!("query: bad --timeout-ms `{n}`"))?;
             }
-            "--binary" => binary = true,
             "--max-retries" => {
                 let n = it.next().unwrap_or_else(|| usage());
                 retry.max_retries =
@@ -240,6 +237,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 let n = it.next().unwrap_or_else(|| usage());
                 retry.backoff_seed =
                     n.parse().map_err(|_| format!("query: bad --backoff-seed `{n}`"))?;
+            }
+            // An unknown flag is a usage error, never a request line.
+            other if other.starts_with("--") => {
+                eprintln!("scast query: unknown flag `{other}`");
+                usage()
             }
             other => reqs.push(other.to_string()),
         }
@@ -255,25 +257,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .filter(|l| !l.trim().is_empty())
             .map(str::to_string)
             .collect();
-    }
-    if binary {
-        // Binary codec: same requests and replies, framed instead of
-        // line-delimited. Replies are printed as JSON lines, so the two
-        // codecs are diffable with the shell.
-        let mut client = if timeout_ms == 0 {
-            BinaryClient::connect(&addr)
-        } else {
-            BinaryClient::connect_timeout(&addr, Duration::from_millis(timeout_ms))
-        }
-        .map_err(|e| format!("query: cannot connect to {addr}: {e}"))?;
-        for req in &reqs {
-            let parsed = Json::parse(req).map_err(|e| format!("query: bad request: {e}"))?;
-            let resp = client
-                .request_with_retry(&parsed, &retry)
-                .map_err(|e| format!("query: {addr}: {e}"))?;
-            println!("{resp}");
-        }
-        return Ok(());
     }
     // --timeout-ms 0 opts back into blocking forever (e.g. a query that is
     // expected to solve a huge program on a cold cache).

@@ -333,6 +333,23 @@ fn query_without_server_fails_cleanly() {
 }
 
 #[test]
+fn query_rejects_unknown_flags_before_connecting() {
+    // `--binary` names the removed binary codec; like any unknown flag it
+    // is a usage error, not a request line sent to the server.
+    let (_, stderr, ok) = scast(&[
+        "query",
+        "--addr",
+        "127.0.0.1:9",
+        "--binary",
+        r#"{"op":"stats"}"#,
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--binary`"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("cannot connect"), "{stderr}");
+}
+
+#[test]
 fn tripped_budgets_fail_with_typed_errors() {
     let (_, stderr, ok) = scast(&["bst", "--max-edges", "1"]);
     assert!(!ok, "one edge cannot fit the fixpoint");

@@ -1,20 +1,17 @@
-//! Blocking protocol clients: one connection, request/response in
-//! lockstep. [`Client`] speaks the NDJSON codec, [`BinaryClient`] the
-//! length-prefixed binary codec (and adds pipelining and batching, which
-//! line-lockstep NDJSON cannot express). Used by `scast query`, the
+//! The blocking protocol client: one connection, NDJSON request/response
+//! in lockstep. Used by `scast query`, the fleet router's forwarder, the
 //! integration tests, and the throughput bench.
 
 use crate::json::Json;
-use crate::proto::{read_frame, write_frame, BINARY_PREAMBLE};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Retry policy for [`Client::request_with_retry`] /
-/// [`BinaryClient::request_with_retry`]: bounded exponential backoff with
-/// deterministic jitter. An `overloaded` reply is a *schedule*, not a
-/// terminal error — the server names its price (`retry_after_ms`) and the
-/// client honors it, doubling per attempt up to [`cap_ms`](RetryOpts::cap_ms).
+/// Retry policy for [`Client::request_with_retry`]: bounded exponential
+/// backoff with deterministic jitter. An `overloaded` reply is a
+/// *schedule*, not a terminal error — the server names its price
+/// (`retry_after_ms`) and the client honors it, doubling per attempt up to
+/// [`cap_ms`](RetryOpts::cap_ms).
 /// Connection drops (a shed teardown, a replica restarting) retry on the
 /// same schedule with a fresh connection.
 #[derive(Debug, Clone)]
@@ -273,199 +270,6 @@ impl Client {
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("peer", &self.writer.peer_addr().ok())
-            .finish()
-    }
-}
-
-/// A client for the binary codec: the same requests and replies as
-/// [`Client`], framed as length-prefixed binary values instead of JSON
-/// lines. Supports lockstep ([`request`](BinaryClient::request)),
-/// pipelining ([`send`](BinaryClient::send) /
-/// [`recv`](BinaryClient::recv)), and batching
-/// ([`batch`](BinaryClient::batch)).
-pub struct BinaryClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    addr: Option<SocketAddr>,
-    timeout: Option<Duration>,
-    retries: u64,
-    sheds_observed: u64,
-}
-
-impl BinaryClient {
-    /// Connects and sends the binary preamble. Blocks indefinitely
-    /// against an unresponsive peer; prefer
-    /// [`connect_timeout`](BinaryClient::connect_timeout) interactively.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<BinaryClient> {
-        BinaryClient::wrap(TcpStream::connect(addr)?, None)
-    }
-
-    /// Connects with a bound on the connect and every subsequent read.
-    pub fn connect_timeout<A: ToSocketAddrs>(
-        addr: A,
-        timeout: Duration,
-    ) -> io::Result<BinaryClient> {
-        let mut last = None;
-        for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, timeout) {
-                Ok(writer) => {
-                    writer.set_read_timeout(Some(timeout))?;
-                    writer.set_write_timeout(Some(timeout))?;
-                    return BinaryClient::wrap(writer, Some(timeout));
-                }
-                Err(e) => {
-                    last = Some(io::Error::new(
-                        e.kind(),
-                        format!("connecting to {resolved}: {e}"),
-                    ))
-                }
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        }))
-    }
-
-    fn wrap(mut writer: TcpStream, timeout: Option<Duration>) -> io::Result<BinaryClient> {
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        // Negotiate the codec up front; the server peeks this byte.
-        writer.write_all(&BINARY_PREAMBLE)?;
-        writer.flush()?;
-        let addr = writer.peer_addr().ok();
-        Ok(BinaryClient {
-            reader,
-            writer,
-            addr,
-            timeout,
-            retries: 0,
-            sheds_observed: 0,
-        })
-    }
-
-    /// Replaces the connection with a fresh one to the same peer,
-    /// re-negotiating the binary codec.
-    fn reconnect(&mut self) -> io::Result<()> {
-        let Some(addr) = self.addr else {
-            return Ok(());
-        };
-        let mut stream = match self.timeout {
-            Some(t) => {
-                let s = TcpStream::connect_timeout(&addr, t)?;
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))?;
-                s
-            }
-            None => TcpStream::connect(addr)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.write_all(&BINARY_PREAMBLE)?;
-        stream.flush()?;
-        self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = stream;
-        Ok(())
-    }
-
-    /// Queues one request frame without waiting for its reply — the
-    /// pipelined send half. Replies arrive in order via
-    /// [`recv`](BinaryClient::recv).
-    pub fn send(&mut self, req: &Json) -> io::Result<()> {
-        write_frame(&mut self.writer, req)
-    }
-
-    /// Reads the next reply frame (the pipelined receive half).
-    pub fn recv(&mut self) -> io::Result<Json> {
-        match read_frame(&mut self.reader) {
-            Ok(Some(v)) => Ok(v),
-            Ok(None) => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "timed out waiting for the server's reply",
-                ))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Sends one request and waits for its reply (lockstep).
-    pub fn request(&mut self, req: &Json) -> io::Result<Json> {
-        self.send(req)?;
-        self.recv()
-    }
-
-    /// [`request`](BinaryClient::request) with bounded retry — same
-    /// policy as [`Client::request_with_retry`], reconnecting (and
-    /// re-negotiating the codec) before each attempt.
-    pub fn request_with_retry(&mut self, req: &Json, opts: &RetryOpts) -> io::Result<Json> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self.request(req);
-            let retry_after = match &outcome {
-                Ok(resp) => match overloaded_hint(resp) {
-                    Some(hint) => {
-                        self.sheds_observed += 1;
-                        hint
-                    }
-                    None => return outcome,
-                },
-                Err(e) if is_retriable_conn_error(e) => DEFAULT_RETRY_AFTER_MS,
-                Err(_) => return outcome,
-            };
-            if attempt >= opts.max_retries {
-                return outcome;
-            }
-            std::thread::sleep(backoff_delay(opts, retry_after, attempt));
-            self.retries += 1;
-            attempt += 1;
-            let _ = self.reconnect();
-        }
-    }
-
-    /// Retries performed by
-    /// [`request_with_retry`](BinaryClient::request_with_retry) over this
-    /// client's lifetime.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// `overloaded` replies this client received — reconciles against the
-    /// server/router shed counters.
-    pub fn sheds_observed(&self) -> u64 {
-        self.sheds_observed
-    }
-
-    /// Sends many requests as **one** batch frame and returns the reply
-    /// array, one response per request in order.
-    pub fn batch(&mut self, reqs: &[Json]) -> io::Result<Vec<Json>> {
-        self.send(&Json::Arr(reqs.to_vec()))?;
-        match self.recv()? {
-            Json::Arr(replies) => Ok(replies),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("batch reply was not an array: {other}"),
-            )),
-        }
-    }
-
-    /// Convenience: `{"op":"stats"}`.
-    pub fn stats(&mut self) -> io::Result<Json> {
-        self.request(&Json::obj([("op", Json::str("stats"))]))
-    }
-
-    /// Convenience: asks the server to shut down gracefully.
-    pub fn shutdown_server(&mut self) -> io::Result<Json> {
-        self.request(&Json::obj([("op", Json::str("shutdown"))]))
-    }
-}
-
-impl std::fmt::Debug for BinaryClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryClient")
             .field("peer", &self.writer.peer_addr().ok())
             .finish()
     }

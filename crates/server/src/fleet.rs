@@ -45,15 +45,15 @@
 //!   exits), then the router itself exits;
 //! - anything else keyless (e.g. `stats`) routes to replica 0.
 //!
-//! Both codecs are served on the router's listener, negotiated by the
-//! same one-byte peek as the single server; binary batch frames are
-//! routed by their **first** request's key.
+//! The router speaks the same NDJSON lines as the single server and reads
+//! them through the same `proto::read_request_line` step, so an unreadable
+//! line gets the same typed reply from either.
 
 use crate::cache::source_hash;
-use crate::client::{BinaryClient, Client};
+use crate::client::Client;
 use crate::json::Json;
-use crate::proto::{error_response_with, ok_response, read_frame, write_frame, BINARY_PREAMBLE};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use crate::proto::{error_response_with, ok_response, read_request_line, LineRead};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -478,80 +478,31 @@ pub fn fleet(cfg: &FleetConfig) -> io::Result<FleetHandle> {
     Ok(FleetHandle { shared, accept })
 }
 
-/// Per-connection forwarding state: one lazily-opened connection per
-/// replica, per codec. A replica restart invalidates its slot (the old
-/// socket errors and is dropped).
-struct Conns {
-    ndjson: Vec<Option<Client>>,
-    binary: Vec<Option<BinaryClient>>,
-}
-
-impl Conns {
-    fn new(n: usize) -> Conns {
-        Conns {
-            ndjson: (0..n).map(|_| None).collect(),
-            binary: (0..n).map(|_| None).collect(),
-        }
-    }
-}
-
-/// Forwards one NDJSON request line to replica `idx`, returning the raw
-/// reply line (byte-preserving) or `None` when the replica is unreachable
+/// Forwards one request line to replica `idx`, returning the raw reply
+/// line (byte-preserving) or `None` when the replica is unreachable
 /// (after one reconnect attempt, in case the cached connection was merely
-/// stale from a past restart).
+/// stale from a past restart). `conns` is the routed connection's
+/// forwarding state: one lazily-opened connection per replica; a replica
+/// restart invalidates its slot (the old socket errors and is dropped).
 fn forward_line(
     shared: &FleetShared,
-    conns: &mut Conns,
+    conns: &mut [Option<Client>],
     idx: usize,
     line: &str,
 ) -> Option<String> {
     for attempt in 0..2 {
-        if conns.ndjson[idx].is_none() {
+        if conns[idx].is_none() {
             let raddr = (*shared.replicas[idx].addr.lock().unwrap_or_else(|e| e.into_inner()))?;
-            conns.ndjson[idx] = Client::connect_timeout(raddr, shared.cfg.forward_timeout).ok();
+            conns[idx] = Client::connect_timeout(raddr, shared.cfg.forward_timeout).ok();
         }
-        if let Some(c) = conns.ndjson[idx].as_mut() {
+        if let Some(c) = conns[idx].as_mut() {
             match c.request_line(line) {
                 Ok(reply) => {
                     shared.replicas[idx].forwarded.fetch_add(1, Ordering::Relaxed);
                     return Some(reply);
                 }
                 Err(_) => {
-                    conns.ndjson[idx] = None;
-                    if attempt == 1 {
-                        return None;
-                    }
-                }
-            }
-        } else if attempt == 1 {
-            return None;
-        }
-    }
-    None
-}
-
-/// Binary-codec counterpart of [`forward_line`]: forwards one decoded
-/// frame value (single request or batch) and returns the reply value.
-fn forward_frame(
-    shared: &FleetShared,
-    conns: &mut Conns,
-    idx: usize,
-    value: &Json,
-) -> Option<Json> {
-    for attempt in 0..2 {
-        if conns.binary[idx].is_none() {
-            let raddr = (*shared.replicas[idx].addr.lock().unwrap_or_else(|e| e.into_inner()))?;
-            conns.binary[idx] =
-                BinaryClient::connect_timeout(raddr, shared.cfg.forward_timeout).ok();
-        }
-        if let Some(c) = conns.binary[idx].as_mut() {
-            match c.request(value) {
-                Ok(reply) => {
-                    shared.replicas[idx].forwarded.fetch_add(1, Ordering::Relaxed);
-                    return Some(reply);
-                }
-                Err(_) => {
-                    conns.binary[idx] = None;
+                    conns[idx] = None;
                     if attempt == 1 {
                         return None;
                     }
@@ -660,9 +611,8 @@ fn shutdown_fleet(shared: &FleetShared) {
     }
 }
 
-/// Routes one request value: router ops answered locally, everything
-/// else forwarded by routing key. Returns `(reply, shutdown)`; the reply
-/// is `Err(raw_line)` when a byte-preserving NDJSON forward is available.
+/// Where one request goes: router ops are answered locally, everything
+/// else is forwarded by routing key.
 enum Routed {
     /// Router-generated reply.
     Local(Json, bool),
@@ -694,10 +644,10 @@ fn classify(shared: &FleetShared, req: &Json) -> Routed {
     }
 }
 
-/// One failed-forward recovery step, shared by both codecs: mark the
-/// home replica dead, kick off its restart, and pick where the request
-/// goes instead. `Ok(successor)` means fail the read over there;
-/// `Err(reply)` is the shed to send as-is (updates, or no successor up).
+/// One failed-forward recovery step: mark the home replica dead, kick off
+/// its restart, and pick where the request goes instead. `Ok(successor)`
+/// means fail the read over there; `Err(reply)` is the shed to send as-is
+/// (updates, or no successor up).
 fn failover_target(
     shared: &Arc<FleetShared>,
     idx: usize,
@@ -717,30 +667,22 @@ fn failover_target(
 fn route_connection(shared: &Arc<FleetShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.forward_timeout));
-    let mut first = [0u8; 1];
-    let binary =
-        matches!(stream.peek(&mut first), Ok(n) if n > 0 && first[0] == BINARY_PREAMBLE[0]);
-    let mut conns = Conns::new(shared.replicas.len());
-    if binary {
-        route_binary(shared, stream, &mut conns);
-    } else {
-        route_ndjson(shared, stream, &mut conns);
-    }
-}
-
-fn route_ndjson(shared: &Arc<FleetShared>, stream: TcpStream, conns: &mut Conns) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    let mut conns: Vec<Option<Client>> = (0..shared.replicas.len()).map(|_| None).collect();
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => break,
+        match read_request_line(&mut reader, &mut line) {
+            LineRead::Line => {}
+            LineRead::Closed => break,
+            LineRead::Unreadable(kind, msg) => {
+                let resp = error_response_with(kind, &msg, []);
+                let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
+                break;
+            }
         }
         let trimmed = line.trim_end_matches(['\n', '\r']);
         if trimmed.trim().is_empty() {
@@ -752,11 +694,11 @@ fn route_ndjson(shared: &Arc<FleetShared>, stream: TcpStream, conns: &mut Conns)
         let parsed = Json::parse(trimmed).unwrap_or(Json::Null);
         let (reply, shutdown) = match classify(shared, &parsed) {
             Routed::Local(reply, shutdown) => (reply.to_string(), shutdown),
-            Routed::Forward(idx, key) => match forward_line(shared, conns, idx, trimmed) {
+            Routed::Forward(idx, key) => match forward_line(shared, &mut conns, idx, trimmed) {
                 Some(raw) => (raw, false),
                 None => {
                     match failover_target(shared, idx, key.as_deref(), is_update(&parsed)) {
-                        Ok(succ) => match forward_line(shared, conns, succ, trimmed) {
+                        Ok(succ) => match forward_line(shared, &mut conns, succ, trimmed) {
                             Some(raw) => {
                                 shared.failovers.fetch_add(1, Ordering::Relaxed);
                                 (raw, false)
@@ -772,75 +714,6 @@ fn route_ndjson(shared: &Arc<FleetShared>, stream: TcpStream, conns: &mut Conns)
             },
         };
         if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
-            break;
-        }
-        if shutdown {
-            shutdown_fleet(shared);
-            break;
-        }
-    }
-}
-
-fn route_binary(shared: &Arc<FleetShared>, stream: TcpStream, conns: &mut Conns) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut preamble = [0u8; 4];
-    if reader.read_exact(&mut preamble).is_err() || preamble != BINARY_PREAMBLE {
-        return;
-    }
-    loop {
-        let value = match read_frame(&mut reader) {
-            Ok(Some(v)) => v,
-            // Undecodable bytes get the replica's typed reply, not a hang-up.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let msg = format!("unreadable frame: {e}");
-                let _ = write_frame(&mut writer, &error_response_with("bad_request", &msg, []));
-                break;
-            }
-            _ => break,
-        };
-        // A batch routes by its first request's key — the batch is one
-        // frame and stays whole on one replica.
-        let probe = match &value {
-            Json::Arr(items) => items.first().cloned().unwrap_or(Json::Null),
-            v => v.clone(),
-        };
-        // A batch frame with *any* update in it must not fail over: the
-        // whole frame stays owner-or-shed, read-only frames fail over.
-        let has_update = match &value {
-            Json::Arr(items) => items.iter().any(is_update),
-            v => is_update(v),
-        };
-        let shed_frame = |shed: Json| match &value {
-            Json::Arr(items) => Json::Arr(items.iter().map(|_| shed.clone()).collect()),
-            _ => shed,
-        };
-        let (reply, shutdown) = match classify(shared, &probe) {
-            Routed::Local(reply, shutdown) => match &value {
-                Json::Arr(_) => (Json::Arr(vec![reply]), shutdown),
-                _ => (reply, shutdown),
-            },
-            Routed::Forward(idx, key) => match forward_frame(shared, conns, idx, &value) {
-                Some(reply) => (reply, false),
-                None => match failover_target(shared, idx, key.as_deref(), has_update) {
-                    Ok(succ) => match forward_frame(shared, conns, succ, &value) {
-                        Some(reply) => {
-                            shared.failovers.fetch_add(1, Ordering::Relaxed);
-                            (reply, false)
-                        }
-                        None => {
-                            restart_replica(shared, succ);
-                            (shed_frame(overloaded_reply(shared, idx)), false)
-                        }
-                    },
-                    Err(shed) => (shed_frame(shed), false),
-                },
-            },
-        };
-        if write_frame(&mut writer, &reply).is_err() {
             break;
         }
         if shutdown {

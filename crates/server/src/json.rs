@@ -11,9 +11,9 @@
 
 use std::fmt;
 
-/// Deepest array/object nesting either codec decodes. Protocol requests
-/// and replies nest at most 4 deep; the bound keeps a hostile line or
-/// frame from recursing the decoder off the end of a worker's stack.
+/// Deepest array/object nesting the decoders accept. Protocol requests
+/// and replies nest at most 4 deep; the bound keeps a hostile line from
+/// recursing the decoder off the end of a worker's stack.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.

@@ -14,10 +14,10 @@
 //!
 //! ## Protocol
 //!
-//! Newline-delimited JSON over TCP, implemented entirely on `std`
-//! (`TcpListener` + a `std::thread` worker pool; the [`json`] module is a
-//! hand-rolled parser/emitter). One request object per line, one response
-//! object per line:
+//! Newline-delimited JSON over TCP — the only wire codec — implemented
+//! entirely on `std` (`TcpListener` + a `std::thread` worker pool; the
+//! [`json`] module is a hand-rolled parser/emitter). One request object
+//! per line, one response object per line:
 //!
 //! ```text
 //! → {"op": "load", "name": "bst"}
@@ -64,7 +64,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use cache::{source_hash, ProgramEntry, SessionCache, Solved};
-pub use client::{BinaryClient, Client, RetryOpts};
+pub use client::{Client, RetryOpts};
 pub use faults::FaultPlan;
 pub use fleet::{fleet, FleetConfig, FleetHandle};
 pub use metrics::Metrics;

@@ -4,8 +4,11 @@
 //! `"op"` field. See `DESIGN.md` §7 for the full grammar with example
 //! responses; parsing is strict about types but lenient about extra keys
 //! (clients may tag requests with their own bookkeeping fields).
+//! NDJSON is the only wire codec; `read_request_line` is the one line
+//! read step that the server and the fleet router share.
 
 use crate::json::{Json, MAX_DEPTH};
+use std::io::{self, BufRead};
 use std::time::Duration;
 use structcast::{AnalysisConfig, Budget, CompatMode, Layout, ModelKind, SolveError};
 
@@ -314,17 +317,44 @@ impl Request {
     }
 }
 
-// ----- the binary codec -----
+/// The outcome of [`read_request_line`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum LineRead {
+    /// A request line is in the buffer. A partial line at EOF also lands
+    /// here, without its newline; its parse error becomes the reply.
+    Line,
+    /// Clean EOF, or a connection-level failure with nobody to reply to.
+    Closed,
+    /// The line could not be read: send this `(kind, message)` error
+    /// reply, then close.
+    Unreadable(&'static str, String),
+}
 
-/// The four bytes a client sends first to negotiate the binary protocol
-/// on the shared listener. `0xB1` can never begin an NDJSON request (a
-/// JSON value starts with `{`, `[`, `"`, a digit, `-`, `t`, `f`, or `n`),
-/// so peeking one byte disambiguates the two codecs.
-pub const BINARY_PREAMBLE: [u8; 4] = [0xB1, b'S', b'C', b'P'];
+/// Reads one request line into `line` (cleared first), mapping read
+/// errors to the typed reply the peer gets before the connection closes:
+/// a read deadline is `timeout`, bytes that are not UTF-8 are
+/// `bad_request`. The server's connection loop and the fleet router's
+/// both read through here, so the two cannot answer a bad line
+/// differently.
+pub(crate) fn read_request_line(reader: &mut impl BufRead, line: &mut String) -> LineRead {
+    line.clear();
+    match reader.read_line(line) {
+        Ok(0) => LineRead::Closed,
+        Ok(_) => LineRead::Line,
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            LineRead::Unreadable("timeout", "read deadline exceeded; closing connection".into())
+        }
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            LineRead::Unreadable("bad_request", format!("unreadable request line: {e}"))
+        }
+        Err(_) => LineRead::Closed,
+    }
+}
 
-/// Largest frame either side will accept (64 MiB) — a length prefix
-/// beyond this is treated as a protocol error, not an allocation request.
-pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+// ----- the BJSON value codec -----
+//
+// No connection speaks this codec. `bjson_encode`/`bjson_decode` remain
+// only as the codec probe behind scbench's `server.bjson_*_us` layers.
 
 const BJ_NULL: u8 = 0;
 const BJ_FALSE: u8 = 1;
@@ -367,8 +397,7 @@ fn bjson_put(v: &Json, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a JSON value in the binary wire form (without the frame
-/// length prefix). Key order is preserved, so encoding is exactly as
+/// Encodes a JSON value in the binary form. Key order is preserved, so encoding is exactly as
 /// deterministic as the NDJSON emitter.
 pub fn bjson_encode(v: &Json) -> Vec<u8> {
     let mut out = Vec::new();
@@ -467,56 +496,6 @@ pub fn bjson_decode(bytes: &[u8]) -> Result<Json, String> {
         ));
     }
     Ok(v)
-}
-
-/// Writes one length-prefixed binary frame: `len: u32 LE` then `len`
-/// bytes of [`bjson_encode`]d value.
-///
-/// # Errors
-///
-/// Propagates write failures from `w`.
-pub fn write_frame(w: &mut impl std::io::Write, v: &Json) -> std::io::Result<()> {
-    let body = bjson_encode(v);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.flush()
-}
-
-/// Reads one length-prefixed binary frame. Returns `Ok(None)` on a clean
-/// EOF *before* the length prefix (the peer is done).
-///
-/// # Errors
-///
-/// `InvalidData` for an oversized length prefix or an undecodable body;
-/// any transport error otherwise (EOF mid-frame is `UnexpectedEof`).
-pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let n = r.read(&mut len_buf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "eof inside frame length",
-            ));
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds {MAX_FRAME_LEN}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    bjson_decode(&body)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// An `{"ok": false, "error": {"kind": ..., "message": ...}}` response —
@@ -772,31 +751,24 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip_and_cap_length() {
-        let v = Json::obj([("op", Json::str("stats"))]);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &v).unwrap();
-        write_frame(&mut wire, &Json::Arr(vec![v.clone(), Json::Null])).unwrap();
-        let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap(), Some(v.clone()));
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            Some(Json::Arr(vec![v, Json::Null]))
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), None); // clean EOF
-        // Oversized length prefix is a protocol error, not an allocation.
-        let huge = (MAX_FRAME_LEN + 1).to_le_bytes();
-        assert_eq!(
-            read_frame(&mut &huge[..]).unwrap_err().kind(),
-            std::io::ErrorKind::InvalidData
-        );
-        // EOF inside the length prefix is UnexpectedEof.
-        assert_eq!(
-            read_frame(&mut &[1u8, 0][..]).unwrap_err().kind(),
-            std::io::ErrorKind::UnexpectedEof
-        );
-        // The preamble's first byte can never start a JSON value.
-        assert!(Json::parse("\u{00B1}SCP").is_err());
+    fn unreadable_lines_map_to_typed_replies() {
+        let mut line = String::new();
+        let mut r = &b"{\"op\":\"stats\"}\n{\"op\""[..];
+        assert_eq!(read_request_line(&mut r, &mut line), LineRead::Line);
+        assert_eq!(line, "{\"op\":\"stats\"}\n");
+        // A partial line at EOF is still a line; its parse error replies.
+        assert_eq!(read_request_line(&mut r, &mut line), LineRead::Line);
+        assert_eq!(line, "{\"op\"");
+        assert_eq!(read_request_line(&mut r, &mut line), LineRead::Closed);
+        // Bytes that are not UTF-8 (here the old binary-codec preamble).
+        let mut r = &[0xB1, b'S', b'C', b'P', b'\n'][..];
+        match read_request_line(&mut r, &mut line) {
+            LineRead::Unreadable(kind, msg) => {
+                assert_eq!(kind, "bad_request");
+                assert!(msg.starts_with("unreadable request line: "), "{msg}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

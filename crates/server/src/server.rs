@@ -1,17 +1,13 @@
 //! The TCP front end: accept loop, worker pool, request dispatch.
 //!
-//! The default protocol is newline-delimited JSON over a plain
-//! `TcpStream`: one request object per line, one response object per
-//! line, in order, on a connection a client may hold for many requests.
-//! A connection whose first byte is [`BINARY_PREAMBLE`]`[0]` negotiates
-//! the length-prefixed **binary** codec instead (same listener, same
-//! request grammar, same replies — see [`crate::proto`]); a binary frame
-//! holding an *array* of requests is a pipelined batch answered by one
-//! array of replies in order. The accept loop hands connections to a
-//! fixed pool of `std::thread` workers through a **bounded** mpsc
-//! channel, so up to `threads` clients are served concurrently, up to
-//! `backlog` more queue, and anything past that is shed immediately with
-//! an `overloaded` reply instead of queueing unboundedly.
+//! The protocol is newline-delimited JSON over a plain `TcpStream`: one
+//! request object per line, one response object per line, in order, on a
+//! connection a client may hold for many requests. The accept loop hands
+//! connections to a fixed pool of `std::thread` workers through a
+//! **bounded** mpsc channel, so up to `threads` clients are served
+//! concurrently, up to `backlog` more queue, and anything past that is
+//! shed immediately with an `overloaded` reply instead of queueing
+//! unboundedly.
 //!
 //! With a snapshot directory configured ([`ServerConfig::snapshot_dir`])
 //! the server loads a warm cache at startup (falling back to a cold
@@ -43,12 +39,12 @@ use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::proto::{
-    error_response, error_response_with, ok_response, read_frame, solve_error_response,
-    write_frame, QueryOpts, Request, BINARY_PREAMBLE,
+    error_response, error_response_with, ok_response, read_request_line, solve_error_response,
+    LineRead, QueryOpts, Request,
 };
 use crate::wal::Wal;
 use std::collections::HashSet;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -476,17 +472,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     // One small response per request line; don't let Nagle delay it.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(shared.read_timeout);
-    // Codec negotiation: peek one byte. The binary preamble's first byte
-    // (0xB1) can never begin an NDJSON request (a JSON value starts with
-    // `{`, `[`, `"`, a digit, `-`, `t`, `f`, or `n`), so one byte settles
-    // it. On a peek error, fall through to the line loop — its read path
-    // produces the structured `timeout` reply.
-    let mut first = [0u8; 1];
-    let binary = matches!(stream.peek(&mut first), Ok(n) if n > 0 && first[0] == BINARY_PREAMBLE[0]);
-    if binary {
-        handle_binary_connection(shared, stream);
-        return;
-    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -494,97 +479,21 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
     loop {
-        line.clear();
-        // Manual read_line loop (not `lines()`): read errors must produce
-        // a final structured reply, not a silent close. A partial line at
-        // EOF comes back as `Ok(n > 0)` with no trailing newline and is
-        // dispatched like any request — its parse error is the reply.
-        let reply_and_close = match reader.read_line(&mut line) {
-            Ok(0) => break, // clean EOF
-            Ok(_) => None,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                Some(("timeout", "read deadline exceeded; closing connection".to_string()))
+        match read_request_line(&mut reader, &mut line) {
+            LineRead::Line => {}
+            LineRead::Closed => break,
+            LineRead::Unreadable(kind, msg) => {
+                shared.metrics.record_error(kind);
+                let resp = error_response(kind, &msg);
+                let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
+                break;
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                Some(("bad_request", format!("unreadable request line: {e}")))
-            }
-            Err(_) => break, // connection-level failure: nobody to reply to
-        };
-        if let Some((kind, msg)) = reply_and_close {
-            shared.metrics.record_error(kind);
-            let resp = error_response(kind, &msg);
-            let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
-            break;
         }
         if line.trim().is_empty() {
             continue;
         }
         let (resp, shutdown) = dispatch(shared, line.trim_end_matches(['\n', '\r']));
         if writeln!(writer, "{resp}").and_then(|()| writer.flush()).is_err() {
-            break;
-        }
-        if shutdown {
-            initiate_shutdown(shared);
-            break;
-        }
-    }
-}
-
-/// Serves one binary-codec connection: consume the 4-byte preamble, then
-/// loop reading length-prefixed frames. A frame holding a single request
-/// object gets one reply frame; a frame holding an **array** of requests
-/// is a pipelined batch — every element is dispatched in order (each
-/// recording its own metrics outcome) and answered by one array of
-/// replies in the same order.
-fn handle_binary_connection(shared: &Shared, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut preamble = [0u8; 4];
-    if reader.read_exact(&mut preamble).is_err() {
-        return;
-    }
-    if preamble != BINARY_PREAMBLE {
-        shared.metrics.record_error("bad_request");
-        let _ = write_frame(&mut writer, &error_response("bad_request", "bad binary preamble"));
-        return;
-    }
-    loop {
-        let value = match read_frame(&mut reader) {
-            Ok(Some(v)) => v,
-            Ok(None) => break, // clean EOF
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                shared.metrics.record_error("timeout");
-                let resp =
-                    error_response("timeout", "read deadline exceeded; closing connection");
-                let _ = write_frame(&mut writer, &resp);
-                break;
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof) =>
-            {
-                shared.metrics.record_error("bad_request");
-                let resp = error_response("bad_request", &format!("unreadable frame: {e}"));
-                let _ = write_frame(&mut writer, &resp);
-                break;
-            }
-            Err(_) => break, // connection-level failure: nobody to reply to
-        };
-        let (resp, shutdown) = match value {
-            Json::Arr(batch) => {
-                let mut replies = Vec::with_capacity(batch.len());
-                let mut shutdown = false;
-                for item in batch {
-                    let (r, s) = dispatch_value(shared, &item);
-                    shutdown |= s;
-                    replies.push(r);
-                }
-                (Json::Arr(replies), shutdown)
-            }
-            single => dispatch_value(shared, &single),
-        };
-        if write_frame(&mut writer, &resp).is_err() {
             break;
         }
         if shutdown {
@@ -629,16 +538,7 @@ fn panic_reply(shared: &Shared, payload: &(dyn std::any::Any + Send)) -> (Json, 
 
 /// Handles one request line with panic isolation.
 fn dispatch(shared: &Shared, line: &str) -> (Json, bool) {
-    match catch_unwind(AssertUnwindSafe(|| dispatch_inner(shared, line))) {
-        Ok(r) => r,
-        Err(payload) => panic_reply(shared, payload.as_ref()),
-    }
-}
-
-/// Handles one already-decoded request value (the binary codec's unit of
-/// dispatch) with panic isolation.
-fn dispatch_value(shared: &Shared, value: &Json) -> (Json, bool) {
-    match catch_unwind(AssertUnwindSafe(|| dispatch_parsed(shared, value))) {
+    match catch_unwind(AssertUnwindSafe(|| dispatch_line(shared, line))) {
         Ok(r) => r,
         Err(payload) => panic_reply(shared, payload.as_ref()),
     }
@@ -647,7 +547,7 @@ fn dispatch_value(shared: &Shared, value: &Json) -> (Json, bool) {
 /// Parses and handles one request line; returns the response and whether
 /// a graceful shutdown was requested. Exactly one metrics outcome
 /// (ok/error) is recorded per call — the reconciliation invariant.
-fn dispatch_inner(shared: &Shared, line: &str) -> (Json, bool) {
+fn dispatch_line(shared: &Shared, line: &str) -> (Json, bool) {
     let parsed = match Json::parse(line) {
         Ok(v) => v,
         Err(e) => {
@@ -655,15 +555,9 @@ fn dispatch_inner(shared: &Shared, line: &str) -> (Json, bool) {
             return (error_response("bad_request", &e.to_string()), false);
         }
     };
-    dispatch_parsed(shared, &parsed)
-}
-
-/// Handles one decoded request value — the codec-independent half of
-/// dispatch, shared by the NDJSON line loop and the binary frame loop.
-fn dispatch_parsed(shared: &Shared, parsed: &Json) -> (Json, bool) {
     let start = Instant::now();
     shared.faults.fire("read");
-    let req = match Request::from_json(parsed) {
+    let req = match Request::from_json(&parsed) {
         Ok(r) => r,
         Err(e) => {
             shared.metrics.record_error("bad_request");

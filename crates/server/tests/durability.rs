@@ -2,7 +2,7 @@
 //! (SIGKILL between snapshots, torn-tail restarts), the degradation
 //! ladder (demand fallback, stale serving, brownout, non-durable
 //! updates), client retry/backoff reconciliation, and hostile wire-input
-//! sweeps over both codecs.
+//! sweeps against the server and the fleet router.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -11,7 +11,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use structcast_server::json::Json;
 use structcast_server::metrics::ERROR_KINDS;
-use structcast_server::proto::{read_frame, BINARY_PREAMBLE, MAX_FRAME_LEN};
 use structcast_server::wal;
 use structcast_server::{fleet, serve, Client, FleetConfig, RetryOpts, ServerConfig};
 
@@ -548,17 +547,30 @@ fn ndjson_bomb(addr: SocketAddr) -> Json {
     Json::parse(&c.request_line(&"[".repeat(200_000)).unwrap()).unwrap()
 }
 
-/// Sends one 200,000-deep BJSON frame and returns the reply frame. Each
-/// level is tag 5 (array) with a one-element count: ~1 MB, well under
-/// `MAX_FRAME_LEN`.
-fn bjson_bomb(addr: SocketAddr) -> Json {
-    let body = [5u8, 1, 0, 0, 0].repeat(200_000);
+/// The first line an old binary-codec client sent: its four-byte
+/// preamble, which is not UTF-8, then a newline.
+const OLD_CODEC_PREAMBLE_LINE: &[u8] = &[0xB1, 0x53, 0x43, 0x50, 0x0A];
+
+/// Writes `bytes` on a fresh connection and returns the one reply line,
+/// or `None` if the peer closed without replying.
+fn raw_reply(addr: SocketAddr, bytes: &[u8]) -> Option<Json> {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(&BINARY_PREAMBLE).unwrap();
-    s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-    s.write_all(&body).unwrap();
-    read_frame(&mut BufReader::new(&s)).unwrap().expect("a reply frame")
+    s.write_all(bytes).unwrap();
+    let mut reply = String::new();
+    match BufReader::new(&s).read_line(&mut reply) {
+        Ok(0) | Err(_) => None,
+        Ok(_) => Some(Json::parse(reply.trim_end()).expect("a JSON reply line")),
+    }
+}
+
+/// An unreadable line must get a typed `bad_request` reply naming the
+/// failed read, not a silent close.
+fn assert_unreadable_rejected(addr: SocketAddr, bytes: &[u8]) {
+    let resp = raw_reply(addr, bytes).unwrap_or_else(|| panic!("no reply to {bytes:?}"));
+    assert_eq!(error_kind(&resp), Some("bad_request"), "{resp}");
+    let msg = resp.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+    assert!(msg.unwrap_or_default().starts_with("unreadable request line"), "{resp}");
 }
 
 /// A nesting bomb must come back as a typed `bad_request` naming the
@@ -602,24 +614,17 @@ fn hostile_ndjson_lines_get_typed_errors_and_never_kill_a_worker() {
             _ => format!(r#"{{"op":{case},"deep":[[[[[[{case}]]]]]]}}"#).into_bytes(),
         };
         line.retain(|&b| b != b'\n' && b != b'\r');
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s.write_all(&line).unwrap();
-        s.write_all(b"\n").unwrap();
-        let mut reply = String::new();
-        match BufReader::new(&s).read_line(&mut reply) {
-            Ok(0) | Err(_) => {} // clean close is acceptable for unreadable bytes
-            Ok(_) => {
-                let resp = Json::parse(reply.trim_end())
-                    .unwrap_or_else(|e| panic!("unparseable reply to garbage {line:?}: {e}"));
-                assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
-                let kind = error_kind(&resp).expect("typed kind");
-                assert!(ERROR_KINDS.contains(&kind), "unknown kind {kind}");
-                replies += 1;
-            }
+        line.push(b'\n');
+        // A clean close is acceptable for unreadable bytes.
+        if let Some(resp) = raw_reply(addr, &line) {
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
+            let kind = error_kind(&resp).expect("typed kind");
+            assert!(ERROR_KINDS.contains(&kind), "unknown kind {kind}");
+            replies += 1;
         }
     }
     assert!(replies > 0, "most garbage lines get typed replies");
+    assert_unreadable_rejected(addr, OLD_CODEC_PREAMBLE_LINE);
     assert_nesting_rejected(&ndjson_bomb(addr));
     // The server survived the sweep and no worker died.
     let mut c = Client::connect(addr).unwrap();
@@ -632,65 +637,10 @@ fn hostile_ndjson_lines_get_typed_errors_and_never_kill_a_worker() {
     handle.wait();
 }
 
-/// Hostile binary-codec sweep: random tags, oversized length prefixes,
-/// and truncated frames must each produce a typed `bad_request` reply
-/// (or a clean close), never kill a worker, and leave metrics
-/// reconciling.
-#[test]
-fn hostile_binary_frames_get_typed_errors_and_never_kill_a_worker() {
-    let handle = serve(&ServerConfig::default()).unwrap();
-    let addr = handle.addr();
-    let mut rng = Mangler(0xfeed_face);
-    let mut typed = 0usize;
-    for case in 0..48 {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s.write_all(&BINARY_PREAMBLE).unwrap();
-        match case % 3 {
-            // Oversized length prefix: rejected before any allocation of
-            // consequence.
-            0 => {
-                let len = MAX_FRAME_LEN + 1 + (rng.next() as u32 % 1_000_000);
-                s.write_all(&len.to_le_bytes()).unwrap();
-            }
-            // Plausible length, garbage body (random tags).
-            1 => {
-                let n = 1 + (rng.next() % 64) as usize;
-                let body = rng.bytes(n);
-                s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-                s.write_all(&body).unwrap();
-            }
-            // Truncated frame: declare more than is sent, then close.
-            _ => {
-                let declared = 64 + (rng.next() % 1024) as u32;
-                s.write_all(&declared.to_le_bytes()).unwrap();
-                s.write_all(&rng.bytes(8)).unwrap();
-                s.shutdown(std::net::Shutdown::Write).unwrap();
-            }
-        }
-        let mut r = BufReader::new(&s);
-        // A clean close (Ok(None) / Err) is also acceptable.
-        if let Ok(Some(resp)) = read_frame(&mut r) {
-            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
-            assert_eq!(error_kind(&resp), Some("bad_request"), "{resp}");
-            typed += 1;
-        }
-    }
-    assert!(typed > 0, "mangled frames get typed replies");
-    assert_nesting_rejected(&bjson_bomb(addr));
-    let mut c = Client::connect(addr).unwrap();
-    assert!(ok(&c.stats().unwrap()));
-    let m = handle.metrics();
-    assert_eq!(m.panics(), 0, "mangled frames must never panic a worker");
-    let errors: u64 = ERROR_KINDS.iter().map(|k| m.errors_of_kind(k)).sum();
-    assert_eq!(m.requests(), m.ok() + errors, "metrics reconcile after the sweep");
-    let _ = c.shutdown_server();
-    handle.wait();
-}
-
-/// The fleet router decodes every line and frame it routes with the same
-/// two decoders: a nesting bomb through it gets the same typed reply, and
-/// both replica processes stay live.
+/// The fleet router reads and decodes every line it routes the way the
+/// server does: a nesting bomb, a line that is not UTF-8 and an old binary
+/// client's preamble each get the server's typed reply, and both replica
+/// processes stay live.
 #[test]
 fn fleet_router_rejects_nesting_bombs_and_keeps_both_replicas() {
     let cfg = FleetConfig {
@@ -701,7 +651,8 @@ fn fleet_router_rejects_nesting_bombs_and_keeps_both_replicas() {
     };
     let h = fleet(&cfg).expect("spawn 2 replicas + router");
     assert_nesting_rejected(&ndjson_bomb(h.addr()));
-    assert_nesting_rejected(&bjson_bomb(h.addr()));
+    assert_unreadable_rejected(h.addr(), b"{\"op\":\"\xff\xfe\"}\n");
+    assert_unreadable_rejected(h.addr(), OLD_CODEC_PREAMBLE_LINE);
     let mut c = Client::connect(h.addr()).unwrap();
     let stats = Json::parse(&c.request_line(r#"{"op":"fleet_stats"}"#).unwrap()).unwrap();
     let rows = stats.get("replicas").and_then(Json::as_arr).expect("replica rows");
