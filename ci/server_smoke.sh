@@ -15,8 +15,9 @@
 # (zero compile/solve misses, one counted restore), an update accepted between snapshots must survive a
 # SIGKILL via write-ahead-journal replay, and a 2-replica fleet router
 # must report both replicas alive and shut the whole fleet down cleanly.
-# A 200,000-deep nesting bomb sent to the server and through the router
-# must come back as a typed bad_request while both keep serving.
+# A 200,000-deep nesting bomb sent to the server and through the router,
+# and a `load` whose C source nests 2,000 parentheses, must come back as
+# typed bad_requests while both keep serving.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -169,6 +170,20 @@ nesting_bomb "$ADDR" server
     echo "server stopped answering after a nesting bomb"; exit 1
 }
 echo "nesting bomb: typed bad_request, server still serving"
+# C-source bomb: a `load` nesting 2,000 parentheses must get a typed
+# bad_request naming line and column (the parser's nesting budget) rather
+# than overflow the worker's stack.
+OPEN=$(printf '%*s' 2000 '' | tr ' ' '(')
+CLOSE=$(printf '%*s' 2000 '' | tr ' ' ')')
+DEEP=$("$SCAST" query --addr "$ADDR" \
+    "{\"op\":\"load\",\"name\":\"deep\",\"source\":\"int x, *p; void f(void) { p = ${OPEN}&x${CLOSE}; }\"}")
+echo "$DEEP" | grep -q '"bad_request"' && echo "$DEEP" | grep -q 'nesting deeper than 128 levels at line 1, column' || {
+    echo "C-source bomb must get bad_request naming its position:"; echo "$DEEP" | cut -c1-300; exit 1
+}
+"$SCAST" query --addr "$ADDR" '{"op":"stats"}' | grep -q '"ok": true' || {
+    echo "server stopped answering after a C-source bomb"; exit 1
+}
+echo "C-source bomb: typed bad_request naming its position, server still serving"
 
 "$SCAST" query --addr "$ADDR" '{"op":"shutdown"}' | grep -q '"shutdown": true'
 wait "$SERVER_PID"

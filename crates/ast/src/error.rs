@@ -5,11 +5,13 @@ use std::fmt;
 
 /// An error produced while lexing or parsing C source.
 ///
-/// Carries a message and the [`Span`] where the problem was detected.
+/// Carries a message and the [`Span`] where the problem was detected;
+/// errors from [`parse`](crate::parse) also carry the column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     message: String,
     span: Span,
+    column: Option<u32>,
 }
 
 impl ParseError {
@@ -18,7 +20,17 @@ impl ParseError {
         ParseError {
             message: message.into(),
             span,
+            column: None,
         }
+    }
+
+    /// Fills in the 1-based column of the span's start within `src`, the
+    /// text the span indexes.
+    pub(crate) fn locate(mut self, src: &str) -> Self {
+        let before = src.get(..self.span.start as usize).unwrap_or(src);
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        self.column = Some(before[line_start..].chars().count() as u32 + 1);
+        self
     }
 
     /// The human-readable message (lowercase, no trailing punctuation).
@@ -30,11 +42,20 @@ impl ParseError {
     pub fn span(&self) -> Span {
         self.span
     }
+
+    /// The 1-based column of the span's start, when known.
+    pub fn column(&self) -> Option<u32> {
+        self.column
+    }
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at {}", self.message, self.span)
+        write!(f, "{} at {}", self.message, self.span)?;
+        match self.column {
+            Some(c) => write!(f, ", column {c}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -53,6 +74,8 @@ mod tests {
         assert_eq!(e.to_string(), "unexpected `;` at line 3");
         assert_eq!(e.message(), "unexpected `;`");
         assert_eq!(e.span().line, 3);
+        let e = e.locate("int x;\n\n  ;");
+        assert_eq!(e.to_string(), "unexpected `;` at line 3, column 3");
     }
 
     #[test]

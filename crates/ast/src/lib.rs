@@ -50,7 +50,7 @@ pub use ast::{
 };
 pub use error::{ParseError, Result};
 pub use lexer::Lexer;
-pub use parser::{parse, Parser};
+pub use parser::{parse, Parser, MAX_NESTING};
 pub use preprocess::{preprocess, IncludeResolver};
 pub use pretty::{print_expr, print_translation_unit, print_type};
 pub use span::Span;

@@ -215,7 +215,7 @@ impl Parser {
         let fields = if self.eat(&TokenKind::LBrace) {
             let mut fields = Vec::new();
             while !self.check(&TokenKind::RBrace) {
-                self.parse_field_group(&mut fields)?;
+                self.nested(|p| p.parse_field_group(&mut fields))?;
             }
             self.expect(&TokenKind::RBrace)?;
             Some(fields)
@@ -345,13 +345,17 @@ impl Parser {
             while matches!(self.peek(), TokenKind::KwConst | TokenKind::KwVolatile) {
                 self.advance();
             }
-            let inner = self.parse_declarator(allow_abstract)?;
+            let inner = self.nested(|p| p.parse_declarator(allow_abstract))?;
             return Ok(Decltor::Pointer(Box::new(inner)));
         }
         self.parse_direct_declarator(allow_abstract)
     }
 
     fn parse_direct_declarator(&mut self, allow_abstract: bool) -> Result<Decltor> {
+        self.left_deep(|p| p.parse_declarator_suffixes(allow_abstract))
+    }
+
+    fn parse_declarator_suffixes(&mut self, allow_abstract: bool) -> Result<Decltor> {
         let mut d = match self.peek().clone() {
             TokenKind::Ident(name) => {
                 let sp = self.peek_span();
@@ -360,7 +364,7 @@ impl Parser {
             }
             TokenKind::LParen if self.paren_is_grouping(allow_abstract) => {
                 self.advance();
-                let inner = self.parse_declarator(allow_abstract)?;
+                let inner = self.nested(|p| p.parse_declarator(allow_abstract))?;
                 self.expect(&TokenKind::RParen)?;
                 inner
             }
@@ -373,17 +377,18 @@ impl Parser {
                 let size = if self.check(&TokenKind::RBracket) {
                     None
                 } else {
-                    Some(self.parse_conditional_expr()?)
+                    Some(self.nested(Self::parse_conditional_expr)?)
                 };
                 self.expect(&TokenKind::RBracket)?;
                 d = Decltor::Array(Box::new(d), size);
             } else if self.check(&TokenKind::LParen) {
                 self.advance();
-                let (params, variadic) = self.parse_param_list()?;
+                let (params, variadic) = self.nested(Self::parse_param_list)?;
                 d = Decltor::Func(Box::new(d), params, variadic);
             } else {
                 break;
             }
+            self.grow()?;
         }
         Ok(d)
     }

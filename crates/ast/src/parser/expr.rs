@@ -54,14 +54,17 @@ fn assign_op_for(tok: &TokenKind) -> Option<AssignOp> {
 impl Parser {
     /// Parses a full expression (including comma operators).
     pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
-        let mut e = self.parse_assignment_expr()?;
-        while self.check(&TokenKind::Comma) {
-            self.advance();
-            let rhs = self.parse_assignment_expr()?;
-            let span = e.span.merge(rhs.span);
-            e = Expr::new(ExprKind::Comma(Box::new(e), Box::new(rhs)), span);
-        }
-        Ok(e)
+        self.left_deep(|p| {
+            let mut e = p.parse_assignment_expr()?;
+            while p.check(&TokenKind::Comma) {
+                p.advance();
+                let rhs = p.parse_assignment_expr()?;
+                p.grow()?;
+                let span = e.span.merge(rhs.span);
+                e = Expr::new(ExprKind::Comma(Box::new(e), Box::new(rhs)), span);
+            }
+            Ok(e)
+        })
     }
 
     /// Parses an assignment-expression (no top-level comma).
@@ -69,7 +72,7 @@ impl Parser {
         let lhs = self.parse_conditional_expr()?;
         if let Some(op) = assign_op_for(self.peek()) {
             self.advance();
-            let rhs = self.parse_assignment_expr()?;
+            let rhs = self.nested(Self::parse_assignment_expr)?;
             let span = lhs.span.merge(rhs.span);
             return Ok(Expr::new(
                 ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
@@ -83,9 +86,9 @@ impl Parser {
     pub(crate) fn parse_conditional_expr(&mut self) -> Result<Expr> {
         let cond = self.parse_binary_expr(0)?;
         if self.eat(&TokenKind::Question) {
-            let then = self.parse_expr()?;
+            let then = self.nested(Self::parse_expr)?;
             self.expect(&TokenKind::Colon)?;
-            let els = self.parse_conditional_expr()?;
+            let els = self.nested(Self::parse_conditional_expr)?;
             let span = cond.span.merge(els.span);
             return Ok(Expr::new(
                 ExprKind::Cond(Box::new(cond), Box::new(then), Box::new(els)),
@@ -96,17 +99,20 @@ impl Parser {
     }
 
     fn parse_binary_expr(&mut self, min_bp: u8) -> Result<Expr> {
-        let mut lhs = self.parse_cast_expr()?;
-        while let Some((op, bp)) = binop_for(self.peek()) {
-            if bp < min_bp {
-                break;
+        self.left_deep(|p| {
+            let mut lhs = p.parse_cast_expr()?;
+            while let Some((op, bp)) = binop_for(p.peek()) {
+                if bp < min_bp {
+                    break;
+                }
+                p.advance();
+                let rhs = p.parse_binary_expr(bp + 1)?;
+                p.grow()?;
+                let span = lhs.span.merge(rhs.span);
+                lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
             }
-            self.advance();
-            let rhs = self.parse_binary_expr(bp + 1)?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
+            Ok(lhs)
+        })
     }
 
     /// True if `(` at the current position begins a cast, i.e. the token
@@ -126,11 +132,13 @@ impl Parser {
         if self.lparen_starts_cast() {
             let start = self.peek_span();
             self.advance(); // (
-            let ty = self.parse_type_name()?;
-            self.expect(&TokenKind::RParen)?;
-            let inner = self.parse_cast_expr()?;
-            let span = start.merge(inner.span);
-            return Ok(Expr::new(ExprKind::Cast(ty, Box::new(inner)), span));
+            return self.nested(|p| {
+                let ty = p.parse_type_name()?;
+                p.expect(&TokenKind::RParen)?;
+                let inner = p.parse_cast_expr()?;
+                let span = start.merge(inner.span);
+                Ok(Expr::new(ExprKind::Cast(ty, Box::new(inner)), span))
+            });
         }
         self.parse_unary_expr()
     }
@@ -152,14 +160,14 @@ impl Parser {
         };
         if let Some(op) = un(self.peek()) {
             self.advance();
-            let inner = self.parse_cast_expr()?;
+            let inner = self.nested(Self::parse_cast_expr)?;
             let span = start.merge(inner.span);
             return Ok(Expr::new(ExprKind::Unary(op, Box::new(inner)), span));
         }
         match self.peek().clone() {
             TokenKind::PlusPlus => {
                 self.advance();
-                let inner = self.parse_unary_expr()?;
+                let inner = self.nested(Self::parse_unary_expr)?;
                 let span = start.merge(inner.span);
                 Ok(Expr::new(
                     ExprKind::Unary(UnOp::PreInc, Box::new(inner)),
@@ -168,7 +176,7 @@ impl Parser {
             }
             TokenKind::MinusMinus => {
                 self.advance();
-                let inner = self.parse_unary_expr()?;
+                let inner = self.nested(Self::parse_unary_expr)?;
                 let span = start.merge(inner.span);
                 Ok(Expr::new(
                     ExprKind::Unary(UnOp::PreDec, Box::new(inner)),
@@ -177,46 +185,55 @@ impl Parser {
             }
             TokenKind::KwSizeof => {
                 self.advance();
-                if self.lparen_starts_cast() {
-                    self.advance(); // (
-                    let ty = self.parse_type_name()?;
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::new(
-                        ExprKind::SizeofType(ty),
-                        start.merge(self.prev_span()),
-                    ))
-                } else {
-                    let inner = self.parse_unary_expr()?;
-                    let span = start.merge(inner.span);
-                    Ok(Expr::new(ExprKind::SizeofExpr(Box::new(inner)), span))
-                }
+                self.nested(|p| {
+                    if p.lparen_starts_cast() {
+                        p.advance(); // (
+                        let ty = p.parse_type_name()?;
+                        p.expect(&TokenKind::RParen)?;
+                        Ok(Expr::new(
+                            ExprKind::SizeofType(ty),
+                            start.merge(p.prev_span()),
+                        ))
+                    } else {
+                        let inner = p.parse_unary_expr()?;
+                        let span = start.merge(inner.span);
+                        Ok(Expr::new(ExprKind::SizeofExpr(Box::new(inner)), span))
+                    }
+                })
             }
             _ => self.parse_postfix_expr(),
         }
     }
 
     fn parse_postfix_expr(&mut self) -> Result<Expr> {
+        self.left_deep(Self::parse_postfix_chain)
+    }
+
+    fn parse_postfix_chain(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary_expr()?;
         loop {
             match self.peek().clone() {
                 TokenKind::LParen => {
                     self.advance();
-                    let mut args = Vec::new();
-                    if !self.check(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_assignment_expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
+                    let args = self.nested(|p| {
+                        let mut args = Vec::new();
+                        if !p.check(&TokenKind::RParen) {
+                            loop {
+                                args.push(p.parse_assignment_expr()?);
+                                if !p.eat(&TokenKind::Comma) {
+                                    break;
+                                }
                             }
                         }
-                    }
+                        Ok(args)
+                    })?;
                     self.expect(&TokenKind::RParen)?;
                     let span = e.span.merge(self.prev_span());
                     e = Expr::new(ExprKind::Call(Box::new(e), args), span);
                 }
                 TokenKind::LBracket => {
                     self.advance();
-                    let idx = self.parse_expr()?;
+                    let idx = self.nested(Self::parse_expr)?;
                     self.expect(&TokenKind::RBracket)?;
                     let span = e.span.merge(self.prev_span());
                     e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), span);
@@ -245,6 +262,7 @@ impl Parser {
                 }
                 _ => break,
             }
+            self.grow()?;
         }
         Ok(e)
     }
@@ -274,7 +292,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.advance();
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }

@@ -16,6 +16,18 @@ use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::collections::HashMap;
 
+/// Deepest nesting the parser accepts. A level is one AST node that
+/// parsing, lowering or `Drop` recurses through — a parenthesis, an
+/// operator, a statement, a declarator or an initializer brace. Deeper
+/// input is a [`ParseError`] at the token that crossed the budget, never
+/// a stack overflow.
+///
+/// Sized by measurement (`tests/nesting_budget.rs`): the costliest shape,
+/// nested parentheses at ~3.3 KiB of parser stack per level in a release
+/// build, reaches ~620 levels on a server worker's 2 MiB stack, so 128
+/// levels leave a margin above 4×.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a complete translation unit from C source text.
 ///
 /// This is the main entry point of the crate.
@@ -32,8 +44,10 @@ use std::collections::HashMap;
 /// # Ok::<(), structcast_ast::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<TranslationUnit> {
-    let tokens = Lexer::new(src).tokenize()?;
-    Parser::new(tokens).parse_translation_unit()
+    Lexer::new(src)
+        .tokenize()
+        .and_then(|tokens| Parser::new(tokens).parse_translation_unit())
+        .map_err(|e| e.locate(src))
 }
 
 /// The parser state.
@@ -43,6 +57,10 @@ pub struct Parser {
     pos: usize,
     /// Scope stack mapping declared names to "is a typedef name".
     scopes: Vec<HashMap<String, bool>>,
+    /// Nesting levels open above the node being parsed.
+    depth: usize,
+    /// Deepest level a node of the current left-deep tree reaches.
+    reach: usize,
 }
 
 impl Parser {
@@ -52,6 +70,8 @@ impl Parser {
             toks,
             pos: 0,
             scopes: vec![HashMap::new()],
+            depth: 0,
+            reach: 0,
         }
     }
 
@@ -136,6 +156,42 @@ impl Parser {
 
     pub(crate) fn error(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(msg, self.peek_span())
+    }
+
+    // ----- nesting budget -----
+
+    /// Parses `f` one nesting level below the current one. Every recursive
+    /// production goes through here, which bounds the recursion of the
+    /// parser, and of lowering and `Drop` after it, by [`MAX_NESTING`].
+    pub(crate) fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += 1;
+        let r = self.reach_level(self.depth).and_then(|()| f(self));
+        self.depth -= 1;
+        r
+    }
+
+    /// Runs `f`, a loop that builds a left-deep tree (`a + b + c`,
+    /// `p->f->g`, `a[1][2]`) without recursing: while it runs, `reach`
+    /// tracks that tree alone, and each [`grow`](Parser::grow) wraps the
+    /// tree in one more node.
+    pub(crate) fn left_deep<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let outer = std::mem::replace(&mut self.reach, self.depth);
+        let r = f(self);
+        self.reach = self.reach.max(outer);
+        r
+    }
+
+    /// Wraps the current left-deep tree in one more node.
+    pub(crate) fn grow(&mut self) -> Result<()> {
+        self.reach_level(self.reach + 1)
+    }
+
+    fn reach_level(&mut self, level: usize) -> Result<()> {
+        if level > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.reach = self.reach.max(level);
+        Ok(())
     }
 
     // ----- scopes / typedef tracking -----
@@ -274,7 +330,7 @@ impl Parser {
             let mut elems = Vec::new();
             if !self.check(&TokenKind::RBrace) {
                 loop {
-                    elems.push(self.parse_initializer()?);
+                    elems.push(self.nested(Self::parse_initializer)?);
                     if !self.eat(&TokenKind::Comma) {
                         break;
                     }
@@ -361,6 +417,27 @@ mod tests {
         if let AstType::Pointer(inner) = &tys[1] {
             assert!(matches!(**inner, AstType::Array(_, _)));
         }
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_a_typed_error() {
+        // Parenthesis 128 opens level 129: the error names its column.
+        let src = format!(
+            "int x, *p;\nvoid f(void) {{ p = {}&x; }}",
+            "(".repeat(200_000)
+        );
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&src).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_NESTING} levels at line 2, column 147")
+        );
+        assert!(parse(&format!("int {}p;", "*".repeat(MAX_NESTING))).is_ok());
+        assert!(parse(&format!("int {}p;", "*".repeat(MAX_NESTING + 1))).is_err());
     }
 
     #[test]

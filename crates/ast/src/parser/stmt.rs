@@ -39,141 +39,162 @@ impl Parser {
         self.finish_declaration(storage, base, name, ty, span, start)
     }
 
-    /// Parses one statement.
+    /// Parses one statement, one nesting level below its parent.
     pub(crate) fn parse_stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    /// Dispatches on the first token. Each compound form has its own
+    /// out-of-line function: every nesting level pays this frame, and
+    /// inlining all forms' temporaries into it made it ~4 KiB.
+    fn parse_stmt_here(&mut self) -> Result<Stmt> {
         use TokenKind as T;
-        match self.peek().clone() {
+        match self.peek() {
             T::LBrace => self.parse_block(),
-            T::Semi => {
-                self.advance();
-                Ok(Stmt::Expr(None))
-            }
-            T::KwIf => {
-                self.advance();
-                self.expect(&T::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(&T::RParen)?;
-                let then = Box::new(self.parse_stmt()?);
-                let els = if self.eat(&T::KwElse) {
-                    Some(Box::new(self.parse_stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::If { cond, then, els })
-            }
-            T::KwWhile => {
-                self.advance();
-                self.expect(&T::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(&T::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
-                Ok(Stmt::While { cond, body })
-            }
-            T::KwDo => {
-                self.advance();
-                let body = Box::new(self.parse_stmt()?);
-                self.expect(&T::KwWhile)?;
-                self.expect(&T::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(&T::RParen)?;
-                self.expect(&T::Semi)?;
-                Ok(Stmt::DoWhile { body, cond })
-            }
-            T::KwFor => {
-                self.advance();
-                self.expect(&T::LParen)?;
-                self.push_scope();
-                let init = if self.check(&T::Semi) {
-                    self.advance();
-                    None
-                } else if self.starts_declaration() {
-                    Some(ForInit::Decl(self.parse_local_declaration()?))
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect(&T::Semi)?;
-                    Some(ForInit::Expr(e))
-                };
-                let cond = if self.check(&T::Semi) {
-                    None
-                } else {
-                    Some(self.parse_expr()?)
-                };
-                self.expect(&T::Semi)?;
-                let step = if self.check(&T::RParen) {
-                    None
-                } else {
-                    Some(self.parse_expr()?)
-                };
-                self.expect(&T::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
-                self.pop_scope();
-                Ok(Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                })
-            }
-            T::KwSwitch => {
-                self.advance();
-                self.expect(&T::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(&T::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
-                Ok(Stmt::Switch { cond, body })
-            }
-            T::KwCase => {
-                self.advance();
-                let val = self.parse_conditional_expr()?;
-                self.expect(&T::Colon)?;
-                let inner = Box::new(self.parse_stmt()?);
-                Ok(Stmt::Case(val, inner))
-            }
-            T::KwDefault => {
-                self.advance();
-                self.expect(&T::Colon)?;
-                let inner = Box::new(self.parse_stmt()?);
-                Ok(Stmt::Default(inner))
-            }
+            T::KwIf => self.parse_if(),
+            T::KwWhile | T::KwSwitch => self.parse_while_or_switch(),
+            T::KwDo => self.parse_do(),
+            T::KwFor => self.parse_for(),
+            T::KwCase | T::KwDefault => self.parse_case(),
+            // Label: `ident :` (but not `ident ::` etc.)
+            T::Ident(_) if self.peek_nth(1) == &T::Colon => self.parse_labeled(),
+            _ => self.parse_simple_stmt(),
+        }
+    }
+
+    #[inline(never)]
+    fn parse_if(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        self.advance();
+        self.expect(&T::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(&T::RParen)?;
+        let then = Box::new(self.parse_stmt()?);
+        let els = if self.eat(&T::KwElse) {
+            Some(Box::new(self.parse_stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::If { cond, then, els })
+    }
+
+    #[inline(never)]
+    fn parse_while_or_switch(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        let is_while = self.advance().kind == T::KwWhile;
+        self.expect(&T::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(&T::RParen)?;
+        let body = Box::new(self.parse_stmt()?);
+        Ok(if is_while {
+            Stmt::While { cond, body }
+        } else {
+            Stmt::Switch { cond, body }
+        })
+    }
+
+    #[inline(never)]
+    fn parse_do(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        self.advance();
+        let body = Box::new(self.parse_stmt()?);
+        self.expect(&T::KwWhile)?;
+        self.expect(&T::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(&T::RParen)?;
+        self.expect(&T::Semi)?;
+        Ok(Stmt::DoWhile { body, cond })
+    }
+
+    #[inline(never)]
+    fn parse_for(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        self.advance();
+        self.expect(&T::LParen)?;
+        self.push_scope();
+        let init = if self.check(&T::Semi) {
+            self.advance();
+            None
+        } else if self.starts_declaration() {
+            Some(ForInit::Decl(self.parse_local_declaration()?))
+        } else {
+            let e = self.parse_expr()?;
+            self.expect(&T::Semi)?;
+            Some(ForInit::Expr(e))
+        };
+        let cond = if self.check(&T::Semi) {
+            None
+        } else {
+            Some(self.parse_expr()?)
+        };
+        self.expect(&T::Semi)?;
+        let step = if self.check(&T::RParen) {
+            None
+        } else {
+            Some(self.parse_expr()?)
+        };
+        self.expect(&T::RParen)?;
+        let body = Box::new(self.parse_stmt()?);
+        self.pop_scope();
+        Ok(Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+        })
+    }
+
+    #[inline(never)]
+    fn parse_case(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        if self.advance().kind == T::KwDefault {
+            self.expect(&T::Colon)?;
+            return Ok(Stmt::Default(Box::new(self.parse_stmt()?)));
+        }
+        let val = self.parse_conditional_expr()?;
+        self.expect(&T::Colon)?;
+        let inner = Box::new(self.parse_stmt()?);
+        Ok(Stmt::Case(val, inner))
+    }
+
+    #[inline(never)]
+    fn parse_labeled(&mut self) -> Result<Stmt> {
+        let (name, _) = self.expect_ident()?;
+        self.advance(); // :
+        let inner = Box::new(self.parse_stmt()?);
+        Ok(Stmt::Labeled(name, inner))
+    }
+
+    /// The forms that hold no statement: `;`, jumps and expressions.
+    #[inline(never)]
+    fn parse_simple_stmt(&mut self) -> Result<Stmt> {
+        use TokenKind as T;
+        let stmt = match self.peek().clone() {
+            T::Semi => Stmt::Expr(None),
             T::KwReturn => {
                 self.advance();
-                let val = if self.check(&T::Semi) {
-                    None
+                if self.check(&T::Semi) {
+                    Stmt::Return(None)
                 } else {
-                    Some(self.parse_expr()?)
-                };
-                self.expect(&T::Semi)?;
-                Ok(Stmt::Return(val))
+                    Stmt::Return(Some(self.parse_expr()?))
+                }
             }
             T::KwBreak => {
                 self.advance();
-                self.expect(&T::Semi)?;
-                Ok(Stmt::Break)
+                Stmt::Break
             }
             T::KwContinue => {
                 self.advance();
-                self.expect(&T::Semi)?;
-                Ok(Stmt::Continue)
+                Stmt::Continue
             }
             T::KwGoto => {
                 self.advance();
-                let (label, _) = self.expect_ident()?;
-                self.expect(&T::Semi)?;
-                Ok(Stmt::Goto(label))
+                Stmt::Goto(self.expect_ident()?.0)
             }
-            // Label: `ident :` (but not `ident ::` etc.)
-            T::Ident(name) if self.peek_nth(1) == &T::Colon => {
-                self.advance();
-                self.advance();
-                let inner = Box::new(self.parse_stmt()?);
-                Ok(Stmt::Labeled(name, inner))
-            }
-            _ => {
-                let e = self.parse_expr()?;
-                self.expect(&T::Semi)?;
-                Ok(Stmt::Expr(Some(e)))
-            }
-        }
+            _ => Stmt::Expr(Some(self.parse_expr()?)),
+        };
+        self.expect(&T::Semi)?;
+        Ok(stmt)
     }
 }
 

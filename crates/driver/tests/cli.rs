@@ -211,6 +211,29 @@ fn malformed_input_fails_with_parse_error_on_stderr() {
 }
 
 #[test]
+fn deep_nesting_fails_with_its_position_instead_of_overflowing() {
+    let dir = std::env::temp_dir().join("scast_cli_deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.c");
+    let parens = "(".repeat(200_000);
+    std::fs::write(
+        &path,
+        format!("int x, *p;\nvoid f(void) {{ p = {parens}&x; }}\n"),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_scast"))
+        .arg(&path)
+        .output()
+        .expect("scast runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 levels at line 2, column 147"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn json_output_is_machine_readable_and_deterministic() {
     use structcast_server::json::Json;
     let (stdout, _, ok) = scast(&["tagged-union", "--json", "--model", "offsets"]);

@@ -29,6 +29,7 @@ use structcast_types::{Field, FieldPath, FuncSig, Layout, RecordId, TypeId, Type
 pub struct LowerError {
     message: String,
     span: Span,
+    column: Option<u32>,
 }
 
 impl LowerError {
@@ -37,6 +38,7 @@ impl LowerError {
         LowerError {
             message: message.into(),
             span,
+            column: None,
         }
     }
 
@@ -49,11 +51,20 @@ impl LowerError {
     pub fn span(&self) -> Span {
         self.span
     }
+
+    /// The 1-based column of the span's start, known for parse errors.
+    pub fn column(&self) -> Option<u32> {
+        self.column
+    }
 }
 
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at {}", self.message, self.span)
+        write!(f, "{} at {}", self.message, self.span)?;
+        match self.column {
+            Some(c) => write!(f, ", column {c}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -82,8 +93,11 @@ pub fn lower(tu: &TranslationUnit) -> Result<Program> {
 ///
 /// Returns the parse error (wrapped) or the lowering error.
 pub fn lower_source(src: &str) -> Result<Program> {
-    let tu = structcast_ast::parse(src)
-        .map_err(|e| LowerError::new(format!("parse error: {}", e.message()), e.span()))?;
+    let tu = structcast_ast::parse(src).map_err(|e| LowerError {
+        message: format!("parse error: {}", e.message()),
+        span: e.span(),
+        column: e.column(),
+    })?;
     lower(&tu)
 }
 

@@ -38,7 +38,7 @@
 //! cached value is immutable once inserted and the store is structurally
 //! valid after any panic-at-insert, so a poisoned guard's data is sound.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::proto::QueryOpts;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -46,8 +46,8 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use structcast::{
     compile_incremental, diff_programs, modref, resolve_incremental, slice_for_query,
-    try_solve_compiled, try_solve_compiled_parallel, try_solve_demand_compiled, AnalysisResult,
-    ConstraintSet, DemandQuery, Loc, ModelKind, ObjId, Program, SolveError,
+    try_solve_compiled_parallel, try_solve_demand_compiled, AnalysisResult, ConstraintSet,
+    DemandQuery, Loc, ModelKind, ObjId, Program, SolveError,
 };
 
 /// Default cache budget: generous enough that eviction never fires in
@@ -504,9 +504,10 @@ impl SessionCache {
             }
         }
         if programs + others > 0 {
-            self.metrics.record_evictions(programs, others);
+            self.metrics.add(Counter::ProgramEvictions, programs);
+            self.metrics.add(Counter::SolveEvictions, others);
         }
-        self.metrics.set_cache_bytes(store.bytes as u64);
+        self.metrics.set(Counter::CacheBytes, store.bytes as u64);
         value
     }
 
@@ -546,7 +547,12 @@ impl SessionCache {
         }
         store.names.insert(entry.hash_hex.clone(), entry.key);
         drop(store);
-        self.metrics.record_program(hit, entry.compile);
+        if hit {
+            self.metrics.add(Counter::ProgramHits, 1);
+        } else {
+            self.metrics.add(Counter::ProgramMisses, 1);
+            self.metrics.add_time(Counter::Compile, entry.compile);
+        }
         Ok(entry)
     }
 
@@ -604,10 +610,11 @@ impl SessionCache {
     }
 
     /// The solved summary for `(entry, opts)`, memoized. A hit re-runs
-    /// neither stage 1 nor the fixpoint; a miss pays stages 2+3 once,
-    /// outside the lock. Returns the summary plus the solve time this
-    /// particular call paid (zero on a hit) so request handlers can
-    /// separate lookup time from solve time.
+    /// neither stage 1 nor the fixpoint; a miss pays stages 2+3 and the
+    /// summary build once, outside the lock. Returns the summary plus the
+    /// miss work this particular call paid (zero on a hit) so request
+    /// handlers can separate lookup time from solve time. One config makes
+    /// [`solved_many`](SessionCache::solved_many) solve inline.
     ///
     /// # Errors
     ///
@@ -621,27 +628,17 @@ impl SessionCache {
         entry: &ProgramEntry,
         opts: &QueryOpts,
     ) -> Result<(Arc<Solved>, Duration), SolveError> {
-        let key = (entry.key, opts.cache_key());
-        if let Some(s) = self.get(&key) {
-            self.metrics.record_solve(true, Duration::ZERO);
-            return Ok((s, Duration::ZERO));
-        }
-        let start = Instant::now();
-        let res = try_solve_compiled(&entry.prog, &entry.constraints, &opts.to_config())?;
-        let solved = Arc::new(Solved::build(entry, opts.clone(), res));
-        let paid = start.elapsed();
-        self.metrics.record_solve(false, paid);
-        Ok((self.put(&mut write(&self.store), key, solved), paid))
+        let (mut solved, paid) = self.solved_many(entry, std::slice::from_ref(opts), 1)?;
+        Ok((solved.pop().expect("one config, one summary"), paid))
     }
 
     /// The solved summaries for `(entry, opts)` for **several** option
     /// sets at once — `compare_models`' shape — solving the misses
     /// concurrently on up to `threads` worker threads via the core's
-    /// multi-model parallel layer. Hits are served from the cache exactly
-    /// as [`solved`](SessionCache::solved) would; each miss is recorded in
-    /// the metrics with its own solve time. Returns the summaries in
-    /// `opts_list` order plus the total wall-clock this call paid solving
-    /// (zero when everything was warm).
+    /// multi-model parallel layer. Hits are served from the cache; each
+    /// miss charges its solve plus its summary build to `solve_s`. Returns
+    /// the summaries in `opts_list` order plus the wall-clock this call
+    /// paid on misses, builds included (zero when everything was warm).
     ///
     /// # Errors
     ///
@@ -662,9 +659,8 @@ impl SessionCache {
                 None => misses.push(i),
             }
         }
-        for _ in 0..opts_list.len() - misses.len() {
-            self.metrics.record_solve(true, Duration::ZERO);
-        }
+        self.metrics
+            .add(Counter::SolveHits, (opts_list.len() - misses.len()) as u64);
         let mut paid = Duration::ZERO;
         let mut first_err: Option<SolveError> = None;
         if !misses.is_empty() {
@@ -673,15 +669,17 @@ impl SessionCache {
             let start = Instant::now();
             let results =
                 try_solve_compiled_parallel(&entry.prog, &entry.constraints, &configs, threads);
-            paid = start.elapsed();
             for (&i, res) in misses.iter().zip(results) {
                 match res {
                     Ok(res) => {
-                        // `res.elapsed` is the per-solve time measured on
-                        // its worker; the batch wall-clock `paid` is what
-                        // the caller actually waited.
-                        self.metrics.record_solve(false, res.elapsed);
+                        // `res.elapsed` is the solve measured on its
+                        // worker; the build runs here.
+                        let build = Instant::now();
+                        let solve = res.elapsed;
                         let solved = Arc::new(Solved::build(entry, opts_list[i].clone(), res));
+                        self.metrics.add(Counter::SolveMisses, 1);
+                        self.metrics
+                            .add_time(Counter::Solve, solve + build.elapsed());
                         let key = (entry.key, opts_list[i].cache_key());
                         out[i] = Some(self.put(&mut write(&self.store), key, solved));
                     }
@@ -692,6 +690,7 @@ impl SessionCache {
                     }
                 }
             }
+            paid = start.elapsed();
         }
         if let Some(e) = first_err {
             return Err(e);
@@ -731,32 +730,38 @@ impl SessionCache {
     ) -> Result<(Arc<DemandAnswer>, Duration, bool), SolveError> {
         let key = demand_key(entry.key, subject, opts);
         if let Some(a) = self.get(&key) {
-            self.metrics.record_demand(true, 0, 0, Duration::ZERO);
+            self.metrics.add(Counter::DemandHits, 1);
             return Ok((a, Duration::ZERO, true));
         }
         // A warm full solve answers any demand query without slicing.
         if let Some(answer) = self.demand_fallback(entry, opts, query, subject) {
-            self.metrics.record_demand(true, 0, 0, Duration::ZERO);
+            self.metrics.add(Counter::DemandHits, 1);
             let answer = self.put(&mut write(&self.store), key, Arc::new(answer));
             return Ok((answer, Duration::ZERO, true));
         }
         let start = Instant::now();
         let d = try_solve_demand_compiled(&entry.prog, &entry.constraints, query, &opts.to_config())?;
-        let paid = start.elapsed();
+        let solve = start.elapsed();
         let answer = Arc::new(DemandAnswer {
             payload: demand_payload(entry, query, &d),
             slice_statements: d.stats.slice_statements,
             total_statements: d.stats.total_statements,
-            solve: paid,
+            solve,
             subject: subject.to_string(),
             opts: opts.clone(),
         });
-        self.metrics.record_demand(
-            false,
-            d.stats.slice_statements as u64,
-            d.stats.total_statements as u64,
-            paid,
+        let paid = start.elapsed();
+        self.metrics.add(Counter::DemandMisses, 1);
+        let stats = &d.stats;
+        self.metrics.add(
+            Counter::DemandSliceStatements,
+            stats.slice_statements as u64,
         );
+        self.metrics.add(
+            Counter::DemandTotalStatements,
+            stats.total_statements as u64,
+        );
+        self.metrics.add_time(Counter::Solve, paid);
         Ok((self.put(&mut write(&self.store), key, answer), paid, false))
     }
 
@@ -1355,7 +1360,8 @@ mod tests {
         assert!(paid1 > Duration::ZERO);
         assert_eq!(a1.payload, DemandPayload::PointsTo(vec!["x".to_string()]));
         assert!(a1.slice_statements <= a1.total_statements);
-        assert_eq!(metrics.demand_counts(), (0, 1));
+        let demand = || [Counter::DemandHits, Counter::DemandMisses].map(|c| metrics.get(c));
+        assert_eq!(demand(), [0, 1]);
 
         // Warm: the demand map answers, no solver work.
         let solves0 = solves_on_thread();
@@ -1364,7 +1370,7 @@ mod tests {
         assert_eq!(paid2, Duration::ZERO);
         assert!(Arc::ptr_eq(&a1, &a2));
         assert_eq!(solves_on_thread(), solves0);
-        assert_eq!(metrics.demand_counts(), (1, 1));
+        assert_eq!(demand(), [1, 1]);
         assert_eq!(c.layers().demand.0, 1);
 
         // A *different* subject under a warm full solve derives for free.

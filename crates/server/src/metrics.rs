@@ -1,9 +1,15 @@
 //! Per-request and aggregate server metrics.
 //!
-//! Everything is a relaxed atomic counter: workers bump them on their own
-//! threads and the `stats` query (or the shutdown summary) reads a
-//! snapshot. Relaxed ordering is fine — the counters are monotone tallies,
-//! not synchronization.
+//! Every scalar counter is one cell of a single array, described by one
+//! row of [`COUNTERS`]: its path in the `stats` reply and how it renders.
+//! [`Metrics::snapshot`] and [`Metrics::summary_line`] walk that table, so
+//! adding a counter is one row in the `counters!` list below plus one
+//! [`add`](Metrics::add)/[`set`](Metrics::set) where the event happens.
+//!
+//! Every cell is a relaxed atomic: workers bump them on their own threads
+//! and the `stats` query (or the shutdown summary) reads a snapshot.
+//! Relaxed ordering is fine — the counters are monotone tallies and
+//! gauges, not synchronization.
 //!
 //! The counters reconcile: every reply the server emits records exactly
 //! one of [`record_ok`](Metrics::record_ok) or
@@ -12,6 +18,7 @@
 //! quiescent point — the chaos harness asserts exactly this.
 
 use crate::json::Json;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
@@ -40,56 +47,167 @@ pub const ERROR_KINDS: [&str; 7] = [
     "internal",
 ];
 
+/// How a counter's cell renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// A tally or gauge, rendered as an integer.
+    Count,
+    /// Nanoseconds, rendered as seconds (`{:.3}` in the summary line).
+    Secs,
+}
+
+/// One row of the metrics table.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    /// Where the value sits in the `stats` reply: a top-level key, or
+    /// `"group.key"` for a key of a nested object. Rows of one group are
+    /// adjacent.
+    pub path: &'static str,
+    /// How the cell renders.
+    pub unit: Unit,
+    /// The shutdown summary's text after this value; empty when the
+    /// counter is not in the summary.
+    pub summary: &'static str,
+}
+
+/// Declares [`Counter`] and [`COUNTERS`] from one list, so the enum and
+/// the table cannot disagree on order.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $name:ident: $path:literal, $unit:ident, $summary:literal;)*) => {
+        /// One scalar server counter: its index into [`COUNTERS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter { $($(#[doc = $doc])* $name,)* }
+
+        /// The metrics table: one row per [`Counter`], in `stats` reply order.
+        pub const COUNTERS: &[Row] = &[$(Row { path: $path, unit: Unit::$unit, summary: $summary },)*];
+    };
+}
+
+counters! {
+    /// Replies emitted (ok + every error kind).
+    Requests: "requests", Count, " requests (";
+    /// Successful replies.
+    Ok: "ok", Count, " ok, ";
+    /// Error replies of every kind (`errors_by_kind` and `by_op` follow).
+    Errors: "errors", Count, " errors, ";
+    /// Handler panics caught and converted into `internal` replies.
+    Panics: "panics", Count, " panicked); cache program ";
+    /// Program-cache (stage 1) hits.
+    ProgramHits: "program_hits", Count, "h/";
+    /// Program-cache misses: each paid a compile.
+    ProgramMisses: "program_misses", Count, "m solve ";
+    /// Solve-cache (stages 2+3) hits.
+    SolveHits: "solve_hits", Count, "h/";
+    /// Solve-cache misses: each paid a solve and a summary build.
+    SolveMisses: "solve_misses", Count, "m demand ";
+    /// Demand queries answered warm: a cached answer, or one derived from a
+    /// resident full solve.
+    DemandHits: "demand.hits", Count, "h/";
+    /// Demand queries that sliced and solved.
+    DemandMisses: "demand.misses", Count, "m evicted ";
+    /// Statements kept by the slices of demand misses.
+    DemandSliceStatements: "demand.slice_statements", Count, "";
+    /// Statements of the whole programs those slices were cut from.
+    DemandTotalStatements: "demand.total_statements", Count, "";
+    /// Program entries evicted from the cache.
+    ProgramEvictions: "program_evictions", Count, "p+";
+    /// Summaries and demand answers evicted from the cache.
+    SolveEvictions: "solve_evictions", Count, "s (";
+    /// Gauge: approximate resident cache bytes.
+    CacheBytes: "cache_bytes", Count, " bytes); compile ";
+    /// Incremental updates applied.
+    Updates: "updates.count", Count, "";
+    /// Updates whose diff forced a cold re-solve.
+    UpdateFallbacks: "updates.fallbacks", Count, "";
+    /// Facts dropped by update retraction.
+    UpdateRetractedEdges: "updates.retracted_edges", Count, "";
+    /// Diff + re-solve time of updates, kept apart from query solves.
+    UpdateResolve: "updates.resolve_s", Secs, "";
+    /// Snapshots written to disk.
+    SnapshotSaves: "snapshot.saves", Count, "";
+    /// Gauge: size of the last snapshot written.
+    SnapshotLastSaveBytes: "snapshot.last_save_bytes", Count, "";
+    /// Successful startup restores.
+    SnapshotRestores: "snapshot.restores", Count, "";
+    /// Cache entries (programs + solved + demand) restored.
+    SnapshotRestoredEntries: "snapshot.restored_entries", Count, "";
+    /// Snapshot saves that failed: the cache stays resident and the WAL
+    /// keeps growing.
+    SnapshotSaveErrors: "snapshot.save_errors", Count, "";
+    /// Snapshots that failed to load: the server started cold.
+    SnapshotRestoreErrors: "snapshot.restore_errors", Count, "";
+    /// Updates journaled to the write-ahead log.
+    WalAppends: "wal.appends", Count, "";
+    /// WAL appends that failed: the update applied but is not durable.
+    WalAppendErrors: "wal.append_errors", Count, "";
+    /// Journaled updates re-applied at startup.
+    WalReplayed: "wal.replayed", Count, "";
+    /// Journaled updates that failed to re-apply.
+    WalReplayErrors: "wal.replay_errors", Count, "";
+    /// Startup replays that ended in a torn (truncated mid-record) tail.
+    WalTornTail: "wal.torn_tail", Count, "";
+    /// Gauge: records journaled since the last snapshot.
+    WalDepth: "wal.depth", Count, "";
+    /// Gauge: bytes journaled since the last snapshot.
+    WalBytes: "wal.bytes", Count, "";
+    /// Replies served degraded: a second-choice answer (demand fallback,
+    /// non-durable update, brownout shed) instead of the first choice.
+    Degraded: "degraded.total", Count, "";
+    /// Replies served from summaries known to predate a failed `update`.
+    StaleServes: "degraded.stale_serves", Count, "";
+    /// Cold-miss requests shed by brownout mode.
+    BrownoutSheds: "degraded.brownout_sheds", Count, "";
+    /// Compile time paid by program misses.
+    Compile: "compile_s", Secs, "s solve ";
+    /// Miss work of summaries and demand answers: solve plus summary build.
+    Solve: "solve_s", Secs, "s lookup ";
+    /// Request time outside compile, solve and update: parsing, cache
+    /// hits, rendering.
+    Lookup: "lookup_s", Secs, "s";
+}
+
 /// Aggregate counters for one server lifetime.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
+    cells: [AtomicU64; COUNTERS.len()],
     errors_by_kind: [AtomicU64; ERROR_KINDS.len()],
     by_op: [AtomicU64; OP_NAMES.len()],
-    panics: AtomicU64,
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
-    solve_hits: AtomicU64,
-    solve_misses: AtomicU64,
-    demand_hits: AtomicU64,
-    demand_misses: AtomicU64,
-    demand_slice_stmts: AtomicU64,
-    demand_total_stmts: AtomicU64,
-    program_evictions: AtomicU64,
-    solve_evictions: AtomicU64,
-    cache_bytes: AtomicU64,
-    compile_ns: AtomicU64,
-    solve_ns: AtomicU64,
-    lookup_ns: AtomicU64,
-    updates: AtomicU64,
-    update_fallbacks: AtomicU64,
-    update_retracted_edges: AtomicU64,
-    update_resolve_ns: AtomicU64,
-    snapshot_saves: AtomicU64,
-    snapshot_save_bytes: AtomicU64,
-    snapshot_save_errors: AtomicU64,
-    snapshot_restores: AtomicU64,
-    snapshot_restored_entries: AtomicU64,
-    snapshot_restore_errors: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_append_errors: AtomicU64,
-    wal_replayed: AtomicU64,
-    wal_replay_errors: AtomicU64,
-    wal_torn_tail: AtomicU64,
-    wal_depth: AtomicU64,
-    wal_bytes: AtomicU64,
-    degraded: AtomicU64,
-    stale_serves: AtomicU64,
-    brownout_sheds: AtomicU64,
-    failovers: AtomicU64,
+}
+
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics::new()
+    }
 }
 
 impl Metrics {
     /// A zeroed metrics block.
     pub fn new() -> Metrics {
-        Metrics::default()
+        Metrics {
+            cells: [const { AtomicU64::new(0) }; COUNTERS.len()],
+            errors_by_kind: Default::default(),
+            by_op: Default::default(),
+        }
+    }
+
+    /// Adds `n` to counter `c`.
+    pub fn add(&self, c: Counter, n: u64) {
+        self.cells[c as usize].fetch_add(n, Relaxed);
+    }
+
+    /// Sets gauge `c` to `v`.
+    pub fn set(&self, c: Counter, v: u64) {
+        self.cells[c as usize].store(v, Relaxed);
+    }
+
+    /// Adds `d` to time counter `c` (a [`Unit::Secs`] row).
+    pub fn add_time(&self, c: Counter, d: Duration) {
+        self.add(c, d.as_nanos() as u64);
+    }
+
+    /// The current value of counter `c` (nanoseconds for time counters).
+    pub fn get(&self, c: Counter) -> u64 {
+        self.cells[c as usize].load(Relaxed)
     }
 
     /// Tallies one request of kind `op` (an index into [`OP_NAMES`]).
@@ -102,15 +220,15 @@ impl Metrics {
 
     /// Records one successful reply.
     pub fn record_ok(&self) {
-        self.requests.fetch_add(1, Relaxed);
-        self.ok.fetch_add(1, Relaxed);
+        self.add(Counter::Requests, 1);
+        self.add(Counter::Ok, 1);
     }
 
     /// Records one error reply of the given kind (an entry of
     /// [`ERROR_KINDS`]; unknown kinds count as `internal`).
     pub fn record_error(&self, kind: &str) {
-        self.requests.fetch_add(1, Relaxed);
-        self.errors.fetch_add(1, Relaxed);
+        self.add(Counter::Requests, 1);
+        self.add(Counter::Errors, 1);
         let idx = ERROR_KINDS
             .iter()
             .position(|k| *k == kind)
@@ -118,223 +236,14 @@ impl Metrics {
         self.errors_by_kind[idx].fetch_add(1, Relaxed);
     }
 
-    /// Records a request handler panic (the reply itself is recorded via
-    /// [`record_error`](Metrics::record_error) with kind `internal`).
-    pub fn record_panic(&self) {
-        self.panics.fetch_add(1, Relaxed);
-    }
-
-    /// Records a program-cache (stage 1) hit or miss; misses also record
-    /// the compile time paid.
-    pub fn record_program(&self, hit: bool, compile: Duration) {
-        if hit {
-            self.program_hits.fetch_add(1, Relaxed);
-        } else {
-            self.program_misses.fetch_add(1, Relaxed);
-            self.compile_ns.fetch_add(compile.as_nanos() as u64, Relaxed);
-        }
-    }
-
-    /// Records a solve-cache (stages 2+3) hit or miss; misses also record
-    /// the specialize+solve time paid.
-    pub fn record_solve(&self, hit: bool, solve: Duration) {
-        if hit {
-            self.solve_hits.fetch_add(1, Relaxed);
-        } else {
-            self.solve_misses.fetch_add(1, Relaxed);
-            self.solve_ns.fetch_add(solve.as_nanos() as u64, Relaxed);
-        }
-    }
-
-    /// Records a demand-mode query outcome. A *hit* was answered from a
-    /// cached demand answer (or derived from a warm full solve) without
-    /// touching the solver; a *miss* sliced and solved, and reports the
-    /// slice size against the whole program so the aggregate
-    /// sliced-vs-full ratio is observable in `stats`.
-    pub fn record_demand(&self, hit: bool, slice: u64, total: u64, solve: Duration) {
-        if hit {
-            self.demand_hits.fetch_add(1, Relaxed);
-        } else {
-            self.demand_misses.fetch_add(1, Relaxed);
-            self.demand_slice_stmts.fetch_add(slice, Relaxed);
-            self.demand_total_stmts.fetch_add(total, Relaxed);
-            self.solve_ns.fetch_add(solve.as_nanos() as u64, Relaxed);
-        }
-    }
-
-    /// Records one incremental update: whether the diff forced a cold
-    /// fallback, how many facts retraction dropped, and the
-    /// diff+re-solve wall-clock paid (folded into its own gauge so
-    /// `resolve_s` separates incremental maintenance from query solves).
-    pub fn record_update(&self, fallback: bool, retracted: u64, resolve: Duration) {
-        self.updates.fetch_add(1, Relaxed);
-        if fallback {
-            self.update_fallbacks.fetch_add(1, Relaxed);
-        }
-        self.update_retracted_edges.fetch_add(retracted, Relaxed);
-        self.update_resolve_ns
-            .fetch_add(resolve.as_nanos() as u64, Relaxed);
-    }
-
-    /// Records one snapshot written to disk (and its size).
-    pub fn record_snapshot_save(&self, bytes: u64) {
-        self.snapshot_saves.fetch_add(1, Relaxed);
-        self.snapshot_save_bytes.store(bytes, Relaxed);
-    }
-
-    /// Records one successful cold-start-warm restore: how many cache
-    /// entries (programs + solved + demand) the snapshot repopulated.
-    pub fn record_snapshot_restore(&self, entries: u64) {
-        self.snapshot_restores.fetch_add(1, Relaxed);
-        self.snapshot_restored_entries.fetch_add(entries, Relaxed);
-    }
-
-    /// Records a snapshot that failed to load (corrupt, truncated, or
-    /// unreadable): the server fell back to a cold start.
-    pub fn record_snapshot_restore_error(&self) {
-        self.snapshot_restore_errors.fetch_add(1, Relaxed);
-    }
-
-    /// Records a snapshot save that failed (disk error or injected
-    /// fault): the cache stays resident and the WAL keeps growing.
-    pub fn record_snapshot_save_error(&self) {
-        self.snapshot_save_errors.fetch_add(1, Relaxed);
-    }
-
-    /// Records one update journaled to the write-ahead log, and updates
-    /// the depth/size gauges to the journal's post-append state.
-    pub fn record_wal_append(&self, depth: u64, bytes: u64) {
-        self.wal_appends.fetch_add(1, Relaxed);
-        self.set_wal_gauges(depth, bytes);
-    }
-
-    /// Records a WAL append that failed (disk error, short write): the
-    /// update was applied in memory but is *not* durable.
-    pub fn record_wal_append_error(&self) {
-        self.wal_append_errors.fetch_add(1, Relaxed);
-    }
-
-    /// Records the outcome of a startup WAL replay: how many journaled
-    /// updates re-applied, how many failed, and whether the journal ended
-    /// in a torn (truncated mid-record) tail.
-    pub fn record_wal_replay(&self, replayed: u64, errors: u64, torn_tail: bool) {
-        self.wal_replayed.fetch_add(replayed, Relaxed);
-        self.wal_replay_errors.fetch_add(errors, Relaxed);
-        if torn_tail {
-            self.wal_torn_tail.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Updates the WAL depth (records since last snapshot) and size gauges.
-    pub fn set_wal_gauges(&self, depth: u64, bytes: u64) {
-        self.wal_depth.store(depth, Relaxed);
-        self.wal_bytes.store(bytes, Relaxed);
-    }
-
-    /// Records one reply served degraded: a warm-but-second-choice answer
-    /// (demand fallback, non-durable update, failover shed) instead of a
-    /// refusal.
-    pub fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Relaxed);
-    }
-
-    /// Records one reply served from summaries known to predate a failed
-    /// `update` (the reply carries `stale: true`).
-    pub fn record_stale_serve(&self) {
-        self.stale_serves.fetch_add(1, Relaxed);
-    }
-
-    /// Records one cold-miss request shed by brownout mode (the warm-hit
-    /// path and `stats` keep answering).
-    pub fn record_brownout_shed(&self) {
-        self.brownout_sheds.fetch_add(1, Relaxed);
-    }
-
-    /// Records one request routed to a ring successor because its home
-    /// replica was unhealthy.
-    pub fn record_failover(&self) {
-        self.failovers.fetch_add(1, Relaxed);
-    }
-
-    /// `(appends, append_errors, replayed, replay_errors, torn_tails)` of
-    /// the write-ahead log so far.
-    pub fn wal_counts(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.wal_appends.load(Relaxed),
-            self.wal_append_errors.load(Relaxed),
-            self.wal_replayed.load(Relaxed),
-            self.wal_replay_errors.load(Relaxed),
-            self.wal_torn_tail.load(Relaxed),
-        )
-    }
-
-    /// `(depth, bytes)` gauges of the journal: records and bytes appended
-    /// since the last snapshot truncated it.
-    pub fn wal_gauges(&self) -> (u64, u64) {
-        (self.wal_depth.load(Relaxed), self.wal_bytes.load(Relaxed))
-    }
-
-    /// `(degraded, stale_serves, brownout_sheds, failovers)` — the
-    /// degradation-ladder tallies.
-    pub fn degraded_counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.degraded.load(Relaxed),
-            self.stale_serves.load(Relaxed),
-            self.brownout_sheds.load(Relaxed),
-            self.failovers.load(Relaxed),
-        )
-    }
-
-    /// `(saves, restores, restore_errors)` of the snapshot subsystem.
-    pub fn snapshot_counts(&self) -> (u64, u64, u64) {
-        (
-            self.snapshot_saves.load(Relaxed),
-            self.snapshot_restores.load(Relaxed),
-            self.snapshot_restore_errors.load(Relaxed),
-        )
-    }
-
-    /// `(updates, fallbacks)` recorded so far.
-    pub fn update_counts(&self) -> (u64, u64) {
-        (
-            self.updates.load(Relaxed),
-            self.update_fallbacks.load(Relaxed),
-        )
-    }
-
-    /// `(hits, misses)` of the demand-answer layer so far.
-    pub fn demand_counts(&self) -> (u64, u64) {
-        (
-            self.demand_hits.load(Relaxed),
-            self.demand_misses.load(Relaxed),
-        )
-    }
-
-    /// Records cache evictions (program entries and solved summaries).
-    pub fn record_evictions(&self, programs: u64, solved: u64) {
-        self.program_evictions.fetch_add(programs, Relaxed);
-        self.solve_evictions.fetch_add(solved, Relaxed);
-    }
-
-    /// Updates the cache-size gauge (approximate resident bytes).
-    pub fn set_cache_bytes(&self, bytes: u64) {
-        self.cache_bytes.store(bytes, Relaxed);
-    }
-
-    /// Records time spent answering a query from cached summaries (request
-    /// handling minus any compile/solve the request triggered).
-    pub fn record_lookup(&self, d: Duration) {
-        self.lookup_ns.fetch_add(d.as_nanos() as u64, Relaxed);
-    }
-
     /// Total replies emitted (ok + every error kind).
     pub fn requests(&self) -> u64 {
-        self.requests.load(Relaxed)
+        self.get(Counter::Requests)
     }
 
     /// Successful replies emitted.
     pub fn ok(&self) -> u64 {
-        self.ok.load(Relaxed)
+        self.get(Counter::Ok)
     }
 
     /// Error replies of the given kind.
@@ -346,184 +255,93 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Requests shed at the accept queue (`overloaded` replies).
+    /// Every `overloaded` reply: connections shed at the accept queue plus
+    /// requests shed by brownout mode.
     pub fn shed(&self) -> u64 {
         self.errors_of_kind("overloaded")
     }
 
     /// Handler panics caught and converted into `internal` replies.
     pub fn panics(&self) -> u64 {
-        self.panics.load(Relaxed)
+        self.get(Counter::Panics)
     }
 
     /// `(program, solved)` cache evictions so far.
     pub fn evictions(&self) -> (u64, u64) {
         (
-            self.program_evictions.load(Relaxed),
-            self.solve_evictions.load(Relaxed),
+            self.get(Counter::ProgramEvictions),
+            self.get(Counter::SolveEvictions),
         )
     }
 
     /// Total cache misses (program compiles + solves).
     pub fn total_misses(&self) -> u64 {
-        self.program_misses.load(Relaxed) + self.solve_misses.load(Relaxed)
+        self.get(Counter::ProgramMisses) + self.get(Counter::SolveMisses)
     }
 
-    /// The `stats` response payload.
+    /// The `stats` response payload: every table row in order, rows of a
+    /// group nested under it, with `errors_by_kind` and `by_op` after
+    /// `errors`.
     pub fn snapshot(&self) -> Json {
-        let secs = |ns: &AtomicU64| Json::num(ns.load(Relaxed) as f64 / 1e9);
-        Json::obj([
-            ("requests", Json::count(self.requests.load(Relaxed))),
-            ("ok", Json::count(self.ok.load(Relaxed))),
-            ("errors", Json::count(self.errors.load(Relaxed))),
-            (
-                "errors_by_kind",
-                Json::obj(
-                    ERROR_KINDS
-                        .iter()
-                        .zip(&self.errors_by_kind)
-                        .map(|(name, n)| (*name, Json::count(n.load(Relaxed)))),
-                ),
-            ),
-            (
-                "by_op",
-                Json::obj(
-                    OP_NAMES
-                        .iter()
-                        .zip(&self.by_op)
-                        .map(|(name, n)| (*name, Json::count(n.load(Relaxed)))),
-                ),
-            ),
-            ("panics", Json::count(self.panics.load(Relaxed))),
-            ("program_hits", Json::count(self.program_hits.load(Relaxed))),
-            ("program_misses", Json::count(self.program_misses.load(Relaxed))),
-            ("solve_hits", Json::count(self.solve_hits.load(Relaxed))),
-            ("solve_misses", Json::count(self.solve_misses.load(Relaxed))),
-            (
-                "demand",
-                Json::obj([
-                    ("hits", Json::count(self.demand_hits.load(Relaxed))),
-                    ("misses", Json::count(self.demand_misses.load(Relaxed))),
-                    (
-                        "slice_statements",
-                        Json::count(self.demand_slice_stmts.load(Relaxed)),
-                    ),
-                    (
-                        "total_statements",
-                        Json::count(self.demand_total_stmts.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "program_evictions",
-                Json::count(self.program_evictions.load(Relaxed)),
-            ),
-            (
-                "solve_evictions",
-                Json::count(self.solve_evictions.load(Relaxed)),
-            ),
-            ("cache_bytes", Json::count(self.cache_bytes.load(Relaxed))),
-            (
-                "updates",
-                Json::obj([
-                    ("count", Json::count(self.updates.load(Relaxed))),
-                    ("fallbacks", Json::count(self.update_fallbacks.load(Relaxed))),
-                    (
-                        "retracted_edges",
-                        Json::count(self.update_retracted_edges.load(Relaxed)),
-                    ),
-                    ("resolve_s", secs(&self.update_resolve_ns)),
-                ]),
-            ),
-            (
-                "snapshot",
-                Json::obj([
-                    ("saves", Json::count(self.snapshot_saves.load(Relaxed))),
-                    (
-                        "last_save_bytes",
-                        Json::count(self.snapshot_save_bytes.load(Relaxed)),
-                    ),
-                    ("restores", Json::count(self.snapshot_restores.load(Relaxed))),
-                    (
-                        "restored_entries",
-                        Json::count(self.snapshot_restored_entries.load(Relaxed)),
-                    ),
-                    (
-                        "save_errors",
-                        Json::count(self.snapshot_save_errors.load(Relaxed)),
-                    ),
-                    (
-                        "restore_errors",
-                        Json::count(self.snapshot_restore_errors.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "wal",
-                Json::obj([
-                    ("appends", Json::count(self.wal_appends.load(Relaxed))),
-                    (
-                        "append_errors",
-                        Json::count(self.wal_append_errors.load(Relaxed)),
-                    ),
-                    ("replayed", Json::count(self.wal_replayed.load(Relaxed))),
-                    (
-                        "replay_errors",
-                        Json::count(self.wal_replay_errors.load(Relaxed)),
-                    ),
-                    ("torn_tail", Json::count(self.wal_torn_tail.load(Relaxed))),
-                    ("depth", Json::count(self.wal_depth.load(Relaxed))),
-                    ("bytes", Json::count(self.wal_bytes.load(Relaxed))),
-                ]),
-            ),
-            (
-                "degraded",
-                Json::obj([
-                    ("total", Json::count(self.degraded.load(Relaxed))),
-                    ("stale_serves", Json::count(self.stale_serves.load(Relaxed))),
-                    (
-                        "brownout_sheds",
-                        Json::count(self.brownout_sheds.load(Relaxed)),
-                    ),
-                    ("failovers", Json::count(self.failovers.load(Relaxed))),
-                ]),
-            ),
-            ("compile_s", secs(&self.compile_ns)),
-            ("solve_s", secs(&self.solve_ns)),
-            ("lookup_s", secs(&self.lookup_ns)),
-        ])
+        let tally = |names: &[&'static str], cells: &[AtomicU64]| {
+            let counts = cells.iter().map(|c| Json::count(c.load(Relaxed)));
+            Json::obj(names.iter().copied().zip(counts))
+        };
+        let mut out: Vec<(String, Json)> = Vec::new();
+        for (i, row) in COUNTERS.iter().enumerate() {
+            let n = self.cells[i].load(Relaxed);
+            let v = match row.unit {
+                Unit::Count => Json::count(n),
+                Unit::Secs => Json::num(n as f64 / 1e9),
+            };
+            match row.path.split_once('.') {
+                None => out.push((row.path.to_string(), v)),
+                Some((group, key)) => match out.last_mut() {
+                    Some((g, Json::Obj(pairs))) if g == group => pairs.push((key.to_string(), v)),
+                    _ => out.push((group.to_string(), Json::obj([(key, v)]))),
+                },
+            }
+            if i == Counter::Errors as usize {
+                let kinds = tally(&ERROR_KINDS, &self.errors_by_kind);
+                out.push(("errors_by_kind".into(), kinds));
+                out.push(("by_op".into(), tally(&OP_NAMES, &self.by_op)));
+            }
+        }
+        Json::Obj(out)
     }
 
-    /// The one-line shutdown summary.
+    /// The one-line shutdown summary: the rows with summary text, in table
+    /// order, with the `shed` count after `errors`:
+    ///
+    /// `structcast-server: served R requests (O ok, E errors, S shed, P
+    /// panicked); cache program Hh/Mm solve Hh/Mm demand Hh/Mm evicted
+    /// Pp+Ss (B bytes); compile Cs solve Ss lookup Ls`
     pub fn summary_line(&self) -> String {
-        format!(
-            "structcast-server: served {} requests ({} ok, {} errors, {} shed, \
-             {} panicked); cache program {}h/{}m solve {}h/{}m demand {}h/{}m \
-             evicted {}p+{}s ({} bytes); compile {:.3}s solve {:.3}s lookup {:.3}s",
-            self.requests.load(Relaxed),
-            self.ok.load(Relaxed),
-            self.errors.load(Relaxed),
-            self.shed(),
-            self.panics.load(Relaxed),
-            self.program_hits.load(Relaxed),
-            self.program_misses.load(Relaxed),
-            self.solve_hits.load(Relaxed),
-            self.solve_misses.load(Relaxed),
-            self.demand_hits.load(Relaxed),
-            self.demand_misses.load(Relaxed),
-            self.program_evictions.load(Relaxed),
-            self.solve_evictions.load(Relaxed),
-            self.cache_bytes.load(Relaxed),
-            self.compile_ns.load(Relaxed) as f64 / 1e9,
-            self.solve_ns.load(Relaxed) as f64 / 1e9,
-            self.lookup_ns.load(Relaxed) as f64 / 1e9,
-        )
+        let mut line = String::from("structcast-server: served ");
+        for (i, row) in COUNTERS.iter().enumerate() {
+            let n = self.cells[i].load(Relaxed);
+            let _ = match row.unit {
+                _ if row.summary.is_empty() => Ok(()),
+                Unit::Count => write!(line, "{n}{}", row.summary),
+                Unit::Secs => write!(line, "{:.3}{}", n as f64 / 1e9, row.summary),
+            };
+            if i == Counter::Errors as usize {
+                let _ = write!(line, "{} shed, ", self.shed());
+            }
+        }
+        line
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Counter::*;
+
+    /// Records `n` events through `f`.
+    fn times(n: u64, mut f: impl FnMut()) {
+        (0..n).for_each(|_| f());
+    }
 
     #[test]
     fn snapshot_reflects_recorded_events() {
@@ -535,11 +353,13 @@ mod tests {
         m.record_ok();
         m.record_ok();
         m.record_error("bad_request");
-        m.record_program(false, Duration::from_millis(10));
-        m.record_program(true, Duration::ZERO);
-        m.record_solve(false, Duration::from_millis(20));
-        m.record_solve(true, Duration::ZERO);
-        m.record_lookup(Duration::from_micros(5));
+        m.add(ProgramMisses, 1);
+        m.add_time(Compile, Duration::from_millis(10));
+        m.add(ProgramHits, 1);
+        m.add(SolveMisses, 1);
+        m.add_time(Solve, Duration::from_millis(20));
+        m.add(SolveHits, 1);
+        m.add_time(Lookup, Duration::from_micros(5));
         let s = m.snapshot();
         assert_eq!(s.get("requests").and_then(Json::as_u64), Some(4));
         assert_eq!(s.get("ok").and_then(Json::as_u64), Some(3));
@@ -563,9 +383,14 @@ mod tests {
     #[test]
     fn update_counters_tally_and_snapshot() {
         let m = Metrics::new();
-        m.record_update(false, 12, Duration::from_millis(2));
-        m.record_update(true, 100, Duration::from_millis(5));
-        assert_eq!(m.update_counts(), (2, 1));
+        m.add(Updates, 1);
+        m.add(UpdateRetractedEdges, 12);
+        m.add_time(UpdateResolve, Duration::from_millis(2));
+        m.add(Updates, 1);
+        m.add(UpdateFallbacks, 1);
+        m.add(UpdateRetractedEdges, 100);
+        m.add_time(UpdateResolve, Duration::from_millis(5));
+        assert_eq!((m.get(Updates), m.get(UpdateFallbacks)), (2, 1));
         let s = m.snapshot();
         let u = s.get("updates").unwrap();
         assert_eq!(u.get("count").and_then(Json::as_u64), Some(2));
@@ -577,7 +402,9 @@ mod tests {
         m.record_op(7);
         let s = m.snapshot();
         assert_eq!(
-            s.get("by_op").and_then(|o| o.get("update")).and_then(Json::as_u64),
+            s.get("by_op")
+                .and_then(|o| o.get("update"))
+                .and_then(Json::as_u64),
             Some(1)
         );
     }
@@ -585,9 +412,12 @@ mod tests {
     #[test]
     fn demand_counters_tally_and_snapshot() {
         let m = Metrics::new();
-        m.record_demand(false, 10, 100, Duration::from_millis(3));
-        m.record_demand(true, 0, 0, Duration::ZERO);
-        assert_eq!(m.demand_counts(), (1, 1));
+        m.add(DemandMisses, 1);
+        m.add(DemandSliceStatements, 10);
+        m.add(DemandTotalStatements, 100);
+        m.add_time(Solve, Duration::from_millis(3));
+        m.add(DemandHits, 1);
+        assert_eq!((m.get(DemandHits), m.get(DemandMisses)), (1, 1));
         let s = m.snapshot();
         let d = s.get("demand").unwrap();
         assert_eq!(d.get("hits").and_then(Json::as_u64), Some(1));
@@ -596,27 +426,50 @@ mod tests {
         assert_eq!(d.get("total_statements").and_then(Json::as_u64), Some(100));
         // Demand solve time folds into the shared solve gauge.
         assert!(s.get("solve_s").and_then(Json::as_f64).unwrap() > 0.0);
-        assert!(m.summary_line().contains("demand 1h/1m"), "{}", m.summary_line());
+        assert!(
+            m.summary_line().contains("demand 1h/1m"),
+            "{}",
+            m.summary_line()
+        );
     }
 
     #[test]
     fn wal_and_degradation_counters_tally_and_snapshot() {
         let m = Metrics::new();
-        m.record_wal_append(1, 64);
-        m.record_wal_append(2, 128);
-        m.record_wal_append_error();
-        m.record_wal_replay(5, 1, true);
-        m.record_snapshot_save_error();
-        m.record_degraded();
-        m.record_degraded();
-        m.record_stale_serve();
-        m.record_brownout_shed();
-        m.record_failover();
-        assert_eq!(m.wal_counts(), (2, 1, 5, 1, 1));
-        assert_eq!(m.wal_gauges(), (2, 128));
-        assert_eq!(m.degraded_counts(), (2, 1, 1, 1));
-        m.set_wal_gauges(0, 0);
-        assert_eq!(m.wal_gauges(), (0, 0), "snapshot truncation resets gauges");
+        m.add(WalAppends, 1);
+        m.set(WalDepth, 1);
+        m.set(WalBytes, 64);
+        m.add(WalAppends, 1);
+        m.set(WalDepth, 2);
+        m.set(WalBytes, 128);
+        m.add(WalAppendErrors, 1);
+        m.add(WalReplayed, 5);
+        m.add(WalReplayErrors, 1);
+        m.add(WalTornTail, 1);
+        m.add(SnapshotSaveErrors, 1);
+        m.add(Degraded, 2);
+        m.add(StaleServes, 1);
+        m.add(BrownoutSheds, 1);
+        let wal = [
+            WalAppends,
+            WalAppendErrors,
+            WalReplayed,
+            WalReplayErrors,
+            WalTornTail,
+        ];
+        assert_eq!(wal.map(|c| m.get(c)), [2, 1, 5, 1, 1]);
+        assert_eq!((m.get(WalDepth), m.get(WalBytes)), (2, 128));
+        assert_eq!(
+            [Degraded, StaleServes, BrownoutSheds].map(|c| m.get(c)),
+            [2, 1, 1]
+        );
+        m.set(WalDepth, 0);
+        m.set(WalBytes, 0);
+        assert_eq!(
+            (m.get(WalDepth), m.get(WalBytes)),
+            (0, 0),
+            "snapshot truncation resets gauges"
+        );
         let s = m.snapshot();
         let w = s.get("wal").unwrap();
         assert_eq!(w.get("appends").and_then(Json::as_u64), Some(2));
@@ -629,7 +482,6 @@ mod tests {
         assert_eq!(d.get("total").and_then(Json::as_u64), Some(2));
         assert_eq!(d.get("stale_serves").and_then(Json::as_u64), Some(1));
         assert_eq!(d.get("brownout_sheds").and_then(Json::as_u64), Some(1));
-        assert_eq!(d.get("failovers").and_then(Json::as_u64), Some(1));
         let snap = s.get("snapshot").unwrap();
         assert_eq!(snap.get("save_errors").and_then(Json::as_u64), Some(1));
     }
@@ -642,9 +494,10 @@ mod tests {
         m.record_error("edge_limit");
         m.record_error("overloaded");
         m.record_error("no-such-kind"); // tallied as internal
-        m.record_panic();
-        m.record_evictions(2, 5);
-        m.set_cache_bytes(12_345);
+        m.add(Panics, 1);
+        m.add(ProgramEvictions, 2);
+        m.add(SolveEvictions, 5);
+        m.set(CacheBytes, 12_345);
         assert_eq!(m.requests(), 5);
         assert_eq!(m.ok(), 1);
         let errors: u64 = ERROR_KINDS.iter().map(|k| m.errors_of_kind(k)).sum();
@@ -661,5 +514,115 @@ mod tests {
         let line = m.summary_line();
         assert!(line.contains("1 shed"), "{line}");
         assert!(line.contains("evicted 2p+5s"), "{line}");
+    }
+
+    #[test]
+    fn stats_reply_and_summary_are_golden() {
+        let m = Metrics::new();
+        let ms = Duration::from_millis;
+        for (i, kind) in ERROR_KINDS.iter().enumerate() {
+            times(i as u64 + 1, || m.record_error(kind));
+        }
+        times(40, || m.record_ok());
+        for op in 0..OP_NAMES.len() {
+            times(op as u64 + 50, || m.record_op(op));
+        }
+        m.add(Panics, 11);
+        m.add(ProgramHits, 12);
+        m.add(ProgramMisses, 13);
+        times(13, || m.add_time(Compile, ms(7)));
+        m.add(SolveHits, 14);
+        m.add(SolveMisses, 15);
+        times(15, || m.add_time(Solve, ms(9)));
+        m.add(DemandHits, 16);
+        m.add(DemandMisses, 17);
+        m.add(DemandSliceStatements, 17 * 5);
+        m.add(DemandTotalStatements, 17 * 50);
+        times(17, || m.add_time(Solve, ms(2)));
+        m.add(ProgramEvictions, 18);
+        m.add(SolveEvictions, 19);
+        m.set(CacheBytes, 20_021);
+        m.add(Updates, 22 + 23);
+        m.add(UpdateFallbacks, 23);
+        m.add(UpdateRetractedEdges, 22 * 5);
+        times(22, || m.add_time(UpdateResolve, ms(1)));
+        m.add(SnapshotSaves, 25);
+        m.set(SnapshotLastSaveBytes, 25_026);
+        m.add(SnapshotRestores, 27);
+        m.add(SnapshotRestoredEntries, 27 * 4);
+        m.add(SnapshotSaveErrors, 44);
+        m.add(SnapshotRestoreErrors, 29);
+        m.add(WalAppends, 30);
+        m.add(WalAppendErrors, 31);
+        m.add(WalReplayed, 32);
+        m.add(WalReplayErrors, 33);
+        m.add(WalTornTail, 34);
+        m.set(WalDepth, 35);
+        m.set(WalBytes, 36_037);
+        m.add(Degraded, 38);
+        m.add(StaleServes, 39);
+        m.add(BrownoutSheds, 41);
+        times(43, || m.add_time(Lookup, ms(3)));
+        assert_eq!(
+            m.snapshot().to_string(),
+            concat!(
+                r#"{"requests": 68, "ok": 40, "errors": 28, "#,
+                r#""errors_by_kind": {"bad_request": 1, "deadline": 2, "edge_limit": 3, "#,
+                r#""cancelled": 4, "timeout": 5, "overloaded": 6, "internal": 7}, "#,
+                r#""by_op": {"load": 50, "points_to": 51, "alias": 52, "modref": 53, "#,
+                r#""compare_models": 54, "stats": 55, "shutdown": 56, "update": 57, "#,
+                r#""snapshot": 58}, "panics": 11, "program_hits": 12, "program_misses": 13, "#,
+                r#""solve_hits": 14, "solve_misses": 15, "#,
+                r#""demand": {"hits": 16, "misses": 17, "slice_statements": 85, "#,
+                r#""total_statements": 850}, "program_evictions": 18, "solve_evictions": 19, "#,
+                r#""cache_bytes": 20021, "#,
+                r#""updates": {"count": 45, "fallbacks": 23, "retracted_edges": 110, "#,
+                r#""resolve_s": 0.022}, "#,
+                r#""snapshot": {"saves": 25, "last_save_bytes": 25026, "restores": 27, "#,
+                r#""restored_entries": 108, "save_errors": 44, "restore_errors": 29}, "#,
+                r#""wal": {"appends": 30, "append_errors": 31, "replayed": 32, "#,
+                r#""replay_errors": 33, "torn_tail": 34, "depth": 35, "bytes": 36037}, "#,
+                r#""degraded": {"total": 38, "stale_serves": 39, "brownout_sheds": 41}, "#,
+                r#""compile_s": 0.091, "solve_s": 0.169, "lookup_s": 0.129}"#,
+            )
+        );
+        assert_eq!(
+            m.summary_line(),
+            "structcast-server: served 68 requests (40 ok, 28 errors, 6 shed, 11 panicked); \
+             cache program 12h/13m solve 14h/15m demand 16h/17m evicted 18p+19s \
+             (20021 bytes); compile 0.091s solve 0.169s lookup 0.129s"
+        );
+    }
+
+    /// Every leaf of `v` as a dotted path.
+    fn leaf_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
+        match v {
+            Json::Obj(pairs) => {
+                for (k, child) in pairs {
+                    let path = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    leaf_paths(child, &path, out);
+                }
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+
+    #[test]
+    fn every_row_appears_exactly_once_in_the_stats_reply() {
+        let mut leaves = Vec::new();
+        leaf_paths(&Metrics::new().snapshot(), "", &mut leaves);
+        for row in COUNTERS {
+            let n = leaves.iter().filter(|p| *p == row.path).count();
+            assert_eq!(n, 1, "{} appears {n} times in {leaves:?}", row.path);
+        }
+        // Everything else is the two indexed tallies.
+        assert_eq!(
+            leaves.len(),
+            COUNTERS.len() + ERROR_KINDS.len() + OP_NAMES.len()
+        );
     }
 }

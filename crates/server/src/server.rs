@@ -37,7 +37,7 @@
 use crate::cache::{DemandAnswer, DemandPayload, ProgramEntry, SessionCache, Solved};
 use crate::faults::FaultPlan;
 use crate::json::Json;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::proto::{
     error_response, error_response_with, ok_response, read_request_line, solve_error_response,
     LineRead, QueryOpts, Request,
@@ -249,9 +249,12 @@ pub fn serve(cfg: &ServerConfig) -> io::Result<ServerHandle> {
     if let Some(dir) = &cfg.snapshot_dir {
         match crate::snapshot::load_from_dir(&cache, dir) {
             Ok(None) => {}
-            Ok(Some(entries)) => metrics.record_snapshot_restore(entries as u64),
+            Ok(Some(entries)) => {
+                metrics.add(Counter::SnapshotRestores, 1);
+                metrics.add(Counter::SnapshotRestoredEntries, entries as u64);
+            }
             Err(e) => {
-                metrics.record_snapshot_restore_error();
+                metrics.add(Counter::SnapshotRestoreErrors, 1);
                 eprintln!("snapshot load failed ({e}); starting cold");
             }
         }
@@ -279,13 +282,11 @@ pub fn serve(cfg: &ServerConfig) -> io::Result<ServerHandle> {
                     errors += 1;
                 }
             }
-            metrics.record_wal_replay(
-                info.records.len() as u64 - errors,
-                errors,
-                info.torn_tail,
-            );
+            metrics.add(Counter::WalReplayed, info.records.len() as u64 - errors);
+            metrics.add(Counter::WalReplayErrors, errors);
+            metrics.add(Counter::WalTornTail, u64::from(info.torn_tail));
             let wal = Wal::open(dir, info.records.len() as u64)?;
-            metrics.set_wal_gauges(wal.depth(), wal.bytes());
+            set_wal_gauges(&metrics, &wal);
             Some(Mutex::new(wal))
         }
         _ => None,
@@ -451,17 +452,18 @@ fn save_snapshot(shared: &Shared, dir: &std::path::Path) -> io::Result<u64> {
         .as_ref()
         .map(|w| w.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
     if let Some(f) = shared.faults.fire_disk("snapshot_save") {
-        shared.metrics.record_snapshot_save_error();
+        shared.metrics.add(Counter::SnapshotSaveErrors, 1);
         return Err(f.to_error("snapshot_save"));
     }
     let bytes = crate::snapshot::save_to_dir(&shared.cache, dir).map_err(|e| {
-        shared.metrics.record_snapshot_save_error();
+        shared.metrics.add(Counter::SnapshotSaveErrors, 1);
         io::Error::other(format!("snapshot save failed: {e}"))
     })?;
-    shared.metrics.record_snapshot_save(bytes);
+    shared.metrics.add(Counter::SnapshotSaves, 1);
+    shared.metrics.set(Counter::SnapshotLastSaveBytes, bytes);
     if let Some(wal) = wal.as_deref_mut() {
         match wal.truncate() {
-            Ok(()) => shared.metrics.set_wal_gauges(wal.depth(), wal.bytes()),
+            Ok(()) => set_wal_gauges(&shared.metrics, wal),
             Err(e) => eprintln!("wal truncate after snapshot failed: {e}"),
         }
     }
@@ -523,17 +525,28 @@ fn initiate_shutdown(shared: &Shared) {
 /// The `internal` reply for a caught handler panic (injected or real):
 /// the panic costs this request an error reply, never a worker thread.
 fn panic_reply(shared: &Shared, payload: &(dyn std::any::Any + Send)) -> (Json, bool) {
-    shared.metrics.record_panic();
     shared.metrics.record_error("internal");
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("non-string panic payload");
+    let msg = record_panic(shared, payload);
     (
         error_response("internal", &format!("request handler panicked: {msg}")),
         false,
     )
+}
+
+/// Counts a caught panic and returns its message.
+fn record_panic<'a>(shared: &Shared, payload: &'a (dyn std::any::Any + Send)) -> &'a str {
+    shared.metrics.add(Counter::Panics, 1);
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
+}
+
+/// Mirrors the journal's depth and size into the WAL gauges.
+fn set_wal_gauges(metrics: &Metrics, wal: &Wal) {
+    metrics.set(Counter::WalDepth, wal.depth());
+    metrics.set(Counter::WalBytes, wal.bytes());
 }
 
 /// Handles one request line with panic isolation.
@@ -582,8 +595,8 @@ fn dispatch_line(shared: &Shared, line: &str) -> (Json, bool) {
         && !answerable_warm(shared, &req);
     let mut paid = Duration::ZERO; // compile/solve time, excluded from lookup time
     let result = if brownout {
-        shared.metrics.record_brownout_shed();
-        shared.metrics.record_degraded();
+        shared.metrics.add(Counter::BrownoutSheds, 1);
+        shared.metrics.add(Counter::Degraded, 1);
         Err(ServeError::Brownout)
     } else {
         handle(shared, req, &mut paid)
@@ -592,7 +605,7 @@ fn dispatch_line(shared: &Shared, line: &str) -> (Json, bool) {
         Ok(resp) => {
             shared.metrics.record_ok();
             if stale {
-                shared.metrics.record_stale_serve();
+                shared.metrics.add(Counter::StaleServes, 1);
                 with_marker(resp, "stale", Json::Bool(true))
             } else {
                 resp
@@ -605,7 +618,7 @@ fn dispatch_line(shared: &Shared, line: &str) -> (Json, bool) {
     };
     shared
         .metrics
-        .record_lookup(start.elapsed().saturating_sub(paid));
+        .add_time(Counter::Lookup, start.elapsed().saturating_sub(paid));
     (resp, shutdown)
 }
 
@@ -696,14 +709,14 @@ fn demand_for(
         }
         Ok(Err(e)) => match fallback() {
             Some(answer) => {
-                shared.metrics.record_degraded();
+                shared.metrics.add(Counter::Degraded, 1);
                 Ok((Arc::new(answer), true, true))
             }
             None => Err(e.into()),
         },
         Err(payload) => match fallback() {
             Some(answer) => {
-                shared.metrics.record_degraded();
+                shared.metrics.add(Counter::Degraded, 1);
                 Ok((Arc::new(answer), true, true))
             }
             None => std::panic::resume_unwind(payload),
@@ -1027,23 +1040,24 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                     if shared.cache.entry(&program).is_some() {
                         set_stale(shared, &program, true);
                     }
-                    shared.metrics.record_panic();
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
+                    let msg = record_panic(shared, payload.as_ref());
                     return Err(ServeError::Internal(format!(
                         "update failed mid-re-solve: {msg}"
                     )));
                 }
             };
             *paid += start.elapsed();
-            shared.metrics.record_update(
-                report.fallback.is_some(),
-                report.retracted_edges as u64,
-                report.resolve,
+            shared.metrics.add(Counter::Updates, 1);
+            shared.metrics.add(
+                Counter::UpdateFallbacks,
+                u64::from(report.fallback.is_some()),
             );
+            shared
+                .metrics
+                .add(Counter::UpdateRetractedEdges, report.retracted_edges as u64);
+            shared
+                .metrics
+                .add_time(Counter::UpdateResolve, report.resolve);
             set_stale(shared, &program, false);
             // Durability: journal the accepted edit, fsync'd before the
             // reply. Append failure degrades rather than refuses — the
@@ -1055,12 +1069,13 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                         wal.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                     match wal.append(&program, &source, &shared.faults) {
                         Ok(()) => {
-                            shared.metrics.record_wal_append(wal.depth(), wal.bytes());
+                            shared.metrics.add(Counter::WalAppends, 1);
+                            set_wal_gauges(&shared.metrics, &wal);
                             Some(true)
                         }
                         Err(e) => {
-                            shared.metrics.record_wal_append_error();
-                            shared.metrics.record_degraded();
+                            shared.metrics.add(Counter::WalAppendErrors, 1);
+                            shared.metrics.add(Counter::Degraded, 1);
                             eprintln!("wal append failed ({e}); update applied but not durable");
                             Some(false)
                         }

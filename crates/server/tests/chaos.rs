@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use structcast_server::json::Json;
-use structcast_server::metrics::ERROR_KINDS;
+use structcast_server::metrics::{Counter, ERROR_KINDS};
 use structcast_server::{fleet, serve, Client, FleetConfig, ServerConfig};
 
 fn ok(resp: &Json) -> bool {
@@ -205,8 +205,14 @@ fn chaos_demand_mode_replies_well_formed_and_metrics_reconcile() {
     );
     assert!(metrics.panics() > 0, "the demand fault site must fire: {summary}");
     assert_eq!(metrics.errors_of_kind("internal"), metrics.panics());
-    let (hits, misses) = metrics.demand_counts();
-    assert!(hits + misses > 0, "demand queries must be counted: {summary}");
+    let (hits, misses) = (
+        metrics.get(Counter::DemandHits),
+        metrics.get(Counter::DemandMisses),
+    );
+    assert!(
+        hits + misses > 0,
+        "demand queries must be counted: {summary}"
+    );
 }
 
 /// Budget errors arrive over the wire as typed error replies, and the

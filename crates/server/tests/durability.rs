@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use structcast_server::json::Json;
-use structcast_server::metrics::ERROR_KINDS;
+use structcast_server::metrics::{Counter, ERROR_KINDS};
 use structcast_server::wal;
 use structcast_server::{fleet, serve, Client, FleetConfig, RetryOpts, ServerConfig};
 
@@ -244,7 +244,13 @@ fn torn_tail_restart_sweep_restores_every_prefix_cleanly() {
             ..ServerConfig::default()
         };
         let handle = serve(&cfg).unwrap_or_else(|e| panic!("cut {cut}: restore failed: {e}"));
-        let (_, _, replayed, replay_errors, torn) = handle.metrics().wal_counts();
+        let m = handle.metrics();
+        let [replayed, replay_errors, torn] = [
+            Counter::WalReplayed,
+            Counter::WalReplayErrors,
+            Counter::WalTornTail,
+        ]
+        .map(|c| m.get(c));
         assert_eq!(replayed, k as u64, "cut {cut}");
         assert_eq!(replay_errors, 0, "cut {cut}");
         assert_eq!(torn, u64::from(info.torn_tail), "cut {cut}");
@@ -296,7 +302,7 @@ fn demand_fallback_serves_resident_summary_when_demand_path_panics() {
         "fallback answers from the exhaustive summary: {resp}"
     );
     let m = handle.metrics();
-    let (degraded, _, _, _) = m.degraded_counts();
+    let degraded = m.get(Counter::Degraded);
     assert!(degraded >= 1);
     assert_eq!(m.panics(), 0, "the absorbed panic is not a panic outcome");
     assert_eq!(m.errors_of_kind("internal"), 0);
@@ -342,7 +348,7 @@ fn failed_update_serves_stale_flagged_summaries_until_an_edit_lands() {
         fresh.get("points_to").and_then(Json::as_arr),
         "stale answers are the pre-edit answers"
     );
-    let (_, stale_serves, _, _) = handle.metrics().degraded_counts();
+    let stale_serves = handle.metrics().get(Counter::StaleServes);
     assert!(stale_serves >= 1);
 
     // A good edit clears the flag.
@@ -408,7 +414,7 @@ fn brownout_sheds_cold_misses_but_answers_warm_hits_and_stats() {
             .is_some(),
         "{cold}"
     );
-    let (_, _, brownout_sheds, _) = handle.metrics().degraded_counts();
+    let brownout_sheds = handle.metrics().get(Counter::BrownoutSheds);
     assert!(brownout_sheds >= 1);
 
     let _ = c.shutdown_server();
@@ -444,10 +450,10 @@ fn wal_append_fault_degrades_to_non_durable_updates() {
     .unwrap();
     assert!(ok(&pt), "{pt}");
     let m = handle.metrics();
-    let (appends, append_errors, _, _, _) = m.wal_counts();
+    let (appends, append_errors) = (m.get(Counter::WalAppends), m.get(Counter::WalAppendErrors));
     assert_eq!(appends, 0);
     assert_eq!(append_errors, 1);
-    let (degraded, _, _, _) = m.degraded_counts();
+    let degraded = m.get(Counter::Degraded);
     assert!(degraded >= 1);
     let _ = c.shutdown_server();
     handle.wait();
@@ -633,6 +639,37 @@ fn hostile_ndjson_lines_get_typed_errors_and_never_kill_a_worker() {
     assert_eq!(m.panics(), 0, "garbage input must never panic a worker");
     let errors: u64 = ERROR_KINDS.iter().map(|k| m.errors_of_kind(k)).sum();
     assert_eq!(m.requests(), m.ok() + errors, "metrics reconcile after the sweep");
+    let _ = c.shutdown_server();
+    handle.wait();
+}
+
+/// A C-source nesting bomb: one `load` nesting 2,000 parentheses (about
+/// 4 KB) must get a typed `bad_request` naming the position, not overflow
+/// the worker's stack and abort the process.
+#[test]
+fn c_source_nesting_bomb_is_a_bad_request_and_the_server_keeps_serving() {
+    let handle = serve(&ServerConfig::default()).unwrap();
+    let deep = format!(
+        "int x, *p; void f(void) {{ p = {}&x{}; }}",
+        "(".repeat(2000),
+        ")".repeat(2000)
+    );
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let resp = Json::parse(&c.request_line(&load_req(&deep)).unwrap()).unwrap();
+    assert_eq!(error_kind(&resp), Some("bad_request"), "{resp}");
+    let msg = resp
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str);
+    assert!(
+        msg.unwrap_or_default()
+            .contains("nesting deeper than 128 levels at line 1, column "),
+        "{resp}"
+    );
+    drop(c);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert!(ok(&c.stats().unwrap()));
+    assert_eq!(handle.metrics().panics(), 0);
     let _ = c.shutdown_server();
     handle.wait();
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use structcast::constraints::compiles_on_thread;
 use structcast::{solves_on_thread, DemandQuery, ModelKind, ObjId};
 use structcast_server::json::Json;
-use structcast_server::metrics::Metrics;
+use structcast_server::metrics::{Counter, Metrics};
 use structcast_server::{
     serve, snapshot, Client, QueryOpts, ServerConfig, SessionCache, SnapshotError, SNAPSHOT_FILE,
 };
@@ -254,7 +254,9 @@ fn corrupt_snapshot_on_disk_falls_back_to_a_counted_cold_start() {
         ..ServerConfig::default()
     };
     let handle = serve(&cfg).expect("corrupt snapshot must not prevent startup");
-    let (_, restores, restore_errors) = handle.metrics().snapshot_counts();
+    let m = handle.metrics();
+    let [restores, restore_errors] =
+        [Counter::SnapshotRestores, Counter::SnapshotRestoreErrors].map(|c| m.get(c));
     assert_eq!(restores, 0, "nothing may be restored from a corrupt file");
     assert_eq!(restore_errors, 1, "the fallback is counted");
 
@@ -398,7 +400,9 @@ fn graceful_shutdown_saves_a_snapshot_the_next_process_loads() {
     assert!(dir.join(SNAPSHOT_FILE).exists(), "shutdown must save");
 
     let handle = serve(&cfg).unwrap();
-    let (_, restores, errors) = handle.metrics().snapshot_counts();
+    let m = handle.metrics();
+    let [restores, errors] =
+        [Counter::SnapshotRestores, Counter::SnapshotRestoreErrors].map(|c| m.get(c));
     assert_eq!((restores, errors), (1, 0));
     let mut c = Client::connect(handle.addr()).unwrap();
     let again = c
