@@ -6,15 +6,19 @@
 //! of the incremental pipeline: given the *old* program (with its compiled
 //! [`ConstraintSet`]) and the freshly lowered *new* program, it
 //!
-//! 1. renders every function body (and the global-initializer section) to
-//!    a **normalized form** that is stable under edits elsewhere — temps,
-//!    heap sites, and string literals are numbered per function in first-
-//!    appearance order instead of by their global counters, and every
-//!    operand carries its structural type rendering;
-//! 2. matches functions by name and their statements by normalized
-//!    rendering (whole-body match for clean functions, longest common
-//!    prefix/suffix for edited ones), producing a stable old→new
-//!    remapping of object ids ([`ProgramDiff::obj_map`]);
+//! 1. gives every statement of both programs a compact **statement key**
+//!    that is stable under edits elsewhere: its variant tag, one token id
+//!    per operand, the field path's steps and, for a call, its arity and
+//!    result. A token is keyed by the object's kind (a parameter's with
+//!    its position), its name — empty for temps and heap sites, which key
+//!    anonymously — and its type's structural *shape*. One interner serves
+//!    both programs, so ids compare across them; each object's token and
+//!    each type's shape is built once per program, in one pass, and
+//!    nothing recurses over type depth;
+//! 2. matches functions by name and their statements by key (whole-body
+//!    match for clean functions, longest common prefix/suffix for edited
+//!    ones), producing a stable old→new remapping of object ids
+//!    ([`ProgramDiff::obj_map`]);
 //! 3. re-uses the old set's compiled constraints verbatim for every
 //!    matched statement — object ids remapped, field paths re-interned,
 //!    type ids translated structurally — and freshly lowers only the
@@ -32,12 +36,26 @@
 //! definition invalidates interned field paths and normalized layouts
 //! wholesale — makes the diff report a [`ProgramDiff::fallback`] and
 //! callers do a cold compile+solve instead.
+//!
+//! # Keys are exact
+//!
+//! Keys replace a rendering of every statement to text, and two keys are
+//! equal exactly when the two renderings were. The rendering is a
+//! function of the key; conversely each part of it reads back to one key
+//! part: the variant is its first word, a call's arity is its argument
+//! count, a path renders `ε` or `.i.j`, a type renders as a postfix term
+//! over base names that contain none of `*[](,` (so it parses to one
+//! shape), and a token's prefix fixes its kind class and parameter
+//! position. The one text two shapes shared — `enum:?`, for an untagged
+//! enum and for an enum tagged `?` — is one shape here too, because shapes
+//! key enums by their rendered tag. `tests/diff_oracle.rs` keeps the
+//! renderer as an oracle and checks whole diffs against it.
 
 use crate::{Builder, Constraint, ConstraintSet, OpRef, PathId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use structcast_ir::{Callee, FuncId, Function, ObjId, ObjKind, Program, Stmt};
 use structcast_types::idhash::{IdHashMap, IdHashSet};
-use structcast_types::{FuncSig, IntKind, TypeId, TypeKind, TypeTable};
+use structcast_types::{FloatKind, FuncSig, IntKind, TypeId, TypeKind, TypeTable};
 
 /// The outcome of diffing two lowered programs: a stable old→new object
 /// remapping plus the statement pairing that drives constraint reuse and
@@ -115,174 +133,280 @@ pub struct CompileReuse {
 }
 
 // ---------------------------------------------------------------------
-// Normalized rendering
+// Statement keys
 // ---------------------------------------------------------------------
 
-/// Structural rendering of a type, for operand tokens. Unlike
-/// `TypeTable::display` this refers to records by *index* (`#rec3`), not
-/// tag — the record tables are verified identical index-by-index before
-/// any rendering is compared, so equal renderings imply structurally
-/// identical types across the two programs.
-fn render_type(types: &TypeTable, t: TypeId) -> String {
-    match types.kind(t) {
-        TypeKind::Void => "void".into(),
-        TypeKind::Int(k) => format!("i{k:?}"),
-        TypeKind::Float(k) => format!("f{k:?}"),
-        TypeKind::Enum(tag) => format!("enum:{}", tag.as_deref().unwrap_or("?")),
-        TypeKind::Pointer(p) => format!("{}*", render_type(types, *p)),
-        TypeKind::Array(e, n) => match n {
-            Some(n) => format!("{}[{n}]", render_type(types, *e)),
-            None => format!("{}[]", render_type(types, *e)),
-        },
-        TypeKind::Function(sig) => {
-            let params: Vec<String> = sig.params.iter().map(|p| render_type(types, *p)).collect();
-            format!(
-                "{}({}{})",
-                render_type(types, sig.ret),
-                params.join(","),
-                if sig.variadic { ",..." } else { "" }
-            )
-        }
-        TypeKind::Record(r) => format!("#rec{}", r.0),
-    }
+/// A type's structure with each component type replaced by its shape id,
+/// so equal shape ids mean structurally identical types across the two
+/// programs. Records are referred to by *index* (the record tables are
+/// verified identical index-by-index before any key is compared) and
+/// enums by their rendered tag (`?` when untagged).
+#[derive(PartialEq, Eq, Hash)]
+enum Shape<'a> {
+    Void,
+    Int(IntKind),
+    Float(FloatKind),
+    Enum(&'a str),
+    Pointer(u32),
+    Array(u32, Option<u64>),
+    Function(u32, Vec<u32>, bool),
+    Record(u32),
 }
 
-/// Per-render-unit operand tokenizer. Named objects render by qualified
-/// name; compiler-generated ones (temps, heap sites, string literals)
-/// render *anonymously* — by kind and structural type only, with no
-/// ordinal. An ordinal (even a per-unit one) makes every statement after
-/// an inserted temp render differently, collapsing suffix pairing for the
-/// whole rest of the function. Anonymous tokens keep pairing positional;
-/// identity is recovered through the paired statements' operand
-/// proposals, and any mis-proposal is caught downstream (conflicting
-/// proposals demote the object; removed statements that don't survive
-/// translation seed retraction of whatever they wrote).
-struct Renderer<'p> {
-    prog: &'p Program,
+/// An operand token. Named objects are keyed by kind class (a parameter's
+/// class carries its position), name and type shape; compiler-generated
+/// ones (temps, heap sites) by kind class and type shape only, with an
+/// empty name. No ordinal, not even a per-unit one: an ordinal makes
+/// every statement after an inserted temp key differently, collapsing
+/// suffix pairing for the whole rest of the function. Anonymous tokens
+/// keep pairing positional; identity is recovered through the paired
+/// statements' operand proposals, and any mis-proposal is caught
+/// downstream (conflicting proposals demote the object; removed statements
+/// that don't survive translation seed retraction of whatever they wrote).
+#[derive(PartialEq, Eq, Hash)]
+struct Token<'a> {
+    class: u32,
+    name: &'a str,
+    shape: u32,
 }
 
-impl<'p> Renderer<'p> {
-    fn new(prog: &'p Program) -> Self {
-        Renderer { prog }
-    }
+/// The shape and token interner both programs of one diff share, so ids
+/// compare across them. Both key source text (tags, names) and keep std's
+/// hasher.
+#[derive(Default)]
+struct Interner<'a> {
+    shapes: HashMap<Shape<'a>, u32>,
+    tokens: HashMap<Token<'a>, u32>,
+}
 
-    fn token(&mut self, o: ObjId) -> String {
-        let ob = self.prog.object(o);
-        let tyr = render_type(&self.prog.types, ob.ty);
-        match ob.kind {
-            ObjKind::Global => format!("g:{}:{tyr}", ob.name),
-            ObjKind::Local(_) => format!("l:{}:{tyr}", ob.name),
-            ObjKind::Param(_, i) => format!("p{i}:{}:{tyr}", ob.name),
-            ObjKind::Function(_) => format!("f:{}:{tyr}", ob.name),
-            ObjKind::Ret(_) => format!("r:{}:{tyr}", ob.name),
-            ObjKind::VarArgs(_) => format!("v:{}:{tyr}", ob.name),
-            ObjKind::Temp(_) => format!("%t:{tyr}"),
-            ObjKind::Heap(_) => format!("%h:{tyr}"),
-            ObjKind::StringLit => format!("%s:{}:{tyr}", ob.name),
+fn intern<K: std::hash::Hash + Eq>(ids: &mut HashMap<K, u32>, key: K) -> u32 {
+    let next = ids.len() as u32;
+    *ids.entry(key).or_insert(next)
+}
+
+/// Statement-key variant tags.
+const K_ADDROF: u32 = 0;
+const K_ADDRFIELD: u32 = 1;
+const K_COPY: u32 = 2;
+const K_LOAD: u32 = 3;
+const K_STORE: u32 = 4;
+const K_ARITH: u32 = 5;
+const K_COPYALL: u32 = 6;
+const K_CALL_DIRECT: u32 = 7;
+const K_CALL_INDIRECT: u32 = 8;
+/// A call key's return slot when the call has no result.
+const NO_RET: u32 = u32::MAX;
+
+/// Scope of the file-scope entries in [`Keyed::names`].
+const GLOBAL_SCOPE: u32 = u32::MAX;
+
+/// One program, keyed for diffing: every type's shape id, every object's
+/// token id and every statement's key, plus the per-unit statement lists
+/// and name tables the matcher needs — each built in one pass.
+struct Keyed<'a> {
+    prog: &'a Program,
+    /// `TypeId` → shape id.
+    shape: Vec<u32>,
+    /// `ObjId` → token id.
+    token: Vec<u32>,
+    /// Every statement's key, concatenated: statement `i`'s key is
+    /// `keys[at[i]..at[i + 1]]`.
+    keys: Vec<u32>,
+    at: Vec<u32>,
+    /// Statement indices per unit: function `f`'s body at index `f`, the
+    /// global initializers last.
+    units: Vec<Vec<u32>>,
+    /// Locals per function, in object order.
+    locals: Vec<Vec<ObjId>>,
+    /// `(scope, name)` → object for globals ([`GLOBAL_SCOPE`]) and locals
+    /// (their function's id); `None` when the name repeats in its scope
+    /// (it cannot be matched by name).
+    names: HashMap<(u32, &'a str), Option<ObjId>>,
+}
+
+impl<'a> Keyed<'a> {
+    /// Shapes every type of `prog`. A type is interned only after its
+    /// components, so one pass in id order meets every component first and
+    /// nothing recurses over type depth.
+    fn shapes(prog: &'a Program, it: &mut Interner<'a>) -> Vec<u32> {
+        let mut shape: Vec<u32> = Vec::with_capacity(prog.types.len());
+        for t in 0..prog.types.len() as u32 {
+            let s = match prog.types.kind(TypeId(t)) {
+                TypeKind::Void => Shape::Void,
+                TypeKind::Int(k) => Shape::Int(*k),
+                TypeKind::Float(k) => Shape::Float(*k),
+                TypeKind::Enum(tag) => Shape::Enum(tag.as_deref().unwrap_or("?")),
+                TypeKind::Pointer(p) => Shape::Pointer(shape[p.0 as usize]),
+                TypeKind::Array(e, n) => Shape::Array(shape[e.0 as usize], *n),
+                TypeKind::Function(sig) => Shape::Function(
+                    shape[sig.ret.0 as usize],
+                    sig.params.iter().map(|p| shape[p.0 as usize]).collect(),
+                    sig.variadic,
+                ),
+                TypeKind::Record(r) => Shape::Record(r.0),
+            };
+            shape.push(intern(&mut it.shapes, s));
         }
+        shape
     }
 
-    fn stmt(&mut self, s: &Stmt) -> String {
+    /// Keys `prog`'s objects and statements against `it`, given its shapes.
+    fn new(prog: &'a Program, shape: Vec<u32>, it: &mut Interner<'a>) -> Keyed<'a> {
+        let nf = prog.functions.len();
+        let mut locals: Vec<Vec<ObjId>> = vec![Vec::new(); nf];
+        let mut names: HashMap<(u32, &str), Option<ObjId>> = HashMap::new();
+        let mut token = Vec::with_capacity(prog.objects.len());
+        for (i, ob) in prog.objects.iter().enumerate() {
+            let id = ObjId(i as u32);
+            let (class, named) = match ob.kind {
+                ObjKind::Global => (0, true),
+                ObjKind::Local(_) => (1, true),
+                ObjKind::Function(_) => (2, true),
+                ObjKind::Ret(_) => (3, true),
+                ObjKind::VarArgs(_) => (4, true),
+                ObjKind::StringLit => (5, true),
+                ObjKind::Temp(_) => (6, false),
+                ObjKind::Heap(_) => (7, false),
+                ObjKind::Param(_, k) => (8 + k, true),
+            };
+            let name = if named { ob.name.as_str() } else { "" };
+            let shape = shape[ob.ty.0 as usize];
+            token.push(intern(&mut it.tokens, Token { class, name, shape }));
+            let scope = match ob.kind {
+                ObjKind::Global => GLOBAL_SCOPE,
+                ObjKind::Local(f) => {
+                    locals[f.0 as usize].push(id);
+                    f.0
+                }
+                _ => continue,
+            };
+            names
+                .entry((scope, ob.name.as_str()))
+                .and_modify(|o| *o = None)
+                .or_insert(Some(id));
+        }
+        let mut k = Keyed {
+            prog,
+            shape,
+            token,
+            keys: Vec::with_capacity(prog.stmts.len() * 4),
+            at: Vec::with_capacity(prog.stmts.len() + 1),
+            units: vec![Vec::new(); nf + 1],
+            locals,
+            names,
+        };
+        for (i, s) in prog.stmts.iter().enumerate() {
+            k.at.push(k.keys.len() as u32);
+            k.push_key(s);
+            let unit = prog.stmt_funcs[i].map_or(nf, |f| f.0 as usize);
+            k.units[unit].push(i as u32);
+        }
+        k.at.push(k.keys.len() as u32);
+        k
+    }
+
+    /// Appends one statement's key: its variant tag, its operand tokens and,
+    /// for the forms that carry one, its field path's steps; a call also
+    /// records its arity and (possibly absent) result.
+    fn push_key(&mut self, s: &Stmt) {
+        let t = |o: &ObjId| self.token[o.0 as usize];
+        let mut key = |head: [u32; 3], steps: &[u32]| {
+            self.keys.extend_from_slice(&head);
+            self.keys.extend_from_slice(steps);
+        };
         match s {
-            Stmt::AddrOf { dst, src, path } => {
-                format!("addrof {} {} {path}", self.token(*dst), self.token(*src))
-            }
-            Stmt::AddrField { dst, ptr, path } => {
-                format!("addrfield {} {} {path}", self.token(*dst), self.token(*ptr))
-            }
-            Stmt::Copy { dst, src, path } => {
-                format!("copy {} {} {path}", self.token(*dst), self.token(*src))
-            }
-            Stmt::Load { dst, ptr } => format!("load {} {}", self.token(*dst), self.token(*ptr)),
-            Stmt::Store { ptr, src } => format!("store {} {}", self.token(*ptr), self.token(*src)),
-            Stmt::PtrArith { dst, src } => {
-                format!("arith {} {}", self.token(*dst), self.token(*src))
-            }
-            Stmt::CopyAll { dst_ptr, src_ptr } => {
-                format!("copyall {} {}", self.token(*dst_ptr), self.token(*src_ptr))
-            }
+            Stmt::AddrOf { dst, src, path } => key([K_ADDROF, t(dst), t(src)], path.steps()),
+            Stmt::AddrField { dst, ptr, path } => key([K_ADDRFIELD, t(dst), t(ptr)], path.steps()),
+            Stmt::Copy { dst, src, path } => key([K_COPY, t(dst), t(src)], path.steps()),
+            Stmt::Load { dst, ptr } => key([K_LOAD, t(dst), t(ptr)], &[]),
+            Stmt::Store { ptr, src } => key([K_STORE, t(ptr), t(src)], &[]),
+            Stmt::PtrArith { dst, src } => key([K_ARITH, t(dst), t(src)], &[]),
+            Stmt::CopyAll { dst_ptr, src_ptr } => key([K_COPYALL, t(dst_ptr), t(src_ptr)], &[]),
             Stmt::Call { callee, args, ret } => {
-                let c = match callee {
-                    Callee::Direct(f) => {
-                        format!("D{}", self.token(self.prog.function(*f).obj))
-                    }
-                    Callee::Indirect(p) => format!("I{}", self.token(*p)),
+                let (tag, c) = match callee {
+                    Callee::Direct(f) => (K_CALL_DIRECT, t(&self.prog.function(*f).obj)),
+                    Callee::Indirect(p) => (K_CALL_INDIRECT, t(p)),
                 };
-                let args: Vec<String> = args.iter().map(|a| self.token(*a)).collect();
-                let r = match ret {
-                    Some(r) => self.token(*r),
-                    None => "-".into(),
-                };
-                format!("call {c} ({}) -> {r}", args.join(" "))
+                key([tag, c, args.len() as u32], &[]);
+                self.keys.extend(args.iter().map(t));
+                self.keys.push(ret.as_ref().map_or(NO_RET, t));
             }
         }
     }
+
+    /// Statement `i`'s key.
+    fn key(&self, i: u32) -> &[u32] {
+        &self.keys[self.at[i as usize] as usize..self.at[i as usize + 1] as usize]
+    }
+
+    fn shape_of(&self, t: TypeId) -> u32 {
+        self.shape[t.0 as usize]
+    }
+
+    /// The shape of an object's type.
+    fn obj_shape(&self, o: ObjId) -> u32 {
+        self.shape_of(self.prog.type_of(o))
+    }
+
+    /// The object uniquely named `name` in `scope`, if any.
+    fn unique(&self, scope: u32, name: &str) -> Option<ObjId> {
+        self.names.get(&(scope, name)).copied().flatten()
+    }
+
+    /// The global-initializer unit's statements.
+    fn globals_unit(&self) -> &[u32] {
+        self.units.last().expect("the globals unit")
+    }
 }
 
-/// The statement operands, in a fixed order matching the rendering's
-/// token order (used for positional pairing of unnamed objects).
-fn operands(prog: &Program, s: &Stmt) -> Vec<ObjId> {
+/// The statement operands, in key token order (used for positional
+/// pairing of unnamed objects), into `out`.
+fn operands(prog: &Program, s: &Stmt, out: &mut Vec<ObjId>) {
+    out.clear();
     match s {
-        Stmt::AddrOf { dst, src, .. } => vec![*dst, *src],
-        Stmt::AddrField { dst, ptr, .. } => vec![*dst, *ptr],
-        Stmt::Copy { dst, src, .. } => vec![*dst, *src],
-        Stmt::Load { dst, ptr } => vec![*dst, *ptr],
-        Stmt::Store { ptr, src } => vec![*ptr, *src],
-        Stmt::PtrArith { dst, src } => vec![*dst, *src],
-        Stmt::CopyAll { dst_ptr, src_ptr } => vec![*dst_ptr, *src_ptr],
+        Stmt::AddrOf { dst: a, src: b, .. }
+        | Stmt::AddrField { dst: a, ptr: b, .. }
+        | Stmt::Copy { dst: a, src: b, .. }
+        | Stmt::Load { dst: a, ptr: b }
+        | Stmt::Store { ptr: a, src: b }
+        | Stmt::PtrArith { dst: a, src: b }
+        | Stmt::CopyAll {
+            dst_ptr: a,
+            src_ptr: b,
+        } => out.extend([*a, *b]),
         Stmt::Call { callee, args, ret } => {
-            let mut v = vec![match callee {
+            out.push(match callee {
                 Callee::Direct(f) => prog.function(*f).obj,
                 Callee::Indirect(p) => *p,
-            }];
-            v.extend(args.iter().copied());
-            v.extend(ret.iter().copied());
-            v
+            });
+            out.extend(args.iter().copied());
+            out.extend(ret.iter().copied());
         }
     }
 }
 
-/// The function's signature-level rendering: a change here invalidates the
-/// object mapping of its params/ret/varargs (the body statements of every
-/// caller change rendering too, via the operand tokens).
-fn render_header(prog: &Program, f: &Function) -> String {
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|&p| {
-            let ob = prog.object(p);
-            format!("{}:{}", ob.name, render_type(&prog.types, ob.ty))
+/// Whether two name-matched functions agree in signature: type, parameter
+/// names and types, variadicness, definedness and which slots exist. A
+/// change here invalidates the object mapping of its params/ret/varargs
+/// (the body statements of every caller key differently too, via the
+/// operand tokens).
+fn same_header(o: &Keyed, n: &Keyed, fo: &Function, fnew: &Function) -> bool {
+    o.shape_of(fo.ty) == n.shape_of(fnew.ty)
+        && fo.params.len() == fnew.params.len()
+        && fo.params.iter().zip(&fnew.params).all(|(&a, &b)| {
+            o.prog.object(a).name == n.prog.object(b).name && o.obj_shape(a) == n.obj_shape(b)
         })
-        .collect();
-    format!(
-        "fn {} ty={} params=[{}] variadic={} defined={} ret={} varargs={}",
-        f.name,
-        render_type(&prog.types, f.ty),
-        params.join(","),
-        f.variadic,
-        f.defined,
-        f.ret_slot.is_some(),
-        f.varargs.is_some(),
-    )
-}
-
-/// Renders the statements of one unit (a function body, or the global
-/// initializers for `fid == None`) with a fresh per-unit [`Renderer`].
-fn render_unit(prog: &Program, fid: Option<FuncId>) -> Vec<(u32, String)> {
-    let mut r = Renderer::new(prog);
-    prog.stmts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| prog.stmt_funcs[*i] == fid)
-        .map(|(i, s)| (i as u32, r.stmt(s)))
-        .collect()
+        && fo.variadic == fnew.variadic
+        && fo.defined == fnew.defined
+        && fo.ret_slot.is_some() == fnew.ret_slot.is_some()
+        && fo.varargs.is_some() == fnew.varargs.is_some()
 }
 
 /// Index-by-index fingerprint of the two record tables. Any difference —
 /// count, tag, unionness, completeness, field names or structural field
 /// types — means interned paths and normalized layouts from the old
 /// program are unsound against the new one.
-fn records_differ(old: &TypeTable, new: &TypeTable) -> Option<String> {
+fn records_differ(old: &TypeTable, new: &TypeTable, so: &[u32], sn: &[u32]) -> Option<String> {
     if old.record_count() != new.record_count() {
         return Some(format!(
             "record count changed ({} -> {})",
@@ -300,7 +424,7 @@ fn records_differ(old: &TypeTable, new: &TypeTable) -> Option<String> {
             && a.fields.iter().zip(&b.fields).all(|(fa, fb)| {
                 fa.name == fb.name
                     && fa.anonymous == fb.anonymous
-                    && render_type(old, fa.ty) == render_type(new, fb.ty)
+                    && so[fa.ty.0 as usize] == sn[fb.ty.0 as usize]
             });
         if !same {
             return Some(format!(
@@ -312,9 +436,9 @@ fn records_differ(old: &TypeTable, new: &TypeTable) -> Option<String> {
     None
 }
 
-/// Pairs two rendered statement sequences: longest common prefix and
+/// Pairs two units' statement sequences by key: longest common prefix and
 /// suffix first, then the unmatched middles are content-matched by
-/// identical rendering (greedy, in order, injective). The analysis is
+/// identical key (greedy, in order, injective). The analysis is
 /// flow-insensitive, so a statement that merely *moved* within its unit —
 /// a swapped or reordered line — contributes the same constraint from its
 /// new position; content-matching the middle keeps such edits free
@@ -323,55 +447,42 @@ fn records_differ(old: &TypeTable, new: &TypeTable) -> Option<String> {
 /// still doesn't match stays dirty/removed. Returns whether both sides
 /// paired completely.
 fn pair_prefix_suffix(
-    old: &[(u32, String)],
-    new: &[(u32, String)],
+    o: &Keyed,
+    n: &Keyed,
+    old: &[u32],
+    new: &[u32],
     pairs: &mut Vec<(u32, u32)>,
 ) -> bool {
     let mut lo = 0;
-    while lo < old.len() && lo < new.len() && old[lo].1 == new[lo].1 {
-        pairs.push((old[lo].0, new[lo].0));
+    while lo < old.len() && lo < new.len() && o.key(old[lo]) == n.key(new[lo]) {
+        pairs.push((old[lo], new[lo]));
         lo += 1;
     }
     let mut hi = 0;
     while hi < old.len() - lo && hi < new.len() - lo {
-        let (a, b) = (&old[old.len() - 1 - hi], &new[new.len() - 1 - hi]);
-        if a.1 != b.1 {
+        let (a, b) = (old[old.len() - 1 - hi], new[new.len() - 1 - hi]);
+        if o.key(a) != n.key(b) {
             break;
         }
-        pairs.push((a.0, b.0));
+        pairs.push((a, b));
         hi += 1;
     }
-    let mut by_render: HashMap<&str, std::collections::VecDeque<u32>> = HashMap::new();
-    for (nj, s) in &new[lo..new.len() - hi] {
-        by_render.entry(s.as_str()).or_default().push_back(*nj);
+    let (old_mid, new_mid) = (&old[lo..old.len() - hi], &new[lo..new.len() - hi]);
+    if old_mid.is_empty() || new_mid.is_empty() {
+        return old_mid.len() == new_mid.len();
+    }
+    let mut by_key: IdHashMap<&[u32], VecDeque<u32>> = IdHashMap::default();
+    for &nj in new_mid {
+        by_key.entry(n.key(nj)).or_default().push_back(nj);
     }
     let mut matched_mid = 0;
-    for (oi, s) in &old[lo..old.len() - hi] {
-        if let Some(nj) = by_render.get_mut(s.as_str()).and_then(|q| q.pop_front()) {
-            pairs.push((*oi, nj));
+    for &oi in old_mid {
+        if let Some(nj) = by_key.get_mut(o.key(oi)).and_then(|q| q.pop_front()) {
+            pairs.push((oi, nj));
             matched_mid += 1;
         }
     }
-    lo + hi + matched_mid == old.len() && lo + hi + matched_mid == new.len()
-}
-
-/// Name → object index for objects passing `keep`, names that appear more
-/// than once removed (they cannot be matched by name).
-fn unique_names(prog: &Program, keep: impl Fn(&ObjKind) -> bool) -> HashMap<&str, ObjId> {
-    let mut map: HashMap<&str, ObjId> = HashMap::new();
-    let mut dup: HashSet<&str> = HashSet::new();
-    for (i, o) in prog.objects.iter().enumerate() {
-        if !keep(&o.kind) {
-            continue;
-        }
-        if map.insert(o.name.as_str(), ObjId(i as u32)).is_some() {
-            dup.insert(o.name.as_str());
-        }
-    }
-    for d in dup {
-        map.remove(d);
-    }
-    map
+    matched_mid == old_mid.len() && matched_mid == new_mid.len()
 }
 
 /// Diffs two independently lowered programs (the previous session's and
@@ -380,45 +491,54 @@ fn unique_names(prog: &Program, keep: impl Fn(&ObjKind) -> bool) -> HashMap<&str
 /// consume. Matching is conservative: anything ambiguous is left
 /// unmapped/dirty, which costs reuse but never soundness.
 pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
-    if let Some(why) = records_differ(&old.types, &new.types) {
+    let mut it = Interner::default();
+    let (so, sn) = (Keyed::shapes(old, &mut it), Keyed::shapes(new, &mut it));
+    if let Some(why) = records_differ(&old.types, &new.types, &so, &sn) {
         return ProgramDiff::fallback(old, new, why);
     }
+    let o = Keyed::new(old, so, &mut it);
+    let n = Keyed::new(new, sn, &mut it);
 
     let mut obj_map: Vec<Option<ObjId>> = vec![None; old.objects.len()];
-    let mut used: IdHashSet<u32> = IdHashSet::default();
-    let map = |obj_map: &mut Vec<Option<ObjId>>, used: &mut IdHashSet<u32>, o: ObjId, n: ObjId| {
-        if used.insert(n.0) {
+    let mut used = vec![false; new.objects.len()];
+    let map = |obj_map: &mut Vec<Option<ObjId>>, used: &mut Vec<bool>, o: ObjId, n: ObjId| {
+        if !std::mem::replace(&mut used[n.0 as usize], true) {
             obj_map[o.0 as usize] = Some(n);
         }
     };
 
     // Globals: by unique name, requiring an identical structural type.
-    let new_globals = unique_names(new, |k| matches!(k, ObjKind::Global));
     for (i, ob) in old.objects.iter().enumerate() {
         if !matches!(ob.kind, ObjKind::Global) {
             continue;
         }
-        if let Some(&n) = new_globals.get(ob.name.as_str()) {
-            if render_type(&old.types, ob.ty) == render_type(&new.types, new.type_of(n)) {
-                map(&mut obj_map, &mut used, ObjId(i as u32), n);
+        if let Some(m) = n.unique(GLOBAL_SCOPE, &ob.name) {
+            if o.shape_of(ob.ty) == n.obj_shape(m) {
+                map(&mut obj_map, &mut used, ObjId(i as u32), m);
             }
         }
     }
 
     // Functions: matched by name. The function *object* maps whenever the
     // name survives (any statement whose meaning depends on the
-    // function's type or signature renders differently and goes dirty, so
+    // function's type or signature keys differently and goes dirty, so
     // keeping `p -> f` facts through the map is always consistent with
     // the cold solve).
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let new_fns: HashMap<&str, &Function> = new
+        .functions
+        .iter()
+        .rev()
+        .map(|f| (f.name.as_str(), f))
+        .collect();
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(new.stmts.len());
     let mut reused_fns = 0usize;
     let mut dirty_fns = 0usize;
     for f_old in &old.functions {
-        let Some(f_new) = new.function_by_name(&f_old.name) else {
+        let Some(&f_new) = new_fns.get(f_old.name.as_str()) else {
             continue; // removed function: all its statements stay unpaired
         };
         map(&mut obj_map, &mut used, f_old.obj, f_new.obj);
-        if render_header(old, f_old) != render_header(new, f_new) {
+        if !same_header(&o, &n, f_old, f_new) {
             dirty_fns += 1;
             continue;
         }
@@ -432,19 +552,19 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
             map(&mut obj_map, &mut used, vo, vn);
         }
         // Locals by (unique) qualified name with identical type.
-        let new_locals = unique_names(new, |k| *k == ObjKind::Local(f_new.id));
-        let old_locals = unique_names(old, |k| *k == ObjKind::Local(f_old.id));
-        for (name, &o) in &old_locals {
-            if let Some(&n) = new_locals.get(name) {
-                if render_type(&old.types, old.type_of(o)) == render_type(&new.types, new.type_of(n))
-                {
-                    map(&mut obj_map, &mut used, o, n);
+        for &lo in &o.locals[f_old.id.0 as usize] {
+            let name = old.object(lo).name.as_str();
+            if o.unique(f_old.id.0, name) != Some(lo) {
+                continue;
+            }
+            if let Some(ln) = n.unique(f_new.id.0, name) {
+                if o.obj_shape(lo) == n.obj_shape(ln) {
+                    map(&mut obj_map, &mut used, lo, ln);
                 }
             }
         }
-        let body_old = render_unit(old, Some(f_old.id));
-        let body_new = render_unit(new, Some(f_new.id));
-        if pair_prefix_suffix(&body_old, &body_new, &mut pairs) {
+        let (body_old, body_new) = (&o.units[f_old.id.0 as usize], &n.units[f_new.id.0 as usize]);
+        if pair_prefix_suffix(&o, &n, body_old, body_new, &mut pairs) {
             reused_fns += 1;
         } else {
             dirty_fns += 1;
@@ -452,18 +572,17 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
     }
 
     // Global-initializer statements, paired like a function body.
-    let init_old = render_unit(old, None);
-    let init_new = render_unit(new, None);
-    let globals_dirty = !pair_prefix_suffix(&init_old, &init_new, &mut pairs);
+    let globals_dirty = !pair_prefix_suffix(&o, &n, o.globals_unit(), n.globals_unit(), &mut pairs);
 
     // Unnamed objects (temps, heap sites, string literals — and shadowed
     // locals the name maps skipped): positional proposals over the paired
     // statements, applied only when consistent and injective.
     let mut proposals: IdHashMap<u32, IdHashSet<u32>> = IdHashMap::default();
     let mut demote: IdHashSet<u32> = IdHashSet::default();
+    let (mut oo, mut no) = (Vec::new(), Vec::new());
     for &(oi, nj) in &pairs {
-        let oo = operands(old, &old.stmts[oi as usize]);
-        let no = operands(new, &new.stmts[nj as usize]);
+        operands(old, &old.stmts[oi as usize], &mut oo);
+        operands(new, &new.stmts[nj as usize], &mut no);
         debug_assert_eq!(oo.len(), no.len(), "paired statements must agree in form");
         for (&o, &n) in oo.iter().zip(&no) {
             match obj_map[o.0 as usize] {
@@ -479,16 +598,17 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
             }
         }
     }
+    let single = |set: &IdHashSet<u32>| match set.len() {
+        1 => set.iter().next().copied(),
+        _ => None,
+    };
     let mut claims: IdHashMap<u32, u32> = IdHashMap::default(); // target -> #claimants
-    for set in proposals.values() {
-        if let [t] = *set.iter().copied().collect::<Vec<_>>().as_slice() {
-            *claims.entry(t).or_default() += 1;
-        }
+    for t in proposals.values().filter_map(single) {
+        *claims.entry(t).or_default() += 1;
     }
     for (o, set) in &proposals {
-        let one: Vec<u32> = set.iter().copied().collect();
-        if let [t] = *one.as_slice() {
-            if claims[&t] == 1 && used.insert(t) {
+        if let Some(t) = single(set) {
+            if claims[&t] == 1 && !std::mem::replace(&mut used[t as usize], true) {
                 obj_map[*o as usize] = Some(ObjId(t));
             }
         }
@@ -497,16 +617,21 @@ pub fn diff_programs(old: &Program, new: &Program) -> ProgramDiff {
         obj_map[o as usize] = None;
     }
 
-    let paired_old: IdHashSet<u32> = pairs.iter().map(|&(o, _)| o).collect();
-    let paired_new: IdHashSet<u32> = pairs.iter().map(|&(_, n)| n).collect();
+    let mut paired_old = vec![false; old.stmts.len()];
+    let mut paired_new = vec![false; new.stmts.len()];
+    for &(oi, nj) in &pairs {
+        paired_old[oi as usize] = true;
+        paired_new[nj as usize] = true;
+    }
+    let unpaired = |paired: Vec<bool>| -> Vec<u32> {
+        (0..paired.len() as u32)
+            .filter(|&i| !paired[i as usize])
+            .collect()
+    };
     ProgramDiff {
         obj_map,
-        dirty_stmts: (0..new.stmts.len() as u32)
-            .filter(|i| !paired_new.contains(i))
-            .collect(),
-        removed_stmts: (0..old.stmts.len() as u32)
-            .filter(|i| !paired_old.contains(i))
-            .collect(),
+        dirty_stmts: unpaired(paired_new),
+        removed_stmts: unpaired(paired_old),
         pairs,
         reused_fns,
         dirty_fns,

@@ -189,9 +189,11 @@ impl AnalysisResult {
         out: crate::solver::SolverOutput,
         elapsed: Duration,
     ) -> Self {
+        let mut facts = out.facts;
+        facts.seal();
         AnalysisResult {
             kind,
-            facts: out.facts,
+            facts,
             stats: out.stats,
             iterations: out.iterations,
             resolved_indirect_calls: out.resolved_indirect_calls,

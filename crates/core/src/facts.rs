@@ -41,6 +41,18 @@ impl FactStore {
         FactStore::default()
     }
 
+    /// Creates an empty store with room for `locs` locations and `edges`
+    /// facts.
+    pub(crate) fn with_capacity(locs: usize, edges: usize) -> Self {
+        FactStore {
+            intern: IdHashMap::with_capacity_and_hasher(locs, Default::default()),
+            locs: Vec::with_capacity(locs),
+            targets: Vec::with_capacity(locs),
+            edge_set: IdHashSet::with_capacity_and_hasher(edges, Default::default()),
+            ..FactStore::default()
+        }
+    }
+
     // ----- interner -----
 
     /// Interns `loc`, returning its dense id. Ids are assigned in first-use
@@ -80,6 +92,9 @@ impl FactStore {
 
     /// Records `pointsTo(src, tgt)` by id. Returns true if the fact is new.
     pub fn insert_ids(&mut self, src: LocId, tgt: LocId) -> bool {
+        if self.edge_set.len() != self.edges {
+            self.rebuild_edge_set();
+        }
         let key = ((src.0 as u64) << 32) | tgt.0 as u64;
         if !self.edge_set.insert(key) {
             return false;
@@ -94,6 +109,21 @@ impl FactStore {
         }
         list.push(tgt);
         true
+    }
+
+    /// Drops the dedup set, about a third of the store's memory, once a
+    /// solve is finished and the store is only read; a later insert
+    /// rebuilds it from the target lists.
+    pub(crate) fn seal(&mut self) {
+        self.edge_set = IdHashSet::default();
+    }
+
+    fn rebuild_edge_set(&mut self) {
+        let edges: IdHashSet<u64> = self
+            .iter_ids()
+            .map(|(s, t)| ((s.0 as u64) << 32) | t.0 as u64)
+            .collect();
+        self.edge_set = edges;
     }
 
     /// Number of targets of `src` so far (a subscriber's cursor bound).
@@ -182,6 +212,14 @@ impl FactStore {
         })
     }
 
+    /// Iterates over all edges by id, in [`iter`](FactStore::iter) order.
+    pub(crate) fn iter_ids(&self) -> impl Iterator<Item = (LocId, LocId)> + '_ {
+        self.targets
+            .iter()
+            .enumerate()
+            .flat_map(|(s, ts)| ts.iter().map(move |&t| (LocId(s as u32), t)))
+    }
+
     /// All distinct source locations with at least one fact.
     pub fn sources(&self) -> impl Iterator<Item = &Loc> + '_ {
         self.targets
@@ -236,6 +274,19 @@ mod tests {
         );
         assert!(fs.sources_in_range(ObjId(0), 0, 100).is_empty());
         assert_eq!(fs.sources_in(ObjId(0)).len(), 1);
+    }
+
+    #[test]
+    fn a_sealed_store_still_dedupes_new_facts() {
+        let mut fs = FactStore::new();
+        fs.insert(l(0, 0), l(1, 0));
+        fs.insert(l(0, 0), l(2, 0));
+        fs.seal();
+        assert_eq!(fs.points_to_len(&l(0, 0)), 2);
+        assert!(!fs.insert(l(0, 0), l(1, 0)), "sealed facts stay known");
+        assert!(fs.insert(l(3, 0), l(1, 0)));
+        assert_eq!(fs.len(), 3);
+        assert_eq!(fs.iter().count(), 3);
     }
 
     #[test]

@@ -59,11 +59,12 @@
 use crate::analysis::{AnalysisConfig, AnalysisResult};
 use crate::budget::SolveError;
 use crate::facts::FactStore;
-use crate::loc::Loc;
+use crate::loc::{Loc, LocId};
 use crate::session::{solve_seeded, try_solve_compiled};
 use crate::solver::Seed;
-use structcast_constraints::{removed_survivors, Constraint, ConstraintSet, ProgramDiff};
-use structcast_ir::{Callee, ObjId, ObjKind, Program, Stmt};
+use structcast_constraints::{removed_survivors, Constraint, ConstraintSet, OpRef, ProgramDiff};
+use structcast_ir::{Callee, FuncId, ObjId, ObjKind, Program, Stmt};
+use structcast_types::idhash::IdHashMap;
 use structcast_types::FieldPath;
 
 /// Accounting for one incremental re-solve, reported by the server's
@@ -150,11 +151,11 @@ pub fn resolve_incremental(
     let inv = diff.inverse_obj_map(new_prog.objects.len());
     let empty = FieldPath::empty();
     let map_old = |o: ObjId| -> Option<ObjId> { diff.obj_map[o.0 as usize] };
+    let old_facts = &old_result.facts;
     // Old top-level points-to targets of an *old* object, as new ids.
     let old_pts_of_old = |o: ObjId| -> Vec<ObjId> {
         let l = old_result.normalize(old_prog, o, &empty);
-        old_result
-            .facts
+        old_facts
             .points_to(&l)
             .filter_map(|t| map_old(t.obj))
             .collect()
@@ -166,17 +167,17 @@ pub fn resolve_incremental(
             None => Vec::new(),
         }
     };
-    // Old resolved callees of an old call site, as new function ids.
-    let old_callees = |old_idx: u32| -> Vec<structcast_ir::FuncId> {
-        old_result
-            .call_edges
-            .iter()
-            .filter(|(sid, _)| sid.0 == old_idx)
-            .filter_map(|(_, fid)| {
-                new_prog.as_function(map_old(old_prog.function(*fid).obj)?)
-            })
-            .collect()
-    };
+    // Old resolved callees per old call site, as new function ids, in
+    // call-edge order.
+    let mut callees_at: IdHashMap<u32, Vec<FuncId>> = IdHashMap::default();
+    for (sid, fid) in &old_result.call_edges {
+        let f = map_old(old_prog.function(*fid).obj).and_then(|o| new_prog.as_function(o));
+        if let Some(f) = f {
+            callees_at.entry(sid.0).or_default().push(f);
+        }
+    }
+    let old_callees =
+        |old_idx: u32| -> &[FuncId] { callees_at.get(&old_idx).map_or(&[], Vec::as_slice) };
 
     // Object-granular dataflow rules per new constraint. Each rule is an
     // independent `reads -> writes` edge: a dirty read taints exactly that
@@ -186,78 +187,46 @@ pub fn resolve_incremental(
     // writes (Store, CopyAll) use the *old* points-to sets of the pointer;
     // targets the re-run discovers beyond them are handled by the solver's
     // subscriptions, not by the static region.
-    struct Rule {
-        reads: Vec<ObjId>,
-        writes: Vec<ObjId>,
-    }
-    fn binding_rules(f: &structcast_ir::Function, args: &[ObjId], ret: Option<ObjId>) -> Vec<Rule> {
-        let mut rules = Vec::new();
-        for (k, &arg) in args.iter().enumerate() {
-            let writes = match f.params.get(k) {
-                Some(&p) => vec![p],
-                None => f.varargs.iter().copied().collect(),
-            };
-            if !writes.is_empty() {
-                rules.push(Rule { reads: vec![arg], writes });
-            }
-        }
-        if let (Some(slot), Some(dst)) = (f.ret_slot, ret) {
-            rules.push(Rule { reads: vec![slot], writes: vec![dst] });
-        }
-        rules
-    }
     let pair_of_new = diff.pair_of_new(total);
-    let mut rules: Vec<Vec<Rule>> = Vec::with_capacity(total);
+    let mut rules = Rules::with_capacity(total);
     for (i, c) in new_set.constraints().iter().enumerate() {
-        let rs = match c {
-            Constraint::AddrOf { dst, .. } => {
-                vec![Rule { reads: Vec::new(), writes: vec![*dst] }]
-            }
-            Constraint::AddrField { dst, ptr, .. } => {
-                vec![Rule { reads: vec![*ptr], writes: vec![*dst] }]
-            }
-            Constraint::Copy { dst, src, .. } => {
-                vec![Rule { reads: vec![src.obj], writes: vec![*dst] }]
-            }
+        rules.begin_stmt();
+        match c {
+            Constraint::AddrOf { dst, .. } => rules.push([], [*dst]),
+            Constraint::AddrField { dst, ptr, .. } => rules.push([*ptr], [*dst]),
+            Constraint::Copy { dst, src, .. } => rules.push([src.obj], [*dst]),
             Constraint::Load { dst, ptr, .. } => {
-                let mut r = vec![*ptr];
-                r.extend(old_pts_of_new(*ptr));
-                vec![Rule { reads: r, writes: vec![*dst] }]
+                rules.push(std::iter::once(*ptr).chain(old_pts_of_new(*ptr)), [*dst]);
             }
-            Constraint::Store { ptr, src, .. } => {
-                vec![Rule { reads: vec![*ptr, *src], writes: old_pts_of_new(*ptr) }]
-            }
-            Constraint::PtrArith { dst, src, .. } => {
-                vec![Rule { reads: vec![*src], writes: vec![*dst] }]
-            }
-            Constraint::CopyAll { dst_ptr, src_ptr } => {
-                let mut r = vec![*dst_ptr, *src_ptr];
-                r.extend(old_pts_of_new(*src_ptr));
-                vec![Rule { reads: r, writes: old_pts_of_new(*dst_ptr) }]
-            }
+            Constraint::Store { ptr, src, .. } => rules.push([*ptr, *src], old_pts_of_new(*ptr)),
+            Constraint::PtrArith { dst, src, .. } => rules.push([*src], [*dst]),
+            Constraint::CopyAll { dst_ptr, src_ptr } => rules.push(
+                [*dst_ptr, *src_ptr]
+                    .into_iter()
+                    .chain(old_pts_of_new(*src_ptr)),
+                old_pts_of_new(*dst_ptr),
+            ),
             Constraint::CallDirect { fid, args, ret } => {
-                binding_rules(new_prog.function(*fid), args, *ret)
+                rules.push_bindings(new_prog.function(*fid), args, *ret);
             }
             Constraint::CallIndirect { ptr, args, ret } => {
                 // Per-binding rules against the old resolution, plus a
                 // gating rule: a dirty function pointer may change the
                 // callee set, so it taints every binding target.
-                let mut rs = Vec::new();
                 let mut gated: Vec<ObjId> = ret.iter().copied().collect();
                 if let Some(oi) = pair_of_new[i] {
-                    for fid in old_callees(oi) {
+                    for &fid in old_callees(oi) {
                         let f = new_prog.function(fid);
                         gated.extend(f.params.iter().copied());
                         gated.extend(f.varargs);
-                        rs.extend(binding_rules(f, args, *ret));
+                        rules.push_bindings(f, args, *ret);
                     }
                 }
-                rs.push(Rule { reads: vec![*ptr], writes: gated });
-                rs
+                rules.push([*ptr], gated);
             }
-        };
-        rules.push(rs);
+        }
     }
+    rules.begin_stmt();
 
     // Dirty-object seeds. Only *deleted derivations* can invalidate old
     // facts — solving is monotone, so an added statement needs no
@@ -280,11 +249,8 @@ pub fn resolve_incremental(
     }
     let mut fresh = vec![true; new_prog.objects.len()];
     for (i, c) in new_set.constraints().iter().enumerate() {
-        if is_dirty_stmt[i] {
-            continue;
-        }
-        for o in constraint_operands(c) {
-            fresh[o.0 as usize] = false;
+        if !is_dirty_stmt[i] {
+            for_each_operand(c, |o| fresh[o.0 as usize] = false);
         }
     }
     let mut dirty = vec![false; new_prog.objects.len()];
@@ -310,23 +276,29 @@ pub fn resolve_incremental(
         }
     }
 
+    // Each old location's object in the new program (`None`: no identity),
+    // and the new roots of old facts whose target has no identity: those
+    // facts cannot be translated, so a clean root must be re-derived.
+    let loc_obj: Vec<Option<ObjId>> = (0..old_facts.num_locs())
+        .map(|l| map_old(old_facts.obj_of(LocId(l as u32))))
+        .collect();
+    let mut untranslatable_roots: Vec<ObjId> = old_facts
+        .iter_ids()
+        .filter(|(_, t)| loc_obj[t.index()].is_none())
+        .filter_map(|(s, _)| loc_obj[s.index()])
+        .collect();
+    untranslatable_roots.dedup();
+
     // Propagate: a statement reading a dirty object taints its writes.
-    // Then defensively re-dirty sources whose kept facts point at objects
-    // with no new identity (those facts cannot be translated, so their
-    // root must be re-derived), and iterate until stable.
+    // Then defensively re-dirty the untranslatable roots, and iterate
+    // until stable.
     loop {
         loop {
             let mut changed = false;
-            for rs in &rules {
-                for rule in rs {
-                    if rule.reads.iter().any(|o| dirty[o.0 as usize]) {
-                        for w in &rule.writes {
-                            let wi = w.0 as usize;
-                            if !dirty[wi] {
-                                dirty[wi] = true;
-                                changed = true;
-                            }
-                        }
+            for (reads, writes) in rules.iter() {
+                if reads.iter().any(|o| dirty[o.0 as usize]) {
+                    for w in writes {
+                        changed |= !std::mem::replace(&mut dirty[w.0 as usize], true);
                     }
                 }
             }
@@ -335,12 +307,8 @@ pub fn resolve_incremental(
             }
         }
         let mut extra = false;
-        for (src, tgt) in old_result.facts.iter() {
-            let Some(ns) = map_old(src.obj) else { continue };
-            if !dirty[ns.0 as usize] && map_old(tgt.obj).is_none() {
-                dirty[ns.0 as usize] = true;
-                extra = true;
-            }
+        for ns in &untranslatable_roots {
+            extra |= !std::mem::replace(&mut dirty[ns.0 as usize], true);
         }
         if !extra {
             break;
@@ -352,19 +320,15 @@ pub fn resolve_incremental(
     // resolution: the translated call edges are pre-bound in the seeded
     // solver, so their bindings exist (dormant, source-subscribed) and
     // the reported call-edge set stays complete without re-firing them.
-    let mut in_region = vec![false; total];
-    for &j in &diff.dirty_stmts {
-        in_region[j as usize] = true;
-    }
-    for (i, rs) in rules.iter().enumerate() {
-        if rs.iter().any(|rule| {
-            rule.reads.iter().any(|o| dirty[o.0 as usize])
-                || rule.writes.iter().any(|o| dirty[o.0 as usize])
-        }) {
-            in_region[i] = true;
-        }
-    }
-    let mut bound: Vec<(u32, structcast_ir::FuncId)> = Vec::new();
+    let in_region: Vec<bool> = (0..total)
+        .map(|i| {
+            is_dirty_stmt[i]
+                || rules
+                    .of_stmt(i)
+                    .any(|(reads, writes)| reads.iter().chain(writes).any(|o| dirty[o.0 as usize]))
+        })
+        .collect();
+    let mut bound: Vec<(u32, FuncId)> = Vec::new();
     for (i, c) in new_set.constraints().iter().enumerate() {
         if in_region[i] {
             continue;
@@ -373,7 +337,7 @@ pub fn resolve_incremental(
             Constraint::CallDirect { fid, .. } => bound.push((i as u32, *fid)),
             Constraint::CallIndirect { .. } => {
                 if let Some(oi) = pair_of_new[i] {
-                    bound.extend(old_callees(oi).into_iter().map(|f| (i as u32, f)));
+                    bound.extend(old_callees(oi).iter().map(|&f| (i as u32, f)));
                 }
             }
             _ => {}
@@ -385,21 +349,36 @@ pub fn resolve_incremental(
     let region = queue.clone();
     let region_statements = queue.len();
 
-    // Retraction: keep facts rooted in clean objects, translated.
-    let mut kept = FactStore::new();
+    // Retraction: keep the facts rooted in clean objects. Each surviving
+    // old location is translated and interned once, on first use, in the
+    // order the kept facts name them (source, then target), so the kept
+    // store assigns exactly the `LocId`s and fact order that re-inserting
+    // every kept fact by `Loc` would; each fact then goes in by id.
+    const UNSEEN: u32 = u32::MAX;
+    let mut new_loc = vec![UNSEEN; old_facts.num_locs()];
+    let mut kept = FactStore::with_capacity(old_facts.num_locs(), old_facts.len());
+    let mut carry = |l: LocId, kept: &mut FactStore, obj: ObjId| -> LocId {
+        let slot = &mut new_loc[l.index()];
+        if *slot == UNSEEN {
+            let field = old_facts.loc(l).field.clone();
+            *slot = kept.intern(Loc { obj, field }).0;
+        }
+        LocId(*slot)
+    };
     let mut kept_edges = 0usize;
-    for (src, tgt) in old_result.facts.iter() {
-        let (Some(ns), Some(nt)) = (map_old(src.obj), map_old(tgt.obj)) else { continue };
+    for (s, t) in old_facts.iter_ids() {
+        let (Some(ns), Some(nt)) = (loc_obj[s.index()], loc_obj[t.index()]) else {
+            continue;
+        };
         if dirty[ns.0 as usize] {
             continue;
         }
-        kept.insert(
-            Loc { obj: ns, field: src.field.clone() },
-            Loc { obj: nt, field: tgt.field.clone() },
-        );
+        let s = carry(s, &mut kept, ns);
+        let t = carry(t, &mut kept, nt);
+        kept.insert_ids(s, t);
         kept_edges += 1;
     }
-    let retracted_edges = old_result.facts.len() - kept_edges;
+    let retracted_edges = old_facts.len() - kept_edges;
     let unknown: Vec<Loc> = old_result
         .unknown
         .iter()
@@ -427,28 +406,113 @@ pub fn resolve_incremental(
     })
 }
 
-/// The syntactic operand objects of one constraint (no dereference
+/// Object-granular `reads -> writes` dataflow rules, grouped by statement,
+/// in flat storage: one object array, one `(reads, writes)` start pair per
+/// rule and one first-rule index per statement. A rule's writes end where
+/// the next rule's reads start; a statement's rules end where the next
+/// statement's start.
+struct Rules {
+    objs: Vec<ObjId>,
+    rules: Vec<(u32, u32)>,
+    stmts: Vec<u32>,
+}
+
+impl Rules {
+    fn with_capacity(stmts: usize) -> Rules {
+        Rules {
+            objs: Vec::with_capacity(stmts * 3),
+            rules: Vec::with_capacity(stmts + stmts / 4),
+            stmts: Vec::with_capacity(stmts + 1),
+        }
+    }
+
+    /// Starts the next statement's rules (and, once more after the last
+    /// statement, closes the table).
+    fn begin_stmt(&mut self) {
+        self.stmts.push(self.rules.len() as u32);
+    }
+
+    fn push(
+        &mut self,
+        reads: impl IntoIterator<Item = ObjId>,
+        writes: impl IntoIterator<Item = ObjId>,
+    ) {
+        let r = self.objs.len() as u32;
+        self.objs.extend(reads);
+        let w = self.objs.len() as u32;
+        self.objs.extend(writes);
+        self.rules.push((r, w));
+    }
+
+    /// One rule per binding of a call to `f`: argument `k` to parameter `k`
+    /// (or to the varargs object, when `f` has one), and the return slot
+    /// to the call's result.
+    fn push_bindings(&mut self, f: &structcast_ir::Function, args: &[ObjId], ret: Option<ObjId>) {
+        for (k, &arg) in args.iter().enumerate() {
+            if let Some(w) = f.params.get(k).copied().or(f.varargs) {
+                self.push([arg], [w]);
+            }
+        }
+        if let (Some(slot), Some(dst)) = (f.ret_slot, ret) {
+            self.push([slot], [dst]);
+        }
+    }
+
+    fn rule(&self, k: usize) -> (&[ObjId], &[ObjId]) {
+        let (r, w) = self.rules[k];
+        let end = self
+            .rules
+            .get(k + 1)
+            .map_or(self.objs.len(), |n| n.0 as usize);
+        (
+            &self.objs[r as usize..w as usize],
+            &self.objs[w as usize..end],
+        )
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[ObjId], &[ObjId])> + '_ {
+        (0..self.rules.len()).map(|k| self.rule(k))
+    }
+
+    /// Statement `i`'s rules.
+    fn of_stmt(&self, i: usize) -> impl Iterator<Item = (&[ObjId], &[ObjId])> + '_ {
+        (self.stmts[i] as usize..self.stmts[i + 1] as usize).map(|k| self.rule(k))
+    }
+}
+
+/// Visits the syntactic operand objects of one constraint (no dereference
 /// expansion — this is the "does a paired statement touch this object at
 /// all" test behind the fresh-object seed exclusion).
-fn constraint_operands(c: &Constraint) -> Vec<ObjId> {
+fn for_each_operand(c: &Constraint, mut f: impl FnMut(ObjId)) {
     match c {
-        Constraint::AddrOf { dst, src } => vec![*dst, src.obj],
-        Constraint::AddrField { dst, ptr, .. } => vec![*dst, *ptr],
-        Constraint::Copy { dst, src, .. } => vec![*dst, src.obj],
-        Constraint::Load { dst, ptr, .. } => vec![*dst, *ptr],
-        Constraint::Store { ptr, src, .. } => vec![*ptr, *src],
-        Constraint::PtrArith { dst, src, .. } => vec![*dst, *src],
-        Constraint::CopyAll { dst_ptr, src_ptr } => vec![*dst_ptr, *src_ptr],
+        Constraint::AddrOf {
+            dst: a,
+            src: OpRef { obj: b, .. },
+        }
+        | Constraint::AddrField { dst: a, ptr: b, .. }
+        | Constraint::Copy {
+            dst: a,
+            src: OpRef { obj: b, .. },
+            ..
+        }
+        | Constraint::Load { dst: a, ptr: b, .. }
+        | Constraint::Store { ptr: a, src: b, .. }
+        | Constraint::PtrArith { dst: a, src: b, .. }
+        | Constraint::CopyAll {
+            dst_ptr: a,
+            src_ptr: b,
+        } => {
+            f(*a);
+            f(*b);
+        }
         Constraint::CallDirect { args, ret, .. } => {
-            let mut v = args.clone();
-            v.extend(ret.iter().copied());
-            v
+            args.iter().chain(ret).for_each(|o| f(*o));
         }
         Constraint::CallIndirect { ptr, args, ret } => {
-            let mut v = vec![*ptr];
-            v.extend(args.iter().copied());
-            v.extend(ret.iter().copied());
-            v
+            std::iter::once(ptr)
+                .chain(args)
+                .chain(ret)
+                .for_each(|o| f(*o));
         }
     }
 }
@@ -458,12 +522,12 @@ fn constraint_operands(c: &Constraint) -> Vec<ObjId> {
 /// the old solve's points-to sets; call writes use the old resolved call
 /// edges (both translated through the object map; targets without a new
 /// identity need no seeding — they don't exist to hold stale facts).
-fn removed_stmt_writes(
+fn removed_stmt_writes<'c>(
     old_prog: &Program,
     oi: u32,
     map_old: &impl Fn(ObjId) -> Option<ObjId>,
     old_pts_of_old: &impl Fn(ObjId) -> Vec<ObjId>,
-    old_callees: &impl Fn(u32) -> Vec<structcast_ir::FuncId>,
+    old_callees: &dyn Fn(u32) -> &'c [FuncId],
     new_prog: &Program,
 ) -> Vec<ObjId> {
     match &old_prog.stmts[oi as usize] {
@@ -476,13 +540,13 @@ fn removed_stmt_writes(
         Stmt::CopyAll { dst_ptr, .. } => old_pts_of_old(*dst_ptr),
         Stmt::Call { callee, ret, .. } => {
             let mut w: Vec<ObjId> = ret.iter().filter_map(|r| map_old(*r)).collect();
-            let mut callees = old_callees(oi);
-            if let Callee::Direct(f) = callee {
-                if let Some(nf) = map_old(old_prog.function(*f).obj).and_then(|o| new_prog.as_function(o)) {
-                    callees.push(nf);
+            let direct = match callee {
+                Callee::Direct(f) => {
+                    map_old(old_prog.function(*f).obj).and_then(|o| new_prog.as_function(o))
                 }
-            }
-            for fid in callees {
+                Callee::Indirect(_) => None,
+            };
+            for &fid in old_callees(oi).iter().chain(&direct) {
                 let f = new_prog.function(fid);
                 w.extend(f.params.iter().copied());
                 w.extend(f.varargs);

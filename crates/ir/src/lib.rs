@@ -42,7 +42,7 @@ mod ir;
 mod lower;
 
 pub use ir::{Callee, FuncId, Function, ObjId, ObjKind, Object, Program, Stmt, StmtId};
-pub use lower::{lower, lower_source, LowerError, Result};
+pub use lower::{lower, lower_source, LowerError, Result, MAX_TYPE_DEPTH};
 
 #[cfg(test)]
 mod tests;

@@ -23,6 +23,18 @@ use structcast_ast::{
 };
 use structcast_types::{Field, FieldPath, FuncSig, Layout, RecordId, TypeId, TypeKind};
 
+/// How deeply one type may nest, counted separately along two chains: its
+/// pointer, array and function declarators (`typedef T0 *T1; typedef T1
+/// *T2; ...` builds such a chain by name, past the parser's
+/// [`MAX_NESTING`](structcast_ast::MAX_NESTING)), and the records it
+/// contains by value (`struct S1 { struct S0 f; }; ...`), arrays included.
+/// Type rendering, layout and field enumeration recurse once per level, so
+/// an unbounded chain could overflow a server worker's 2 MiB stack. It
+/// equals the parser's nesting budget, so every declarator the parser
+/// accepts stays within it. Deeper types are a [`LowerError`] naming the
+/// declaration.
+pub const MAX_TYPE_DEPTH: u32 = structcast_ast::MAX_NESTING as u32;
+
 /// An error produced during lowering (undeclared names, bad member
 /// accesses, malformed types).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,9 +64,19 @@ impl LowerError {
         self.span
     }
 
-    /// The 1-based column of the span's start, known for parse errors.
+    /// The 1-based column of the span's start, known when the error came
+    /// through [`lower_source`].
     pub fn column(&self) -> Option<u32> {
         self.column
+    }
+
+    /// Fills in the column of the span's start within `src`, the text the
+    /// span indexes.
+    fn locate(mut self, src: &str) -> Self {
+        let before = src.get(..self.span.start as usize).unwrap_or(src);
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        self.column = Some(before[line_start..].chars().count() as u32 + 1);
+        self
     }
 }
 
@@ -91,14 +113,15 @@ pub fn lower(tu: &TranslationUnit) -> Result<Program> {
 ///
 /// # Errors
 ///
-/// Returns the parse error (wrapped) or the lowering error.
+/// Returns the parse error (wrapped) or the lowering error, either one
+/// naming line and column.
 pub fn lower_source(src: &str) -> Result<Program> {
     let tu = structcast_ast::parse(src).map_err(|e| LowerError {
         message: format!("parse error: {}", e.message()),
         span: e.span(),
         column: e.column(),
     })?;
-    lower(&tu)
+    lower(&tu).map_err(|e| e.locate(src))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -135,6 +158,11 @@ pub(crate) struct Lowerer {
     pub(crate) static_bufs: HashMap<String, ObjId>,
     /// Hidden state threading `strtok(NULL, ...)` calls together.
     pub(crate) strtok_state: Option<ObjId>,
+    /// Declarator depth per `TypeId` (pointer, array and function layers
+    /// down to a scalar or record), filled in id order.
+    decl_depth: Vec<u32>,
+    /// By-value containment depth per completed record, by `RecordId`.
+    record_depth: Vec<u32>,
 }
 
 impl Lowerer {
@@ -157,6 +185,8 @@ impl Lowerer {
             last_alloc: None,
             static_bufs: HashMap::new(),
             strtok_state: None,
+            decl_depth: Vec::new(),
+            record_depth: Vec::new(),
         }
     }
 
@@ -462,7 +492,7 @@ impl Lowerer {
     // ----- type building -----
 
     pub(crate) fn build_type(&mut self, ty: &AstType) -> Result<TypeId> {
-        Ok(match ty {
+        let t = match ty {
             AstType::Base(spec) => self.build_spec(spec)?,
             AstType::Pointer(inner) => {
                 let i = self.build_type(inner)?;
@@ -490,13 +520,14 @@ impl Lowerer {
                     variadic: *variadic,
                 })
             }
-        })
+        };
+        self.check_decl_depth(t)
     }
 
     /// Builds a declarator's type around an already-built base type,
     /// avoiding re-evaluation of the (side-effecting) base specifier.
     pub(crate) fn build_type_with_base(&mut self, ty: &AstType, base: TypeId) -> Result<TypeId> {
-        Ok(match ty {
+        let t = match ty {
             AstType::Base(_) => base,
             AstType::Pointer(inner) => {
                 let i = self.build_type_with_base(inner, base)?;
@@ -524,7 +555,56 @@ impl Lowerer {
                     variadic: *variadic,
                 })
             }
-        })
+        };
+        self.check_decl_depth(t)
+    }
+
+    /// `t`, if its declarator chain is within [`MAX_TYPE_DEPTH`]. A type is
+    /// interned only after its components, so the depths fill in id order
+    /// without recursion.
+    fn check_decl_depth(&mut self, t: TypeId) -> Result<TypeId> {
+        while self.decl_depth.len() < self.prog.types.len() {
+            let d = &self.decl_depth;
+            let depth = match self.prog.types.kind(TypeId(d.len() as u32)) {
+                TypeKind::Pointer(i) | TypeKind::Array(i, _) => 1 + d[i.0 as usize],
+                TypeKind::Function(sig) => {
+                    let parts = sig.params.iter().chain([&sig.ret]);
+                    1 + parts.map(|p| d[p.0 as usize]).max().unwrap_or(0)
+                }
+                _ => 0,
+            };
+            self.decl_depth.push(depth);
+        }
+        if self.decl_depth[t.0 as usize] > MAX_TYPE_DEPTH {
+            return Err(self.too_deep(self.cur_span));
+        }
+        Ok(t)
+    }
+
+    /// The by-value containment depth of a value of type `t`: its array
+    /// layers plus the depth of the record under them.
+    fn containment_depth(&self, t: TypeId) -> u32 {
+        let mut depth = 0;
+        let mut cur = t;
+        loop {
+            match self.prog.types.kind(cur) {
+                TypeKind::Array(e, _) => {
+                    depth += 1;
+                    cur = *e;
+                }
+                TypeKind::Record(r) => {
+                    return depth + self.record_depth.get(r.0 as usize).copied().unwrap_or(0)
+                }
+                _ => return depth,
+            }
+        }
+    }
+
+    fn too_deep(&self, span: Span) -> LowerError {
+        LowerError::new(
+            format!("type nested deeper than {MAX_TYPE_DEPTH} levels"),
+            span,
+        )
     }
 
     fn build_spec(&mut self, spec: &TypeSpec) -> Result<TypeId> {
@@ -607,6 +687,19 @@ impl Lowerer {
 
         if let Some(field_decls) = &rs.fields {
             let fields = self.build_fields(field_decls)?;
+            let depth = 1 + fields
+                .iter()
+                .map(|f| self.containment_depth(f.ty))
+                .max()
+                .unwrap_or(0);
+            if depth > MAX_TYPE_DEPTH {
+                return Err(self.too_deep(rs.span));
+            }
+            let slot = rid.0 as usize;
+            if self.record_depth.len() <= slot {
+                self.record_depth.resize(slot + 1, 0);
+            }
+            self.record_depth[slot] = depth;
             self.prog.types.complete_record(rid, fields);
         }
         Ok(self.prog.types.intern(TypeKind::Record(rid)))
@@ -617,6 +710,18 @@ impl Lowerer {
         for fd in decls {
             self.cur_span = fd.span;
             let ty = self.build_type(&fd.ty)?;
+            // A member of incomplete record type (C11 6.7.2.1p3) would let a
+            // record contain itself, or a record completed later, by value:
+            // an infinite layout, or a containment depth known only then.
+            if let TypeKind::Record(r) = self.prog.types.kind(self.prog.types.strip_arrays(ty)) {
+                if !self.prog.types.record(*r).complete {
+                    let name = fd.name.as_deref().unwrap_or("<anonymous>");
+                    return Err(LowerError::new(
+                        format!("member `{name}` has incomplete type"),
+                        fd.span,
+                    ));
+                }
+            }
             match &fd.name {
                 Some(name) => out.push(Field {
                     name: name.clone(),

@@ -466,3 +466,24 @@ fn assignment_count_matches_paper_forms() {
     assert!(prog.assignment_count() >= 2);
     assert!(prog.assignment_count() < prog.stmts.len());
 }
+
+/// A record containing itself (or a record not yet complete) by value has
+/// no layout; it is a typed error naming the member, not an unbounded
+/// recursion in layout or field enumeration.
+#[test]
+fn incomplete_by_value_members_are_errors() {
+    for (src, at) in [
+        (
+            "struct S { int *p; struct S s; } v;",
+            "member `s` has incomplete type at line 1, column 29",
+        ),
+        (
+            "struct A { struct B b[2]; } v; struct B { int *q; };",
+            "member `b` has incomplete type at line 1, column 21",
+        ),
+    ] {
+        assert_eq!(lower_source(src).unwrap_err().to_string(), at);
+    }
+    // Behind a pointer the record may be incomplete, or the record itself.
+    lower_source("struct N { struct N *next; struct M *m; } v; struct M { int x; };").unwrap();
+}

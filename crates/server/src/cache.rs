@@ -514,8 +514,14 @@ impl SessionCache {
     /// Loads (compiles) `source`, reusing the cached entry when the same
     /// text was loaded before. `name` registers an alias for later queries
     /// (latest load of a name wins); unnamed programs are addressed by
-    /// their hash. Lower failures are reported, not cached.
-    pub fn load(&self, name: Option<&str>, source: &str) -> Result<Arc<ProgramEntry>, String> {
+    /// their hash. Lower failures are reported, not cached. Returns the
+    /// entry plus the compile time this call paid: the entry's own on a
+    /// miss, zero on a hit.
+    pub fn load(
+        &self,
+        name: Option<&str>,
+        source: &str,
+    ) -> Result<(Arc<ProgramEntry>, Duration), String> {
         let key = (source_hash(source), String::new());
         let (entry, hit) = match self.get(&key) {
             Some(e) => (e, true),
@@ -549,11 +555,13 @@ impl SessionCache {
         drop(store);
         if hit {
             self.metrics.add(Counter::ProgramHits, 1);
+            Ok((entry, Duration::ZERO))
         } else {
             self.metrics.add(Counter::ProgramMisses, 1);
             self.metrics.add_time(Counter::Compile, entry.compile);
+            let compile = entry.compile;
+            Ok((entry, compile))
         }
-        Ok(entry)
     }
 
     /// Resolves a loaded program by name or hash. An evicted program
@@ -1091,14 +1099,16 @@ mod tests {
         let c = cache();
         let opts = QueryOpts::default();
         let (compiles0, solves0) = (compiles_on_thread(), solves_on_thread());
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let (entry, compiled) = c.load(Some("intro"), SRC).unwrap();
+        assert!(compiled > Duration::ZERO);
         let (first, paid) = c.solved(&entry, &opts).unwrap();
         assert!(paid > Duration::ZERO);
         assert_eq!(first.points_to.get("p").unwrap(), &vec!["x".to_string()]);
         // Second pass: same source, same options — the thread-local stage
         // counters must not move at all.
         let (compiles1, solves1) = (compiles_on_thread(), solves_on_thread());
-        let entry2 = c.load(Some("intro"), SRC).unwrap();
+        let (entry2, compiled2) = c.load(Some("intro"), SRC).unwrap();
+        assert_eq!(compiled2, Duration::ZERO, "a hit compiles nothing");
         let (second, paid2) = c.solved(&entry2, &opts).unwrap();
         assert_eq!(compiles_on_thread(), compiles1);
         assert_eq!(solves_on_thread(), solves1);
@@ -1113,7 +1123,7 @@ mod tests {
     fn parallel_compare_models_counts_one_compile_and_n_solves() {
         let c = cache();
         let (compiles0, solves0) = (compiles_on_thread(), solves_on_thread());
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let all: Vec<QueryOpts> = ModelKind::ALL
             .iter()
             .map(|&k| QueryOpts::default().with_model(k))
@@ -1153,7 +1163,7 @@ mod tests {
         assert_eq!(solved3[1].kind, ModelKind::Offsets);
         // And the per-model summaries agree with the sequential path.
         let c2 = cache();
-        let entry2 = c2.load(Some("intro"), SRC).unwrap();
+        let entry2 = c2.load(Some("intro"), SRC).unwrap().0;
         for (s, opts) in solved.iter().zip(&all) {
             let (seq, _) = c2.solved(&entry2, opts).unwrap();
             assert_eq!(s.edges, seq.edges, "{}", s.kind);
@@ -1165,7 +1175,7 @@ mod tests {
     #[test]
     fn distinct_options_solve_separately() {
         let c = cache();
-        let entry = c.load(None, SRC).unwrap();
+        let entry = c.load(None, SRC).unwrap().0;
         let cis = c.solved(&entry, &QueryOpts::default()).unwrap().0;
         let off = c
             .solved(&entry, &QueryOpts::from_json(
@@ -1185,7 +1195,7 @@ mod tests {
     #[test]
     fn summary_answers_alias_and_modref() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let (s, _) = c.solved(&entry, &QueryOpts::default()).unwrap();
         assert_eq!(s.may_alias("p", "q"), Some(true));
         // `s` normalizes to its first field (Problem 1), which also points
@@ -1218,7 +1228,7 @@ mod tests {
         assert_send_sync::<Solved>();
 
         let c = Arc::new(cache());
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let (c, entry) = (Arc::clone(&c), Arc::clone(&entry));
@@ -1238,7 +1248,7 @@ mod tests {
     #[test]
     fn budgeted_miss_reports_error_and_caches_nothing() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let mut opts = QueryOpts {
             max_edges: Some(0),
             ..QueryOpts::default()
@@ -1264,7 +1274,7 @@ mod tests {
     #[test]
     fn budgeted_compare_models_keeps_sibling_successes() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let mut capped = QueryOpts::default().with_model(ModelKind::CollapseAlways);
         capped.max_edges = Some(0);
         let fine = QueryOpts::default().with_model(ModelKind::Offsets);
@@ -1283,17 +1293,17 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         // Budget sized to hold roughly 3 of the small variants.
         let probe = cache();
-        let probe_entry = probe.load(None, &variant(0)).unwrap();
+        let probe_entry = probe.load(None, &variant(0)).unwrap().0;
         let per_entry = probe_entry.approx_bytes();
         let c = SessionCache::with_max_bytes(Arc::clone(&metrics), per_entry * 3 + per_entry / 2);
 
-        let a = c.load(Some("a"), &variant(1)).unwrap();
-        let _b = c.load(Some("b"), &variant(2)).unwrap();
-        let _c3 = c.load(Some("c"), &variant(3)).unwrap();
+        let a = c.load(Some("a"), &variant(1)).unwrap().0;
+        let _b = c.load(Some("b"), &variant(2)).unwrap().0;
+        let _c3 = c.load(Some("c"), &variant(3)).unwrap().0;
         assert_eq!(metrics.evictions(), (0, 0), "under budget: no eviction");
         // Touch `a` so `b` becomes the LRU victim when `d` arrives.
         assert!(c.entry("a").is_some());
-        let _d = c.load(Some("d"), &variant(4)).unwrap();
+        let _d = c.load(Some("d"), &variant(4)).unwrap().0;
         let (pe, _) = metrics.evictions();
         assert!(pe >= 1, "inserting past the cap must evict");
         assert!(c.entry("b").is_none(), "b was least-recently used");
@@ -1310,10 +1320,10 @@ mod tests {
 
         // Re-loading the evicted program recompiles exactly once.
         let compiles0 = compiles_on_thread();
-        let again = c.load(Some("b"), &variant(2)).unwrap();
+        let again = c.load(Some("b"), &variant(2)).unwrap().0;
         assert_eq!(compiles_on_thread() - compiles0, 1);
         assert_eq!(again.name, "b");
-        let yet_again = c.load(Some("b"), &variant(2)).unwrap();
+        let yet_again = c.load(Some("b"), &variant(2)).unwrap().0;
         assert_eq!(compiles_on_thread() - compiles0, 1, "second load is warm");
         assert!(Arc::ptr_eq(&again, &yet_again));
     }
@@ -1325,7 +1335,7 @@ mod tests {
         // evicts the previous tenants, but the inserted key itself always
         // survives its own insert.
         let c = SessionCache::with_max_bytes(Arc::clone(&metrics), 1);
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         // The program itself is over budget but protected during insert;
         // `put` leaves a sole oversized tenant resident.
         assert_eq!(c.layers().programs.0, 1);
@@ -1350,7 +1360,7 @@ mod tests {
     fn demand_cold_then_warm_then_derived_from_full() {
         let metrics = Arc::new(Metrics::new());
         let c = SessionCache::new(Arc::clone(&metrics));
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let opts = QueryOpts::default();
         let (q, subject) = pt_query(&entry, "p");
 
@@ -1391,7 +1401,7 @@ mod tests {
     #[test]
     fn demand_payloads_match_the_exhaustive_summaries() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let opts = QueryOpts::default();
         // Demand answers computed *cold* (no full solve cached yet)...
         let (q, s) = pt_query(&entry, "p");
@@ -1412,7 +1422,7 @@ mod tests {
     #[test]
     fn budgeted_demand_reports_error_and_caches_nothing() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let mut opts = QueryOpts {
             max_edges: Some(0),
             ..QueryOpts::default()
@@ -1436,7 +1446,7 @@ mod tests {
     fn demand_answers_participate_in_the_byte_budget() {
         let metrics = Arc::new(Metrics::new());
         let c = SessionCache::with_max_bytes(Arc::clone(&metrics), 1);
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         let (q, s) = pt_query(&entry, "p");
         let (a, ..) = c.demand(&entry, &QueryOpts::default(), &q, &s).unwrap();
         // A 1-byte budget evicts everything but the newest insert; the
@@ -1460,7 +1470,7 @@ mod tests {
     #[test]
     fn update_migrates_summaries_and_filters_demand() {
         let c = cache();
-        let entry = c.load(Some("live"), EDIT_BASE).unwrap();
+        let entry = c.load(Some("live"), EDIT_BASE).unwrap().0;
         let opts = QueryOpts::default();
         // Resident full summary: provides the re-run region at update time.
         let (full, _) = c.solved(&entry, &opts).unwrap();
@@ -1506,7 +1516,7 @@ mod tests {
     #[test]
     fn identity_update_reuses_everything() {
         let c = cache();
-        let entry = c.load(Some("live"), EDIT_BASE).unwrap();
+        let entry = c.load(Some("live"), EDIT_BASE).unwrap().0;
         let opts = QueryOpts::default();
         c.solved(&entry, &opts).unwrap();
         let (q, s) = pt_query(&entry, "p");
@@ -1529,7 +1539,7 @@ mod tests {
             void f(void) { r.a = &x; p = r.a; }";
         let edit = "struct R { int *a; int *b; } r;\nint x, *p;\n\
             void f(void) { r.a = &x; p = r.a; }";
-        let entry = c.load(Some("rec"), base).unwrap();
+        let entry = c.load(Some("rec"), base).unwrap().0;
         let opts = QueryOpts::default();
         c.solved(&entry, &opts).unwrap();
         let (q, s) = pt_query(&entry, "p");
@@ -1549,7 +1559,7 @@ mod tests {
     #[test]
     fn demand_without_resident_summary_is_dropped_conservatively() {
         let c = cache();
-        let entry = c.load(Some("live"), EDIT_BASE).unwrap();
+        let entry = c.load(Some("live"), EDIT_BASE).unwrap().0;
         let opts = QueryOpts::default();
         let (q, s) = pt_query(&entry, "p");
         c.demand(&entry, &opts, &q, &s).unwrap();
@@ -1573,7 +1583,7 @@ mod tests {
     #[test]
     fn layer_bytes_reconcile_with_the_global_gauge() {
         let c = cache();
-        let entry = c.load(Some("intro"), SRC).unwrap();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
         c.solved(&entry, &QueryOpts::default()).unwrap();
         let (q, s) = pt_query(&entry, "p");
         c.demand(&entry, &QueryOpts::default(), &q, &s).unwrap();
@@ -1588,17 +1598,17 @@ mod tests {
         // Size every slot on an unbounded probe cache first.
         let opts = QueryOpts::default();
         let probe = cache();
-        let a = probe.load(Some("a"), SRC).unwrap();
+        let a = probe.load(Some("a"), SRC).unwrap().0;
         let s_bytes = probe.solved(&a, &opts).unwrap().0.approx_bytes();
         let (q, subject) = pt_query(&a, "p");
         let d_bytes = probe.demand(&a, &opts, &q, &subject).unwrap().0.approx_bytes();
-        let b_bytes = probe.load(None, &variant(1)).unwrap().approx_bytes();
+        let b_bytes = probe.load(None, &variant(1)).unwrap().0.approx_bytes();
         // Room for A, its summary, one demand answer and a little more:
         // B fits once exactly the summary is gone.
         let budget = a.approx_bytes() + s_bytes + d_bytes + b_bytes.saturating_sub(s_bytes).max(1);
         let metrics = Arc::new(Metrics::new());
         let c = SessionCache::with_max_bytes(Arc::clone(&metrics), budget);
-        let a = c.load(Some("a"), SRC).unwrap();
+        let a = c.load(Some("a"), SRC).unwrap().0;
         c.solved(&a, &opts).unwrap();
         assert!(c.demand(&a, &opts, &q, &subject).unwrap().2, "derived from the summary");
         assert_eq!(metrics.evictions(), (0, 0), "A, its summary and one answer fit");

@@ -634,9 +634,8 @@ fn resolve_program(
         return Ok(entry);
     }
     if let Some(p) = structcast_progen::corpus_program(program) {
-        let start = Instant::now();
-        let entry = shared.cache.load(Some(program), p.source)?;
-        *paid += start.elapsed();
+        let (entry, compile) = shared.cache.load(Some(program), p.source)?;
+        *paid += compile;
         return Ok(entry);
     }
     Err(ServeError::Bad(format!(
@@ -810,7 +809,7 @@ fn answerable_warm(shared: &Shared, req: &Request) -> bool {
 fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, ServeError> {
     match req {
         Request::Load { name, source } => {
-            let entry = match (&name, &source) {
+            let (entry, compile) = match (&name, &source) {
                 (_, Some(src)) => shared.cache.load(name.as_deref(), src)?,
                 (Some(n), None) => {
                     let p = structcast_progen::corpus_program(n)
@@ -822,7 +821,8 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
             // A successful full (re)load supersedes any failed update:
             // the session state is exactly the loaded source again.
             set_stale(shared, &entry.name, false);
-            *paid += entry.compile;
+            // Only a miss compiled; a warm load is all lookup.
+            *paid += compile;
             Ok(ok_response([
                 ("program", Json::str(&entry.name)),
                 ("hash", Json::str(&entry.hash_hex)),

@@ -196,7 +196,8 @@ fn torn_tail_restart_sweep_restores_every_prefix_cleanly() {
     let (mut child, addr) = spawn_scastd(&dir, &[]);
     {
         let mut c = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
-        assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+        let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
         assert!(ok(&c.request(&Json::obj([("op", Json::str("snapshot"))])).unwrap()));
         for i in 1..=edits {
             let resp = Json::parse(&c.request_line(&update_req(&version(i))).unwrap()).unwrap();
@@ -277,7 +278,8 @@ fn demand_fallback_serves_resident_summary_when_demand_path_panics() {
     };
     let handle = serve(&cfg).unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+    let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
     // Warm the exhaustive summary — the fallback the ladder steps to.
     let full = Json::parse(
         &c.request_line(r#"{"op":"points_to","program":"live","var":"p"}"#).unwrap(),
@@ -330,7 +332,8 @@ fn demand_fallback_serves_resident_summary_when_demand_path_panics() {
 fn failed_update_serves_stale_flagged_summaries_until_an_edit_lands() {
     let handle = serve(&ServerConfig::default()).unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+    let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
     let q = r#"{"op":"points_to","program":"live","var":"p"}"#;
     let fresh = Json::parse(&c.request_line(q).unwrap()).unwrap();
     assert!(ok(&fresh) && fresh.get("stale").is_none(), "{fresh}");
@@ -373,7 +376,8 @@ fn brownout_sheds_cold_misses_but_answers_warm_hits_and_stats() {
         };
         let handle = serve(&cfg).unwrap();
         let mut c = Client::connect(handle.addr()).unwrap();
-        assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+        let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
         assert!(ok(&Json::parse(
             &c.request_line(r#"{"op":"points_to","program":"live","var":"p"}"#).unwrap()
         )
@@ -434,7 +438,8 @@ fn wal_append_fault_degrades_to_non_durable_updates() {
     };
     let handle = serve(&cfg).unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+    let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
     let resp = Json::parse(&c.request_line(&update_req(&version(1))).unwrap()).unwrap();
     assert!(ok(&resp), "the update still applies: {resp}");
     assert_eq!(resp.get("durable").and_then(Json::as_bool), Some(false), "{resp}");
@@ -472,7 +477,8 @@ fn snapshot_save_fault_is_typed_and_server_keeps_serving() {
     };
     let handle = serve(&cfg).unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    assert!(ok(&Json::parse(&c.request_line(&load_req(&version(0))).unwrap()).unwrap()));
+    let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
     let resp = c.request(&Json::obj([("op", Json::str("snapshot"))])).unwrap();
     assert_eq!(error_kind(&resp), Some("internal"), "{resp}");
     // Still serving.
@@ -672,6 +678,66 @@ fn c_source_nesting_bomb_is_a_bad_request_and_the_server_keeps_serving() {
     assert_eq!(handle.metrics().panics(), 0);
     let _ = c.shutdown_server();
     handle.wait();
+}
+
+/// Type-depth bombs: a 10,000-level typedef chain and a 10,000-level
+/// by-value struct chain each get a typed `bad_request` from `load` and
+/// from `update`, naming the position, and the session the update tried
+/// to replace keeps answering.
+#[test]
+fn deep_type_chains_are_bad_requests_and_the_server_keeps_serving() {
+    let handle = serve(&ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let loaded = c.request_line(&load_req(&version(0))).unwrap();
+    assert!(ok(&Json::parse(&loaded).unwrap()));
+    let query = r#"{"op":"points_to","program":"live","var":"p"}"#;
+    let points_to = |c: &mut Client| {
+        let resp = Json::parse(&c.request_line(query).unwrap()).unwrap();
+        resp.get("points_to").map(Json::to_string)
+    };
+    let before = points_to(&mut c);
+    assert!(before.is_some());
+    for src in [typedef_chain(10_000), struct_chain(10_000)] {
+        for req in [load_req(&src), update_req(&src)] {
+            let resp = Json::parse(&c.request_line(&req).unwrap()).unwrap();
+            assert_eq!(error_kind(&resp), Some("bad_request"), "{resp}");
+            let msg = resp
+                .get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.contains("type nested deeper than 128 levels at line ")
+                    && msg.contains(", column "),
+                "{resp}"
+            );
+        }
+        // A failed update marks the session stale; its answers stand.
+        assert_eq!(points_to(&mut c), before, "the session keeps answering");
+    }
+    assert_eq!(handle.metrics().panics(), 0);
+    let _ = c.shutdown_server();
+    drop(c);
+    handle.wait();
+}
+
+/// `typedef int T0;` then `typedef T{i-1} *T{i};` on line `i + 1`.
+fn typedef_chain(n: usize) -> String {
+    let mut s = String::from("typedef int T0;\n");
+    for i in 1..=n {
+        s += &format!("typedef T{} *T{i};\n", i - 1);
+    }
+    s + &format!("T{n} p;\n")
+}
+
+/// `struct S0 { int *x; };` then `struct S{i} { struct S{i-1} f; };` on
+/// line `i + 1`.
+fn struct_chain(n: usize) -> String {
+    let mut s = String::from("struct S0 { int *x; };\n");
+    for i in 1..=n {
+        s += &format!("struct S{i} {{ struct S{} f; }};\n", i - 1);
+    }
+    s + &format!("struct S{n} v;\n")
 }
 
 /// The fleet router reads and decodes every line it routes the way the

@@ -418,3 +418,33 @@ fn protocol_error_paths() {
     c.shutdown_server().unwrap();
     handle.wait();
 }
+
+/// A warm `load` compiles nothing, so it charges nothing to `compile_s`
+/// and all of its time to `lookup_s`; only the cold load compiles.
+#[test]
+fn warm_loads_charge_lookup_not_compile() {
+    use structcast_server::metrics::Counter;
+    let (handle, addr) = start();
+    let mut c = Client::connect(addr).unwrap();
+    let load = Json::parse(r#"{"op":"load","name":"bst"}"#).unwrap();
+    assert!(ok(&c.request(&load).unwrap()));
+    let m = handle.metrics();
+    let (compile0, lookup0) = (m.get(Counter::Compile), m.get(Counter::Lookup));
+    assert!(compile0 > 0);
+    for _ in 0..20 {
+        let resp = c.request(&load).unwrap();
+        assert!(ok(&resp), "{resp}");
+    }
+    assert_eq!(
+        m.get(Counter::Compile),
+        compile0,
+        "warm loads compile nothing"
+    );
+    assert!(
+        m.get(Counter::Lookup) > lookup0,
+        "warm loads are lookup time"
+    );
+    let _ = c.shutdown_server();
+    drop(c);
+    handle.wait();
+}

@@ -33,7 +33,7 @@ fn warm_cache() -> SessionCache {
     let cache = SessionCache::new(Arc::new(Metrics::new()));
     for name in ["bst", "list-utils"] {
         let p = structcast_progen::corpus_program(name).unwrap();
-        let entry = cache.load(Some(name), p.source).unwrap();
+        let entry = cache.load(Some(name), p.source).unwrap().0;
         cache.solved(&entry, &QueryOpts::default()).unwrap();
         cache
             .solved(&entry, &QueryOpts::default().with_model(ModelKind::Offsets))
@@ -123,7 +123,7 @@ fn restore_pays_zero_compiles_and_zero_solves() {
 
     // Every restored key now answers as a pure cache hit.
     let bst_src = structcast_progen::corpus_program("bst").unwrap().source;
-    let entry = cache.load(Some("bst"), bst_src).unwrap();
+    let entry = cache.load(Some("bst"), bst_src).unwrap().0;
     cache.solved(&entry, &QueryOpts::default()).unwrap();
     cache
         .solved(&entry, &QueryOpts::default().with_model(ModelKind::Offsets))
