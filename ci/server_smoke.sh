@@ -10,14 +10,13 @@
 # one-function edit against a cached session and the reply must show
 # constraint reuse, the post-edit answer, and slice-precise invalidation
 # of cached demand entries. `scast query --binary` (the removed binary
-# codec's flag) must fail with a usage error. Then the fleet-grade serving
+# codec's flag) must fail with a usage error. Then the durable serving
 # paths: a SIGKILLed server with a snapshot directory must restart warm
-# (zero compile/solve misses, one counted restore), an update accepted between snapshots must survive a
-# SIGKILL via write-ahead-journal replay, and a 2-replica fleet router
-# must report both replicas alive and shut the whole fleet down cleanly.
-# A 200,000-deep nesting bomb sent to the server and through the router,
-# and a `load` whose C source nests 2,000 parentheses, must come back as
-# typed bad_requests while both keep serving.
+# (zero compile/solve misses, one counted restore), and an update
+# accepted between snapshots must survive a SIGKILL via
+# write-ahead-journal replay. A 200,000-deep nesting bomb and a `load`
+# whose C source nests 2,000 parentheses must come back as typed
+# bad_requests while the server keeps serving.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -156,16 +155,16 @@ echo "update round trip: reused_fns=$REUSED, post-edit answer correct, invalidat
 # (the decoders bound nesting) instead of overflowing a worker's stack and
 # aborting the process; the server keeps answering afterwards.
 nesting_bomb() {
-    local addr=$1 what=$2 reply
+    local addr=$1 reply
     reply=$(printf '%*s\n' 200000 '' | tr ' ' '[' | "$SCAST" query --addr "$addr" -)
     echo "$reply" | grep -q '"bad_request"' || {
-        echo "$what: nesting bomb must get bad_request:"; echo "$reply" | cut -c1-300; exit 1
+        echo "nesting bomb must get bad_request:"; echo "$reply" | cut -c1-300; exit 1
     }
     echo "$reply" | grep -q 'nesting deeper than' || {
-        echo "$what: bad_request must name the nesting bound:"; echo "$reply"; exit 1
+        echo "bad_request must name the nesting bound:"; echo "$reply"; exit 1
     }
 }
-nesting_bomb "$ADDR" server
+nesting_bomb "$ADDR"
 "$SCAST" query --addr "$ADDR" '{"op":"stats"}' | grep -q '"ok": true' || {
     echo "server stopped answering after a nesting bomb"; exit 1
 }
@@ -333,40 +332,3 @@ echo "WAL round-trip: SIGKILL between snapshots, journaled edit replayed, post-e
 wait "$SERVER5_PID"
 trap - EXIT
 rm -rf "$SNAPDIR" "$LOG3" "$LOG4" "$LOG5"
-
-# Fleet router health check: two replicas behind the consistent-hash
-# router, queries answered through it, both replicas alive in
-# fleet_stats, and one shutdown request drains the whole fleet.
-LOGF=$(mktemp)
-"$SCAST" fleet --replicas 2 --addr 127.0.0.1:0 --threads 2 >"$LOGF" &
-FLEET_PID=$!
-trap 'kill "$FLEET_PID" 2>/dev/null || true' EXIT
-ADDRF=""
-for _ in $(seq 1 100); do
-    ADDRF=$(sed -n 's/^listening on //p' "$LOGF" | head -n1)
-    [ -n "$ADDRF" ] && break
-    sleep 0.1
-done
-[ -n "$ADDRF" ] || { echo "fleet router never reported its address"; cat "$LOGF"; exit 1; }
-grep -q "replica 0 on" "$LOGF" || { echo "replica 0 missing"; cat "$LOGF"; exit 1; }
-grep -q "replica 1 on" "$LOGF" || { echo "replica 1 missing"; cat "$LOGF"; exit 1; }
-
-"$SCAST" query --addr "$ADDRF" '{"op":"points_to","program":"bst","var":"g_tree"}' |
-    grep -q '"ok": true' || { echo "query through router failed"; exit 1; }
-FSTATS=$("$SCAST" query --addr "$ADDRF" '{"op":"fleet_stats"}')
-ALIVE=$(echo "$FSTATS" | grep -o '"alive": true' | wc -l)
-[ "$ALIVE" -eq 2 ] || { echo "expected 2 live replicas:"; echo "$FSTATS"; exit 1; }
-echo "$FSTATS" | grep -q '"router"' || { echo "router counters missing:"; echo "$FSTATS"; exit 1; }
-echo "fleet: 2 replicas alive behind the router, queries answered"
-
-nesting_bomb "$ADDRF" fleet
-FSTATS=$("$SCAST" query --addr "$ADDRF" '{"op":"fleet_stats"}')
-ALIVE=$(echo "$FSTATS" | grep -o '"alive": true' | wc -l)
-[ "$ALIVE" -eq 2 ] || { echo "expected 2 live replicas after a nesting bomb:"; echo "$FSTATS"; exit 1; }
-echo "fleet: nesting bomb answered bad_request, both replicas still alive"
-
-"$SCAST" query --addr "$ADDRF" '{"op":"shutdown"}' | grep -q '"shutdown": true'
-wait "$FLEET_PID"
-trap - EXIT
-rm -f "$LOGF"
-echo "fleet: clean shutdown"

@@ -7,7 +7,6 @@
 //! scast --corpus            # list the embedded benchmark corpus
 //! scast serve [--addr HOST:PORT] [--threads N] [--max-cache-mb N]
 //!             [--snapshot DIR] [--snapshot-every-s N] [--no-wal] [--brownout N]
-//! scast fleet --replicas N [--addr HOST:PORT] [--snapshot DIR] [--threads N] [--no-wal]
 //! scast query --addr HOST:PORT [--timeout-ms N]
 //!             [--max-retries N] [--backoff-seed N] <request-json>... | -
 //! scast update --addr HOST:PORT --program NAME [--max-retries N] <file.c> | -
@@ -26,9 +25,8 @@
 //! `scast serve --snapshot DIR` persists the session cache to `DIR` on
 //! shutdown (and on `{"op":"snapshot"}` requests), and restarts warm
 //! from it: previously-answered queries come back with zero compile or
-//! solve misses. `scast fleet --replicas N` runs N serve processes behind
-//! a consistent-hash router that detects dead replicas and restarts them
-//! from their snapshots.
+//! solve misses. The serve flags are parsed by the server crate's
+//! `ServerConfig::from_args`, which `scastd` shares.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -38,7 +36,7 @@ use structcast::{
     try_analyze, AnalysisConfig, AnalysisResult, Budget, Layout, ModelKind, Program,
 };
 use structcast_server::json::Json;
-use structcast_server::{serve, Client, FleetConfig, RetryOpts, ServerConfig};
+use structcast_server::{serve, Client, RetryOpts, ServerConfig, SERVE_FLAGS};
 
 fn usage() -> ! {
     eprintln!(
@@ -48,10 +46,7 @@ fn usage() -> ! {
          [--deref-stats] [--dump-ir] [--dump-constraints] [--steensgaard] \
          [--stride] [--flag-unknown] [--dot] [--modref] [--json]\
          \n       scast --corpus\
-         \n       scast serve [--addr HOST:PORT] [--threads N] [--max-cache-mb N] \
-         [--snapshot DIR] [--snapshot-every-s N] [--no-wal] [--brownout N]\
-         \n       scast fleet --replicas N [--addr HOST:PORT] [--snapshot DIR] [--threads N] \
-         [--no-wal]\
+         \n       scast serve {SERVE_FLAGS}\
          \n       scast query --addr HOST:PORT [--timeout-ms N] \
          [--max-retries N] [--backoff-seed N] <request-json>... | -\
          \n       scast update --addr HOST:PORT --program NAME [--timeout-ms N] \
@@ -92,7 +87,6 @@ fn main() -> ExitCode {
     }
     let outcome = match args[0].as_str() {
         "serve" => cmd_serve(&args[1..]),
-        "fleet" => cmd_fleet(&args[1..]),
         "query" => cmd_query(&args[1..]),
         "update" => cmd_update(&args[1..]),
         _ => run(args),
@@ -109,105 +103,15 @@ fn main() -> ExitCode {
 /// `scast serve`: run the analysis-query service in the foreground until a
 /// client sends `{"op": "shutdown"}`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut cfg = ServerConfig::default();
-    // Byte-granular override for scripts and tests; the flag below wins.
-    if let Ok(bytes) = std::env::var("SCAST_MAX_CACHE_BYTES") {
-        cfg.max_cache_bytes = bytes
-            .parse()
-            .map_err(|_| format!("serve: bad SCAST_MAX_CACHE_BYTES `{bytes}`"))?;
-    }
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--threads" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                cfg.threads = n.parse().map_err(|_| format!("serve: bad --threads `{n}`"))?;
-            }
-            "--max-cache-mb" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                let mb: usize =
-                    n.parse().map_err(|_| format!("serve: bad --max-cache-mb `{n}`"))?;
-                // 0 = unbounded, matching the cache's convention.
-                cfg.max_cache_bytes = mb.saturating_mul(1024 * 1024);
-            }
-            "--snapshot" => {
-                cfg.snapshot_dir =
-                    Some(it.next().cloned().unwrap_or_else(|| usage()).into());
-            }
-            "--snapshot-every-s" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                let secs: u64 =
-                    n.parse().map_err(|_| format!("serve: bad --snapshot-every-s `{n}`"))?;
-                cfg.snapshot_every = Some(Duration::from_secs(secs));
-            }
-            "--no-wal" => cfg.wal = false,
-            "--brownout" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                cfg.brownout_high_water =
-                    Some(n.parse().map_err(|_| format!("serve: bad --brownout `{n}`"))?);
-            }
-            _ => usage(),
-        }
-    }
+    let cfg = ServerConfig::from_args(args).unwrap_or_else(|e| {
+        eprintln!("scast serve: {e}");
+        usage()
+    });
     let handle = serve(&cfg).map_err(|e| format!("serve: cannot bind {}: {e}", cfg.addr))?;
     println!("listening on {}", handle.addr());
     // Scripts scrape that line from a pipe, so force it out now.
     let _ = std::io::stdout().flush();
     handle.wait(); // the accept thread prints the final summary line
-    Ok(())
-}
-
-/// `scast fleet`: N serve processes (spawned from this same binary, each
-/// with its own snapshot directory) behind a consistent-hash router.
-fn cmd_fleet(args: &[String]) -> Result<(), String> {
-    let mut cfg = FleetConfig::default();
-    let mut threads: Option<usize> = None;
-    let mut no_wal = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--replicas" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                cfg.replicas =
-                    n.parse().map_err(|_| format!("fleet: bad --replicas `{n}`"))?;
-            }
-            "--snapshot" => {
-                cfg.snapshot_root =
-                    Some(it.next().cloned().unwrap_or_else(|| usage()).into());
-            }
-            "--threads" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                threads =
-                    Some(n.parse().map_err(|_| format!("fleet: bad --threads `{n}`"))?);
-            }
-            "--no-wal" => no_wal = true,
-            _ => usage(),
-        }
-    }
-    // Replicas are this very binary, re-entered as `scast serve`.
-    cfg.program = std::env::current_exe()
-        .map_err(|e| format!("fleet: cannot locate my own binary: {e}"))?;
-    cfg.args = vec!["serve".to_string()];
-    if let Some(n) = threads {
-        cfg.args.push("--threads".to_string());
-        cfg.args.push(n.to_string());
-    }
-    if no_wal {
-        cfg.args.push("--no-wal".to_string());
-    }
-    let handle =
-        structcast_server::fleet(&cfg).map_err(|e| format!("fleet: cannot start: {e}"))?;
-    println!("listening on {}", handle.addr());
-    for (i, addr) in handle.replica_addrs().iter().enumerate() {
-        match addr {
-            Some(a) => println!("replica {i} on {a}"),
-            None => println!("replica {i} down"),
-        }
-    }
-    let _ = std::io::stdout().flush();
-    handle.wait();
     Ok(())
 }
 

@@ -373,6 +373,33 @@ fn query_rejects_unknown_flags_before_connecting() {
 }
 
 #[test]
+fn fleet_is_gone_and_exits_with_the_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_scast"))
+        .args(["fleet", "--replicas", "2"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stdout.contains("listening on"), "{stdout}");
+}
+
+#[test]
+fn bad_serve_flags_are_usage_errors_that_name_the_flag() {
+    for (args, named) in [
+        (&["serve", "--threads", "many"][..], "bad --threads `many`"),
+        (&["serve", "--faults", "panic@solve:1.0"][..], "unknown flag `--faults`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_scast")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(named) && stderr.contains("usage:"), "{stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("listening on"));
+    }
+}
+
+#[test]
 fn tripped_budgets_fail_with_typed_errors() {
     let (_, stderr, ok) = scast(&["bst", "--max-edges", "1"]);
     assert!(!ok, "one edge cannot fit the fixpoint");

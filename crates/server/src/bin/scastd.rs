@@ -1,74 +1,33 @@
 //! `scastd` — a minimal standalone analysis-server binary.
 //!
-//! The same server `scast serve` runs, without the driver crate's CLI:
-//! the fleet router spawns these as replicas, and the server crate's own
-//! integration tests use it (via `CARGO_BIN_EXE_scastd`) to exercise
-//! kill/restart flows against a real process.
+//! The same server `scast serve` runs, parsed by the same
+//! [`ServerConfig::from_args`], without the driver crate's CLI: the
+//! server crate's own integration tests use it (via
+//! `CARGO_BIN_EXE_scastd`) to exercise kill/restart flows against a real
+//! process.
 //!
 //! ```text
 //! scastd [--addr HOST:PORT] [--threads N] [--max-cache-mb N]
-//!        [--snapshot DIR] [--snapshot-every-s N] [--faults SPEC]
-//!        [--no-wal] [--brownout N]
+//!        [--snapshot DIR] [--snapshot-every-s N] [--no-wal] [--brownout N]
 //! ```
 //!
-//! Prints `listening on HOST:PORT` once bound (scripts and the router
-//! scrape that line), serves until a `shutdown` request, then prints the
-//! final metrics summary line.
+//! Prints `listening on HOST:PORT` once bound (scripts scrape that line),
+//! serves until a `shutdown` request, then prints the final metrics
+//! summary line.
 
 use std::io::Write as _;
-use std::time::Duration;
-use structcast_server::{serve, ServerConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: scastd [--addr HOST:PORT] [--threads N] [--max-cache-mb N] \
-         [--snapshot DIR] [--snapshot-every-s N] [--faults SPEC] \
-         [--no-wal] [--brownout N]"
-    );
-    std::process::exit(2);
-}
+use structcast_server::{serve, ServerConfig, SERVE_FLAGS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--threads" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                cfg.threads = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--max-cache-mb" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                let mb: usize = n.parse().unwrap_or_else(|_| usage());
-                cfg.max_cache_bytes = mb.saturating_mul(1024 * 1024);
-            }
-            "--snapshot" => {
-                cfg.snapshot_dir =
-                    Some(it.next().cloned().unwrap_or_else(|| usage()).into());
-            }
-            "--snapshot-every-s" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                let secs: u64 = n.parse().unwrap_or_else(|_| usage());
-                cfg.snapshot_every = Some(Duration::from_secs(secs));
-            }
-            "--faults" => cfg.faults = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--no-wal" => cfg.wal = false,
-            "--brownout" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                cfg.brownout_high_water = Some(n.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let handle = match serve(&cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("scastd: cannot bind {}: {e}", cfg.addr);
-            std::process::exit(1);
-        }
-    };
+    let cfg = ServerConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("scastd: {e}\nusage: scastd {SERVE_FLAGS}");
+        std::process::exit(2);
+    });
+    let handle = serve(&cfg).unwrap_or_else(|e| {
+        eprintln!("scastd: cannot bind {}: {e}", cfg.addr);
+        std::process::exit(1);
+    });
     println!("listening on {}", handle.addr());
     let _ = std::io::stdout().flush();
     handle.wait(); // the accept thread prints the final summary line

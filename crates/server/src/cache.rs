@@ -56,12 +56,7 @@ pub const DEFAULT_MAX_BYTES: usize = 512 * 1024 * 1024;
 
 /// FNV-1a over the source text — the cache key of a loaded program.
 pub fn source_hash(src: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in src.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::snapshot::fnv64(src.as_bytes())
 }
 
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {

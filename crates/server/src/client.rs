@@ -1,7 +1,8 @@
 //! The blocking protocol client: one connection, NDJSON request/response
-//! in lockstep. Used by `scast query`, the fleet router's forwarder, the
-//! integration tests, and the throughput bench.
+//! in lockstep. Used by `scast query` and `scast update`, the integration
+//! tests, and scbench.
 
+use crate::faults::mix;
 use crate::json::Json;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -12,7 +13,7 @@ use std::time::Duration;
 /// *schedule*, not a terminal error — the server names its price
 /// (`retry_after_ms`) and the client honors it, doubling per attempt up to
 /// [`cap_ms`](RetryOpts::cap_ms).
-/// Connection drops (a shed teardown, a replica restarting) retry on the
+/// Connection drops (a shed teardown, a server restarting) retry on the
 /// same schedule with a fresh connection.
 #[derive(Debug, Clone)]
 pub struct RetryOpts {
@@ -40,15 +41,6 @@ impl Default for RetryOpts {
 /// advertised shed price.
 const DEFAULT_RETRY_AFTER_MS: u64 = 50;
 
-/// splitmix64 — the jitter generator (independent of the fault plan's,
-/// but the same deterministic discipline).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The backoff before retry `attempt` (0-based): the server's
 /// `retry_after_ms` doubled per attempt, capped, plus seeded jitter in
 /// `[0, retry_after/2]` so a thundering herd of identical clients
@@ -74,8 +66,8 @@ fn overloaded_hint(resp: &Json) -> Option<u64> {
 }
 
 /// A connection-level failure worth retrying on a fresh connection: the
-/// peer closed or reset (a shed teardown, a dying replica) or refused (a
-/// replica mid-restart). Timeouts are *not* retried — a deadline is an
+/// peer closed or reset (a shed teardown, a dying server) or refused (a
+/// server mid-restart). Timeouts are *not* retried — a deadline is an
 /// answer about the server, and the stream may hold a late reply that
 /// would desynchronize lockstep.
 fn is_retriable_conn_error(e: &io::Error) -> bool {
@@ -156,18 +148,11 @@ impl Client {
         let Some(addr) = self.addr else {
             return Ok(()); // peer unknown: retry on the existing stream
         };
-        let stream = match self.timeout {
-            Some(t) => {
-                let s = TcpStream::connect_timeout(&addr, t)?;
-                s.set_read_timeout(Some(t))?;
-                s.set_write_timeout(Some(t))?;
-                s
-            }
-            None => TcpStream::connect(addr)?,
+        let fresh = match self.timeout {
+            Some(t) => Client::connect_timeout(addr, t)?,
+            None => Client::connect(addr)?,
         };
-        stream.set_nodelay(true)?;
-        self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = stream;
+        (self.reader, self.writer) = (fresh.reader, fresh.writer);
         Ok(())
     }
 
@@ -235,7 +220,7 @@ impl Client {
             std::thread::sleep(backoff_delay(opts, retry_after, attempt));
             self.retries += 1;
             attempt += 1;
-            // Best effort: a failed reconnect (replica mid-restart) keeps
+            // Best effort: a failed reconnect (server mid-restart) keeps
             // the old stream; the next attempt's error feeds the loop.
             let _ = self.reconnect();
         }
@@ -249,8 +234,7 @@ impl Client {
     }
 
     /// `overloaded` replies this client received (and, up to the retry
-    /// budget, absorbed) — reconciles against the server/router shed
-    /// counters.
+    /// budget, absorbed) — reconciles against the server's shed counter.
     pub fn sheds_observed(&self) -> u64 {
         self.sheds_observed
     }

@@ -80,8 +80,8 @@ pub struct FaultPlan {
 }
 
 /// splitmix64-style mixer: uniform enough for rate thresholds, fully
-/// deterministic, no state.
-fn mix(mut x: u64) -> u64 {
+/// deterministic, no state. The client's retry jitter uses it too.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -89,12 +89,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 fn site_hash(site: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in site.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::snapshot::fnv64(site.as_bytes())
 }
 
 impl FaultPlan {

@@ -55,7 +55,6 @@
 pub mod cache;
 mod client;
 pub mod faults;
-pub mod fleet;
 pub mod json;
 pub mod metrics;
 pub mod proto;
@@ -66,8 +65,7 @@ pub mod wal;
 pub use cache::{source_hash, ProgramEntry, SessionCache, Solved};
 pub use client::{Client, RetryOpts};
 pub use faults::FaultPlan;
-pub use fleet::{fleet, FleetConfig, FleetHandle};
 pub use metrics::Metrics;
 pub use proto::{QueryOpts, Request};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle, SERVE_FLAGS};
 pub use snapshot::{SnapshotError, SNAPSHOT_FILE};

@@ -14,8 +14,8 @@
 //! The counters reconcile: every reply the server emits records exactly
 //! one of [`record_ok`](Metrics::record_ok) or
 //! [`record_error`](Metrics::record_error), so
-//! `requests == ok + errors` and `errors == Σ errors_by_kind` hold at any
-//! quiescent point — the chaos harness asserts exactly this.
+//! `requests == ok_replies + errors` and `errors == Σ errors_by_kind` hold
+//! at any quiescent point — the chaos harness asserts exactly this.
 
 use crate::json::Json;
 use std::fmt::Write as _;
@@ -86,8 +86,9 @@ macro_rules! counters {
 counters! {
     /// Replies emitted (ok + every error kind).
     Requests: "requests", Count, " requests (";
-    /// Successful replies.
-    Ok: "ok", Count, " ok, ";
+    /// Successful replies. Not `ok`: every reply already carries that key
+    /// as the success flag.
+    Ok: "ok_replies", Count, " ok, ";
     /// Error replies of every kind (`errors_by_kind` and `by_op` follow).
     Errors: "errors", Count, " errors, ";
     /// Handler panics caught and converted into `internal` replies.
@@ -362,7 +363,7 @@ mod tests {
         m.add_time(Lookup, Duration::from_micros(5));
         let s = m.snapshot();
         assert_eq!(s.get("requests").and_then(Json::as_u64), Some(4));
-        assert_eq!(s.get("ok").and_then(Json::as_u64), Some(3));
+        assert_eq!(s.get("ok_replies").and_then(Json::as_u64), Some(3));
         assert_eq!(s.get("errors").and_then(Json::as_u64), Some(1));
         let by_kind = s.get("errors_by_kind").unwrap();
         assert_eq!(by_kind.get("bad_request").and_then(Json::as_u64), Some(1));
@@ -566,7 +567,7 @@ mod tests {
         assert_eq!(
             m.snapshot().to_string(),
             concat!(
-                r#"{"requests": 68, "ok": 40, "errors": 28, "#,
+                r#"{"requests": 68, "ok_replies": 40, "errors": 28, "#,
                 r#""errors_by_kind": {"bad_request": 1, "deadline": 2, "edge_limit": 3, "#,
                 r#""cancelled": 4, "timeout": 5, "overloaded": 6, "internal": 7}, "#,
                 r#""by_op": {"load": 50, "points_to": 51, "alias": 52, "modref": 53, "#,

@@ -4,8 +4,8 @@
 //! `"op"` field. See `DESIGN.md` §7 for the full grammar with example
 //! responses; parsing is strict about types but lenient about extra keys
 //! (clients may tag requests with their own bookkeeping fields).
-//! NDJSON is the only wire codec; `read_request_line` is the one line
-//! read step that the server and the fleet router share.
+//! NDJSON is the only wire codec; `read_request_line` is the server's
+//! one line read step.
 
 use crate::json::{Json, MAX_DEPTH};
 use std::io::{self, BufRead};
@@ -218,14 +218,6 @@ pub enum Request {
     Snapshot,
 }
 
-fn req_str(req: &Json, key: &str) -> Result<String, String> {
-    req.get(key)
-        .ok_or_else(|| format!("missing \"{key}\""))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("\"{key}\" must be a string"))
-}
-
 fn opt_str(req: &Json, key: &str) -> Result<Option<String>, String> {
     match req.get(key) {
         None => Ok(None),
@@ -234,6 +226,10 @@ fn opt_str(req: &Json, key: &str) -> Result<Option<String>, String> {
             .map(|s| Some(s.to_string()))
             .ok_or_else(|| format!("\"{key}\" must be a string")),
     }
+}
+
+fn req_str(req: &Json, key: &str) -> Result<String, String> {
+    opt_str(req, key)?.ok_or_else(|| format!("missing \"{key}\""))
 }
 
 /// Parses the optional `"mode"` field of a query: absent or
@@ -333,9 +329,7 @@ pub(crate) enum LineRead {
 /// Reads one request line into `line` (cleared first), mapping read
 /// errors to the typed reply the peer gets before the connection closes:
 /// a read deadline is `timeout`, bytes that are not UTF-8 are
-/// `bad_request`. The server's connection loop and the fleet router's
-/// both read through here, so the two cannot answer a bad line
-/// differently.
+/// `bad_request`.
 pub(crate) fn read_request_line(reader: &mut impl BufRead, line: &mut String) -> LineRead {
     line.clear();
     match reader.read_line(line) {

@@ -54,8 +54,8 @@ const TAG_PROGRAMS: u8 = 1;
 const TAG_SOLVED: u8 = 2;
 const TAG_DEMAND: u8 = 3;
 
-/// FNV-1a over raw bytes — the same function the cache keys use over
-/// source text ([`source_hash`]), applied here as the section checksum.
+/// FNV-1a over raw bytes: the frame checksum of the snapshot and the WAL,
+/// and the hash behind the cache key ([`source_hash`]).
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -163,13 +163,25 @@ pub struct SectionInfo {
 
 // ----- primitive writers -----
 
-struct W(Vec<u8>);
+/// Little-endian writer shared by the snapshot and the WAL.
+pub(crate) struct W(pub(crate) Vec<u8>);
+
+/// Bytes of a frame before its payload: tag, length, checksum.
+const FRAME_HEADER_LEN: usize = 1 + 8 + 8;
 
 impl W {
+    /// Appends one frame, `tag u8 · payload_len u64-le · fnv64(payload)
+    /// u64-le · payload`: a snapshot section or a WAL record.
+    pub(crate) fn frame(&mut self, tag: u8, payload: &[u8]) {
+        self.u8(tag);
+        self.u64(payload.len() as u64);
+        self.u64(fnv64(payload));
+        self.0.extend_from_slice(payload);
+    }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
-    fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
@@ -178,7 +190,7 @@ impl W {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.0.extend_from_slice(s.as_bytes());
     }
@@ -206,17 +218,19 @@ impl W {
             self.str(s);
         }
     }
+    fn steps(&mut self, p: &FieldPath) {
+        self.u32(p.steps().len() as u32);
+        for &s in p.steps() {
+            self.u32(s);
+        }
+    }
     fn loc(&mut self, l: &Loc) {
         self.u32(l.obj.0);
         match &l.field {
             FieldRep::Whole => self.u8(0),
             FieldRep::Path(p) => {
                 self.u8(1);
-                let steps = p.steps();
-                self.u32(steps.len() as u32);
-                for &s in steps {
-                    self.u32(s);
-                }
+                self.steps(p);
             }
             FieldRep::Off(o) => {
                 self.u8(2);
@@ -224,18 +238,32 @@ impl W {
             }
         }
     }
+    fn locs<'l>(&mut self, locs: impl ExactSizeIterator<Item = &'l Loc>) {
+        self.u64(locs.len() as u64);
+        locs.for_each(|l| self.loc(l));
+    }
 }
 
 // ----- primitive readers (every read is bounds-checked) -----
 
-struct Rd<'a> {
+/// Bounds-checked little-endian reader shared by the snapshot and the
+/// WAL: running out of bytes is a typed error, never a panic.
+pub(crate) struct Rd<'a> {
     buf: &'a [u8],
-    pos: usize,
+    pub(crate) pos: usize,
     section: &'static str,
 }
 
+/// One frame read by [`Rd::frame`]; `name` is what its tag names.
+pub(crate) struct Frame<'a> {
+    pub(crate) tag: u8,
+    pub(crate) name: &'static str,
+    pub(crate) checksum: u64,
+    pub(crate) payload: &'a [u8],
+}
+
 impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Rd<'a> {
+    pub(crate) fn new(buf: &'a [u8], section: &'static str) -> Rd<'a> {
         Rd { buf, pos: 0, section }
     }
 
@@ -253,7 +281,7 @@ impl<'a> Rd<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or_else(|| self.truncated())?;
         if end > self.buf.len() {
             return Err(self.truncated());
@@ -267,7 +295,7 @@ impl<'a> Rd<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -295,7 +323,7 @@ impl<'a> Rd<'a> {
         Ok(n as usize)
     }
 
-    fn str(&mut self) -> Result<String, SnapshotError> {
+    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.count()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| self.malformed(format!("bad utf-8: {e}")))
@@ -326,27 +354,61 @@ impl<'a> Rd<'a> {
         Ok(v)
     }
 
+    /// A `u8` that must be 0 or 1; `what` names it in the error.
+    fn bool(&mut self, what: &str) -> Result<bool, SnapshotError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(self.malformed(format!("bad {what} tag {t}"))),
+        }
+    }
+
+    fn steps(&mut self) -> Result<FieldPath, SnapshotError> {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(self.truncated());
+        }
+        let mut steps = Vec::with_capacity(n);
+        for _ in 0..n {
+            steps.push(self.u32()?);
+        }
+        Ok(FieldPath::from_steps(steps))
+    }
+
     fn loc(&mut self) -> Result<Loc, SnapshotError> {
         let obj = ObjId(self.u32()?);
         match self.u8()? {
             0 => Ok(Loc::whole(obj)),
-            1 => {
-                let n = self.u32()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return Err(self.truncated());
-                }
-                let mut steps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    steps.push(self.u32()?);
-                }
-                Ok(Loc::path(obj, FieldPath::from_steps(steps)))
-            }
+            1 => Ok(Loc::path(obj, self.steps()?)),
             2 => Ok(Loc::off(obj, self.u64()?)),
             t => Err(self.malformed(format!("bad loc field tag {t}"))),
         }
     }
 
-    fn done(&self) -> Result<(), SnapshotError> {
+    fn locs(&mut self) -> Result<BTreeSet<Loc>, SnapshotError> {
+        (0..self.count()?).map(|_| self.loc()).collect()
+    }
+
+    /// Reads one frame (see [`W::frame`]). `name` maps the tag to the
+    /// part it frames, which later errors name; an unknown tag is
+    /// `Malformed` before anything after it is read. The checksum is read,
+    /// not checked.
+    pub(crate) fn frame(
+        &mut self,
+        name: impl Fn(u8) -> Option<&'static str>,
+    ) -> Result<Frame<'a>, SnapshotError> {
+        let tag = self.u8()?;
+        self.section = name(tag).ok_or_else(|| SnapshotError::Malformed {
+            section: "header",
+            detail: format!("unknown frame tag {tag}"),
+        })?;
+        let len = self.u64()?;
+        let checksum = self.u64()?;
+        let payload = self.take(usize::try_from(len).map_err(|_| self.truncated())?)?;
+        Ok(Frame { tag, name: self.section, checksum, payload })
+    }
+
+    pub(crate) fn done(&self) -> Result<(), SnapshotError> {
         if self.pos != self.buf.len() {
             return Err(SnapshotError::Malformed {
                 section: self.section,
@@ -537,11 +599,7 @@ fn get_opts(r: &mut Rd<'_>) -> Result<QueryOpts, SnapshotError> {
         1 => CompatMode::TagBased,
         t => return Err(r.malformed(format!("bad compat tag {t}"))),
     };
-    let stride = match r.u8()? {
-        0 => false,
-        1 => true,
-        t => return Err(r.malformed(format!("bad stride tag {t}"))),
-    };
+    let stride = r.bool("stride")?;
     Ok(QueryOpts {
         model,
         layout,
@@ -571,11 +629,7 @@ fn encode_programs(programs: &[Arc<ProgramEntry>]) -> Vec<u8> {
         }
         w.u64(cs.num_paths() as u64);
         for i in 0..cs.num_paths() {
-            let steps = cs.path(PathId(i as u32)).steps();
-            w.u32(steps.len() as u32);
-            for &s in steps {
-                w.u32(s);
-            }
+            w.steps(cs.path(PathId(i as u32)));
         }
         w.opt_u32(cs.char_ty().map(|t| t.0));
     }
@@ -596,19 +650,7 @@ fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
         for _ in 0..nc {
             constraints.push(get_constraint(&mut r)?);
         }
-        let np = r.count()?;
-        let mut paths = Vec::with_capacity(np);
-        for _ in 0..np {
-            let ns = r.u32()? as usize;
-            if ns > bytes.len() {
-                return Err(r.truncated());
-            }
-            let mut steps = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                steps.push(r.u32()?);
-            }
-            paths.push(FieldPath::from_steps(steps));
-        }
+        let paths = (0..r.count()?).map(|_| r.steps()).collect::<Result<_, _>>()?;
         let char_ty = r.opt_u32()?.map(TypeId);
         // Integrity: the stored key must be the hash of the stored source —
         // and the source must still lower. Either failing means the
@@ -670,10 +712,7 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
         w.u64(s.pt_locs.len() as u64);
         for (k, locs) in &s.pt_locs {
             w.str(k);
-            w.u64(locs.len() as u64);
-            for l in locs {
-                w.loc(l);
-            }
+            w.locs(locs.iter());
         }
         w.u64(s.modref.len() as u64);
         for (f, (mods, refs)) in &s.modref {
@@ -700,10 +739,7 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
         ] {
             w.u64(v);
         }
-        w.u64(s.res.unknown.len() as u64);
-        for l in &s.res.unknown {
-            w.loc(l);
-        }
+        w.locs(s.res.unknown.iter());
         w.u64(s.res.call_edges.len() as u64);
         for (sid, fid) in &s.res.call_edges {
             w.u32(sid.0);
@@ -750,12 +786,7 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
         let mut pt_locs = BTreeMap::new();
         for _ in 0..npl {
             let k = r.str()?;
-            let nl = r.count()?;
-            let mut locs = BTreeSet::new();
-            for _ in 0..nl {
-                locs.insert(r.loc()?);
-            }
-            pt_locs.insert(k, locs);
+            pt_locs.insert(k, r.locs()?);
         }
         let nmr = r.count()?;
         let mut modref = BTreeMap::new();
@@ -783,11 +814,7 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
             resolve_mismatch: r.u64()?,
             out_of_bounds: r.u64()?,
         };
-        let nu = r.count()?;
-        let mut unknown = BTreeSet::new();
-        for _ in 0..nu {
-            unknown.insert(r.loc()?);
-        }
+        let unknown = r.locs()?;
         let nce = r.count()?;
         let mut call_edges = Vec::with_capacity(nce);
         for _ in 0..nce {
@@ -887,11 +914,7 @@ fn decode_demand(bytes: &[u8]) -> Result<Entries<DemandAnswer>, SnapshotError> {
         let opts = get_opts(&mut r)?;
         let payload = match r.u8()? {
             0 => DemandPayload::PointsTo(r.strs()?),
-            1 => DemandPayload::Alias(match r.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(r.malformed(format!("bad alias tag {t}"))),
-            }),
+            1 => DemandPayload::Alias(r.bool("alias")?),
             2 => DemandPayload::ModRef {
                 mods: r.strs()?,
                 refs: r.strs()?,
@@ -930,25 +953,29 @@ pub fn encode(cache: &SessionCache) -> Vec<u8> {
         (TAG_SOLVED, encode_solved(&resident.solved)),
         (TAG_DEMAND, encode_demand(&resident.demand)),
     ];
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut out = W(MAGIC.to_vec());
+    out.u32(VERSION);
+    out.u32(sections.len() as u32);
     for (tag, payload) in sections {
-        out.push(tag);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.frame(tag, &payload);
     }
-    out
+    out.0
 }
 
-/// Parses the header and section framing without decoding payloads — the
-/// corruption property tests use these ranges to target their damage.
-pub fn sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
+fn section_name(tag: u8) -> Option<&'static str> {
+    match tag {
+        TAG_PROGRAMS => Some("programs"),
+        TAG_SOLVED => Some("solved"),
+        TAG_DEMAND => Some("demand"),
+        _ => None,
+    }
+}
+
+/// Reads the header and every section frame, each with the offset of its
+/// tag byte, without checking checksums or decoding payloads.
+fn read_frames(bytes: &[u8]) -> Result<Vec<(usize, Frame<'_>)>, SnapshotError> {
     let mut r = Rd::new(bytes, "header");
-    let magic = r.take(8)?;
-    if magic != MAGIC {
+    if r.take(8)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
@@ -959,29 +986,7 @@ pub fn sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
     let mut out = Vec::new();
     for _ in 0..nsections {
         let header_start = r.pos;
-        let tag = r.u8()?;
-        let section = match tag {
-            TAG_PROGRAMS => "programs",
-            TAG_SOLVED => "solved",
-            TAG_DEMAND => "demand",
-            t => {
-                return Err(SnapshotError::Malformed {
-                    section: "header",
-                    detail: format!("unknown section tag {t}"),
-                })
-            }
-        };
-        r.section = section;
-        let len = r.u64()? as usize;
-        let _checksum = r.u64()?;
-        let payload_start = r.pos;
-        r.take(len)?;
-        out.push(SectionInfo {
-            tag,
-            header_start,
-            payload_start,
-            payload_end: payload_start + len,
-        });
+        out.push((header_start, r.frame(section_name)?));
     }
     if r.pos != bytes.len() {
         return Err(SnapshotError::Malformed {
@@ -992,6 +997,18 @@ pub fn sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
     Ok(out)
 }
 
+/// Parses the header and section framing without decoding payloads — the
+/// corruption property tests use these ranges to target their damage.
+pub fn sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
+    let info = |(header_start, f): (usize, Frame<'_>)| SectionInfo {
+        tag: f.tag,
+        header_start,
+        payload_start: header_start + FRAME_HEADER_LEN,
+        payload_end: header_start + FRAME_HEADER_LEN + f.payload.len(),
+    };
+    Ok(read_frames(bytes)?.into_iter().map(info).collect())
+}
+
 /// Decodes a snapshot into ready-to-insert cache values.
 ///
 /// # Errors
@@ -999,28 +1016,18 @@ pub fn sections(bytes: &[u8]) -> Result<Vec<SectionInfo>, SnapshotError> {
 /// Any framing, checksum, or payload defect comes back as the matching
 /// [`SnapshotError`]; decoding never panics on untrusted bytes.
 pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
-    let infos = sections(bytes)?;
     let mut data = SnapshotData {
         programs: Vec::new(),
         solved: Vec::new(),
         demand: Vec::new(),
     };
     let mut seen = [false; 3];
-    for info in infos {
-        let payload = &bytes[info.payload_start..info.payload_end];
-        let section = match info.tag {
-            TAG_PROGRAMS => "programs",
-            TAG_SOLVED => "solved",
-            _ => "demand",
-        };
-        let mut cs = [0u8; 8];
-        cs.copy_from_slice(
-            &bytes[info.payload_start - 8..info.payload_start],
-        );
-        if fnv64(payload) != u64::from_le_bytes(cs) {
+    for (_, f) in read_frames(bytes)? {
+        let section = f.name;
+        if fnv64(f.payload) != f.checksum {
             return Err(SnapshotError::Checksum { section });
         }
-        let slot = (info.tag - 1) as usize;
+        let slot = (f.tag - 1) as usize;
         if seen[slot] {
             return Err(SnapshotError::Malformed {
                 section,
@@ -1028,10 +1035,10 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
             });
         }
         seen[slot] = true;
-        match info.tag {
-            TAG_PROGRAMS => data.programs = decode_programs(payload)?,
-            TAG_SOLVED => data.solved = decode_solved(payload)?,
-            _ => data.demand = decode_demand(payload)?,
+        match f.tag {
+            TAG_PROGRAMS => data.programs = decode_programs(f.payload)?,
+            TAG_SOLVED => data.solved = decode_solved(f.payload)?,
+            _ => data.demand = decode_demand(f.payload)?,
         }
     }
     Ok(data)

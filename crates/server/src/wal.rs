@@ -9,8 +9,9 @@
 //!
 //! ## File format
 //!
-//! The same `tag + len + fnv64 + payload` discipline as `SCSNAP01`
-//! (see [`crate::snapshot`]), framed per record instead of per section:
+//! The same `tag + len + fnv64 + payload` frame as `SCSNAP01`, written
+//! and read by the same codec (see [`crate::snapshot`]), one frame per
+//! record instead of per section:
 //!
 //! ```text
 //! header:  magic "SCWAL001" (8 bytes) · version u32-le
@@ -35,7 +36,7 @@
 //! same temp-file + rename dance as the snapshot itself.
 
 use crate::faults::{DiskFault, FaultPlan};
-use crate::snapshot::fnv64;
+use crate::snapshot::{fnv64, Rd, W};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -92,62 +93,34 @@ pub struct Wal {
 }
 
 fn encode_record(program: &str, source: &str) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(16 + program.len() + source.len());
-    payload.extend_from_slice(&(program.len() as u64).to_le_bytes());
-    payload.extend_from_slice(program.as_bytes());
-    payload.extend_from_slice(&(source.len() as u64).to_le_bytes());
-    payload.extend_from_slice(source.as_bytes());
-    let mut rec = Vec::with_capacity(17 + payload.len());
-    rec.push(TAG_UPDATE);
-    rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    rec.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec
+    let mut payload = W(Vec::with_capacity(16 + program.len() + source.len()));
+    payload.str(program);
+    payload.str(source);
+    let mut rec = W(Vec::with_capacity(17 + payload.0.len()));
+    rec.frame(TAG_UPDATE, &payload.0);
+    rec.0
 }
 
-fn header_bytes() -> [u8; HEADER_LEN as usize] {
-    let mut h = [0u8; HEADER_LEN as usize];
-    h[..8].copy_from_slice(&MAGIC);
-    h[8..].copy_from_slice(&VERSION.to_le_bytes());
-    h
+fn header_bytes() -> Vec<u8> {
+    let mut h = W(MAGIC.to_vec());
+    h.u32(VERSION);
+    h.0
 }
 
-/// Bounds-checked little-endian cursor over the journal bytes. Any
-/// out-of-bounds read means a torn tail, never a panic.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        // Overflow-safe: check remaining length, not pos + n.
-        if self.buf.len() - self.pos < n {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
+/// Decodes the record frame at the reader's position; `None` when it is
+/// torn, corrupt or of an unknown kind.
+fn read_record(r: &mut Rd<'_>) -> Option<WalRecord> {
+    let frame = r.frame(|tag| (tag == TAG_UPDATE).then_some("wal")).ok()?;
+    if fnv64(frame.payload) != frame.checksum {
+        return None;
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn str_field(&mut self) -> Option<String> {
-        let len = self.u64()?;
-        if len > self.buf.len() as u64 {
-            return None;
-        }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
+    let mut p = Rd::new(frame.payload, "wal");
+    let record = WalRecord {
+        program: p.str().ok()?,
+        source: p.str().ok()?,
+    };
+    p.done().ok()?;
+    Some(record)
 }
 
 /// Decodes every whole record of the journal at `dir/`[`WAL_FILE`].
@@ -168,47 +141,19 @@ pub fn replay(dir: &Path) -> std::io::Result<ReplayInfo> {
         Err(e) => return Err(e),
     }
     let mut info = ReplayInfo::default();
-    if buf.len() < HEADER_LEN as usize
-        || buf[..8] != MAGIC
-        || buf[8..12] != VERSION.to_le_bytes()
-    {
+    let mut r = Rd::new(&buf, "wal");
+    if r.take(8).ok() != Some(&MAGIC[..]) || r.u32().ok() != Some(VERSION) {
         // A mangled header orphans the whole file: report it as torn (if
         // non-empty) and let `Wal::open` rewrite it from scratch.
         info.torn_tail = !buf.is_empty();
         return Ok(info);
     }
     info.valid_bytes = HEADER_LEN;
-    let mut cur = Cur {
-        buf: &buf,
-        pos: HEADER_LEN as usize,
-    };
-    while cur.pos < buf.len() {
-        let rec = (|| {
-            let tag = cur.u8()?;
-            if tag != TAG_UPDATE {
-                return None;
-            }
-            let payload_len = cur.u64()?;
-            let sum = cur.u64()?;
-            let payload = cur.take(usize::try_from(payload_len).ok()?)?;
-            if fnv64(payload) != sum {
-                return None;
-            }
-            let mut p = Cur {
-                buf: payload,
-                pos: 0,
-            };
-            let program = p.str_field()?;
-            let source = p.str_field()?;
-            if p.pos != payload.len() {
-                return None;
-            }
-            Some(WalRecord { program, source })
-        })();
-        match rec {
-            Some(r) => {
-                info.records.push(r);
-                info.valid_bytes = cur.pos as u64;
+    while r.pos < buf.len() {
+        match read_record(&mut r) {
+            Some(rec) => {
+                info.records.push(rec);
+                info.valid_bytes = r.pos as u64;
             }
             None => {
                 info.torn_tail = true;

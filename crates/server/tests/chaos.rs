@@ -6,11 +6,11 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 use structcast_server::json::Json;
 use structcast_server::metrics::{Counter, ERROR_KINDS};
-use structcast_server::{fleet, serve, Client, FleetConfig, ServerConfig};
+use structcast_server::{serve, Client, ServerConfig};
 
 fn ok(resp: &Json) -> bool {
     resp.get("ok").and_then(Json::as_bool) == Some(true)
@@ -34,9 +34,30 @@ fn assert_layer_bytes_reconcile(stats: &Json) {
     );
 }
 
+/// Asserts no object anywhere in `v` repeats a key: parsers that keep the
+/// last duplicate would read a different reply than ones that keep the
+/// first.
+fn assert_unique_keys(v: &Json, reply: &Json) {
+    match v {
+        Json::Obj(pairs) => {
+            for (i, (k, child)) in pairs.iter().enumerate() {
+                assert!(
+                    pairs[..i].iter().all(|(seen, _)| seen != k),
+                    "repeated key `{k}`: {reply}"
+                );
+                assert_unique_keys(child, reply);
+            }
+        }
+        Json::Arr(items) => items.iter().for_each(|item| assert_unique_keys(item, reply)),
+        _ => {}
+    }
+}
+
 /// A reply is well-formed iff it is `{"ok": true, ...}` or
-/// `{"ok": false, "error": {"kind": <taxonomy>, "message": ...}}`.
+/// `{"ok": false, "error": {"kind": <taxonomy>, "message": ...}}`, and no
+/// object in it repeats a key.
 fn assert_well_formed(resp: &Json) {
+    assert_unique_keys(resp, resp);
     if ok(resp) {
         return;
     }
@@ -103,7 +124,9 @@ fn chaos_four_clients_every_reply_well_formed_and_metrics_reconcile() {
     let mut c = Client::connect(addr).unwrap();
     // At quiescence the per-layer byte split must reconcile with the
     // global gauge — both sides sum the same per-slot estimates.
-    assert_layer_bytes_reconcile(&c.stats().unwrap());
+    let stats = c.stats().unwrap();
+    assert_well_formed(&stats);
+    assert_layer_bytes_reconcile(&stats);
     let resp = c.shutdown_server().unwrap();
     assert!(ok(&resp), "{resp}");
     let summary = handle.wait();
@@ -395,327 +418,6 @@ fn client_read_timeout_fails_fast_against_a_dead_server() {
         start.elapsed() < Duration::from_secs(5),
         "must fail fast, not hang"
     );
-}
-
-/// Sums an alive replica row's `errors_by_kind` object from a
-/// `fleet_stats` reply.
-fn wire_errors_total(stats: &Json) -> u64 {
-    match stats.get("errors_by_kind") {
-        Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-        _ => panic!("stats without errors_by_kind: {stats}"),
-    }
-}
-
-/// The metrics `ok` *count* from a wire stats reply. The reply carries
-/// two `ok` keys — the protocol flag (`true`) first, the counter second —
-/// so `Json::get` (first match) cannot reach the counter.
-fn wire_ok_count(stats: &Json) -> u64 {
-    match stats {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find_map(|(k, v)| (k == "ok").then(|| v.as_u64()).flatten())
-            .unwrap_or_else(|| panic!("stats without an ok count: {stats}")),
-        _ => panic!("not a stats object: {stats}"),
-    }
-}
-
-/// The fleet chaos tentpole: SIGKILL a replica in the middle of a query
-/// storm through the router. Every storm reply must be well-formed — a
-/// real answer (the ring successor serves the victim's read keys during
-/// the outage) or a typed `overloaded` shed — an `update` aimed at the
-/// dead owner must shed with `degraded: "replica_down"` instead of
-/// failing over, the router must restart the victim from its snapshot,
-/// the restarted process must serve its re-warmed keys with **zero**
-/// compile/solve misses, and the fleet's metrics must reconcile exactly —
-/// per replica and at the router.
-#[test]
-fn replica_killed_mid_storm_is_shed_then_restarts_warm_with_zero_misses() {
-    let root = std::env::temp_dir().join(format!(
-        "scast-fleet-chaos-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-
-    let cfg = FleetConfig {
-        replicas: 2,
-        program: env!("CARGO_BIN_EXE_scastd").into(),
-        snapshot_root: Some(root.clone()),
-        forward_timeout: Duration::from_secs(5),
-        ..FleetConfig::default()
-    };
-    let fleet_h = fleet(&cfg).expect("spawn 2 replicas + router");
-    let addr = fleet_h.addr();
-
-    // The storm corpus: warm these exact queries first, so every reply a
-    // live replica gives during (and after) the storm is a cache hit —
-    // that is what makes "zero misses after restart" assertable.
-    let storm: Vec<String> = vec![
-        r#"{"op":"points_to","program":"bst","var":"g_tree"}"#.into(),
-        r#"{"op":"alias","program":"bst","a":"g_tree","b":"g_tree"}"#.into(),
-        r#"{"op":"modref","program":"bst","func":"main"}"#.into(),
-        r#"{"op":"points_to","program":"bst","var":"g_tree","mode":"demand"}"#.into(),
-        r#"{"op":"points_to","program":"list-utils","var":"g_head"}"#.into(),
-    ];
-    {
-        let mut c = Client::connect(addr).unwrap();
-        for q in [
-            r#"{"op":"load","name":"bst"}"#,
-            r#"{"op":"load","name":"list-utils"}"#,
-        ] {
-            let resp = Json::parse(&c.request_line(q).unwrap()).unwrap();
-            assert!(ok(&resp), "warm load through router failed: {resp}");
-        }
-        for q in &storm {
-            let resp = Json::parse(&c.request_line(q).unwrap()).unwrap();
-            assert!(ok(&resp), "warm query through router failed: {resp}");
-        }
-        // Broadcast snapshot: both replicas persist their warm state.
-        let resp = c
-            .request_line(r#"{"op":"snapshot"}"#)
-            .map(|l| Json::parse(&l).unwrap())
-            .unwrap();
-        assert!(ok(&resp), "{resp}");
-        assert_eq!(
-            resp.get("saved").and_then(Json::as_u64),
-            Some(2),
-            "both replicas must save: {resp}"
-        );
-    }
-
-    // The victim owns "bst": killing it severs the storm's hottest keys.
-    let victim = fleet_h.route("bst");
-    assert!(victim < 2);
-
-    // Every worker pauses after 10 rounds until the victim is dead, so
-    // the remaining 50 rounds certainly reach the downed owner. (The
-    // warm storm lasts about as long as a fixed sleep would, so a sleep
-    // before the kill could let it finish first.)
-    let mid_storm = Arc::new(Barrier::new(4));
-    let workers: Vec<_> = (0..3)
-        .map(|i| {
-            let storm = storm.clone();
-            let mid_storm = Arc::clone(&mid_storm);
-            std::thread::spawn(move || -> (usize, u64) {
-                let mut c = Client::connect(addr).unwrap();
-                let mut shed = 0u64;
-                let mut served = 0usize;
-                for round in 0..60 {
-                    if round == 10 {
-                        mid_storm.wait(); // engaged
-                        mid_storm.wait(); // victim killed
-                    }
-                    for j in 0..storm.len() {
-                        let q = &storm[(i + round + j) % storm.len()];
-                        let line = c.request_line(q).unwrap();
-                        let resp = Json::parse(&line)
-                            .unwrap_or_else(|e| panic!("unparseable reply {line:?}: {e}"));
-                        // The only acceptable failure is a typed shed.
-                        assert_well_formed(&resp);
-                        if !ok(&resp) {
-                            assert_eq!(
-                                error_kind(&resp),
-                                Some("overloaded"),
-                                "a killed replica may only shed: {resp}"
-                            );
-                            assert!(
-                                resp.get("error")
-                                    .and_then(|e| e.get("retry_after_ms"))
-                                    .and_then(Json::as_u64)
-                                    .is_some(),
-                                "{resp}"
-                            );
-                            shed += 1;
-                        }
-                        served += 1;
-                    }
-                }
-                (served, shed)
-            })
-        })
-        .collect();
-
-    // Let the storm engage, then SIGKILL the victim mid-flight.
-    mid_storm.wait();
-    fleet_h.kill_replica(victim).expect("victim had a live process");
-    mid_storm.wait();
-
-    // While the owner is down, an update aimed at its keyspace must NOT
-    // fail over to the successor (whose WAL is not the owner's): it sheds
-    // with the typed `degraded: "replica_down"` marker. A ghost program
-    // name that routes to the victim keeps the probe side-effect-free —
-    // if the restart wins the race the reply is a plain bad_request.
-    let ghost = (0..)
-        .map(|n| format!("ghost-{n}"))
-        .find(|g| fleet_h.route(g) == victim)
-        .unwrap();
-    let update_req =
-        format!(r#"{{"op":"update","program":"{ghost}","source":"int g_ghost;"}}"#);
-    let mut ghost_sheds = 0u64;
-    {
-        let mut c = Client::connect(addr).unwrap();
-        let line = c.request_line(&update_req).unwrap();
-        let resp = Json::parse(&line).unwrap();
-        assert_well_formed(&resp);
-        match error_kind(&resp) {
-            Some("overloaded") => {
-                assert_eq!(
-                    resp.get("error")
-                        .and_then(|e| e.get("degraded"))
-                        .and_then(Json::as_str),
-                    Some("replica_down"),
-                    "an update shed by a dead owner must carry the marker: {resp}"
-                );
-                ghost_sheds += 1;
-            }
-            kind => panic!("update must shed while the owner is down, got {kind:?}: {resp}"),
-        }
-    }
-
-    let (mut total, mut shed_seen) = (0usize, ghost_sheds);
-    for w in workers {
-        let (served, shed) = w.join().unwrap();
-        total += served;
-        shed_seen += shed;
-    }
-    assert_eq!(total, 3 * 60 * storm.len(), "no storm reply was dropped");
-
-    // The kill triggered a background restart (health probe and failed
-    // forwards both report it); with failover in front, recovery is
-    // observed through the replica table, not through shed replies.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while fleet_h.replica_addrs()[victim].is_none() {
-        assert!(Instant::now() < deadline, "victim never came back");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Once the victim is re-bound, its keys route home again; the first
-    // answer must come from its snapshot-restored cache.
-    let mut c = Client::connect(addr).unwrap();
-    let warm_reply = loop {
-        let line = c
-            .request_line(r#"{"op":"points_to","program":"bst","var":"g_tree"}"#)
-            .unwrap();
-        let resp = Json::parse(&line).unwrap();
-        assert_well_formed(&resp);
-        if ok(&resp) {
-            break resp;
-        }
-        shed_seen += 1;
-        assert!(
-            Instant::now() < deadline,
-            "victim never answered post-restart: {resp}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(
-        warm_reply
-            .get("points_to")
-            .and_then(Json::as_arr)
-            .is_some_and(|pts| !pts.is_empty()),
-        "restarted replica must serve real restored answers: {warm_reply}"
-    );
-    assert!(fleet_h.replica_addrs()[victim].is_some(), "victim alive again");
-
-    // A restored demand answer is served as a hit too.
-    let resp = Json::parse(
-        &c.request_line(r#"{"op":"points_to","program":"bst","var":"g_tree","mode":"demand"}"#)
-            .unwrap(),
-    )
-    .unwrap();
-    assert!(ok(&resp), "{resp}");
-
-    // Fleet-wide reconciliation.
-    let fs = Json::parse(&c.request_line(r#"{"op":"fleet_stats"}"#).unwrap()).unwrap();
-    assert!(ok(&fs), "{fs}");
-    let rows = fs.get("replicas").and_then(Json::as_arr).unwrap();
-    assert_eq!(rows.len(), 2);
-    for row in rows {
-        assert_eq!(row.get("alive").and_then(Json::as_bool), Some(true), "{row}");
-        // Per-replica outcome accounting is exact even with the
-        // fleet_stats-triggered stats request in flight: `requests` is
-        // recorded at reply time.
-        let stats = row.get("stats").unwrap();
-        assert_eq!(
-            stats.get("requests").and_then(Json::as_u64).unwrap(),
-            wire_ok_count(stats) + wire_errors_total(stats),
-            "replica outcomes must reconcile: {row}"
-        );
-    }
-    let vrow = &rows[victim];
-    assert_eq!(vrow.get("restarts").and_then(Json::as_u64), Some(1), "{vrow}");
-    // The per-replica WAL depth is a first-class fleet_stats field; this
-    // storm journaled nothing (the ghost update was shed or rejected), so
-    // both replicas report an empty journal.
-    for row in rows {
-        assert_eq!(
-            row.get("wal_depth").and_then(Json::as_u64),
-            Some(0),
-            "{row}"
-        );
-    }
-    let vstats = vrow.get("stats").unwrap();
-    // The tentpole claim: the restarted process recompiled NOTHING and
-    // re-solved NOTHING — every post-restart answer came from the
-    // snapshot it loaded at startup.
-    assert_eq!(
-        vstats.get("program_misses").and_then(Json::as_u64),
-        Some(0),
-        "restart must not recompile: {vstats}"
-    );
-    assert_eq!(
-        vstats.get("solve_misses").and_then(Json::as_u64),
-        Some(0),
-        "restart must not re-solve: {vstats}"
-    );
-    // Query ops only count solve/demand hits (program hits are a `load`
-    // notion), so those are the witnesses of restored warm state.
-    assert!(
-        vstats.get("solve_hits").and_then(Json::as_u64).unwrap() >= 1,
-        "post-restart queries must be solve hits: {vstats}"
-    );
-    assert!(
-        vstats
-            .get("demand")
-            .and_then(|d| d.get("hits"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1,
-        "the restored demand answer must be served as a hit: {vstats}"
-    );
-    let snap = vstats.get("snapshot").unwrap();
-    assert_eq!(snap.get("restores").and_then(Json::as_u64), Some(1), "{snap}");
-    assert_eq!(snap.get("restore_errors").and_then(Json::as_u64), Some(0), "{snap}");
-    assert!(
-        snap.get("restored_entries").and_then(Json::as_u64).unwrap() >= 3,
-        "the victim's programs + summaries + demand answer: {snap}"
-    );
-    // Router-side accounting: every shed the clients saw is counted,
-    // reads really failed over to the successor during the outage, the
-    // shed update is tallied separately, and exactly one restart happened
-    // fleet-wide.
-    let router = fs.get("router").unwrap();
-    assert_eq!(
-        router.get("overloaded").and_then(Json::as_u64),
-        Some(shed_seen),
-        "router sheds must equal the overloaded replies observed: {router}"
-    );
-    assert!(
-        router.get("failovers").and_then(Json::as_u64).unwrap() >= 1,
-        "the storm's reads must have failed over while the owner was down: {router}"
-    );
-    assert_eq!(
-        router.get("update_sheds").and_then(Json::as_u64),
-        Some(ghost_sheds),
-        "update sheds must equal the degraded replies observed: {router}"
-    );
-    assert_eq!(router.get("restarts").and_then(Json::as_u64), Some(1), "{router}");
-
-    // Graceful fleet shutdown: every replica exits, the router drains.
-    let resp = Json::parse(&c.request_line(r#"{"op":"shutdown"}"#).unwrap()).unwrap();
-    assert!(ok(&resp), "{resp}");
-    fleet_h.wait();
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Acceptance sweep: 50 distinct generated programs through a byte-capped

@@ -2,7 +2,7 @@
 //! (SIGKILL between snapshots, torn-tail restarts), the degradation
 //! ladder (demand fallback, stale serving, brownout, non-durable
 //! updates), client retry/backoff reconciliation, and hostile wire-input
-//! sweeps against the server and the fleet router.
+//! sweeps against the server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +12,7 @@ use std::time::Duration;
 use structcast_server::json::Json;
 use structcast_server::metrics::{Counter, ERROR_KINDS};
 use structcast_server::wal;
-use structcast_server::{fleet, serve, Client, FleetConfig, RetryOpts, ServerConfig};
+use structcast_server::{serve, Client, RetryOpts, ServerConfig};
 
 fn ok(resp: &Json) -> bool {
     resp.get("ok").and_then(Json::as_bool) == Some(true)
@@ -738,30 +738,4 @@ fn struct_chain(n: usize) -> String {
         s += &format!("struct S{i} {{ struct S{} f; }};\n", i - 1);
     }
     s + &format!("struct S{n} v;\n")
-}
-
-/// The fleet router reads and decodes every line it routes the way the
-/// server does: a nesting bomb, a line that is not UTF-8 and an old binary
-/// client's preamble each get the server's typed reply, and both replica
-/// processes stay live.
-#[test]
-fn fleet_router_rejects_nesting_bombs_and_keeps_both_replicas() {
-    let cfg = FleetConfig {
-        replicas: 2,
-        program: env!("CARGO_BIN_EXE_scastd").into(),
-        forward_timeout: Duration::from_secs(10),
-        ..FleetConfig::default()
-    };
-    let h = fleet(&cfg).expect("spawn 2 replicas + router");
-    assert_nesting_rejected(&ndjson_bomb(h.addr()));
-    assert_unreadable_rejected(h.addr(), b"{\"op\":\"\xff\xfe\"}\n");
-    assert_unreadable_rejected(h.addr(), OLD_CODEC_PREAMBLE_LINE);
-    let mut c = Client::connect(h.addr()).unwrap();
-    let stats = Json::parse(&c.request_line(r#"{"op":"fleet_stats"}"#).unwrap()).unwrap();
-    let rows = stats.get("replicas").and_then(Json::as_arr).expect("replica rows");
-    let alive = rows.iter().filter(|r| r.get("alive").and_then(Json::as_bool) == Some(true));
-    assert_eq!(alive.count(), 2, "{stats}");
-    let _ = c.request_line(r#"{"op":"shutdown"}"#);
-    drop(c);
-    h.wait();
 }
