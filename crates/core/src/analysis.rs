@@ -249,6 +249,17 @@ impl AnalysisResult {
         self.facts.points_to_vec(&l)
     }
 
+    /// The points-to set of a top-level object rendered with
+    /// [`Loc::display`], sorted and deduplicated: the form every points-to
+    /// reply of the query server carries.
+    pub fn points_to_display(&self, prog: &Program, obj: ObjId) -> Vec<String> {
+        let mut shown: Vec<String> =
+            self.points_to(prog, obj).iter().map(|l| l.display(prog)).collect();
+        shown.sort();
+        shown.dedup();
+        shown
+    }
+
     /// The points-to set of `obj.path`.
     pub fn points_to_field(&self, prog: &Program, obj: ObjId, path: &FieldPath) -> Vec<Loc> {
         let l = self.model.normalize(prog, obj, path);

@@ -151,8 +151,21 @@ pub fn run_fig4(threads: usize) -> Vec<ModelRow> {
         .collect()
 }
 
-/// Figure 5: analysis wall-clock time per program and model. `repeats`
-/// controls how many timed runs are averaged (after one warmup).
+/// One Figure 5 cell from its timed solves: the median, in seconds (the
+/// mean of the middle two for an even count), so that one stall on a
+/// shared host does not move the cell.
+fn median_secs(mut times: Vec<Duration>) -> f64 {
+    times.sort_unstable();
+    let n = times.len();
+    match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => times[n / 2].as_secs_f64(),
+        _ => (times[n / 2 - 1] + times[n / 2]).as_secs_f64() / 2.0,
+    }
+}
+
+/// Figure 5: analysis wall-clock time per program and model. Each cell is
+/// the median of `repeats` timed runs (after one warmup).
 pub fn run_fig5(repeats: usize) -> Vec<ModelRow> {
     casty_corpus()
         .iter()
@@ -161,11 +174,8 @@ pub fn run_fig5(repeats: usize) -> Vec<ModelRow> {
             let session = AnalysisSession::compile(&prog);
             let values = ModelKind::ALL.map(|kind| {
                 let _ = run_model(&session, kind); // warmup
-                let mut total = Duration::ZERO;
-                for _ in 0..repeats.max(1) {
-                    total += run_model(&session, kind).elapsed;
-                }
-                total.as_secs_f64() / repeats.max(1) as f64
+                let times = (0..repeats.max(1)).map(|_| run_model(&session, kind).elapsed);
+                median_secs(times.collect())
             });
             ModelRow {
                 name: p.name.to_string(),
@@ -461,6 +471,23 @@ pub fn run_scaling(include_large: bool, threads: usize) -> Vec<ScalingRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_stalled_repeat_does_not_move_a_fig5_cell() {
+        let us = Duration::from_micros;
+        let steady = [100, 104, 98, 101, 99, 103, 102].map(us).to_vec();
+        assert_eq!(median_secs(steady.clone()), us(101).as_secs_f64());
+        // Whichever repeat stalls 12×, the cell stays between the steady
+        // neighbours of the median (a mean would more than double).
+        for i in 0..steady.len() {
+            let mut stalled = steady.clone();
+            stalled[i] = us(1200);
+            let cell = median_secs(stalled);
+            assert!((us(101).as_secs_f64()..=us(102).as_secs_f64()).contains(&cell), "{i}");
+        }
+        assert_eq!(median_secs(vec![us(1), us(3)]), us(2).as_secs_f64());
+        assert_eq!(median_secs(Vec::new()), 0.0);
+    }
 
     #[test]
     fn fig3_has_twenty_rows_in_paper_order() {

@@ -1,24 +1,32 @@
 //! The compile-once, solve-once, query-many session cache.
 //!
-//! One store memoizes the three stages a query passes through; the layer
-//! is a tag on the value (`Cached`), not a separate map:
+//! One store memoizes the stages a query passes through; the layer is a
+//! tag on the value (`Cached`), not a separate map:
 //!
 //! - a compiled program ([`ProgramEntry`]: lowered `Program` plus stage-1
 //!   `ConstraintSet`), keyed `(source hash, "")`, so reloading a program
 //!   is free and queries never recompile;
 //! - a solved instance ([`Solved`]), keyed `(source hash, cache key)`
-//!   ([`QueryOpts::cache_key`]): the plain-data summary (points-to sets,
-//!   MOD/REF tables, figure metrics) a warm query reads without a solver;
+//!   ([`QueryOpts::cache_key`]): the solver result plus the figure scalars.
+//!   It stores one answer, the points-to relation; queries render from it
+//!   on read, and nothing is rendered before a query asks;
+//! - answers rendered from a summary: a points-to table
+//!   ([`PointsToTable`]), keyed `(source hash, "points_to/<cache key>")`,
+//!   and a MOD/REF table ([`ModRefTable`]), keyed `(source hash,
+//!   "modref/<cache key>")`. The first `points_to` or `alias` query, or
+//!   the first `modref` query, against a summary renders the table, and
+//!   later ones read it ([`SessionCache::points_to_table`],
+//!   [`SessionCache::modref`]);
 //! - a demand answer ([`DemandAnswer`]), keyed `(source hash,
 //!   "demand/<subject>/<cache key>")` ([`SessionCache::demand`]).
 //!
-//! No cache key is empty or starts with `demand/`, so the shapes never
-//! collide. The slot map, the name → hash aliases and the resident byte
-//! total sit under one `RwLock`, so the total always equals the sum of the
-//! slot sizes. A hit takes the read guard; **miss work is done outside the
-//! lock**, so queries for different keys solve in parallel, and a rare
-//! same-key race costs one redundant solve (both compute the same
-//! deterministic result; the first insert wins).
+//! No cache key is empty or starts with `points_to/`, `modref/` or
+//! `demand/`, so the shapes never collide. The slot map, the name → hash aliases and the
+//! resident byte total sit under one `RwLock`, so the total always equals
+//! the sum of the slot sizes. A hit takes the read guard; **miss work is
+//! done outside the lock**, so queries for different keys solve in
+//! parallel, and a rare same-key race costs one redundant solve (both
+//! compute the same deterministic result; the first insert wins).
 //!
 //! # Bounding
 //!
@@ -105,9 +113,9 @@ impl ProgramEntry {
     }
 }
 
-/// One solved instance, reduced to the immutable plain-data summary the
-/// query handlers read: everything a query needs is precomputed here, so a
-/// warm query never touches the solver, the model, or the program.
+/// One solved instance: the solver result, which is the one stored answer,
+/// plus the scalars `compare_models` reports. Queries render their answer
+/// from `res` on read ([`PointsToTable`], [`ModRefTable`]).
 #[derive(Debug)]
 pub struct Solved {
     /// Which instance this is.
@@ -118,14 +126,17 @@ pub struct Solved {
     pub iterations: u64,
     /// Specialize+solve wall-clock paid when this entry was built.
     pub solve: Duration,
-    /// Every named variable in the program (for existence checks).
+    /// Empty on every server path; kept for struct literals outside the workspace.
+    #[deprecated(note = "empty on every server path; use `Solved::var_answer`")]
     pub vars: BTreeSet<String>,
-    /// Points-to sets rendered for display, nonempty sets only.
+    /// Empty on every server path; see [`vars`](Solved::vars).
+    #[deprecated(note = "empty on every server path; use `Solved::var_answer`")]
     pub points_to: BTreeMap<String, Vec<String>>,
-    /// Exact points-to sets, nonempty sets only (alias queries compare
-    /// `Loc`s for equality, not display strings).
+    /// Empty on every server path; see [`vars`](Solved::vars).
+    #[deprecated(note = "empty on every server path; use `VarAnswer::aliases`")]
     pub pt_locs: BTreeMap<String, BTreeSet<Loc>>,
-    /// Per-defined-function `(MOD, REF)` object-name sets.
+    /// Empty on every server path; see [`vars`](Solved::vars).
+    #[deprecated(note = "empty on every server path; use `SessionCache::modref`")]
     pub modref: BTreeMap<String, (Vec<String>, Vec<String>)>,
     /// Average points-to set size over dereference sites (Figure 4).
     pub avg_deref: f64,
@@ -135,58 +146,30 @@ pub struct Solved {
     /// the exact `AnalysisConfig` (minus query budgets) to re-solve the
     /// summary incrementally.
     pub opts: QueryOpts,
-    /// The full solver result behind the summary. This is what makes a
+    /// The solver result every answer is rendered from. It also makes a
     /// summary *updatable*: `resolve_incremental` seeds the edited
     /// program's fixpoint from these facts instead of re-running it cold.
     pub res: AnalysisResult,
 }
 
 impl Solved {
-    fn build(entry: &ProgramEntry, opts: QueryOpts, res: AnalysisResult) -> Solved {
-        let prog = &entry.prog;
-        let mut vars = BTreeSet::new();
-        let mut points_to = BTreeMap::new();
-        let mut pt_locs = BTreeMap::new();
-        // A name resolves to the first object carrying it (as in
-        // `Program::object_by_name`), whatever that object's kind.
-        let mut first: HashMap<&str, ObjId> = HashMap::new();
-        for (i, obj) in prog.objects.iter().enumerate() {
-            let id = *first.entry(&obj.name).or_insert(ObjId(i as u32));
-            if !obj.kind.is_named_variable() || !vars.insert(obj.name.clone()) {
-                continue;
-            }
-            let locs = res.points_to(prog, id);
-            if locs.is_empty() {
-                continue;
-            }
-            let mut shown: Vec<String> = locs.iter().map(|l| l.display(prog)).collect();
-            shown.sort();
-            shown.dedup();
-            points_to.insert(obj.name.clone(), shown);
-            pt_locs.insert(obj.name.clone(), locs.into_iter().collect());
-        }
-        let mr = modref::mod_ref(prog, &res, true);
-        let mut modref_map = BTreeMap::new();
-        for f in &prog.functions {
-            if !f.defined {
-                continue;
-            }
-            let sets = mr.sets(f.id);
-            let names = |set: &BTreeSet<ObjId>| {
-                set.iter().map(|o| prog.object(*o).name.clone()).collect::<Vec<_>>()
-            };
-            modref_map.insert(f.name.clone(), (names(&sets.mods), names(&sets.refs)));
-        }
-        let (avg_deref, deref_sites) = res.deref_summary(prog);
+    /// A summary of `res` solved under `opts`, with its Figure 4 scalars
+    /// `(average dereference size, dereference sites)`.
+    #[allow(deprecated)] // the tables stay empty
+    pub(crate) fn new(
+        opts: QueryOpts,
+        res: AnalysisResult,
+        (avg_deref, deref_sites): (f64, usize),
+    ) -> Solved {
         Solved {
             kind: res.kind,
             edges: res.edge_count(),
             iterations: res.iterations,
             solve: res.elapsed,
-            vars,
-            points_to,
-            pt_locs,
-            modref: modref_map,
+            vars: BTreeSet::new(),
+            points_to: BTreeMap::new(),
+            pt_locs: BTreeMap::new(),
+            modref: BTreeMap::new(),
             avg_deref,
             deref_sites,
             opts,
@@ -194,26 +177,37 @@ impl Solved {
         }
     }
 
-    /// Approximate resident bytes of the summary (string payloads plus
-    /// per-element set overheads, plus the retained solver facts).
+    /// Approximate resident bytes: the retained solver facts, plus whatever
+    /// the deprecated tables hold (nothing, unless a caller outside the
+    /// workspace filled them).
+    #[allow(deprecated)]
     pub fn approx_bytes(&self) -> usize {
-        let strs = |v: &Vec<String>| v.iter().map(|s| s.len() + 32).sum::<usize>();
         let mut n = 1024 + self.res.facts.len() * 64;
         n += self.vars.iter().map(|s| s.len() + 48).sum::<usize>();
         for (k, v) in &self.points_to {
-            n += k.len() + 64 + strs(v);
+            n += k.len() + 64 + str_bytes(v);
         }
         for (k, v) in &self.pt_locs {
             n += k.len() + 64 + v.len() * 48;
         }
         for (k, (m, r)) in &self.modref {
-            n += k.len() + 96 + strs(m) + strs(r);
+            n += k.len() + 96 + str_bytes(m) + str_bytes(r);
         }
         n
     }
 
-    /// May `a` and `b` point to a common location? `None` when either
-    /// variable does not exist in the program.
+    /// The answer for the variable `var` of `prog` (the program this
+    /// summary was solved over), rendered from the solver result. `None`
+    /// when no named variable carries the name. [`PointsToTable`] holds
+    /// the same answer for every variable.
+    pub fn var_answer(&self, prog: &Program, var: &str) -> Option<VarAnswer> {
+        Some(VarAnswer::of(prog, &self.res, var_object(prog, var)?))
+    }
+
+    /// The alias answer from the deprecated tables, which are empty on
+    /// every server path.
+    #[deprecated(note = "reads the deprecated tables; use `VarAnswer::aliases`")]
+    #[allow(deprecated)]
     pub fn may_alias(&self, a: &str, b: &str) -> Option<bool> {
         if !self.vars.contains(a) || !self.vars.contains(b) {
             return None;
@@ -223,6 +217,104 @@ impl Solved {
             _ => return Some(false),
         };
         Some(pa.intersection(pb).next().is_some())
+    }
+}
+
+/// Approximate resident bytes of a list of strings.
+fn str_bytes(v: &[String]) -> usize {
+    v.iter().map(|s| s.len() + 32).sum()
+}
+
+/// The object a variable name means: the first object, of any kind, that
+/// carries the name, provided some named variable carries it. This is not
+/// `Program::object_by_name`, whose `::name` fallback answers differently;
+/// [`PointsToTable::build`] applies the same rule to every name at once.
+fn var_object(prog: &Program, name: &str) -> Option<ObjId> {
+    let first = prog.objects.iter().position(|o| o.name == name)?;
+    prog.objects[first..]
+        .iter()
+        .any(|o| o.name == name && o.kind.is_named_variable())
+        .then_some(ObjId(first as u32))
+}
+
+/// One variable's answer under one summary: what `points_to` replies and
+/// what `alias` compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VarAnswer {
+    /// The points-to targets as a reply lists them: display strings,
+    /// sorted and deduplicated.
+    pub shown: Vec<String>,
+    /// The exact targets, sorted; `alias` compares locations, not their
+    /// display strings.
+    pub locs: Vec<Loc>,
+}
+
+impl VarAnswer {
+    fn of(prog: &Program, res: &AnalysisResult, obj: ObjId) -> VarAnswer {
+        VarAnswer { shown: res.points_to_display(prog, obj), locs: res.points_to(prog, obj) }
+    }
+
+    /// May the two variables point to a common location?
+    pub fn aliases(&self, other: &VarAnswer) -> bool {
+        self.locs.iter().any(|l| other.locs.binary_search(l).is_ok())
+    }
+}
+
+/// The answer of every variable of one summary, by name. The first
+/// `points_to` or `alias` query against the summary renders it
+/// ([`SessionCache::points_to_table`]); it then sits in its own slot under
+/// the same byte budget, and neither `update` nor the snapshot carries it.
+#[derive(Debug, Default)]
+pub struct PointsToTable(pub HashMap<String, VarAnswer>);
+
+impl PointsToTable {
+    fn build(prog: &Program, res: &AnalysisResult) -> PointsToTable {
+        let mut first: HashMap<&str, ObjId> = HashMap::new();
+        let mut table = HashMap::new();
+        for (i, o) in prog.objects.iter().enumerate() {
+            let id = *first.entry(&o.name).or_insert(ObjId(i as u32));
+            if o.kind.is_named_variable() && !table.contains_key(&o.name) {
+                table.insert(o.name.clone(), VarAnswer::of(prog, res, id));
+            }
+        }
+        PointsToTable(table)
+    }
+
+    /// Approximate resident bytes (string payloads plus overhead).
+    pub fn approx_bytes(&self) -> usize {
+        let rows = self.0.iter().map(|(k, a)| k.len() + 96 + str_bytes(&a.shown));
+        256 + rows.sum::<usize>() + self.0.values().map(|a| a.locs.len() * 48).sum::<usize>()
+    }
+}
+
+/// The names of `set`'s objects, in `ObjId` order: one MOD or REF set as
+/// a reply lists it.
+fn object_names(prog: &Program, set: &BTreeSet<ObjId>) -> Vec<String> {
+    set.iter().map(|o| prog.object(*o).name.clone()).collect()
+}
+
+/// The transitive `(MOD, REF)` object names of every defined function of
+/// one summary, by function name. The first `modref` query against the
+/// summary computes it ([`SessionCache::modref`]); it then sits in its own
+/// slot under the same byte budget, and neither `update` nor the snapshot
+/// carries it.
+#[derive(Debug, Default)]
+pub struct ModRefTable(pub BTreeMap<String, (Vec<String>, Vec<String>)>);
+
+impl ModRefTable {
+    fn build(prog: &Program, res: &AnalysisResult) -> ModRefTable {
+        let mr = modref::mod_ref(prog, res, true);
+        let table = prog.functions.iter().filter(|f| f.defined).map(|f| {
+            let sets = mr.sets(f.id);
+            (f.name.clone(), (object_names(prog, &sets.mods), object_names(prog, &sets.refs)))
+        });
+        ModRefTable(table.collect())
+    }
+
+    /// Approximate resident bytes (string payloads plus overhead).
+    pub fn approx_bytes(&self) -> usize {
+        let rows = self.0.iter().map(|(k, (m, r))| k.len() + 96 + str_bytes(m) + str_bytes(r));
+        256 + rows.sum::<usize>()
     }
 }
 
@@ -282,12 +374,11 @@ impl DemandAnswer {
 
     /// Approximate resident bytes (string payloads plus overhead).
     pub fn approx_bytes(&self) -> usize {
-        let strs = |v: &Vec<String>| v.iter().map(|s| s.len() + 32).sum::<usize>();
         256 + self.subject.len()
             + match &self.payload {
-            DemandPayload::PointsTo(v) => strs(v),
+            DemandPayload::PointsTo(v) => str_bytes(v),
             DemandPayload::Alias(_) => 0,
-            DemandPayload::ModRef { mods, refs } => strs(mods) + strs(refs),
+            DemandPayload::ModRef { mods, refs } => str_bytes(mods) + str_bytes(refs),
         }
     }
 }
@@ -333,14 +424,17 @@ pub struct UpdateReport {
 }
 
 /// A slot key: `(source hash, "")` for a program, `(source hash, cache
-/// key)` for a solved summary, `(source hash, "demand/<subject>/<cache
-/// key>")` for a demand answer.
+/// key)` for a solved summary, `(source hash, "points_to/<cache key>")` and
+/// `(source hash, "modref/<cache key>")` for the tables rendered from it,
+/// `(source hash, "demand/<subject>/<cache key>")` for a demand answer.
 type Key = (u64, String);
 
 /// One cached value; the variant is the layer it belongs to.
 enum Cached {
     Program(Arc<ProgramEntry>),
     Solved(Arc<Solved>),
+    PointsTo(Arc<PointsToTable>),
+    ModRef(Arc<ModRefTable>),
     Demand(Arc<DemandAnswer>),
 }
 
@@ -364,6 +458,8 @@ macro_rules! layer {
 }
 layer!(ProgramEntry, Program);
 layer!(Solved, Solved);
+layer!(PointsToTable, PointsTo);
+layer!(ModRefTable, ModRef);
 layer!(DemandAnswer, Demand);
 
 /// A cached value plus the bookkeeping the evictor reads: its (fixed) size
@@ -398,13 +494,15 @@ pub struct Resident {
 }
 
 /// Per-layer `(count, bytes)` plus the resident total, from one read of
-/// the store — the three byte figures always sum to `bytes`.
+/// the store — the four byte figures always sum to `bytes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Layers {
     /// Program entries.
     pub programs: (usize, usize),
     /// Solved summaries.
     pub solved: (usize, usize),
+    /// Tables rendered from summaries: points-to and MOD/REF.
+    pub rendered: (usize, usize),
     /// Demand answers.
     pub demand: (usize, usize),
     /// Approximate resident bytes across all layers.
@@ -584,6 +682,8 @@ impl SessionCache {
                 Cached::Program(e) => out.programs.push(Arc::clone(e)),
                 Cached::Solved(s) => out.solved.push((k.clone(), Arc::clone(s))),
                 Cached::Demand(a) => out.demand.push((k.clone(), Arc::clone(a))),
+                // Rendered again on the first query after a restore.
+                Cached::PointsTo(_) | Cached::ModRef(_) => {}
             }
         }
         out
@@ -679,7 +779,8 @@ impl SessionCache {
                         // worker; the build runs here.
                         let build = Instant::now();
                         let solve = res.elapsed;
-                        let solved = Arc::new(Solved::build(entry, opts_list[i].clone(), res));
+                        let deref = res.deref_summary(&entry.prog);
+                        let solved = Arc::new(Solved::new(opts_list[i].clone(), res, deref));
                         self.metrics.add(Counter::SolveMisses, 1);
                         self.metrics
                             .add_time(Counter::Solve, solve + build.elapsed());
@@ -777,6 +878,44 @@ impl SessionCache {
         self.get(&(entry.key, opts.cache_key()))
     }
 
+    /// The answer of every variable under the summary `solved` of `entry`,
+    /// memoized in its own slot: the first call renders the table, later
+    /// calls read it. Returns the table plus the wall-clock this call paid
+    /// rendering it (zero on a hit), which is charged to `solve_s`.
+    pub fn points_to_table(
+        &self,
+        entry: &ProgramEntry,
+        solved: &Solved,
+    ) -> (Arc<PointsToTable>, Duration) {
+        self.rendered(entry, solved, "points_to", || PointsToTable::build(&entry.prog, &solved.res))
+    }
+
+    /// The MOD/REF table of the summary `solved` of `entry`, memoized like
+    /// [`points_to_table`](Self::points_to_table).
+    pub fn modref(&self, entry: &ProgramEntry, solved: &Solved) -> (Arc<ModRefTable>, Duration) {
+        self.rendered(entry, solved, "modref", || ModRefTable::build(&entry.prog, &solved.res))
+    }
+
+    /// The table `build` renders from `solved`, under the key
+    /// `(program, "<tag>/<cache key>")`, built on the first call.
+    fn rendered<T: Layer>(
+        &self,
+        entry: &ProgramEntry,
+        solved: &Solved,
+        tag: &str,
+        build: impl FnOnce() -> T,
+    ) -> (Arc<T>, Duration) {
+        let key = (entry.key, format!("{tag}/{}", solved.opts.cache_key()));
+        if let Some(t) = self.get(&key) {
+            return (t, Duration::ZERO);
+        }
+        let start = Instant::now();
+        let table = Arc::new(build());
+        let paid = start.elapsed();
+        self.metrics.add_time(Counter::Solve, paid);
+        (self.put(&mut write(&self.store), key, table), paid)
+    }
+
     /// Residency probe for a cached demand answer (same key derivation as
     /// [`demand`](Self::demand)), metric-free like
     /// [`solved_if_resident`](Self::solved_if_resident).
@@ -798,9 +937,27 @@ impl SessionCache {
         subject: &str,
     ) -> Option<DemandAnswer> {
         let s = self.solved_if_resident(entry, opts)?;
+        let prog = &entry.prog;
+        // The answer is cached as a demand slot, so one variable is
+        // rendered rather than the whole table.
+        let var = |o: ObjId| s.var_answer(prog, &prog.object(o).name);
+        let payload = match *query {
+            DemandQuery::PointsTo { obj } => {
+                DemandPayload::PointsTo(var(obj).map(|a| a.shown).unwrap_or_default())
+            }
+            DemandQuery::Alias { a, b } => {
+                DemandPayload::Alias(var(a).zip(var(b)).is_some_and(|(a, b)| a.aliases(&b)))
+            }
+            DemandQuery::ModRef { func } => {
+                let (table, _) = self.modref(entry, &s);
+                let sets = table.0.get(&prog.function(func).name);
+                let (mods, refs) = sets.cloned().unwrap_or_default();
+                DemandPayload::ModRef { mods, refs }
+            }
+        };
         let total = entry.constraints.len();
         Some(DemandAnswer {
-            payload: payload_from_solved(entry, query, &s),
+            payload,
             slice_statements: total,
             total_statements: total,
             solve: Duration::ZERO,
@@ -907,10 +1064,9 @@ impl SessionCache {
             retracted_edges += inc.stats.retracted_edges;
             kept_edges += inc.stats.kept_edges;
             regions.insert(ck.clone(), inc.region.iter().copied().collect());
-            migrated.push((
-                (key, ck.clone()),
-                Arc::new(Solved::build(&entry, s.opts.clone(), inc.result)),
-            ));
+            let deref = inc.result.deref_summary(&entry.prog);
+            let solved = Solved::new(s.opts.clone(), inc.result, deref);
+            migrated.push(((key, ck.clone()), Arc::new(solved)));
         }
         let resolved_summaries = migrated.len();
 
@@ -980,6 +1136,7 @@ impl SessionCache {
             let (n, b) = match slot.value {
                 Cached::Program(_) => &mut l.programs,
                 Cached::Solved(_) => &mut l.solved,
+                Cached::PointsTo(_) | Cached::ModRef(_) => &mut l.rendered,
                 Cached::Demand(_) => &mut l.demand,
             };
             *n += 1;
@@ -1011,51 +1168,18 @@ fn demand_query_for_subject(prog: &Program, subject: &str) -> Option<DemandQuery
 }
 
 /// Renders a fresh demand solve into the exact shapes the exhaustive
-/// handlers emit (sorted+deduplicated display strings; MOD/REF names in
-/// `ObjId` order) — the byte-equality contract lives here.
+/// handlers emit, through the same renderers ([`AnalysisResult::points_to_display`],
+/// [`object_names`]) — the byte-equality contract lives there.
 fn demand_payload(entry: &ProgramEntry, query: &DemandQuery, d: &structcast::DemandResult) -> DemandPayload {
     let prog = &entry.prog;
     match *query {
         DemandQuery::PointsTo { obj } => {
-            let mut shown: Vec<String> = d
-                .result
-                .points_to(prog, obj)
-                .iter()
-                .map(|l| l.display(prog))
-                .collect();
-            shown.sort();
-            shown.dedup();
-            DemandPayload::PointsTo(shown)
+            DemandPayload::PointsTo(d.result.points_to_display(prog, obj))
         }
         DemandQuery::Alias { a, b } => DemandPayload::Alias(d.result.may_alias(prog, a, b)),
         DemandQuery::ModRef { func } => {
             let sets = d.modref_of(prog, func);
-            let names = |set: &BTreeSet<ObjId>| {
-                set.iter().map(|o| prog.object(*o).name.clone()).collect::<Vec<_>>()
-            };
-            DemandPayload::ModRef { mods: names(&sets.mods), refs: names(&sets.refs) }
-        }
-    }
-}
-
-/// Derives a demand answer from an already-cached full summary. The
-/// summary's fields are rendered by the same pipeline the exhaustive
-/// handlers read, so equality with [`demand_payload`] is structural.
-fn payload_from_solved(entry: &ProgramEntry, query: &DemandQuery, s: &Solved) -> DemandPayload {
-    let prog = &entry.prog;
-    match *query {
-        DemandQuery::PointsTo { obj } => DemandPayload::PointsTo(
-            s.points_to.get(&prog.object(obj).name).cloned().unwrap_or_default(),
-        ),
-        DemandQuery::Alias { a, b } => DemandPayload::Alias(
-            s.may_alias(&prog.object(a).name, &prog.object(b).name).unwrap_or(false),
-        ),
-        DemandQuery::ModRef { func } => {
-            let (mods, refs) = s
-                .modref
-                .get(&prog.function(func).name)
-                .cloned()
-                .unwrap_or_default();
+            let (mods, refs) = (object_names(prog, &sets.mods), object_names(prog, &sets.refs));
             DemandPayload::ModRef { mods, refs }
         }
     }
@@ -1098,7 +1222,7 @@ mod tests {
         assert!(compiled > Duration::ZERO);
         let (first, paid) = c.solved(&entry, &opts).unwrap();
         assert!(paid > Duration::ZERO);
-        assert_eq!(first.points_to.get("p").unwrap(), &vec!["x".to_string()]);
+        assert_eq!(first.var_answer(&entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
         // Second pass: same source, same options — the thread-local stage
         // counters must not move at all.
         let (compiles1, solves1) = (compiles_on_thread(), solves_on_thread());
@@ -1162,7 +1286,11 @@ mod tests {
         for (s, opts) in solved.iter().zip(&all) {
             let (seq, _) = c2.solved(&entry2, opts).unwrap();
             assert_eq!(s.edges, seq.edges, "{}", s.kind);
-            assert_eq!(s.points_to, seq.points_to, "{}", s.kind);
+            for o in &entry.prog.objects {
+                let a = s.var_answer(&entry.prog, &o.name);
+                let b = seq.var_answer(&entry2.prog, &o.name);
+                assert_eq!(a, b, "{} {}", s.kind, o.name);
+            }
             assert_eq!(s.avg_deref, seq.avg_deref, "{}", s.kind);
         }
     }
@@ -1192,17 +1320,63 @@ mod tests {
         let c = cache();
         let entry = c.load(Some("intro"), SRC).unwrap().0;
         let (s, _) = c.solved(&entry, &QueryOpts::default()).unwrap();
-        assert_eq!(s.may_alias("p", "q"), Some(true));
+        let table = c.points_to_table(&entry, &s).0;
+        let alias = |a: &str, b: &str| Some(table.0.get(a)?.aliases(table.0.get(b)?));
+        assert_eq!(alias("p", "q"), Some(true));
         // `s` normalizes to its first field (Problem 1), which also points
         // to x — so it aliases p. `y` holds no pointer at all.
-        assert_eq!(s.may_alias("p", "s"), Some(true));
-        assert_eq!(s.may_alias("p", "y"), Some(false));
-        assert_eq!(s.may_alias("p", "ghost"), None);
-        let (mods, refs) = s.modref.get("f").expect("f has modref sets");
+        assert_eq!(alias("p", "s"), Some(true));
+        assert_eq!(alias("p", "y"), Some(false));
+        assert_eq!(alias("p", "ghost"), None);
+        let table = c.modref(&entry, &s).0;
+        let (mods, refs) = table.0.get("f").expect("f has modref sets");
         assert!(mods.iter().any(|m| m == "s" || m == "p"), "{mods:?}");
         assert!(refs.iter().any(|r| r == "x" || r == "s"), "{refs:?}");
-        assert!(s.vars.contains("x"));
+        assert!(s.var_answer(&entry.prog, "x").is_some());
         assert!(s.edges > 0 && s.iterations > 0);
+    }
+
+    #[test]
+    #[allow(deprecated)] // reads the tables to show they stay empty
+    fn answers_render_on_first_query_then_are_memoized() {
+        let c = cache();
+        let entry = c.load(Some("intro"), SRC).unwrap().0;
+        let all: Vec<QueryOpts> =
+            ModelKind::ALL.iter().map(|&k| QueryOpts::default().with_model(k)).collect();
+        // A cold compare_models stores the solver results and nothing else.
+        let (solved, _) = c.solved_many(&entry, &all, 4).unwrap();
+        for s in &solved {
+            assert!(s.vars.is_empty() && s.points_to.is_empty(), "{}", s.kind);
+            assert!(s.pt_locs.is_empty() && s.modref.is_empty(), "{}", s.kind);
+        }
+        assert_eq!(c.layers().rendered, (0, 0), "no MOD/REF computed, no set rendered");
+        // The first modref query fills one slot, charged to the budget...
+        let (first, paid) = c.modref(&entry, &solved[2]);
+        assert!(paid > Duration::ZERO);
+        assert!(first.0.contains_key("f"));
+        let l = c.layers();
+        assert_eq!(l.rendered, (1, first.approx_bytes()));
+        assert_eq!(l.programs.1 + l.solved.1 + l.rendered.1 + l.demand.1, c.bytes());
+        // ...and the second is a hit on the same table.
+        let (second, paid2) = c.modref(&entry, &solved[2]);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(paid2, Duration::ZERO);
+        assert_eq!(c.layers().rendered.0, 1);
+        // Each instance has its own table.
+        c.modref(&entry, &solved[0]);
+        assert_eq!(c.layers().rendered.0, 2);
+        // The points-to table is rendered once per summary, too, and it
+        // agrees with rendering one variable.
+        let (pt, paid) = c.points_to_table(&entry, &solved[2]);
+        assert!(paid > Duration::ZERO);
+        assert_eq!(pt.0["p"].shown, vec!["x".to_string()]);
+        for (name, answer) in &pt.0 {
+            assert_eq!(Some(answer), solved[2].var_answer(&entry.prog, name).as_ref());
+        }
+        let (again, paid2) = c.points_to_table(&entry, &solved[2]);
+        assert!(Arc::ptr_eq(&pt, &again));
+        assert_eq!(paid2, Duration::ZERO);
+        assert_eq!(c.layers().rendered.0, 3);
     }
 
     #[test]
@@ -1229,7 +1403,7 @@ mod tests {
                 let (c, entry) = (Arc::clone(&c), Arc::clone(&entry));
                 std::thread::spawn(move || {
                     let (s, _) = c.solved(&entry, &QueryOpts::default()).unwrap();
-                    s.points_to.get("p").cloned()
+                    s.var_answer(&entry.prog, "p").map(|a| a.shown)
                 })
             })
             .collect();
@@ -1386,7 +1560,7 @@ mod tests {
         assert_eq!(paid3, Duration::ZERO);
         assert_eq!(
             a3.payload,
-            DemandPayload::PointsTo(full.points_to.get("q").unwrap().clone())
+            DemandPayload::PointsTo(full.var_answer(&entry.prog, "q").unwrap().shown)
         );
         assert_eq!(a3.slice_statements, a3.total_statements, "nothing was sliced");
         assert_eq!(solves_on_thread(), solves0 + 1, "only the full solve ran");
@@ -1407,9 +1581,11 @@ mod tests {
         let (mr, ..) = c.demand(&entry, &opts, &mr_q, "modref/f").unwrap();
         // ...must byte-equal the exhaustive summary's renderings.
         let (full, _) = c.solved(&entry, &opts).unwrap();
-        assert_eq!(pt.payload, DemandPayload::PointsTo(full.points_to.get("p").unwrap().clone()));
-        assert_eq!(al.payload, DemandPayload::Alias(full.may_alias("p", "s").unwrap()));
-        let (mods, refs) = full.modref.get("f").unwrap().clone();
+        let p = full.var_answer(&entry.prog, "p").unwrap();
+        assert_eq!(pt.payload, DemandPayload::PointsTo(p.shown.clone()));
+        let s = full.var_answer(&entry.prog, "s").unwrap();
+        assert_eq!(al.payload, DemandPayload::Alias(p.aliases(&s)));
+        let (mods, refs) = c.modref(&entry, &full).0 .0.get("f").unwrap().clone();
         assert_eq!(mr.payload, DemandPayload::ModRef { mods, refs });
         assert!(mr.ratio() > 0.0 && mr.ratio() <= 1.0);
     }
@@ -1469,7 +1645,7 @@ mod tests {
         let opts = QueryOpts::default();
         // Resident full summary: provides the re-run region at update time.
         let (full, _) = c.solved(&entry, &opts).unwrap();
-        assert_eq!(full.points_to.get("q").unwrap(), &vec!["y".to_string()]);
+        assert_eq!(full.var_answer(&entry.prog, "q").unwrap().shown, vec!["y".to_string()]);
         // Two demand answers: p's slice avoids g, q's slice is g.
         let (qp, sp) = pt_query(&entry, "p");
         let (ap, ..) = c.demand(&entry, &opts, &qp, &sp).unwrap();
@@ -1493,8 +1669,8 @@ mod tests {
         // ...whose full summary was migrated: warm, post-edit correct.
         let (migrated, paid) = c.solved(&new_entry, &opts).unwrap();
         assert_eq!(paid, Duration::ZERO, "the update re-solved the summary");
-        assert_eq!(migrated.points_to.get("q").unwrap(), &vec!["x".to_string()]);
-        assert_eq!(migrated.points_to.get("p").unwrap(), &vec!["x".to_string()]);
+        assert_eq!(migrated.var_answer(&new_entry.prog, "q").unwrap().shown, vec!["x".to_string()]);
+        assert_eq!(migrated.var_answer(&new_entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
         // p's demand answer survived verbatim; q's recomputes correctly.
         let (qp2, sp2) = pt_query(&new_entry, "p");
         let (ap2, _, warm) = c.demand(&new_entry, &opts, &qp2, &sp2).unwrap();
@@ -1548,7 +1724,7 @@ mod tests {
         let new_entry = c.entry("rec").unwrap();
         let (migrated, paid) = c.solved(&new_entry, &opts).unwrap();
         assert_eq!(paid, Duration::ZERO);
-        assert_eq!(migrated.points_to.get("p").unwrap(), &vec!["x".to_string()]);
+        assert_eq!(migrated.var_answer(&new_entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
     }
 
     #[test]

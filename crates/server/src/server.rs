@@ -34,7 +34,7 @@
 //! and exit, and the accept thread prints the final metrics summary line
 //! (including shed/evicted/panicked counts).
 
-use crate::cache::{DemandAnswer, DemandPayload, ProgramEntry, SessionCache, Solved};
+use crate::cache::{DemandAnswer, DemandPayload, PointsToTable, ProgramEntry, SessionCache, Solved};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::metrics::{Counter, Metrics};
@@ -684,22 +684,38 @@ fn resolve_program(
     )))
 }
 
+/// The program and its summary under `opts`, solving on a miss.
 fn solved_for(
     shared: &Shared,
     program: &str,
     opts: &QueryOpts,
     paid: &mut Duration,
-) -> Result<Arc<Solved>, ServeError> {
+) -> Result<(Arc<ProgramEntry>, Arc<Solved>), ServeError> {
     let entry = resolve_program(shared, program, paid)?;
     shared.faults.fire("solve");
     let (solved, solve_paid) = shared.cache.solved(&entry, opts)?;
     *paid += solve_paid;
-    Ok(solved)
+    Ok((entry, solved))
 }
 
-/// Resolves `var` to the exact-named variable object — the same set
-/// [`Solved::vars`] holds, so demand and exhaustive mode accept and
-/// reject identical names.
+/// The points-to table of the program's summary under `opts`, solving and
+/// rendering on a miss.
+fn points_to_table(
+    shared: &Shared,
+    program: &str,
+    opts: &QueryOpts,
+    paid: &mut Duration,
+) -> Result<Arc<PointsToTable>, ServeError> {
+    let (entry, solved) = solved_for(shared, program, opts, paid)?;
+    let (table, table_paid) = shared.cache.points_to_table(&entry, &solved);
+    *paid += table_paid;
+    Ok(table)
+}
+
+/// Resolves `var` to the exact-named variable object. A name is known
+/// here exactly when [`Solved::var_answer`] knows it (and the points-to
+/// table has a row for it), so demand and
+/// exhaustive mode accept and reject identical names.
 fn named_var(prog: &Program, var: &str) -> Option<ObjId> {
     prog.objects
         .iter()
@@ -775,6 +791,14 @@ fn with_marker(resp: Json, key: &str, val: Json) -> Json {
     }
 }
 
+/// Marks a demand reply the degradation ladder answered from a summary.
+fn mark_degraded(resp: Json, degraded: bool) -> Json {
+    match degraded {
+        true => with_marker(resp, "degraded", Json::str("demand_fallback")),
+        false => resp,
+    }
+}
+
 fn stale_contains(shared: &Shared, program: &str) -> bool {
     shared
         .stale
@@ -803,48 +827,33 @@ fn set_stale(shared: &Shared, program: &str, stale: bool) {
 /// metrics move, and a race with eviction merely turns one shed into one
 /// served cold request.
 fn answerable_warm(shared: &Shared, req: &Request) -> bool {
-    match req {
-        Request::Stats | Request::Shutdown | Request::Snapshot => true,
-        Request::Load { name, source } => match (name, source) {
-            (Some(n), None) => shared.cache.entry(n).is_some(),
-            _ => false,
-        },
-        Request::Update { .. } => false,
+    let (program, opts, subject) = match req {
+        Request::Stats | Request::Shutdown | Request::Snapshot => return true,
+        Request::Load { name: Some(n), source: None } => return shared.cache.entry(n).is_some(),
+        Request::Load { .. } | Request::Update { .. } => return false,
         Request::PointsTo { program, var, demand, opts } => {
-            let Some(entry) = shared.cache.entry(program) else {
-                return false;
-            };
-            (*demand
-                && shared.cache.demand_is_resident(&entry, opts, &format!("points_to/{var}")))
-                || shared.cache.solved_if_resident(&entry, opts).is_some()
+            (program, opts, demand.then(|| format!("points_to/{var}")))
         }
         Request::Alias { program, a, b, demand, opts } => {
-            let Some(entry) = shared.cache.entry(program) else {
-                return false;
-            };
-            (*demand
-                && shared.cache.demand_is_resident(&entry, opts, &format!("alias/{a}/{b}")))
-                || shared.cache.solved_if_resident(&entry, opts).is_some()
+            (program, opts, demand.then(|| format!("alias/{a}/{b}")))
         }
         Request::ModRef { program, func, demand, opts } => {
-            let Some(entry) = shared.cache.entry(program) else {
-                return false;
-            };
-            let demand_warm = *demand
-                && func.as_ref().is_some_and(|f| {
-                    shared.cache.demand_is_resident(&entry, opts, &format!("modref/{f}"))
-                });
-            demand_warm || shared.cache.solved_if_resident(&entry, opts).is_some()
+            (program, opts, func.as_ref().filter(|_| *demand).map(|f| format!("modref/{f}")))
         }
         Request::CompareModels { program, opts } => {
             let Some(entry) = shared.cache.entry(program) else {
                 return false;
             };
-            ModelKind::ALL.iter().all(|&k| {
+            return ModelKind::ALL.iter().all(|&k| {
                 shared.cache.solved_if_resident(&entry, &opts.with_model(k)).is_some()
-            })
+            });
         }
-    }
+    };
+    let Some(entry) = shared.cache.entry(program) else {
+        return false;
+    };
+    subject.is_some_and(|s| shared.cache.demand_is_resident(&entry, opts, &s))
+        || shared.cache.solved_if_resident(&entry, opts).is_some()
 }
 
 fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, ServeError> {
@@ -894,26 +903,20 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                     ("mode", Json::str("demand")),
                     ("demand", demand_meta(&answer, cached)),
                 ]);
-                return Ok(if degraded {
-                    with_marker(resp, "degraded", Json::str("demand_fallback"))
-                } else {
-                    resp
-                });
+                return Ok(mark_degraded(resp, degraded));
             }
-            let solved = solved_for(shared, &program, &opts, paid)?;
-            if !solved.vars.contains(&var) {
-                return Err(ServeError::Bad(format!(
-                    "unknown variable `{var}` in `{program}`"
-                )));
-            }
-            let targets = solved.points_to.get(&var).cloned().unwrap_or_default();
+            let table = points_to_table(shared, &program, &opts, paid)?;
+            let answer = table
+                .0
+                .get(&var)
+                .ok_or_else(|| format!("unknown variable `{var}` in `{program}`"))?;
             Ok(ok_response([
                 ("program", Json::str(&program)),
                 ("var", Json::str(&var)),
                 ("config", Json::str(opts.cache_key())),
                 (
                     "points_to",
-                    Json::Arr(targets.into_iter().map(Json::Str).collect()),
+                    Json::Arr(answer.shown.iter().map(Json::str).collect()),
                 ),
             ]))
         }
@@ -944,14 +947,11 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                     ("mode", Json::str("demand")),
                     ("demand", demand_meta(&answer, cached)),
                 ]);
-                return Ok(if degraded {
-                    with_marker(resp, "degraded", Json::str("demand_fallback"))
-                } else {
-                    resp
-                });
+                return Ok(mark_degraded(resp, degraded));
             }
-            let solved = solved_for(shared, &program, &opts, paid)?;
-            let alias = solved.may_alias(&a, &b).ok_or_else(|| {
+            let table = points_to_table(shared, &program, &opts, paid)?;
+            let (va, vb) = (table.0.get(&a), table.0.get(&b));
+            let alias = va.zip(vb).map(|(va, vb)| va.aliases(vb)).ok_or_else(|| {
                 format!("unknown variable `{a}` or `{b}` in `{program}`")
             })?;
             Ok(ok_response([
@@ -997,23 +997,21 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                     ("mode", Json::str("demand")),
                     ("demand", demand_meta(&answer, cached)),
                 ]);
-                return Ok(if degraded {
-                    with_marker(resp, "degraded", Json::str("demand_fallback"))
-                } else {
-                    resp
-                });
+                return Ok(mark_degraded(resp, degraded));
             }
-            let solved = solved_for(shared, &program, &opts, paid)?;
+            let (entry, solved) = solved_for(shared, &program, &opts, paid)?;
+            let (table, table_paid) = shared.cache.modref(&entry, &solved);
+            *paid += table_paid;
             let functions = match func {
                 Some(f) => {
-                    let sets = solved
-                        .modref
+                    let sets = table
+                        .0
                         .get(&f)
                         .ok_or_else(|| format!("unknown function `{f}` in `{program}`"))?;
                     vec![render(&f, (&sets.0, &sets.1))]
                 }
-                None => solved
-                    .modref
+                None => table
+                    .0
                     .iter()
                     .map(|(f, sets)| render(f, (&sets.0, &sets.1)))
                     .collect(),
@@ -1170,11 +1168,12 @@ fn handle(shared: &Shared, req: Request, paid: &mut Duration) -> Result<Json, Se
                 "max_cache_bytes".to_string(),
                 Json::count(shared.cache.max_bytes() as u64),
             ));
+            // Answers rendered from a summary count with the solved layer.
             pairs.push((
                 "cache_layer_bytes".to_string(),
                 Json::obj([
                     ("programs", Json::count(l.programs.1 as u64)),
-                    ("solved", Json::count(l.solved.1 as u64)),
+                    ("solved", Json::count((l.solved.1 + l.rendered.1) as u64)),
                     ("demand", Json::count(l.demand.1 as u64)),
                 ]),
             ));

@@ -1,13 +1,15 @@
 //! Deterministic on-disk snapshots of the session cache.
 //!
-//! A snapshot persists the three cache layers — compiled programs, solved
+//! A snapshot persists three cache layers — compiled programs, solved
 //! summaries, demand answers — so a restarted server cold-starts **warm**:
 //! restored entries answer queries with zero compile/solve misses, because
 //! nothing is recompiled or re-solved at load. Programs are stored as
 //! source text plus their already-compiled [`ConstraintSet`] (re-lowering
-//! source is deterministic and does not touch the constraint compiler);
-//! solved summaries store their rendered query tables plus the retained
-//! solver facts, and the analysis model is rebuilt from its configuration.
+//! source is deterministic and does not touch the constraint compiler).
+//! A solved summary is stored as what it holds: its options, its scalars
+//! and the solver result, whose model is rebuilt from the options. The
+//! tables rendered from a summary are not written; the first query after a
+//! restore renders them again, as on a never-restarted server.
 //!
 //! # Format
 //!
@@ -29,7 +31,7 @@
 
 use crate::cache::{DemandAnswer, DemandPayload, ProgramEntry, SessionCache, Solved, source_hash};
 use crate::proto::{parse_layout, QueryOpts};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -47,8 +49,9 @@ pub const SNAPSHOT_FILE: &str = "cache.scsnap";
 /// File magic: identifies a structcast cache snapshot, revision 01.
 pub const MAGIC: [u8; 8] = *b"SCSNAP01";
 
-/// Format version inside the header; bumped on any grammar change.
-pub const VERSION: u32 = 1;
+/// Format version inside the header; bumped on any grammar change. Version
+/// 2 dropped the rendered tables from the solved section.
+pub const VERSION: u32 = 2;
 
 const TAG_PROGRAMS: u8 = 1;
 const TAG_SOLVED: u8 = 2;
@@ -676,24 +679,6 @@ fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
     Ok(out)
 }
 
-fn put_str_map(w: &mut W, m: &BTreeMap<String, Vec<String>>) {
-    w.u64(m.len() as u64);
-    for (k, v) in m {
-        w.str(k);
-        w.strs(v);
-    }
-}
-
-fn get_str_map(r: &mut Rd<'_>) -> Result<BTreeMap<String, Vec<String>>, SnapshotError> {
-    let n = r.count()?;
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let k = r.str()?;
-        m.insert(k, r.strs()?);
-    }
-    Ok(m)
-}
-
 fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
     let mut sorted: Vec<&((u64, String), Arc<Solved>)> = solved.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
@@ -703,26 +688,10 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
         w.u64(*hash);
         w.str(optkey);
         put_opts(&mut w, &s.opts);
-        // Rendered summary tables.
+        // Scalars, then the solver result every answer is rendered from.
         w.u64(s.edges as u64);
-        w.u64(s.iterations);
-        w.u64(s.solve.as_nanos() as u64);
-        w.strs(&s.vars.iter().cloned().collect::<Vec<_>>());
-        put_str_map(&mut w, &s.points_to);
-        w.u64(s.pt_locs.len() as u64);
-        for (k, locs) in &s.pt_locs {
-            w.str(k);
-            w.locs(locs.iter());
-        }
-        w.u64(s.modref.len() as u64);
-        for (f, (mods, refs)) in &s.modref {
-            w.str(f);
-            w.strs(mods);
-            w.strs(refs);
-        }
         w.f64(s.avg_deref);
         w.u64(s.deref_sites as u64);
-        // Retained solver result (what makes the summary updatable).
         w.u8(model_index(s.res.kind));
         w.u64(s.res.iterations);
         w.u64(s.res.resolved_indirect_calls as u64);
@@ -778,24 +747,6 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
             )));
         }
         let edges_n = r.u64()? as usize;
-        let iterations = r.u64()?;
-        let solve = Duration::from_nanos(r.u64()?);
-        let vars: BTreeSet<String> = r.strs()?.into_iter().collect();
-        let points_to = get_str_map(&mut r)?;
-        let npl = r.count()?;
-        let mut pt_locs = BTreeMap::new();
-        for _ in 0..npl {
-            let k = r.str()?;
-            pt_locs.insert(k, r.locs()?);
-        }
-        let nmr = r.count()?;
-        let mut modref = BTreeMap::new();
-        for _ in 0..nmr {
-            let f = r.str()?;
-            let mods = r.strs()?;
-            let refs = r.strs()?;
-            modref.insert(f, (mods, refs));
-        }
         let avg_deref = r.f64()?;
         let deref_sites = r.u64()? as usize;
         let res_kind = get_model(&mut r)?;
@@ -849,23 +800,7 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
             unknown,
             call_edges,
         );
-        out.push((
-            (hash, optkey),
-            Solved {
-                kind: res_kind,
-                edges: edges_n,
-                iterations,
-                solve,
-                vars,
-                points_to,
-                pt_locs,
-                modref,
-                avg_deref,
-                deref_sites,
-                opts,
-                res,
-            },
-        ));
+        out.push(((hash, optkey), Solved::new(opts, res, (avg_deref, deref_sites))));
     }
     r.done()?;
     Ok(out)

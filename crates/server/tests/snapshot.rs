@@ -134,8 +134,8 @@ fn restore_pays_zero_compiles_and_zero_solves() {
 
     // The restored summary carries real data, not just a shell.
     let (solved, _) = cache.solved(&entry, &QueryOpts::default()).unwrap();
-    assert!(!solved.points_to.is_empty());
-    assert!(solved.vars.contains("g_tree"));
+    let g_tree = solved.var_answer(&entry.prog, "g_tree").expect("g_tree is a variable");
+    assert!(!g_tree.shown.is_empty());
 }
 
 /// The corruption property sweep. Two passes over a real warm snapshot:
@@ -274,6 +274,44 @@ fn corrupt_snapshot_on_disk_falls_back_to_a_counted_cold_start() {
     assert_eq!(snap.get("restore_errors").and_then(Json::as_u64), Some(1));
     assert_eq!(snap.get("restores").and_then(Json::as_u64), Some(0));
     c.shutdown_server().unwrap();
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot written under format version 1 (which stored rendered
+/// tables in its solved section) is refused before any section is read,
+/// and the server cold-starts and answers correctly.
+#[test]
+fn version_1_snapshot_is_refused_and_the_server_starts_cold() {
+    let dir = scratch_dir("v1-cold-start");
+    std::fs::create_dir_all(&dir).unwrap();
+    let warm = warm_cache();
+    let mut bytes = snapshot::encode(&warm);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(snapshot::decode(&bytes), Err(SnapshotError::BadVersion(1))));
+    std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
+
+    let cfg = ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let handle = serve(&cfg).expect("an old snapshot must not prevent startup");
+    let m = handle.metrics();
+    assert_eq!(m.get(Counter::SnapshotRestores), 0);
+    assert_eq!(m.get(Counter::SnapshotRestoreErrors), 1);
+
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let resp = c
+        .request(&Json::parse(r#"{"op":"points_to","program":"bst","var":"g_tree"}"#).unwrap())
+        .unwrap();
+    assert!(handle.metrics().total_misses() > 0, "cold start really is cold");
+    let bst = warm.entry("bst").unwrap();
+    let (solved, _) = warm.solved(&bst, &QueryOpts::default()).unwrap();
+    let want = solved.var_answer(&bst.prog, "g_tree").unwrap().shown;
+    assert!(!want.is_empty());
+    assert_eq!(resp.get("points_to"), Some(&Json::Arr(want.iter().map(Json::str).collect())));
+    c.shutdown_server().unwrap();
+    drop(c);
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
