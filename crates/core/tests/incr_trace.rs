@@ -15,7 +15,7 @@
 
 use structcast::{
     compile_incremental, diff_programs, resolve_incremental, solve_compiled, AnalysisConfig,
-    AnalysisResult, ConstraintSet, ModelKind,
+    AnalysisResult, ConstraintSet, Loc, ModelKind, Program,
 };
 use structcast_progen::{edit_trace, generate, GenConfig};
 
@@ -38,12 +38,15 @@ fn short(kind: ModelKind) -> &'static str {
     }
 }
 
-/// FNV-1a over the `Debug` form of every `(src, tgt)` fact in store order:
-/// it moves if a fact, its order or its location's object id moves.
-fn facts_hash(res: &AnalysisResult) -> u64 {
+/// FNV-1a over every `(src, tgt)` fact in store order, each location
+/// written as its object id and its [`Loc::display`] form: it moves if a
+/// fact, its order or its location's object id moves, and not if only the
+/// in-memory representation of a location does.
+fn facts_hash(prog: &Program, res: &AnalysisResult) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let show = |l: &Loc| format!("{}:{}", l.obj.0, l.display(prog));
     for (s, t) in res.facts.iter() {
-        for b in format!("{s:?}>{t:?};").bytes() {
+        for b in format!("{}>{};", show(s), show(t)).bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     }
@@ -75,7 +78,7 @@ fn seed_rows(seed: u64) -> String {
                 s.retracted_edges,
                 inc.result.iterations,
                 inc.result.edge_count(),
-                facts_hash(&inc.result),
+                facts_hash(&new_prog, &inc.result),
             ));
             (prog, set, res) = (new_prog, new_set, inc.result);
         }
