@@ -62,7 +62,7 @@ impl FactStore {
             return id;
         }
         let id = LocId(self.locs.len() as u32);
-        self.intern.insert(loc.clone(), id);
+        self.intern.insert(loc, id);
         self.locs.push(loc);
         self.targets.push(Vec::new());
         id
@@ -175,7 +175,7 @@ impl FactStore {
     /// first-fact order.
     pub fn sources_in(&self, obj: ObjId) -> Vec<Loc> {
         self.sources_by_obj.get(&obj).map_or_else(Vec::new, |ids| {
-            ids.iter().map(|&i| self.locs[i.index()].clone()).collect()
+            ids.iter().map(|&i| self.locs[i.index()]).collect()
         })
     }
 
@@ -187,7 +187,7 @@ impl FactStore {
                 .filter_map(|&i| {
                     let l = &self.locs[i.index()];
                     match l.field {
-                        FieldRep::Off(o) if o >= lo && o < hi => Some(l.clone()),
+                        FieldRep::Off(o) if o >= lo && o < hi => Some(*l),
                         _ => None,
                     }
                 })
@@ -268,10 +268,7 @@ mod tests {
     #[test]
     fn range_query_skips_path_locs() {
         let mut fs = FactStore::new();
-        fs.insert(
-            Loc::path(ObjId(0), structcast_types::FieldPath::empty()),
-            l(1, 0),
-        );
+        fs.insert(Loc::leaf(ObjId(0), 0), l(1, 0));
         assert!(fs.sources_in_range(ObjId(0), 0, 100).is_empty());
         assert_eq!(fs.sources_in(ObjId(0)).len(), 1);
     }

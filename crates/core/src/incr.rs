@@ -360,7 +360,7 @@ pub fn resolve_incremental(
     let mut carry = |l: LocId, kept: &mut FactStore, obj: ObjId| -> LocId {
         let slot = &mut new_loc[l.index()];
         if *slot == UNSEEN {
-            let field = old_facts.loc(l).field.clone();
+            let field = old_facts.loc(l).field;
             *slot = kept.intern(Loc { obj, field }).0;
         }
         LocId(*slot)
@@ -384,7 +384,7 @@ pub fn resolve_incremental(
         .iter()
         .filter_map(|l| {
             let ns = map_old(l.obj)?;
-            (!dirty[ns.0 as usize]).then(|| Loc { obj: ns, field: l.field.clone() })
+            (!dirty[ns.0 as usize]).then_some(Loc { obj: ns, field: l.field })
         })
         .collect();
 

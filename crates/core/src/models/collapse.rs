@@ -94,13 +94,7 @@ impl FieldModel for CollapseAlwaysModel {
     /// Figure 4's fairness expansion: a collapsed struct target stands for
     /// all of its leaf fields.
     fn target_weight(&self, prog: &Program, loc: &Loc) -> usize {
-        let ty = prog.type_of(loc.obj);
-        let stripped = prog.types.strip_arrays(ty);
-        if prog.types.is_record_like(stripped) {
-            structcast_types::leaves(&prog.types, stripped).len().max(1)
-        } else {
-            1
-        }
+        prog.types.leaf_count(prog.type_of(loc.obj)) as usize
     }
 }
 

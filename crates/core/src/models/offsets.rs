@@ -18,7 +18,7 @@ use crate::facts::FactStore;
 use crate::loc::{FieldRep, Loc};
 use crate::model::{FieldModel, ModelKind, ModelStats};
 use structcast_ir::{ObjId, Program};
-use structcast_types::{FieldPath, Layout, TypeId};
+use structcast_types::{FieldPath, Layout, LayoutTable, TypeId};
 
 /// The "Offsets" model.
 #[derive(Debug, Clone)]
@@ -47,6 +47,12 @@ impl OffsetsModel {
         &self.layout
     }
 
+    /// This layout's size and offset table for `prog`'s types, built once
+    /// per program.
+    fn table<'p>(&self, prog: &'p Program) -> &'p LayoutTable {
+        prog.types.layout_table(&self.layout)
+    }
+
     fn off_of(loc: &Loc) -> u64 {
         match loc.field {
             FieldRep::Off(o) => o,
@@ -62,7 +68,7 @@ impl FieldModel for OffsetsModel {
 
     fn normalize(&self, prog: &Program, obj: ObjId, path: &FieldPath) -> Loc {
         let ty = prog.type_of(obj);
-        let off = self.layout.offset_of_path(&prog.types, ty, path);
+        let off = self.table(prog).offset_of_path(&prog.types, ty, path.steps());
         Loc::off(obj, off)
     }
 
@@ -78,19 +84,18 @@ impl FieldModel for OffsetsModel {
         if involves_structs(prog, tau, &[target]) {
             stats.lookup_struct += 1;
         }
+        let table = self.table(prog);
         let k = Self::off_of(target);
-        let field_off = self
-            .layout
-            .offset_of_path(&prog.types, prog.types.strip_arrays(tau), alpha);
+        let field_off = table.offset_of_path(&prog.types, tau, alpha.steps());
         let n = k + field_off;
         let t_ty = prog.type_of(target.obj);
-        let size = self.layout.size_of(&prog.types, t_ty);
+        let size = table.size_of(t_ty);
         if size > 0 && n >= size {
             // Beyond the actual object: invalid under Assumption 1; dropped.
             stats.out_of_bounds += 1;
             return Vec::new();
         }
-        let canon = self.layout.canonical_offset(&prog.types, t_ty, n);
+        let canon = table.canonical_offset(&prog.types, t_ty, n);
         vec![Loc::off(target.obj, canon)]
     }
 
@@ -107,7 +112,7 @@ impl FieldModel for OffsetsModel {
         if involves_structs(prog, tau, &[dst, src]) {
             stats.resolve_struct += 1;
         }
-        let len = self.layout.size_of(&prog.types, tau).max(1);
+        let len = self.table(prog).size_of(tau).max(1);
         self.byte_range_pairs(prog, dst, src, len, facts, stats)
     }
 
@@ -130,35 +135,27 @@ impl FieldModel for OffsetsModel {
 
     fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
         let obj = target.obj;
-        let ty = prog.type_of(obj);
-        let mut offs: Vec<u64> = self
-            .layout
-            .leaf_offsets(&prog.types, ty)
-            .into_iter()
-            .map(|(o, _)| o)
-            .collect();
-        offs.push(0);
-        offs.sort_unstable();
-        offs.dedup();
+        let table = self.table(prog);
+        let offs = table.spread_offsets(&prog.types, prog.type_of(obj));
         // Wilson–Lam stride refinement (related work §6): a `T*` moved by
         // ±k stays at offsets congruent to the start modulo `sizeof(T)`.
         // Implemented as a *filter* of the whole-object spread, so it is a
         // strict refinement; if nothing survives (e.g. a byte-blob target),
         // the unrefined spread stands.
         if self.arith_stride {
-            if let (Some(p), FieldRep::Off(start)) = (pointee, &target.field) {
-                let s = self.layout.size_of(&prog.types, p).max(1);
-                let filtered: Vec<u64> = offs
+            if let (Some(p), FieldRep::Off(start)) = (pointee, target.field) {
+                let s = table.size_of(p).max(1);
+                let filtered: Vec<Loc> = offs
                     .iter()
-                    .copied()
-                    .filter(|o| o % s == start % s)
+                    .filter(|&&o| o % s == start % s)
+                    .map(|&o| Loc::off(obj, o))
                     .collect();
                 if !filtered.is_empty() {
-                    offs = filtered;
+                    return filtered;
                 }
             }
         }
-        offs.into_iter().map(|o| Loc::off(obj, o)).collect()
+        offs.iter().map(|&o| Loc::off(obj, o)).collect()
     }
 }
 
@@ -175,8 +172,9 @@ impl OffsetsModel {
         let j = Self::off_of(dst);
         let k = Self::off_of(src);
         let hi = k.saturating_add(len);
+        let table = self.table(prog);
         let d_ty = prog.type_of(dst.obj);
-        let d_size = self.layout.size_of(&prog.types, d_ty);
+        let d_size = table.size_of(d_ty);
         let mut out = Vec::new();
         for src_loc in facts.sources_in_range(src.obj, k, hi) {
             let n = Self::off_of(&src_loc);
@@ -185,7 +183,7 @@ impl OffsetsModel {
                 stats.out_of_bounds += 1;
                 continue;
             }
-            let m = self.layout.canonical_offset(&prog.types, d_ty, m);
+            let m = table.canonical_offset(&prog.types, d_ty, m);
             out.push((Loc::off(dst.obj, m), src_loc));
         }
         out

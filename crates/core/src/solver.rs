@@ -22,8 +22,8 @@
 //! 3/4/5 and `CopyAll`; one scan cursor per statement for Rule 2,
 //! `PtrArith`, and indirect-call discovery, each of which watches a single
 //! location). Re-firing a statement against an unchanged points-to set is a
-//! no-op that touches no `Loc` at all. Every table keyed by ids, field
-//! paths or offsets hashes with [`structcast_types::idhash`]; hash order
+//! no-op that touches no `Loc` at all. Every table keyed by ids, leaf
+//! indices or offsets hashes with [`structcast_types::idhash`]; hash order
 //! never decides firing order, so the facts and their order do not depend
 //! on the hasher.
 //!
@@ -167,29 +167,21 @@ struct PairList {
     pairs: Vec<Pair>,
 }
 
-/// One memoized `resolve` call: the pairs' field ids and the call's stats
-/// increment.
+/// One memoized `resolve` call: the pairs' field components and the
+/// call's stats increment.
 struct Resolved {
-    fields: Vec<(u32, u32)>,
+    fields: Vec<(FieldRep, FieldRep)>,
     stats: ModelStats,
 }
 
 /// The operands' part of a `resolve` call under the purity contract:
-/// `(type_of(dst.obj), dst field id, type_of(src.obj), src field id, τ)`.
-type ShapeKey = (TypeId, u32, TypeId, u32, TypeId);
+/// `(type_of(dst.obj), dst.field, type_of(src.obj), src.field, τ)`.
+type ShapeKey = (TypeId, FieldRep, TypeId, FieldRep, TypeId);
 
 /// The `resolve` memo and the per-statement pair lists of a run whose
 /// instance has a pure `resolve`. Dropped with the engine.
 #[derive(Default)]
 struct ResolveMemo {
-    /// Dense ids of the field components seen, and back.
-    field_ids: IdHashMap<FieldRep, u32>,
-    field_reps: Vec<FieldRep>,
-    /// `LocId` → its field id (`u32::MAX`: not assigned yet).
-    field_of: Vec<u32>,
-    /// `(obj, field id)` → interned location, so building a concrete pair
-    /// hashes two integers instead of a `Loc`.
-    loc_ids: IdHashMap<(ObjId, u32), LocId>,
     /// Type-level key → the one `resolve` call made for it.
     results: IdHashMap<ShapeKey, Resolved>,
     /// Statement index → its pair list.
@@ -197,29 +189,6 @@ struct ResolveMemo {
 }
 
 impl ResolveMemo {
-    fn field_id(&mut self, facts: &FactStore, l: LocId) -> u32 {
-        let i = l.index();
-        if i >= self.field_of.len() {
-            self.field_of.resize(facts.num_locs(), u32::MAX);
-        }
-        if self.field_of[i] == u32::MAX {
-            let id = self.intern_field(&facts.loc(l).field);
-            self.field_of[i] = id;
-            self.loc_ids.insert((facts.obj_of(l), id), l);
-        }
-        self.field_of[i]
-    }
-
-    fn intern_field(&mut self, f: &FieldRep) -> u32 {
-        if let Some(&id) = self.field_ids.get(f) {
-            return id;
-        }
-        let id = self.field_reps.len() as u32;
-        self.field_reps.push(f.clone());
-        self.field_ids.insert(f.clone(), id);
-        id
-    }
-
     /// Appends the interned pairs of `resolve(dst, src, τ)` to `list`,
     /// calling the model only on the first use of the type-level key, and
     /// adds the call's stats increment to the list's sum either way.
@@ -234,44 +203,36 @@ impl ResolveMemo {
         tau: TypeId,
         list: &mut PairList,
     ) {
-        let (dobj, sobj) = (facts.obj_of(dst), facts.obj_of(src));
+        let (dl, sl) = (*facts.loc(dst), *facts.loc(src));
         let key = (
-            prog.type_of(dobj),
-            self.field_id(facts, dst),
-            prog.type_of(sobj),
-            self.field_id(facts, src),
+            prog.type_of(dl.obj),
+            dl.field,
+            prog.type_of(sl.obj),
+            sl.field,
             tau,
         );
-        if let Some(r) = self.results.get(&key) {
-            list.stats += r.stats;
-        } else {
-            let (dl, sl) = (facts.loc(dst), facts.loc(src));
+        let r = self.results.entry(key).or_insert_with(|| {
             let before = list.stats;
-            let pairs = model.resolve(prog, dl, sl, tau, facts, &mut list.stats);
+            let pairs = model.resolve(prog, &dl, &sl, tau, facts, &mut list.stats);
             let stats = list.stats - before;
-            let mut fields = Vec::with_capacity(pairs.len());
-            for (d, s) in pairs {
-                assert!(
-                    d.obj == dobj && s.obj == sobj,
-                    "a pure resolve returned a pair outside its operands' objects"
-                );
-                fields.push((self.intern_field(&d.field), self.intern_field(&s.field)));
-            }
-            self.results.insert(key, Resolved { fields, stats });
-        }
-        let reps = &self.field_reps;
-        let mut concrete = |obj: ObjId, f: u32| {
-            *self.loc_ids.entry((obj, f)).or_insert_with(|| {
-                facts.intern(Loc {
-                    obj,
-                    field: reps[f as usize].clone(),
+            list.stats = before;
+            let fields = pairs
+                .into_iter()
+                .map(|(d, s)| {
+                    assert!(
+                        d.obj == dl.obj && s.obj == sl.obj,
+                        "a pure resolve returned a pair outside its operands' objects"
+                    );
+                    (d.field, s.field)
                 })
-            })
-        };
-        for &(df, sf) in &self.results[&key].fields {
+                .collect();
+            Resolved { fields, stats }
+        });
+        list.stats += r.stats;
+        for &(df, sf) in &r.fields {
             list.pairs.push(Pair {
-                dst: concrete(dobj, df),
-                src: concrete(sobj, sf),
+                dst: facts.intern(Loc { field: df, ..dl }),
+                src: facts.intern(Loc { field: sf, ..sl }),
                 cur: 0,
             });
         }
@@ -330,8 +291,6 @@ struct Engine<'p> {
     /// The `resolve` memo and Rules 3/4/5 pair lists; `None` when the
     /// instance's `resolve` is not pure (Offsets).
     memo: Option<ResolveMemo>,
-    /// `FieldModel::normalize` memo per `(obj, path)`.
-    norm_cache: IdHashMap<ObjId, IdHashMap<FieldPath, LocId>>,
     /// Scratch for draining a delta while inserting facts.
     delta_buf: Vec<LocId>,
 }
@@ -398,25 +357,19 @@ pub struct SolverOutput {
 }
 
 impl<'p> Engine<'p> {
-    /// Memoized `model.normalize(obj, path)`, interned.
+    /// `model.normalize(obj, path)`, interned. Normalizing is a walk of
+    /// the path over the type's shape or layout table, so it is not
+    /// memoized.
     fn norm_id(&mut self, obj: ObjId, path: &FieldPath) -> LocId {
-        if let Some(&id) = self.norm_cache.get(&obj).and_then(|m| m.get(path)) {
-            return id;
-        }
         let loc = self.model.normalize(self.prog, obj, path);
-        let id = self.facts.intern(loc);
-        self.norm_cache
-            .entry(obj)
-            .or_default()
-            .insert(path.clone(), id);
-        id
+        self.facts.intern(loc)
     }
 
     /// Stage-2 **model specialization**: maps one model-independent
     /// constraint to its pre-normalized, interned form. Types (`τ`,
     /// `τ_p`, arithmetic pointee) were already resolved by the constraint
     /// compiler, so this only runs the instance's `normalize` (memoized)
-    /// and interns the results — no IR or type-table access.
+    /// and interns the results — no IR access.
     fn specialize(&mut self, cset: &ConstraintSet, c: &Constraint) -> CStmt {
         let empty = FieldPath::empty();
         match c {
@@ -806,8 +759,8 @@ impl<'p> Solver<'p> {
 
     /// Creates a solver from an already-compiled constraint set (stage 2 of
     /// the pipeline): every constraint is specialized against `model` —
-    /// operands normalized (memoized per `(obj, path)`) and interned — so
-    /// firing performs no normalization and no type-table scans. The set is
+    /// operands normalized and interned — so firing performs no
+    /// normalization. The set is
     /// not retained; it can be reused for further models.
     pub fn from_constraints(
         prog: &'p Program,
@@ -869,7 +822,6 @@ impl<'p> Solver<'p> {
             scan_cursors: vec![0; n],
             pair_cursors: IdHashMap::default(),
             memo,
-            norm_cache: IdHashMap::default(),
             delta_buf: Vec::new(),
         };
         for l in seed.unknown {
@@ -1074,7 +1026,7 @@ fn finish(en: Engine<'_>) -> SolverOutput {
     let unknown: BTreeSet<Loc> = en
         .unknown
         .iter()
-        .map(|&i| en.facts.loc(i).clone())
+        .map(|&i| *en.facts.loc(i))
         .collect();
     let orig = en.prog.stmts.len();
     let mut call_edges: Vec<(structcast_ir::StmtId, FuncId)> = en
@@ -1258,9 +1210,9 @@ mod tests {
         ) -> Vec<(Loc, Loc)> {
             let key = (
                 prog.type_of(dst.obj),
-                dst.field.clone(),
+                dst.field,
                 prog.type_of(src.obj),
-                src.field.clone(),
+                src.field,
                 tau,
             );
             *self.calls.lock().unwrap().entry(key).or_default() += 1;

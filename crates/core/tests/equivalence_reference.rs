@@ -69,10 +69,10 @@ impl<'p> Reference<'p> {
 
     fn copy_facts(&mut self, dst: &Loc, src: &Loc) {
         for t in self.facts.points_to_vec(src) {
-            self.facts.insert(dst.clone(), t);
+            self.facts.insert(*dst, t);
         }
         if self.unknown.contains(src) {
-            self.unknown.insert(dst.clone());
+            self.unknown.insert(*dst);
         }
     }
 
@@ -93,7 +93,7 @@ impl<'p> Reference<'p> {
                         .model
                         .lookup(self.prog, tau_p, &path, &tgt, &mut self.stats);
                     for r in results {
-                        self.facts.insert(d.clone(), r);
+                        self.facts.insert(d, r);
                     }
                 }
             }
@@ -142,7 +142,7 @@ impl<'p> Reference<'p> {
                         let pointee = self.prog.pointee_of(src);
                         for tgt in self.facts.points_to_vec(&s) {
                             for l in self.model.spread(self.prog, &tgt, pointee) {
-                                self.facts.insert(d.clone(), l);
+                                self.facts.insert(d, l);
                             }
                         }
                     }
@@ -238,7 +238,7 @@ impl<'p> Reference<'p> {
 /// All edges of a store as a sorted `(src, tgt)` list — the canonical form
 /// both solvers must agree on byte-for-byte.
 fn sorted_edges(facts: &FactStore) -> Vec<(Loc, Loc)> {
-    let mut v: Vec<(Loc, Loc)> = facts.iter().map(|(s, t)| (s.clone(), t.clone())).collect();
+    let mut v: Vec<(Loc, Loc)> = facts.iter().map(|(s, t)| (*s, *t)).collect();
     v.sort();
     v
 }
@@ -299,7 +299,7 @@ fn progen_programs_match_reference_for_all_models() {
 fn edge_bytes(facts: &FactStore) -> Vec<u8> {
     let mut s = String::new();
     for (src, tgt) in sorted_edges(facts) {
-        s.push_str(&format!("{src}->{tgt}\n"));
+        s.push_str(&format!("{src:?}->{tgt:?}\n"));
     }
     s.into_bytes()
 }

@@ -9,7 +9,11 @@
 //! A solved summary is stored as what it holds: its options, its scalars
 //! and the solver result, whose model is rebuilt from the options. The
 //! tables rendered from a summary are not written; the first query after a
-//! restore renders them again, as on a never-restarted server.
+//! restore renders them again, as on a never-restarted server. A leaf
+//! location of Collapse on Cast or CIS is written as its field path, read
+//! from the program's shape table, so such a summary is written only while
+//! its program is resident, and a path read back must be a leaf of its
+//! object's type.
 //!
 //! # Format
 //!
@@ -40,7 +44,7 @@ use structcast::constraints::{Constraint, OpRef, PathId};
 use structcast::models::ModelOptions;
 use structcast::{
     AnalysisResult, CompatMode, ConstraintSet, FactStore, FieldPath, FieldRep, FuncId, Loc,
-    ModelKind, ModelStats, ObjId, StmtId, TypeId,
+    ModelKind, ModelStats, ObjId, Program, StmtId, TypeId,
 };
 
 /// The snapshot file name inside a `--snapshot` directory.
@@ -221,29 +225,32 @@ impl W {
             self.str(s);
         }
     }
-    fn steps(&mut self, p: &FieldPath) {
-        self.u32(p.steps().len() as u32);
-        for &s in p.steps() {
+    fn steps(&mut self, p: &[u32]) {
+        self.u32(p.len() as u32);
+        for &s in p {
             self.u32(s);
         }
     }
-    fn loc(&mut self, l: &Loc) {
+    /// A location; a leaf location is written as its field path in
+    /// `prog`, the program its summary was solved over.
+    fn loc(&mut self, l: &Loc, prog: Option<&Program>) {
         self.u32(l.obj.0);
-        match &l.field {
+        match l.field {
             FieldRep::Whole => self.u8(0),
-            FieldRep::Path(p) => {
+            FieldRep::Leaf(_) => {
                 self.u8(1);
-                self.steps(p);
+                let prog = prog.expect("a summary with leaf locations is written with its program");
+                self.steps(l.path(prog).expect("a leaf location has a path"));
             }
             FieldRep::Off(o) => {
                 self.u8(2);
-                self.u64(*o);
+                self.u64(o);
             }
         }
     }
-    fn locs<'l>(&mut self, locs: impl ExactSizeIterator<Item = &'l Loc>) {
+    fn locs<'l>(&mut self, locs: impl ExactSizeIterator<Item = &'l Loc>, prog: Option<&Program>) {
         self.u64(locs.len() as u64);
-        locs.for_each(|l| self.loc(l));
+        locs.for_each(|l| self.loc(l, prog));
     }
 }
 
@@ -378,18 +385,35 @@ impl<'a> Rd<'a> {
         Ok(FieldPath::from_steps(steps))
     }
 
-    fn loc(&mut self) -> Result<Loc, SnapshotError> {
+    /// A location; a field path becomes the leaf it names in `prog`,
+    /// which it must name exactly.
+    fn loc(&mut self, prog: Option<&Program>) -> Result<Loc, SnapshotError> {
         let obj = ObjId(self.u32()?);
         match self.u8()? {
             0 => Ok(Loc::whole(obj)),
-            1 => Ok(Loc::path(obj, self.steps()?)),
+            1 => {
+                let steps = self.steps()?;
+                let Some(prog) = prog else {
+                    return Err(self.malformed("a field path location with no program"));
+                };
+                if obj.0 as usize >= prog.objects.len() {
+                    return Err(self.malformed(format!("object {} out of range", obj.0)));
+                }
+                match prog.types.shape(prog.type_of(obj)).leaf_at(steps.steps()) {
+                    Some(leaf) => Ok(Loc::leaf(obj, leaf)),
+                    None => Err(self.malformed(format!(
+                        "field path {steps} is not a leaf of object {}",
+                        obj.0
+                    ))),
+                }
+            }
             2 => Ok(Loc::off(obj, self.u64()?)),
             t => Err(self.malformed(format!("bad loc field tag {t}"))),
         }
     }
 
-    fn locs(&mut self) -> Result<BTreeSet<Loc>, SnapshotError> {
-        (0..self.count()?).map(|_| self.loc()).collect()
+    fn locs(&mut self, prog: Option<&Program>) -> Result<BTreeSet<Loc>, SnapshotError> {
+        (0..self.count()?).map(|_| self.loc(prog)).collect()
     }
 
     /// Reads one frame (see [`W::frame`]). `name` maps the tag to the
@@ -632,7 +656,7 @@ fn encode_programs(programs: &[Arc<ProgramEntry>]) -> Vec<u8> {
         }
         w.u64(cs.num_paths() as u64);
         for i in 0..cs.num_paths() {
-            w.steps(cs.path(PathId(i as u32)));
+            w.steps(cs.path(PathId(i as u32)).steps());
         }
         w.opt_u32(cs.char_ty().map(|t| t.0));
     }
@@ -679,12 +703,30 @@ fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
     Ok(out)
 }
 
-fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
-    let mut sorted: Vec<&((u64, String), Arc<Solved>)> = solved.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+/// Whether a summary's locations are leaf indices, which only its program
+/// can write as field paths.
+fn has_leaves(kind: ModelKind) -> bool {
+    matches!(kind, ModelKind::CollapseOnCast | ModelKind::CommonInitialSeq)
+}
+
+/// The summaries in key order, each with its program when resident. A
+/// summary with leaf locations whose program was evicted is left out: no
+/// query can reach it before its program is loaded again, and it cannot be
+/// written without it.
+fn encode_solved(
+    solved: &[((u64, String), Arc<Solved>)],
+    programs: &[Arc<ProgramEntry>],
+) -> Vec<u8> {
+    let prog_of = |hash: u64| programs.iter().find(|e| e.key == hash).map(|e| &e.prog);
+    let mut sorted: Vec<(&(u64, String), &Solved, Option<&Program>)> = solved
+        .iter()
+        .map(|(k, s)| (k, &**s, prog_of(k.0)))
+        .filter(|(_, s, prog)| prog.is_some() || !has_leaves(s.res.kind))
+        .collect();
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
     let mut w = W(Vec::new());
     w.u64(sorted.len() as u64);
-    for ((hash, optkey), s) in sorted {
+    for ((hash, optkey), s, prog) in sorted {
         w.u64(*hash);
         w.str(optkey);
         put_opts(&mut w, &s.opts);
@@ -708,7 +750,7 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
         ] {
             w.u64(v);
         }
-        w.locs(s.res.unknown.iter());
+        w.locs(s.res.unknown.iter(), prog);
         w.u64(s.res.call_edges.len() as u64);
         for (sid, fid) in &s.res.call_edges {
             w.u32(sid.0);
@@ -722,8 +764,8 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
         edges.dedup();
         w.u64(edges.len() as u64);
         for (a, b) in edges {
-            w.loc(a);
-            w.loc(b);
+            w.loc(a, prog);
+            w.loc(b, prog);
         }
     }
     w.0
@@ -732,12 +774,15 @@ fn encode_solved(solved: &[((u64, String), Arc<Solved>)]) -> Vec<u8> {
 /// Decoded cache entries keyed by `(program hash, cache key)`.
 type Entries<V> = Vec<((u64, String), V)>;
 
-fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
+/// Decodes the summaries; `programs` are the snapshot's programs, which
+/// the field paths of leaf locations are read against.
+fn decode_solved(bytes: &[u8], programs: &[ProgramEntry]) -> Result<Entries<Solved>, SnapshotError> {
     let mut r = Rd::new(bytes, "solved");
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let hash = r.u64()?;
+        let prog = programs.iter().find(|e| e.key == hash).map(|e| &e.prog);
         let optkey = r.str()?;
         let opts = get_opts(&mut r)?;
         if opts.cache_key() != optkey {
@@ -765,7 +810,7 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
             resolve_mismatch: r.u64()?,
             out_of_bounds: r.u64()?,
         };
-        let unknown = r.locs()?;
+        let unknown = r.locs(prog)?;
         let nce = r.count()?;
         let mut call_edges = Vec::with_capacity(nce);
         for _ in 0..nce {
@@ -774,8 +819,8 @@ fn decode_solved(bytes: &[u8]) -> Result<Entries<Solved>, SnapshotError> {
         let ne = r.count()?;
         let mut facts = FactStore::new();
         for _ in 0..ne {
-            let a = r.loc()?;
-            let b = r.loc()?;
+            let a = r.loc(prog)?;
+            let b = r.loc(prog)?;
             facts.insert(a, b);
         }
         if facts.len() != edges_n {
@@ -885,7 +930,7 @@ pub fn encode(cache: &SessionCache) -> Vec<u8> {
     let resident = cache.export();
     let sections = [
         (TAG_PROGRAMS, encode_programs(&resident.programs)),
-        (TAG_SOLVED, encode_solved(&resident.solved)),
+        (TAG_SOLVED, encode_solved(&resident.solved, &resident.programs)),
         (TAG_DEMAND, encode_demand(&resident.demand)),
     ];
     let mut out = W(MAGIC.to_vec());
@@ -956,25 +1001,31 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         solved: Vec::new(),
         demand: Vec::new(),
     };
-    let mut seen = [false; 3];
+    let mut payloads: [Option<&[u8]>; 3] = [None; 3];
     for (_, f) in read_frames(bytes)? {
         let section = f.name;
         if fnv64(f.payload) != f.checksum {
             return Err(SnapshotError::Checksum { section });
         }
-        let slot = (f.tag - 1) as usize;
-        if seen[slot] {
+        let slot = &mut payloads[(f.tag - 1) as usize];
+        if slot.is_some() {
             return Err(SnapshotError::Malformed {
                 section,
                 detail: "duplicate section".to_string(),
             });
         }
-        seen[slot] = true;
-        match f.tag {
-            TAG_PROGRAMS => data.programs = decode_programs(f.payload)?,
-            TAG_SOLVED => data.solved = decode_solved(f.payload)?,
-            _ => data.demand = decode_demand(f.payload)?,
-        }
+        *slot = Some(f.payload);
+    }
+    // Programs first: the summaries' field paths are read against them.
+    let [programs, solved, demand] = payloads;
+    if let Some(p) = programs {
+        data.programs = decode_programs(p)?;
+    }
+    if let Some(p) = solved {
+        data.solved = decode_solved(p, &data.programs)?;
+    }
+    if let Some(p) = demand {
+        data.demand = decode_demand(p)?;
     }
     Ok(data)
 }

@@ -44,6 +44,14 @@ pub enum CompatMode {
 /// assert!(!compatible(&t, int, uint, CompatMode::Structural));
 /// ```
 pub fn compatible(table: &TypeTable, a: TypeId, b: TypeId, mode: CompatMode) -> bool {
+    // Compatible types have the same by-value structure, so the same
+    // number of leaves (no record contains itself by value, so the
+    // coinductive assumption below only ever spans a pointer, which is one
+    // leaf): a count mismatch answers without the structural walk, which
+    // would otherwise descend as deep as the shallower type.
+    if a != b && table.leaf_count(a) != table.leaf_count(b) {
+        return false;
+    }
     let mut assumed = IdHashSet::default();
     compat_rec(table, a, b, mode, &mut assumed)
 }

@@ -4,6 +4,7 @@
 //! declarations are *nominal* ([`RecordId`]) and may be completed after
 //! creation to support forward references and recursive types.
 
+use crate::shape::Tables;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -128,6 +129,8 @@ pub struct TypeTable {
     kinds: Vec<TypeKind>,
     intern: HashMap<TypeKind, TypeId>,
     records: Vec<Record>,
+    /// Shape and layout tables, built on first use (see `shape.rs`).
+    pub(crate) tables: Tables,
 }
 
 impl TypeTable {
@@ -141,6 +144,7 @@ impl TypeTable {
         if let Some(&id) = self.intern.get(&kind) {
             return id;
         }
+        self.clear_tables();
         let id = TypeId(self.kinds.len() as u32);
         self.kinds.push(kind.clone());
         self.intern.insert(kind, id);
@@ -247,6 +251,7 @@ impl TypeTable {
     /// Creates a new (incomplete) record and returns both its nominal id and
     /// the interned `Record` type referring to it.
     pub fn new_record(&mut self, tag: Option<String>, is_union: bool) -> (RecordId, TypeId) {
+        self.clear_tables();
         let rid = RecordId(self.records.len() as u32);
         self.records.push(Record {
             tag,
@@ -264,6 +269,7 @@ impl TypeTable {
     ///
     /// Panics if the record is already complete.
     pub fn complete_record(&mut self, rid: RecordId, fields: Vec<Field>) {
+        self.clear_tables();
         let rec = &mut self.records[rid.0 as usize];
         assert!(!rec.complete, "record completed twice");
         rec.fields = fields;

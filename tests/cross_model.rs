@@ -47,7 +47,7 @@ fn loc_edges(prog: &Program, kind: ModelKind) -> BTreeSet<(String, String)> {
     let res = analyze(prog, &AnalysisConfig::new(kind));
     res.facts
         .iter()
-        .map(|(s, t)| (s.to_string(), t.to_string()))
+        .map(|(s, t)| (format!("{s:?}"), format!("{t:?}")))
         .collect()
 }
 
@@ -137,9 +137,9 @@ fn analysis_is_deterministic() {
                 "{name} {kind}"
             );
             let ea: BTreeSet<String> =
-                a.facts.iter().map(|(s, t)| format!("{s}->{t}")).collect();
+                a.facts.iter().map(|(s, t)| format!("{s:?}->{t:?}")).collect();
             let eb: BTreeSet<String> =
-                b.facts.iter().map(|(s, t)| format!("{s}->{t}")).collect();
+                b.facts.iter().map(|(s, t)| format!("{s:?}->{t:?}")).collect();
             assert_eq!(ea, eb, "{name} {kind}");
         }
     }

@@ -101,7 +101,8 @@ fn field_positions_are_distinct_locations() {
     let f0 = res.normalize(&prog, s, &FieldPath::from_steps([0u32]));
     let f1 = res.normalize(&prog, s, &FieldPath::from_steps([1u32]));
     assert_ne!(f0, f1);
-    assert_eq!(f0, Loc::path(s, FieldPath::from_steps([0u32])));
+    assert_eq!(f0, Loc::leaf(s, 0));
+    assert_eq!(f1.path(&prog), Some(&[1u32][..]));
     // And in Collapse-Always they are the same location.
     let (prog, res) =
         analyze_source(SRC, &AnalysisConfig::new(ModelKind::CollapseAlways)).unwrap();
