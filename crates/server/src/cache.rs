@@ -201,7 +201,7 @@ impl Solved {
     /// when no named variable carries the name. [`PointsToTable`] holds
     /// the same answer for every variable.
     pub fn var_answer(&self, prog: &Program, var: &str) -> Option<VarAnswer> {
-        Some(VarAnswer::of(prog, &self.res, var_object(prog, var)?))
+        Some(VarAnswer::of(prog, &self.res, named_var(prog, var)?))
     }
 
     /// The alias answer from the deprecated tables, which are empty on
@@ -225,16 +225,17 @@ fn str_bytes(v: &[String]) -> usize {
     v.iter().map(|s| s.len() + 32).sum()
 }
 
-/// The object a variable name means: the first object, of any kind, that
-/// carries the name, provided some named variable carries it. This is not
-/// `Program::object_by_name`, whose `::name` fallback answers differently;
-/// [`PointsToTable::build`] applies the same rule to every name at once.
-fn var_object(prog: &Program, name: &str) -> Option<ObjId> {
-    let first = prog.objects.iter().position(|o| o.name == name)?;
-    prog.objects[first..]
+/// The object a variable name means in every query mode, exhaustive and
+/// demand: the first named variable that carries the name. Functions,
+/// heap sites and temporaries that share the name are never meant. This
+/// is not `Program::object_by_name`, whose `::name` fallback answers
+/// differently; [`PointsToTable::build`] applies the same rule to every
+/// name at once.
+pub(crate) fn named_var(prog: &Program, name: &str) -> Option<ObjId> {
+    prog.objects
         .iter()
-        .any(|o| o.name == name && o.kind.is_named_variable())
-        .then_some(ObjId(first as u32))
+        .position(|o| o.name == name && o.kind.is_named_variable())
+        .map(|i| ObjId(i as u32))
 }
 
 /// One variable's answer under one summary: what `points_to` replies and
@@ -269,12 +270,10 @@ pub struct PointsToTable(pub HashMap<String, VarAnswer>);
 
 impl PointsToTable {
     fn build(prog: &Program, res: &AnalysisResult) -> PointsToTable {
-        let mut first: HashMap<&str, ObjId> = HashMap::new();
         let mut table = HashMap::new();
         for (i, o) in prog.objects.iter().enumerate() {
-            let id = *first.entry(&o.name).or_insert(ObjId(i as u32));
             if o.kind.is_named_variable() && !table.contains_key(&o.name) {
-                table.insert(o.name.clone(), VarAnswer::of(prog, res, id));
+                table.insert(o.name.clone(), VarAnswer::of(prog, res, ObjId(i as u32)));
             }
         }
         PointsToTable(table)

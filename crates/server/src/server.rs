@@ -34,7 +34,9 @@
 //! and exit, and the accept thread prints the final metrics summary line
 //! (including shed/evicted/panicked counts).
 
-use crate::cache::{DemandAnswer, DemandPayload, PointsToTable, ProgramEntry, SessionCache, Solved};
+use crate::cache::{
+    named_var, DemandAnswer, DemandPayload, PointsToTable, ProgramEntry, SessionCache, Solved,
+};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::metrics::{Counter, Metrics};
@@ -53,7 +55,7 @@ use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use structcast::{DemandQuery, ModelKind, ObjId, Program, SolveError};
+use structcast::{DemandQuery, ModelKind, SolveError};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -710,17 +712,6 @@ fn points_to_table(
     let (table, table_paid) = shared.cache.points_to_table(&entry, &solved);
     *paid += table_paid;
     Ok(table)
-}
-
-/// Resolves `var` to the exact-named variable object. A name is known
-/// here exactly when [`Solved::var_answer`] knows it (and the points-to
-/// table has a row for it), so demand and
-/// exhaustive mode accept and reject identical names.
-fn named_var(prog: &Program, var: &str) -> Option<ObjId> {
-    prog.objects
-        .iter()
-        .position(|o| o.name == var && o.kind.is_named_variable())
-        .map(|i| ObjId(i as u32))
 }
 
 /// The per-op demand metrics block appended to demand-mode responses.

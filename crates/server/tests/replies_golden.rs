@@ -177,3 +177,49 @@ fn replies_match_the_golden() {
     }
     assert_eq!(got.lines().count(), GOLDEN.lines().count(), "golden line count");
 }
+
+/// One name rule in every query mode: a name shared by a variable and a
+/// function (or a heap site, or a second variable) means the first named
+/// variable, whether the answer comes from a cold demand slice, from the
+/// exhaustive summary, or from demand served out of that summary.
+#[test]
+fn demand_and_exhaustive_agree_on_colliding_names() {
+    let handle = serve(&ServerConfig::default()).expect("bind ephemeral port");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let load = Json::obj([
+        ("op", Json::str("load")),
+        ("name", Json::str("dup-names")),
+        ("source", Json::str(DUP_NAMES)),
+    ]);
+    assert_eq!(client.request(&load).unwrap().get("ok"), Some(&Json::Bool(true)));
+    let (vars, _) = subjects(DUP_NAMES);
+    for name in ["w", "v", "malloc_1", "f::r"] {
+        assert!(vars.iter().any(|v| v == name), "{name} is a subject");
+    }
+    let mut ask = |model: &str, var: &str, demand: bool| {
+        let mut fields = vec![
+            ("op", Json::str("points_to")),
+            ("program", Json::str("dup-names")),
+            ("model", Json::str(model)),
+            ("var", Json::str(var)),
+        ];
+        if demand {
+            fields.push(("mode", Json::str("demand")));
+        }
+        let reply = client.request(&Json::obj(fields)).unwrap();
+        reply.get("points_to").cloned().unwrap_or_else(|| panic!("{reply}"))
+    };
+    for model in MODELS {
+        let cold: Vec<Json> = vars.iter().map(|v| ask(model, v, true)).collect();
+        let exhaustive: Vec<Json> = vars.iter().map(|v| ask(model, v, false)).collect();
+        let warm: Vec<Json> = vars.iter().map(|v| ask(model, v, true)).collect();
+        for (i, var) in vars.iter().enumerate() {
+            assert_eq!(cold[i], exhaustive[i], "{model} {var}: cold demand vs exhaustive");
+            assert_eq!(warm[i], exhaustive[i], "{model} {var}: warm demand vs exhaustive");
+        }
+        assert_eq!(exhaustive[0], Json::Arr(vec![Json::str("z")]), "{model}: w is the variable");
+    }
+    client.shutdown_server().unwrap();
+    drop(client);
+    handle.wait();
+}
