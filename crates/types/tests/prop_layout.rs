@@ -13,7 +13,15 @@ use structcast_types::{
     TypeTable,
 };
 
+use std::collections::HashMap;
+
+const LAYOUTS: [fn() -> Layout; 3] = [Layout::ilp32, Layout::lp64, Layout::packed32];
+
 const CASES: u64 = 128;
+
+/// The deepest by-value nesting the front end accepts
+/// (`structcast_ir::MAX_TYPE_DEPTH`).
+const MAX_TYPE_DEPTH: u32 = 128;
 
 /// A recipe for building a random type tree (depth-bounded).
 #[derive(Debug, Clone)]
@@ -22,28 +30,41 @@ enum TypeRecipe {
     Char,
     Double,
     PtrInt,
-    Array(Box<TypeRecipe>, u64),
+    /// A struct declared but never completed.
+    Incomplete,
+    /// A struct completed with no fields.
+    Empty,
+    /// `T[n]`, or `T[]` when the length is `None`.
+    Array(Box<TypeRecipe>, Option<u64>),
     Struct(Vec<TypeRecipe>),
     Union(Vec<TypeRecipe>),
+}
+
+/// A random scalar, or now and then an incomplete or empty record.
+fn random_leaf(rng: &mut Rng64) -> TypeRecipe {
+    match rng.gen_range(0..10) {
+        0..=1 => TypeRecipe::Int,
+        2..=3 => TypeRecipe::Char,
+        4..=5 => TypeRecipe::Double,
+        6..=7 => TypeRecipe::PtrInt,
+        8 => TypeRecipe::Incomplete,
+        _ => TypeRecipe::Empty,
+    }
+}
+
+/// A random array length: mostly sized, sometimes unsized.
+fn random_len(rng: &mut Rng64) -> Option<u64> {
+    (!rng.gen_bool(0.25)).then(|| rng.gen_range(1..4) as u64)
 }
 
 /// Draws a random depth-bounded recipe. Leaves get likelier as the
 /// remaining depth shrinks, mirroring `prop_recursive`'s shape control.
 fn random_recipe(rng: &mut Rng64, depth: u32) -> TypeRecipe {
-    let leaf = |rng: &mut Rng64| match rng.gen_range(0..4) {
-        0 => TypeRecipe::Int,
-        1 => TypeRecipe::Char,
-        2 => TypeRecipe::Double,
-        _ => TypeRecipe::PtrInt,
-    };
     if depth == 0 || rng.gen_bool(0.3) {
-        return leaf(rng);
+        return random_leaf(rng);
     }
     match rng.gen_range(0..3) {
-        0 => TypeRecipe::Array(
-            Box::new(random_recipe(rng, depth - 1)),
-            rng.gen_range(1..4) as u64,
-        ),
+        0 => TypeRecipe::Array(Box::new(random_recipe(rng, depth - 1)), random_len(rng)),
         1 => {
             let n = rng.gen_range(1..5);
             TypeRecipe::Struct((0..n).map(|_| random_recipe(rng, depth - 1)).collect())
@@ -55,6 +76,34 @@ fn random_recipe(rng: &mut Rng64, depth: u32) -> TypeRecipe {
     }
 }
 
+/// A chain `depth` levels deep: each level wraps the one below in an array
+/// or in a struct with small random siblings (scalars, unions, arrays,
+/// records) on either side. No union wraps the chain itself, since
+/// everything under a union is one leaf.
+fn deep_recipe(rng: &mut Rng64, depth: u32) -> TypeRecipe {
+    let mut r = random_recipe(rng, 1);
+    for _ in 0..depth {
+        r = match rng.gen_range(0..6) {
+            0 => TypeRecipe::Array(Box::new(r), random_len(rng)),
+            _ => {
+                let mut fields: Vec<TypeRecipe> = (0..rng.gen_range(0..3))
+                    .map(|_| {
+                        if rng.gen_bool(0.2) {
+                            random_recipe(rng, 1)
+                        } else {
+                            random_leaf(rng)
+                        }
+                    })
+                    .collect();
+                let at = rng.gen_range(0..fields.len() + 1);
+                fields.insert(at, r);
+                TypeRecipe::Struct(fields)
+            }
+        };
+    }
+    r
+}
+
 fn build(table: &mut TypeTable, r: &TypeRecipe, counter: &mut u32) -> TypeId {
     match r {
         TypeRecipe::Int => table.int(),
@@ -64,9 +113,17 @@ fn build(table: &mut TypeTable, r: &TypeRecipe, counter: &mut u32) -> TypeId {
             let i = table.int();
             table.pointer_to(i)
         }
+        TypeRecipe::Incomplete | TypeRecipe::Empty => {
+            *counter += 1;
+            let (rid, tid) = table.new_record(Some(format!("R{counter}")), false);
+            if matches!(r, TypeRecipe::Empty) {
+                table.complete_record(rid, Vec::new());
+            }
+            tid
+        }
         TypeRecipe::Array(inner, n) => {
             let t = build(table, inner, counter);
-            table.array_of(t, Some(*n))
+            table.array_of(t, *n)
         }
         TypeRecipe::Struct(fields) | TypeRecipe::Union(fields) => {
             let is_union = matches!(r, TypeRecipe::Union(_));
@@ -236,4 +293,139 @@ fn cis_is_symmetric_and_bounded() {
             assert!(n1 <= f0.min(f1));
         }
     }
+}
+
+/// Builds one chain [`MAX_TYPE_DEPTH`] levels deep per case (fewer cases:
+/// each is large).
+fn for_each_deep_case(salt: u64, mut check: impl FnMut(&TypeTable, TypeId, &mut Rng64)) {
+    for case in 0..CASES / 16 {
+        let mut rng = Rng64::seed_from_u64(salt.wrapping_mul(0x9E37).wrapping_add(case));
+        let recipe = deep_recipe(&mut rng, MAX_TYPE_DEPTH);
+        let mut table = TypeTable::new();
+        let mut c = 0;
+        let ty = build(&mut table, &recipe, &mut c);
+        // Arrays add depth but no path step, so the chain keeps most of it.
+        let deepest = leaves(&table, ty).iter().map(FieldPath::len).max();
+        assert!(deepest >= Some(MAX_TYPE_DEPTH as usize / 2), "{deepest:?}");
+        check(&table, ty, &mut rng);
+    }
+}
+
+/// A random path into `ty`: a prefix of a random leaf's path, sometimes
+/// followed by steps that lead nowhere (past a scalar, a union, a missing
+/// field).
+fn random_path(rng: &mut Rng64, leaves: &[FieldPath]) -> FieldPath {
+    let leaf = &leaves[rng.gen_range(0..leaves.len())];
+    let keep = rng.gen_range(0..leaf.len() + 1);
+    let extra = if rng.gen_bool(0.3) { rng.gen_range(1..3) } else { 0 };
+    FieldPath::from_steps(
+        leaf.steps()[..keep]
+            .iter()
+            .copied()
+            .chain((0..extra).map(|_| rng.gen_range(0..4) as u32)),
+    )
+}
+
+/// Every answer of `ty`'s shape table equals the path-walking reference.
+fn check_shape(table: &TypeTable, ty: TypeId, rng: &mut Rng64) {
+    let paths = leaves(table, ty);
+    let at: HashMap<&FieldPath, u32> = paths.iter().zip(0..).collect();
+    let index = |p: &FieldPath| at[p];
+    let shape = table.shape(ty);
+    assert_eq!(shape.len() as usize, paths.len());
+    assert_eq!(table.leaf_count(ty) as usize, paths.len());
+    for (i, p) in paths.iter().enumerate() {
+        let i = i as u32;
+        assert_eq!(shape.path(i), p.steps());
+        if i > 0 {
+            assert!(shape.path(i - 1) < shape.path(i), "leaf order is path order");
+        }
+        assert_eq!(shape.leaf_at(p.steps()), Some(i));
+        assert_eq!(Some(shape.leaf_type(i)), type_of_path(table, ty, p));
+        let cands: Vec<FieldPath> = shape
+            .candidates(i)
+            .map(|n| p.prefix(n.depth as usize))
+            .collect();
+        assert_eq!(cands, enclosing_candidates(table, ty, p), "candidates of {p}");
+        for n in shape.candidates(i) {
+            let delta = p.prefix(n.depth as usize);
+            assert_eq!(Some(n.ty), type_of_path(table, ty, &delta));
+            let last = paths.iter().rposition(|l| l.starts_with(&delta)).expect("under δ");
+            assert_eq!(n.end as usize, last + 1, "end leaf of {delta}");
+        }
+        let want: Vec<u32> = following_leaves(table, ty, p).iter().map(index).collect();
+        assert_eq!(shape.following(i).collect::<Vec<_>>(), want, "following {p}");
+        assert_eq!(shape.following_len(i), want.len());
+    }
+    for _ in 0..16 {
+        let path = random_path(rng, &paths);
+        let norm = normalize_path(table, ty, &path);
+        assert_eq!(table.leaf_of_path(ty, path.steps()), index(&norm), "normalize {path}");
+        if !paths.contains(&path) {
+            assert_eq!(shape.leaf_at(path.steps()), None, "{path} is not a leaf");
+        }
+    }
+}
+
+/// Every answer of the layout tables equals the `Layout` reference.
+fn check_layout_tables(table: &TypeTable, ty: TypeId, rng: &mut Rng64) {
+    for layout in LAYOUTS.map(|l| l()) {
+        let lt = table.layout_table(&layout);
+        for t in (0..table.len() as u32).map(TypeId) {
+            assert_eq!(lt.size_of(t), layout.size_of(table, t), "{}", table.display(t));
+            assert_eq!(lt.align_of(t), layout.align_of(table, t), "{}", table.display(t));
+        }
+        for rid in (0..table.record_count() as u32).map(RecordId) {
+            let n = table.record(rid).fields.len() as u32;
+            let want: Vec<u64> = (0..n).map(|i| layout.offset_of(table, rid, i)).collect();
+            assert_eq!(lt.field_offsets(rid), &want[..]);
+        }
+        // The reference walks are quadratic in depth or worse: sample.
+        let paths = leaves(table, ty);
+        for _ in 0..paths.len().min(16) {
+            let p = &paths[rng.gen_range(0..paths.len())];
+            for q in [p.clone(), p.prefix(rng.gen_range(0..p.len() + 1))] {
+                assert_eq!(
+                    lt.offset_of_path(table, ty, q.steps()),
+                    layout.offset_of_path(table, ty, &q)
+                );
+            }
+        }
+        let size = layout.size_of(table, ty);
+        let random = (0..8).map(|_| rng.gen_range(0..2 * size as usize + 8) as u64);
+        let probes: Vec<u64> = (0..size.min(32) + 4).chain(random).collect();
+        for off in probes {
+            assert_eq!(
+                lt.canonical_offset(table, ty, off),
+                layout.canonical_offset(table, ty, off),
+                "canonical offset {off} of {}",
+                table.display(ty)
+            );
+        }
+        let mut spread: Vec<u64> = layout.leaf_offsets(table, ty).iter().map(|l| l.0).collect();
+        spread.push(0);
+        spread.sort_unstable();
+        spread.dedup();
+        assert_eq!(lt.spread_offsets(table, ty), &spread[..]);
+    }
+}
+
+#[test]
+fn shape_tables_match_the_path_walk() {
+    for_each_case(7, check_shape);
+}
+
+#[test]
+fn shape_tables_match_the_path_walk_at_the_depth_limit() {
+    for_each_deep_case(8, check_shape);
+}
+
+#[test]
+fn layout_tables_match_the_layout() {
+    for_each_case(9, check_layout_tables);
+}
+
+#[test]
+fn layout_tables_match_the_layout_at_the_depth_limit() {
+    for_each_deep_case(10, check_layout_tables);
 }
