@@ -1,5 +1,8 @@
-//! Field paths and the path-level operations used by the portable analysis
-//! instances ("Collapse on Cast" and "Common Initial Sequence").
+//! Field paths and the path-level operations of the portable analysis
+//! instances ("Collapse on Cast" and "Common Initial Sequence"), walked
+//! over the type on every call. The instances read the same answers from
+//! the shape tables (`shape.rs`); these walks are the reference the tables
+//! are tested against.
 //!
 //! A [`FieldPath`] is a sequence of field *indices* relative to an object's
 //! declared type. The paper writes `s.α` where `α` is a sequence of field
