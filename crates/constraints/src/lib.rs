@@ -235,25 +235,6 @@ impl ConstraintSet {
         }
     }
 
-    /// Reassembles a set from previously compiled parts without walking
-    /// any IR — the snapshot-restore path. Unlike
-    /// [`compile`](ConstraintSet::compile) this does **not** bump the
-    /// per-thread compile counter: nothing was compiled, the parts were.
-    /// The caller is responsible for the parts having originally come from
-    /// `compile` on the same program; the solver trusts every interned
-    /// [`PathId`] to index `paths`.
-    pub fn from_parts(
-        constraints: Vec<Constraint>,
-        paths: Vec<FieldPath>,
-        char_ty: Option<TypeId>,
-    ) -> ConstraintSet {
-        ConstraintSet {
-            constraints,
-            paths,
-            char_ty,
-        }
-    }
-
     /// The constraints, in statement order.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -282,11 +263,6 @@ impl ConstraintSet {
     /// Number of distinct interned field paths.
     pub fn num_paths(&self) -> usize {
         self.paths.len()
-    }
-
-    /// The pre-resolved `char` fallback type, if the type table has one.
-    pub fn char_ty(&self) -> Option<TypeId> {
-        self.char_ty
     }
 
     /// Renders one operand as `name` / `name.0.1` with source names.

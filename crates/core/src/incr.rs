@@ -99,12 +99,6 @@ pub struct IncrSolve {
     pub result: AnalysisResult,
     /// What the edit cost.
     pub stats: IncrStats,
-    /// New-program statement indices of the re-run region (every
-    /// statement in [0, total) under a fallback). A cached answer whose
-    /// footprint avoids this set is still valid after the edit — the
-    /// serving tier intersects demand slices with it to decide which
-    /// cached demand answers survive an update.
-    pub region: Vec<u32>,
 }
 
 /// Re-solves the edited program from the previous result, retracting only
@@ -144,7 +138,6 @@ pub fn resolve_incremental(
                 kept_edges: 0,
                 fallback: Some(reason.clone()),
             },
-            region: (0..total as u32).collect(),
         });
     }
 
@@ -346,7 +339,6 @@ pub fn resolve_incremental(
     let queue: Vec<u32> = (0..total as u32)
         .filter(|&i| in_region[i as usize])
         .collect();
-    let region = queue.clone();
     let region_statements = queue.len();
 
     // Retraction: keep the facts rooted in clean objects. Each surviving
@@ -402,7 +394,6 @@ pub fn resolve_incremental(
             kept_edges,
             fallback: None,
         },
-        region,
     })
 }
 

@@ -48,14 +48,14 @@
 
 use crate::metrics::{Counter, Metrics};
 use crate::proto::QueryOpts;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use structcast::{
-    compile_incremental, diff_programs, modref, resolve_incremental, slice_for_query,
-    try_solve_compiled_parallel, try_solve_demand_compiled, AnalysisResult, ConstraintSet,
-    DemandQuery, Loc, ModelKind, ObjId, Program, SolveError,
+    compile_incremental, diff_programs, modref, resolve_incremental, try_solve_compiled_parallel,
+    try_solve_demand_compiled, AnalysisResult, ConstraintSet, DemandQuery, Loc, ModelKind, ObjId,
+    Program, SolveError,
 };
 
 /// Default cache budget: generous enough that eviction never fires in
@@ -85,18 +85,42 @@ pub struct ProgramEntry {
     /// The name the program was loaded under (or the hash when unnamed).
     pub name: String,
     /// The exact source text behind [`key`](ProgramEntry::key). Retained so
-    /// a snapshot can persist the program as text and re-lower it
-    /// deterministically at restore instead of serializing the whole IR.
+    /// a snapshot can persist the program as text, which restore lowers and
+    /// compiles again (both are deterministic).
     pub source: String,
     /// The lowered program.
     pub prog: Program,
     /// Its model-independent constraint form.
     pub constraints: ConstraintSet,
-    /// Stage-1 wall-clock paid at load time.
+    /// Wall-clock paid building this entry: lowering plus stage 1, at
+    /// load, update or snapshot restore.
     pub compile: Duration,
 }
 
 impl ProgramEntry {
+    /// Lowers and compiles `source`, whose hash is `key`, timing both, under
+    /// `name` (the hex hash when `None`).
+    pub(crate) fn build(
+        key: u64,
+        name: Option<&str>,
+        source: &str,
+    ) -> Result<ProgramEntry, String> {
+        let start = Instant::now();
+        let prog = structcast::lower_source(source).map_err(|e| e.to_string())?;
+        let constraints = ConstraintSet::compile(&prog);
+        let compile = start.elapsed();
+        let hash_hex = format!("{key:016x}");
+        Ok(ProgramEntry {
+            key,
+            name: name.unwrap_or(&hash_hex).to_string(),
+            hash_hex,
+            source: source.to_string(),
+            prog,
+            constraints,
+            compile,
+        })
+    }
+
     /// Approximate resident bytes: per-object/statement/constraint
     /// heuristics plus string payloads. Deliberately coarse — the cap
     /// bounds memory to the right order of magnitude, it is not an
@@ -354,8 +378,6 @@ pub struct DemandAnswer {
     /// derived from a warm full solve).
     pub solve: Duration,
     /// The query subject (`"points_to/p"`, `"alias/p/q"`, `"modref/f"`).
-    /// An `update` re-derives the query from it against the edited
-    /// program to recompute the slice footprint.
     pub subject: String,
     /// The options the answer was computed under.
     pub opts: QueryOpts,
@@ -383,8 +405,8 @@ impl DemandAnswer {
 }
 
 /// What a live-editing [`SessionCache::update`] did: the migrated entry
-/// plus the diff, retraction, and invalidation accounting the server
-/// reports to the client verbatim.
+/// plus the diff, retraction and re-solve accounting the server reports
+/// to the client verbatim.
 #[derive(Debug)]
 pub struct UpdateReport {
     /// The edited program's (new) cache entry — already registered under
@@ -410,10 +432,6 @@ pub struct UpdateReport {
     pub fallback: Option<String>,
     /// Cached full summaries re-solved and migrated to the new hash.
     pub resolved_summaries: usize,
-    /// Cached demand answers whose slices avoid the re-run region — kept.
-    pub kept_demand: usize,
-    /// Cached demand answers invalidated by the edit.
-    pub dropped_demand: usize,
     /// Constraints translated verbatim from the previous compilation.
     pub reused_constraints: usize,
     /// Constraints freshly lowered from the edited IR.
@@ -486,6 +504,8 @@ struct Store {
 pub struct Resident {
     /// Program entries.
     pub programs: Vec<Arc<ProgramEntry>>,
+    /// Program name (and hex hash) → source hash, as queries resolve them.
+    pub names: HashMap<String, u64>,
     /// Solved summaries with their keys.
     pub solved: Vec<((u64, String), Arc<Solved>)>,
     /// Demand answers with their keys.
@@ -617,23 +637,7 @@ impl SessionCache {
         let key = (source_hash(source), String::new());
         let (entry, hit) = match self.get(&key) {
             Some(e) => (e, true),
-            None => {
-                let start = Instant::now();
-                let prog = structcast::lower_source(source).map_err(|e| e.to_string())?;
-                let constraints = ConstraintSet::compile(&prog);
-                let compile = start.elapsed();
-                let hash_hex = format!("{:016x}", key.0);
-                let entry = ProgramEntry {
-                    key: key.0,
-                    name: name.unwrap_or(&hash_hex).to_string(),
-                    hash_hex,
-                    source: source.to_string(),
-                    prog,
-                    constraints,
-                    compile,
-                };
-                (Arc::new(entry), false)
-            }
+            None => (Arc::new(ProgramEntry::build(key.0, name, source)?), false),
         };
         let mut store = write(&self.store);
         // A racing loader's entry is identical (same source): first-in
@@ -669,14 +673,14 @@ impl SessionCache {
     // The snapshot layer (see [`crate::snapshot`]) serializes the cache to
     // disk and repopulates it on restart. Export hands out the resident
     // values *without* touching recency (saving is not use); restore
-    // inserts *without* recording hits or misses — nothing was compiled or
-    // solved, so the honesty counters (`program_misses`, `solve_misses`,
-    // and the per-thread compile/solve tallies) must not move.
+    // inserts *without* recording hits or misses — no query asked for the
+    // work, so `program_misses` and `solve_misses` must not move.
 
     /// Every resident value, for the snapshot writer.
     pub fn export(&self) -> Resident {
-        let mut out = Resident::default();
-        for (k, slot) in &read(&self.store).slots {
+        let store = read(&self.store);
+        let mut out = Resident { names: store.names.clone(), ..Resident::default() };
+        for (k, slot) in &store.slots {
             match &slot.value {
                 Cached::Program(e) => out.programs.push(Arc::clone(e)),
                 Cached::Solved(s) => out.solved.push((k.clone(), Arc::clone(s))),
@@ -690,8 +694,8 @@ impl SessionCache {
 
     /// Inserts a restored program entry, registering its name and hash
     /// aliases exactly as [`load`](SessionCache::load) would — but with no
-    /// compile and no hit/miss recorded. First-in wins against a racing
-    /// loader; the byte budget applies as usual.
+    /// hit/miss recorded. First-in wins against a racing loader; the byte
+    /// budget applies as usual.
     pub fn restore_program(&self, entry: Arc<ProgramEntry>) {
         let mut store = write(&self.store);
         store.names.insert(entry.name.clone(), entry.key);
@@ -971,22 +975,18 @@ impl SessionCache {
     /// ([`compile_incremental`]), re-solves
     /// each cached summary incrementally — difference propagation seeded
     /// from the old facts, retracting only what the edit can reach — and
-    /// migrates the session (name, summaries, still-valid demand answers)
-    /// to the edited source's hash.
+    /// migrates the session (name and summaries) to the edited source's
+    /// hash.
     ///
     /// Old-key entries are **kept**, not invalidated: the cache is
     /// content-addressed, so the pre-edit session stays warm (an undo is a
     /// free reload) and eviction forgets it under memory pressure like
     /// anything else.
     ///
-    /// A cached demand answer survives the update only when (a) a full
-    /// summary for its option key was resident and re-solved — that
-    /// re-solve provides the edit's re-run region — and (b) the answer's
-    /// slice *on the edited program* is disjoint from that region, i.e. no
-    /// statement the query can see was re-evaluated. Demand answers
-    /// without a resident full summary for their option key carry no
-    /// region to intersect with and are dropped conservatively; they
-    /// recompute on next demand.
+    /// Demand answers are not carried: after the edit a demand query is
+    /// answered from the migrated summary of its options when one exists
+    /// (step 2 of [`demand`](Self::demand): a warm hit, no solve), and is
+    /// sliced fresh otherwise.
     ///
     /// Query budgets (`deadline_ms`, `max_edges`) are stripped from the
     /// re-solves: an update refreshes what the session already paid for,
@@ -1025,20 +1025,15 @@ impl SessionCache {
         });
         let total_statements = entry.constraints.len();
 
-        // The old session's resident summaries and demand answers.
-        let mut old_solved: Vec<(String, Arc<Solved>)> = Vec::new();
-        let mut old_demand: Vec<Arc<DemandAnswer>> = Vec::new();
-        for ((_, k), slot) in read(&self.store).slots.iter().filter(|(k, _)| k.0 == old.key) {
-            if let Some(s) = self.touch::<Solved>(slot) {
-                old_solved.push((k.clone(), s));
-            } else if let Some(a) = self.touch::<DemandAnswer>(slot) {
-                old_demand.push(a);
-            }
-        }
+        // The old session's resident summaries.
+        let old_solved: Vec<(String, Arc<Solved>)> = read(&self.store)
+            .slots
+            .iter()
+            .filter(|(k, _)| k.0 == old.key)
+            .filter_map(|((_, k), slot)| Some((k.clone(), self.touch::<Solved>(slot)?)))
+            .collect();
 
-        // Re-solve every summary, also outside the lock; record each
-        // option key's re-run region for the demand survival check below.
-        let mut regions: HashMap<String, HashSet<u32>> = HashMap::new();
+        // Re-solve every summary, also outside the lock.
         let mut migrated: Vec<(Key, Arc<Solved>)> = Vec::new();
         let mut region_statements = 0usize;
         let mut retracted_edges = 0usize;
@@ -1062,33 +1057,11 @@ impl SessionCache {
             region_statements = region_statements.max(inc.stats.region_statements);
             retracted_edges += inc.stats.retracted_edges;
             kept_edges += inc.stats.kept_edges;
-            regions.insert(ck.clone(), inc.region.iter().copied().collect());
             let deref = inc.result.deref_summary(&entry.prog);
             let solved = Solved::new(s.opts.clone(), inc.result, deref);
             migrated.push(((key, ck.clone()), Arc::new(solved)));
         }
         let resolved_summaries = migrated.len();
-
-        // Demand answers: keep exactly those whose re-derived slice avoids
-        // the re-run region of their own option key.
-        let mut kept: Vec<(Key, Arc<DemandAnswer>)> = Vec::new();
-        let mut dropped_demand = 0usize;
-        for a in old_demand {
-            let survives = regions.get(&a.opts.cache_key()).is_some_and(|region| {
-                demand_query_for_subject(&entry.prog, &a.subject).is_some_and(|q| {
-                    slice_for_query(&entry.prog, &entry.constraints, &q)
-                        .stmt_map
-                        .iter()
-                        .all(|i| !region.contains(i))
-                })
-            });
-            if survives {
-                kept.push((demand_key(key, &a.subject, &a.opts), a));
-            } else {
-                dropped_demand += 1;
-            }
-        }
-        let kept_demand = kept.len();
 
         // Commit under one write guard; first-in wins everywhere (a racing
         // load/solve of the same edited source computed identical values).
@@ -1097,9 +1070,6 @@ impl SessionCache {
         let mut store = write(&self.store);
         for (k, s) in migrated {
             self.put(&mut store, k, s);
-        }
-        for (k, a) in kept {
-            self.put(&mut store, k, a);
         }
         let entry = self.put(&mut store, (key, String::new()), entry);
         if program != old.hash_hex {
@@ -1119,8 +1089,6 @@ impl SessionCache {
             kept_edges,
             fallback: diff.fallback,
             resolved_summaries,
-            kept_demand,
-            dropped_demand,
             reused_constraints: reuse.reused_constraints,
             fresh_constraints: reuse.fresh_constraints,
             resolve: start.elapsed(),
@@ -1148,22 +1116,6 @@ impl SessionCache {
 /// The slot key of a demand answer.
 fn demand_key(hash: u64, subject: &str, opts: &QueryOpts) -> Key {
     (hash, format!("demand/{subject}/{}", opts.cache_key()))
-}
-
-/// Re-derives the [`DemandQuery`] a cached answer's subject string names,
-/// against an *edited* program. `None` when the subject's variables or
-/// function no longer exist there (the answer cannot survive the edit).
-fn demand_query_for_subject(prog: &Program, subject: &str) -> Option<DemandQuery> {
-    let (op, rest) = subject.split_once('/')?;
-    match op {
-        "points_to" => DemandQuery::points_to_named(prog, rest),
-        "alias" => {
-            let (a, b) = rest.split_once('/')?;
-            DemandQuery::alias_named(prog, a, b)
-        }
-        "modref" => DemandQuery::modref_named(prog, rest),
-        _ => None,
-    }
 }
 
 /// Renders a fresh demand solve into the exact shapes the exhaustive
@@ -1637,27 +1589,48 @@ mod tests {
         void f(void) { p = &x; }\n\
         void g(void) { q = &x; }";
 
+    /// The demand answer for `var` on a fresh cache holding only `src`.
+    fn cold_points_to(src: &str, var: &str) -> DemandPayload {
+        let c = cache();
+        let entry = c.load(None, src).unwrap().0;
+        let (q, s) = pt_query(&entry, var);
+        c.demand(&entry, &QueryOpts::default(), &q, &s).unwrap().0.payload.clone()
+    }
+
+    /// Asks the session `name` (whose source is now `src`) for the demand
+    /// answer of each of `vars`: each must equal the cold answer and be
+    /// served warm, with no solve.
+    fn assert_demand_warm_and_cold_equal(c: &SessionCache, name: &str, src: &str, vars: &[&str]) {
+        let entry = c.entry(name).unwrap();
+        for var in vars {
+            let (q, s) = pt_query(&entry, var);
+            let solves0 = solves_on_thread();
+            let (a, paid, warm) = c.demand(&entry, &QueryOpts::default(), &q, &s).unwrap();
+            assert!(warm, "{var}: answered from the migrated summary");
+            assert_eq!(paid, Duration::ZERO, "{var}");
+            assert_eq!(solves_on_thread(), solves0, "{var}: no solve");
+            assert_eq!(a.payload, cold_points_to(src, var), "{var}");
+        }
+    }
+
     #[test]
-    fn update_migrates_summaries_and_filters_demand() {
+    fn update_migrates_summaries_and_demand_reads_them() {
         let c = cache();
         let entry = c.load(Some("live"), EDIT_BASE).unwrap().0;
         let opts = QueryOpts::default();
-        // Resident full summary: provides the re-run region at update time.
         let (full, _) = c.solved(&entry, &opts).unwrap();
         assert_eq!(full.var_answer(&entry.prog, "q").unwrap().shown, vec!["y".to_string()]);
         // Two demand answers: p's slice avoids g, q's slice is g.
-        let (qp, sp) = pt_query(&entry, "p");
-        let (ap, ..) = c.demand(&entry, &opts, &qp, &sp).unwrap();
-        let (qq, sq) = pt_query(&entry, "q");
-        c.demand(&entry, &opts, &qq, &sq).unwrap();
+        for var in ["p", "q"] {
+            let (q, s) = pt_query(&entry, var);
+            c.demand(&entry, &opts, &q, &s).unwrap();
+        }
 
         let report = c.update("live", EDIT_G).unwrap();
         assert_eq!(report.reused_fns, 1, "f was untouched");
         assert_eq!(report.dirty_fns, 1, "g was edited");
         assert!(report.fallback.is_none());
         assert_eq!(report.resolved_summaries, 1);
-        assert_eq!(report.kept_demand, 1, "p's slice avoids the edit");
-        assert_eq!(report.dropped_demand, 1, "q's slice is the edit");
         assert!(report.reused_constraints > 0);
         assert!(report.region_statements < report.total_statements);
 
@@ -1670,14 +1643,8 @@ mod tests {
         assert_eq!(paid, Duration::ZERO, "the update re-solved the summary");
         assert_eq!(migrated.var_answer(&new_entry.prog, "q").unwrap().shown, vec!["x".to_string()]);
         assert_eq!(migrated.var_answer(&new_entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
-        // p's demand answer survived verbatim; q's recomputes correctly.
-        let (qp2, sp2) = pt_query(&new_entry, "p");
-        let (ap2, _, warm) = c.demand(&new_entry, &opts, &qp2, &sp2).unwrap();
-        assert!(warm);
-        assert!(Arc::ptr_eq(&ap, &ap2), "kept answer must be the same slot");
-        let (qq2, sq2) = pt_query(&new_entry, "q");
-        let (aq2, ..) = c.demand(&new_entry, &opts, &qq2, &sq2).unwrap();
-        assert_eq!(aq2.payload, DemandPayload::PointsTo(vec!["x".to_string()]));
+        // Both demand subjects read the migrated summary.
+        assert_demand_warm_and_cold_equal(&c, "live", EDIT_G, &["p", "q"]);
         // The pre-edit session stays addressable by hash: undo is a free
         // reload, and eviction (not invalidation) forgets it eventually.
         assert!(c.entry(&entry.hash_hex).is_some());
@@ -1698,8 +1665,7 @@ mod tests {
         assert_eq!(report.fresh_constraints, 0);
         assert_eq!(report.region_statements, 0);
         assert_eq!(report.retracted_edges, 0);
-        assert_eq!(report.kept_demand, 1);
-        assert_eq!(report.dropped_demand, 0);
+        assert_demand_warm_and_cold_equal(&c, "live", EDIT_BASE, &["p", "q"]);
     }
 
     #[test]
@@ -1717,28 +1683,32 @@ mod tests {
         let report = c.update("rec", edit).unwrap();
         assert!(report.fallback.is_some(), "a record change defeats the diff");
         assert_eq!(report.reused_fns, 0);
-        assert_eq!(report.kept_demand, 0, "a fallback region covers everything");
-        assert_eq!(report.dropped_demand, 1);
+        assert_eq!(c.layers().demand.0, 1, "the pre-edit answer only");
         // The migrated summary is still correct — it just re-ran cold.
         let new_entry = c.entry("rec").unwrap();
         let (migrated, paid) = c.solved(&new_entry, &opts).unwrap();
         assert_eq!(paid, Duration::ZERO);
         assert_eq!(migrated.var_answer(&new_entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
+        assert_demand_warm_and_cold_equal(&c, "rec", edit, &["p", "r"]);
     }
 
     #[test]
-    fn demand_without_resident_summary_is_dropped_conservatively() {
+    fn demand_without_resident_summary_is_sliced_fresh_after_update() {
         let c = cache();
         let entry = c.load(Some("live"), EDIT_BASE).unwrap().0;
         let opts = QueryOpts::default();
         let (q, s) = pt_query(&entry, "p");
         c.demand(&entry, &opts, &q, &s).unwrap();
-        // No full summary cached: the demand answer has no region to
-        // intersect with, even though its slice avoids the edit.
         let report = c.update("live", EDIT_G).unwrap();
         assert_eq!(report.resolved_summaries, 0);
-        assert_eq!(report.kept_demand, 0);
-        assert_eq!(report.dropped_demand, 1);
+        // No summary to answer from: both subjects slice and solve again.
+        let new_entry = c.entry("live").unwrap();
+        for var in ["p", "q"] {
+            let (q, s) = pt_query(&new_entry, var);
+            let (a, _, warm) = c.demand(&new_entry, &opts, &q, &s).unwrap();
+            assert!(!warm, "{var}");
+            assert_eq!(a.payload, cold_points_to(EDIT_G, var), "{var}");
+        }
     }
 
     #[test]

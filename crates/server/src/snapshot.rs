@@ -1,19 +1,22 @@
 //! Deterministic on-disk snapshots of the session cache.
 //!
-//! A snapshot persists three cache layers — compiled programs, solved
-//! summaries, demand answers — so a restarted server cold-starts **warm**:
-//! restored entries answer queries with zero compile/solve misses, because
-//! nothing is recompiled or re-solved at load. Programs are stored as
-//! source text plus their already-compiled [`ConstraintSet`] (re-lowering
-//! source is deterministic and does not touch the constraint compiler).
-//! A solved summary is stored as what it holds: its options, its scalars
-//! and the solver result, whose model is rebuilt from the options. The
-//! tables rendered from a summary are not written; the first query after a
-//! restore renders them again, as on a never-restarted server. A leaf
-//! location of Collapse on Cast or CIS is written as its field path, read
-//! from the program's shape table, so such a summary is written only while
-//! its program is resident, and a path read back must be a leaf of its
-//! object's type.
+//! A snapshot persists three cache layers — programs, solved summaries,
+//! demand answers — so a restarted server cold-starts **warm**: restored
+//! entries answer queries with zero compile/solve misses. A program is
+//! stored as its source text only; decoding lowers and compiles it again
+//! (both are deterministic, and cheap next to a solve), so the file holds
+//! no compiled form that restore would have to trust. A solved summary is
+//! stored as what it holds: its options, its scalars and the solver result,
+//! whose model is rebuilt from the options. The tables rendered from a
+//! summary are not written; the first query after a restore renders them
+//! again, as on a never-restarted server.
+//!
+//! A summary is written only while its program is resident, and decoding
+//! checks it against that program: every location names an object of the
+//! program and carries the one field kind its instance produces (a leaf of
+//! Collapse on Cast or CIS is written as its field path, which must name a
+//! leaf of the object's type exactly), and every call edge names a
+//! statement and a function of the program.
 //!
 //! # Format
 //!
@@ -35,16 +38,15 @@
 
 use crate::cache::{DemandAnswer, DemandPayload, ProgramEntry, SessionCache, Solved, source_hash};
 use crate::proto::{parse_layout, QueryOpts};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use structcast::constraints::{Constraint, OpRef, PathId};
 use structcast::models::ModelOptions;
 use structcast::{
-    AnalysisResult, CompatMode, ConstraintSet, FactStore, FieldPath, FieldRep, FuncId, Loc,
-    ModelKind, ModelStats, ObjId, Program, StmtId, TypeId,
+    AnalysisResult, CompatMode, FactStore, FieldPath, FieldRep, FuncId, Loc, ModelKind,
+    ModelStats, ObjId, Program, StmtId,
 };
 
 /// The snapshot file name inside a `--snapshot` directory.
@@ -54,8 +56,9 @@ pub const SNAPSHOT_FILE: &str = "cache.scsnap";
 pub const MAGIC: [u8; 8] = *b"SCSNAP01";
 
 /// Format version inside the header; bumped on any grammar change. Version
-/// 2 dropped the rendered tables from the solved section.
-pub const VERSION: u32 = 2;
+/// 2 dropped the rendered tables from the solved section, version 3 the
+/// compiled constraints from the programs section.
+pub const VERSION: u32 = 3;
 
 const TAG_PROGRAMS: u8 = 1;
 const TAG_SOLVED: u8 = 2;
@@ -210,15 +213,6 @@ impl W {
             }
         }
     }
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
-            }
-        }
-    }
     fn strs(&mut self, v: &[String]) {
         self.u64(v.len() as u64);
         for s in v {
@@ -233,13 +227,12 @@ impl W {
     }
     /// A location; a leaf location is written as its field path in
     /// `prog`, the program its summary was solved over.
-    fn loc(&mut self, l: &Loc, prog: Option<&Program>) {
+    fn loc(&mut self, l: &Loc, prog: &Program) {
         self.u32(l.obj.0);
         match l.field {
             FieldRep::Whole => self.u8(0),
             FieldRep::Leaf(_) => {
                 self.u8(1);
-                let prog = prog.expect("a summary with leaf locations is written with its program");
                 self.steps(l.path(prog).expect("a leaf location has a path"));
             }
             FieldRep::Off(o) => {
@@ -248,9 +241,19 @@ impl W {
             }
         }
     }
-    fn locs<'l>(&mut self, locs: impl ExactSizeIterator<Item = &'l Loc>, prog: Option<&Program>) {
+    fn locs<'l>(&mut self, locs: impl ExactSizeIterator<Item = &'l Loc>, prog: &Program) {
         self.u64(locs.len() as u64);
         locs.for_each(|l| self.loc(l, prog));
+    }
+}
+
+/// The field tag of every location a `kind` summary holds (see [`W::loc`]):
+/// each instance produces one field kind.
+fn field_tag(kind: ModelKind) -> u8 {
+    match kind {
+        ModelKind::CollapseAlways => 0,
+        ModelKind::CollapseOnCast | ModelKind::CommonInitialSeq => 1,
+        ModelKind::Offsets => 2,
     }
 }
 
@@ -347,14 +350,6 @@ impl<'a> Rd<'a> {
         }
     }
 
-    fn opt_u32(&mut self) -> Result<Option<u32>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            t => Err(self.malformed(format!("bad option tag {t}"))),
-        }
-    }
-
     fn strs(&mut self) -> Result<Vec<String>, SnapshotError> {
         let n = self.count()?;
         let mut v = Vec::with_capacity(n);
@@ -385,20 +380,22 @@ impl<'a> Rd<'a> {
         Ok(FieldPath::from_steps(steps))
     }
 
-    /// A location; a field path becomes the leaf it names in `prog`,
-    /// which it must name exactly.
-    fn loc(&mut self, prog: Option<&Program>) -> Result<Loc, SnapshotError> {
+    /// A location of a `kind` summary over `prog`: its object must be one
+    /// of `prog`'s, its field tag the one `kind` produces, and a field path
+    /// becomes the leaf it names, which it must name exactly.
+    fn loc(&mut self, prog: &Program, kind: ModelKind) -> Result<Loc, SnapshotError> {
         let obj = ObjId(self.u32()?);
-        match self.u8()? {
+        if obj.0 as usize >= prog.objects.len() {
+            return Err(self.malformed(format!("object {} out of range", obj.0)));
+        }
+        let tag = self.u8()?;
+        if tag != field_tag(kind) {
+            return Err(self.malformed(format!("loc field tag {tag} in a {kind} summary")));
+        }
+        match tag {
             0 => Ok(Loc::whole(obj)),
             1 => {
                 let steps = self.steps()?;
-                let Some(prog) = prog else {
-                    return Err(self.malformed("a field path location with no program"));
-                };
-                if obj.0 as usize >= prog.objects.len() {
-                    return Err(self.malformed(format!("object {} out of range", obj.0)));
-                }
                 match prog.types.shape(prog.type_of(obj)).leaf_at(steps.steps()) {
                     Some(leaf) => Ok(Loc::leaf(obj, leaf)),
                     None => Err(self.malformed(format!(
@@ -407,13 +404,12 @@ impl<'a> Rd<'a> {
                     ))),
                 }
             }
-            2 => Ok(Loc::off(obj, self.u64()?)),
-            t => Err(self.malformed(format!("bad loc field tag {t}"))),
+            _ => Ok(Loc::off(obj, self.u64()?)),
         }
     }
 
-    fn locs(&mut self, prog: Option<&Program>) -> Result<BTreeSet<Loc>, SnapshotError> {
-        (0..self.count()?).map(|_| self.loc(prog)).collect()
+    fn locs(&mut self, prog: &Program, kind: ModelKind) -> Result<BTreeSet<Loc>, SnapshotError> {
+        (0..self.count()?).map(|_| self.loc(prog, kind)).collect()
     }
 
     /// Reads one frame (see [`W::frame`]). `name` maps the tag to the
@@ -447,144 +443,6 @@ impl<'a> Rd<'a> {
         }
         Ok(())
     }
-}
-
-// ----- constraints -----
-
-fn put_opref(w: &mut W, r: &OpRef) {
-    w.u32(r.obj.0);
-    w.u32(r.path.0);
-}
-
-fn get_opref(r: &mut Rd<'_>) -> Result<OpRef, SnapshotError> {
-    Ok(OpRef {
-        obj: ObjId(r.u32()?),
-        path: PathId(r.u32()?),
-    })
-}
-
-fn put_objs(w: &mut W, v: &[ObjId]) {
-    w.u64(v.len() as u64);
-    for o in v {
-        w.u32(o.0);
-    }
-}
-
-fn get_objs(r: &mut Rd<'_>) -> Result<Vec<ObjId>, SnapshotError> {
-    let n = r.count()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(ObjId(r.u32()?));
-    }
-    Ok(v)
-}
-
-fn put_constraint(w: &mut W, c: &Constraint) {
-    match c {
-        Constraint::AddrOf { dst, src } => {
-            w.u8(0);
-            w.u32(dst.0);
-            put_opref(w, src);
-        }
-        Constraint::AddrField { dst, ptr, tau_p, path } => {
-            w.u8(1);
-            w.u32(dst.0);
-            w.u32(ptr.0);
-            w.u32(tau_p.0);
-            w.u32(path.0);
-        }
-        Constraint::Copy { dst, src, tau } => {
-            w.u8(2);
-            w.u32(dst.0);
-            put_opref(w, src);
-            w.u32(tau.0);
-        }
-        Constraint::Load { dst, ptr, tau } => {
-            w.u8(3);
-            w.u32(dst.0);
-            w.u32(ptr.0);
-            w.u32(tau.0);
-        }
-        Constraint::Store { ptr, src, tau_p } => {
-            w.u8(4);
-            w.u32(ptr.0);
-            w.u32(src.0);
-            w.u32(tau_p.0);
-        }
-        Constraint::PtrArith { dst, src, pointee } => {
-            w.u8(5);
-            w.u32(dst.0);
-            w.u32(src.0);
-            w.opt_u32(pointee.map(|t| t.0));
-        }
-        Constraint::CopyAll { dst_ptr, src_ptr } => {
-            w.u8(6);
-            w.u32(dst_ptr.0);
-            w.u32(src_ptr.0);
-        }
-        Constraint::CallDirect { fid, args, ret } => {
-            w.u8(7);
-            w.u32(fid.0);
-            put_objs(w, args);
-            w.opt_u32(ret.map(|o| o.0));
-        }
-        Constraint::CallIndirect { ptr, args, ret } => {
-            w.u8(8);
-            w.u32(ptr.0);
-            put_objs(w, args);
-            w.opt_u32(ret.map(|o| o.0));
-        }
-    }
-}
-
-fn get_constraint(r: &mut Rd<'_>) -> Result<Constraint, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Constraint::AddrOf {
-            dst: ObjId(r.u32()?),
-            src: get_opref(r)?,
-        },
-        1 => Constraint::AddrField {
-            dst: ObjId(r.u32()?),
-            ptr: ObjId(r.u32()?),
-            tau_p: TypeId(r.u32()?),
-            path: PathId(r.u32()?),
-        },
-        2 => Constraint::Copy {
-            dst: ObjId(r.u32()?),
-            src: get_opref(r)?,
-            tau: TypeId(r.u32()?),
-        },
-        3 => Constraint::Load {
-            dst: ObjId(r.u32()?),
-            ptr: ObjId(r.u32()?),
-            tau: TypeId(r.u32()?),
-        },
-        4 => Constraint::Store {
-            ptr: ObjId(r.u32()?),
-            src: ObjId(r.u32()?),
-            tau_p: TypeId(r.u32()?),
-        },
-        5 => Constraint::PtrArith {
-            dst: ObjId(r.u32()?),
-            src: ObjId(r.u32()?),
-            pointee: r.opt_u32()?.map(TypeId),
-        },
-        6 => Constraint::CopyAll {
-            dst_ptr: ObjId(r.u32()?),
-            src_ptr: ObjId(r.u32()?),
-        },
-        7 => Constraint::CallDirect {
-            fid: FuncId(r.u32()?),
-            args: get_objs(r)?,
-            ret: r.opt_u32()?.map(ObjId),
-        },
-        8 => Constraint::CallIndirect {
-            ptr: ObjId(r.u32()?),
-            args: get_objs(r)?,
-            ret: r.opt_u32()?.map(ObjId),
-        },
-        t => return Err(r.malformed(format!("bad constraint tag {t}"))),
-    })
 }
 
 // ----- query options -----
@@ -639,30 +497,24 @@ fn get_opts(r: &mut Rd<'_>) -> Result<QueryOpts, SnapshotError> {
 
 // ----- sections -----
 
-fn encode_programs(programs: &[Arc<ProgramEntry>]) -> Vec<u8> {
+/// The programs in key order. A program whose name a later load or update
+/// took over is written under its hex hash, the one name that still
+/// resolves to it, so a restore registers every name as it resolved here.
+fn encode_programs(programs: &[Arc<ProgramEntry>], names: &HashMap<String, u64>) -> Vec<u8> {
     let mut sorted: Vec<&Arc<ProgramEntry>> = programs.iter().collect();
     sorted.sort_by_key(|e| e.key);
     let mut w = W(Vec::new());
     w.u64(sorted.len() as u64);
     for e in sorted {
         w.u64(e.key);
-        w.str(&e.name);
+        w.str(if names.get(&e.name) == Some(&e.key) { &e.name } else { &e.hash_hex });
         w.str(&e.source);
-        w.u64(e.compile.as_nanos() as u64);
-        let cs = &e.constraints;
-        w.u64(cs.len() as u64);
-        for c in cs.iter() {
-            put_constraint(&mut w, c);
-        }
-        w.u64(cs.num_paths() as u64);
-        for i in 0..cs.num_paths() {
-            w.steps(cs.path(PathId(i as u32)).steps());
-        }
-        w.opt_u32(cs.char_ty().map(|t| t.0));
     }
     w.0
 }
 
+/// Decodes the programs, lowering and compiling each source again; each
+/// entry's `compile` is what that took here.
 fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
     let mut r = Rd::new(bytes, "programs");
     let n = r.count()?;
@@ -671,14 +523,6 @@ fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
         let key = r.u64()?;
         let name = r.str()?;
         let source = r.str()?;
-        let compile = Duration::from_nanos(r.u64()?);
-        let nc = r.count()?;
-        let mut constraints = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            constraints.push(get_constraint(&mut r)?);
-        }
-        let paths = (0..r.count()?).map(|_| r.steps()).collect::<Result<_, _>>()?;
-        let char_ty = r.opt_u32()?.map(TypeId);
         // Integrity: the stored key must be the hash of the stored source —
         // and the source must still lower. Either failing means the
         // payload is not what `encode` wrote (despite the checksum), so
@@ -686,42 +530,26 @@ fn decode_programs(bytes: &[u8]) -> Result<Vec<ProgramEntry>, SnapshotError> {
         if source_hash(&source) != key {
             return Err(r.malformed(format!("program {name}: key/source hash mismatch")));
         }
-        let prog = structcast::lower_source(&source)
+        let entry = ProgramEntry::build(key, Some(&name), &source)
             .map_err(|e| r.malformed(format!("program {name}: unlowerable source: {e}")))?;
-        let hash_hex = format!("{key:016x}");
-        out.push(ProgramEntry {
-            key,
-            hash_hex,
-            name,
-            source,
-            prog,
-            constraints: ConstraintSet::from_parts(constraints, paths, char_ty),
-            compile,
-        });
+        out.push(entry);
     }
     r.done()?;
     Ok(out)
 }
 
-/// Whether a summary's locations are leaf indices, which only its program
-/// can write as field paths.
-fn has_leaves(kind: ModelKind) -> bool {
-    matches!(kind, ModelKind::CollapseOnCast | ModelKind::CommonInitialSeq)
-}
-
-/// The summaries in key order, each with its program when resident. A
-/// summary with leaf locations whose program was evicted is left out: no
-/// query can reach it before its program is loaded again, and it cannot be
-/// written without it.
+/// The summaries in key order, each with its program. A summary whose
+/// program was evicted is left out: no query can reach it before its
+/// program is loaded again, and decoding checks a summary against its
+/// program.
 fn encode_solved(
     solved: &[((u64, String), Arc<Solved>)],
     programs: &[Arc<ProgramEntry>],
 ) -> Vec<u8> {
     let prog_of = |hash: u64| programs.iter().find(|e| e.key == hash).map(|e| &e.prog);
-    let mut sorted: Vec<(&(u64, String), &Solved, Option<&Program>)> = solved
+    let mut sorted: Vec<(&(u64, String), &Solved, &Program)> = solved
         .iter()
-        .map(|(k, s)| (k, &**s, prog_of(k.0)))
-        .filter(|(_, s, prog)| prog.is_some() || !has_leaves(s.res.kind))
+        .filter_map(|(k, s)| Some((k, &**s, prog_of(k.0)?)))
         .collect();
     sorted.sort_by(|a, b| a.0.cmp(b.0));
     let mut w = W(Vec::new());
@@ -775,14 +603,18 @@ fn encode_solved(
 type Entries<V> = Vec<((u64, String), V)>;
 
 /// Decodes the summaries; `programs` are the snapshot's programs, which
-/// the field paths of leaf locations are read against.
+/// each summary is checked against.
 fn decode_solved(bytes: &[u8], programs: &[ProgramEntry]) -> Result<Entries<Solved>, SnapshotError> {
     let mut r = Rd::new(bytes, "solved");
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let hash = r.u64()?;
-        let prog = programs.iter().find(|e| e.key == hash).map(|e| &e.prog);
+        let prog = programs
+            .iter()
+            .find(|e| e.key == hash)
+            .map(|e| &e.prog)
+            .ok_or_else(|| r.malformed(format!("summary of program {hash:016x}, which it lacks")))?;
         let optkey = r.str()?;
         let opts = get_opts(&mut r)?;
         if opts.cache_key() != optkey {
@@ -810,17 +642,21 @@ fn decode_solved(bytes: &[u8], programs: &[ProgramEntry]) -> Result<Entries<Solv
             resolve_mismatch: r.u64()?,
             out_of_bounds: r.u64()?,
         };
-        let unknown = r.locs(prog)?;
+        let unknown = r.locs(prog, res_kind)?;
         let nce = r.count()?;
         let mut call_edges = Vec::with_capacity(nce);
         for _ in 0..nce {
-            call_edges.push((StmtId(r.u32()?), FuncId(r.u32()?)));
+            let (sid, fid) = (r.u32()?, r.u32()?);
+            if sid as usize >= prog.stmts.len() || fid as usize >= prog.functions.len() {
+                return Err(r.malformed(format!("call edge ({sid}, {fid}) out of range")));
+            }
+            call_edges.push((StmtId(sid), FuncId(fid)));
         }
         let ne = r.count()?;
         let mut facts = FactStore::new();
         for _ in 0..ne {
-            let a = r.loc(prog)?;
-            let b = r.loc(prog)?;
+            let a = r.loc(prog, res_kind)?;
+            let b = r.loc(prog, res_kind)?;
             facts.insert(a, b);
         }
         if facts.len() != edges_n {
@@ -929,7 +765,7 @@ fn decode_demand(bytes: &[u8]) -> Result<Entries<DemandAnswer>, SnapshotError> {
 pub fn encode(cache: &SessionCache) -> Vec<u8> {
     let resident = cache.export();
     let sections = [
-        (TAG_PROGRAMS, encode_programs(&resident.programs)),
+        (TAG_PROGRAMS, encode_programs(&resident.programs, &resident.names)),
         (TAG_SOLVED, encode_solved(&resident.solved, &resident.programs)),
         (TAG_DEMAND, encode_demand(&resident.demand)),
     ];
@@ -1016,7 +852,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
         }
         *slot = Some(f.payload);
     }
-    // Programs first: the summaries' field paths are read against them.
+    // Programs first: the summaries are checked against them.
     let [programs, solved, demand] = payloads;
     if let Some(p) = programs {
         data.programs = decode_programs(p)?;
@@ -1031,8 +867,8 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
 }
 
 /// Inserts decoded snapshot data into the cache **without** recording any
-/// compile or solve, hit or miss — restored warmth is not work. Returns
-/// the number of entries inserted.
+/// hit or miss — restored warmth answers no query. Returns the number of
+/// entries inserted.
 pub fn restore(cache: &SessionCache, data: SnapshotData) -> usize {
     let n = data.len();
     for e in data.programs {

@@ -13,7 +13,6 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Duration;
 use structcast_server::metrics::Metrics;
 use structcast_server::snapshot::{self, fnv64};
 use structcast_server::wal::{self, Wal};
@@ -53,17 +52,11 @@ fn wal_lines() -> String {
     out
 }
 
-/// The framing of a snapshot whose cache holds one compiled program. The
-/// entry's measured compile time is stored too, so it is zeroed through a
-/// decode and restore to make the bytes reproducible.
+/// The framing of a snapshot whose cache holds one program.
 fn snapshot_lines() -> String {
-    let warm = SessionCache::new(Arc::new(Metrics::new()));
-    warm.load(Some("tiny"), "int x, *p; void f(void) { p = &x; }")
-        .unwrap();
-    let mut data = snapshot::decode(&snapshot::encode(&warm)).unwrap();
-    data.programs[0].compile = Duration::ZERO;
     let cache = SessionCache::new(Arc::new(Metrics::new()));
-    snapshot::restore(&cache, data);
+    cache.load(Some("tiny"), "int x, *p; void f(void) { p = &x; }")
+        .unwrap();
     let bytes = snapshot::encode(&cache);
     let mut out = format!(
         "snap bytes={} fnv64={:016x}\nsnap header {}\n",
