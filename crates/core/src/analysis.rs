@@ -205,7 +205,8 @@ impl AnalysisResult {
     }
 
     /// Rebuilds a result from retained parts — the query server's
-    /// snapshot-restore path. The facts and counters are adopted as-is and
+    /// snapshot-restore path. The facts are sealed as a solve's are; they
+    /// and the counters are otherwise adopted as-is and
     /// the model is reconstructed from its configuration; no constraint is
     /// re-specialized and no fixpoint runs, so neither
     /// [`solves_on_thread`](crate::solves_on_thread) nor the constraint
@@ -225,6 +226,8 @@ impl AnalysisResult {
         unknown: BTreeSet<Loc>,
         call_edges: Vec<(StmtId, structcast_ir::FuncId)>,
     ) -> Self {
+        let mut facts = facts;
+        facts.seal();
         AnalysisResult {
             kind,
             facts,

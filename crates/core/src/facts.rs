@@ -8,11 +8,18 @@
 //! into a target list it has read (its cursor) and `targets_from` hands it
 //! exactly the facts added since, each drained once.
 //!
+//! The target lists, and the per-object lists of source locations, live in
+//! two [`ListArena`]s: one flat buffer each, not one heap block per key.
+//! Sealing a finished store drops the edge set and compacts both arenas,
+//! so a cached result holds a fixed number of heap blocks however many
+//! sources it has.
+//!
 //! The `Loc`-keyed query API of the original `HashMap<Loc, BTreeSet<Loc>>`
 //! store is preserved on top of the id layer, so clients (the driver, the
 //! figure benches, MOD/REF) are unchanged.
 
-use crate::loc::{FieldRep, Loc, LocId};
+use crate::arena::ListArena;
+use crate::loc::{Loc, LocId};
 use structcast_ir::ObjId;
 use structcast_types::idhash::{IdHashMap, IdHashSet};
 
@@ -25,13 +32,13 @@ pub struct FactStore {
     /// Reverse side table: id → `Loc` (ids are indices).
     locs: Vec<Loc>,
     /// Per-source target list in *append order*, deduplicated via
-    /// `edge_set`. Indexed by source `LocId`.
-    targets: Vec<Vec<LocId>>,
+    /// `edge_set`. Keyed by source `LocId`.
+    targets: ListArena<LocId>,
     /// All `(src, tgt)` pairs, packed as `src << 32 | tgt`.
     edge_set: IdHashSet<u64>,
-    /// Source locations that have at least one fact, grouped by object,
-    /// in first-fact order.
-    sources_by_obj: IdHashMap<ObjId, Vec<LocId>>,
+    /// Source locations that have at least one fact, keyed by object, in
+    /// first-fact order.
+    sources_by_obj: ListArena<LocId>,
     edges: usize,
 }
 
@@ -47,7 +54,7 @@ impl FactStore {
         FactStore {
             intern: IdHashMap::with_capacity_and_hasher(locs, Default::default()),
             locs: Vec::with_capacity(locs),
-            targets: Vec::with_capacity(locs),
+            targets: ListArena::with_capacity(locs, edges),
             edge_set: IdHashSet::with_capacity_and_hasher(edges, Default::default()),
             ..FactStore::default()
         }
@@ -64,7 +71,6 @@ impl FactStore {
         let id = LocId(self.locs.len() as u32);
         self.intern.insert(loc, id);
         self.locs.push(loc);
-        self.targets.push(Vec::new());
         id
     }
 
@@ -100,22 +106,21 @@ impl FactStore {
             return false;
         }
         self.edges += 1;
-        let list = &mut self.targets[src.index()];
-        if list.is_empty() {
-            self.sources_by_obj
-                .entry(self.locs[src.index()].obj)
-                .or_default()
-                .push(src);
+        if self.targets.len_of(src.index()) == 0 {
+            let obj = self.locs[src.index()].obj;
+            self.sources_by_obj.push(obj.0 as usize, src);
         }
-        list.push(tgt);
+        self.targets.push(src.index(), tgt);
         true
     }
 
-    /// Drops the dedup set, about a third of the store's memory, once a
-    /// solve is finished and the store is only read; a later insert
-    /// rebuilds it from the target lists.
+    /// Drops the dedup set, about a third of the store's memory, and
+    /// compacts the lists once a solve is finished and the store is only
+    /// read; a later insert rebuilds the set from the target lists.
     pub(crate) fn seal(&mut self) {
         self.edge_set = IdHashSet::default();
+        self.targets.seal();
+        self.sources_by_obj.seal();
     }
 
     fn rebuild_edge_set(&mut self) {
@@ -128,18 +133,18 @@ impl FactStore {
 
     /// Number of targets of `src` so far (a subscriber's cursor bound).
     pub fn targets_len(&self, src: LocId) -> usize {
-        self.targets[src.index()].len()
+        self.targets.len_of(src.index())
     }
 
     /// The `k`-th target of `src` in append order.
     pub fn target_at(&self, src: LocId, k: usize) -> LocId {
-        self.targets[src.index()][k]
+        self.targets.get(src.index())[k]
     }
 
     /// The targets of `src` added at or after position `from` — the
     /// *delta* a subscriber whose cursor is `from` has not consumed yet.
     pub fn targets_from(&self, src: LocId, from: usize) -> &[LocId] {
-        &self.targets[src.index()][from..]
+        &self.targets.get(src.index())[from..]
     }
 
     // ----- Loc-level API (queries and clients; unchanged surface) -----
@@ -155,12 +160,12 @@ impl FactStore {
     pub fn points_to(&self, src: &Loc) -> impl Iterator<Item = &Loc> + '_ {
         self.try_id(src)
             .into_iter()
-            .flat_map(move |id| self.targets[id.index()].iter().map(|t| self.loc(*t)))
+            .flat_map(move |id| self.targets.get(id.index()).iter().map(|t| self.loc(*t)))
     }
 
     /// Number of targets of `src`.
     pub fn points_to_len(&self, src: &Loc) -> usize {
-        self.try_id(src).map_or(0, |id| self.targets[id.index()].len())
+        self.try_id(src).map_or(0, |id| self.targets_len(id))
     }
 
     /// A snapshot of the points-to set of `src`, sorted by location (the
@@ -173,26 +178,11 @@ impl FactStore {
 
     /// All source locations within `obj` that currently have facts, in
     /// first-fact order.
-    pub fn sources_in(&self, obj: ObjId) -> Vec<Loc> {
-        self.sources_by_obj.get(&obj).map_or_else(Vec::new, |ids| {
-            ids.iter().map(|&i| self.locs[i.index()]).collect()
-        })
-    }
-
-    /// Source locations in `obj` whose byte offset lies in `[lo, hi)`
-    /// (offset-instance helper; non-offset locations are skipped).
-    pub fn sources_in_range(&self, obj: ObjId, lo: u64, hi: u64) -> Vec<Loc> {
-        self.sources_by_obj.get(&obj).map_or_else(Vec::new, |ids| {
-            ids.iter()
-                .filter_map(|&i| {
-                    let l = &self.locs[i.index()];
-                    match l.field {
-                        FieldRep::Off(o) if o >= lo && o < hi => Some(*l),
-                        _ => None,
-                    }
-                })
-                .collect()
-        })
+    pub fn sources_in(&self, obj: ObjId) -> impl Iterator<Item = &Loc> + '_ {
+        self.sources_by_obj
+            .get(obj.0 as usize)
+            .iter()
+            .map(|&i| &self.locs[i.index()])
     }
 
     /// Total number of points-to edges (Figure 6's metric).
@@ -207,32 +197,32 @@ impl FactStore {
 
     /// Iterates over all `(src, tgt)` edges.
     pub fn iter(&self) -> impl Iterator<Item = (&Loc, &Loc)> + '_ {
-        self.targets.iter().enumerate().flat_map(move |(s, ts)| {
-            ts.iter().map(move |t| (&self.locs[s], self.loc(*t)))
-        })
+        self.iter_ids()
+            .map(move |(s, t)| (self.loc(s), self.loc(t)))
     }
 
     /// Iterates over all edges by id, in [`iter`](FactStore::iter) order.
     pub(crate) fn iter_ids(&self) -> impl Iterator<Item = (LocId, LocId)> + '_ {
-        self.targets
-            .iter()
-            .enumerate()
-            .flat_map(|(s, ts)| ts.iter().map(move |&t| (LocId(s as u32), t)))
+        (0..self.targets.num_keys()).flat_map(move |s| {
+            self.targets
+                .get(s)
+                .iter()
+                .map(move |&t| (LocId(s as u32), t))
+        })
     }
 
     /// All distinct source locations with at least one fact.
     pub fn sources(&self) -> impl Iterator<Item = &Loc> + '_ {
-        self.targets
-            .iter()
-            .enumerate()
-            .filter(|(_, ts)| !ts.is_empty())
-            .map(move |(s, _)| &self.locs[s])
+        (0..self.targets.num_keys())
+            .filter(|&s| self.targets.len_of(s) > 0)
+            .map(move |s| &self.locs[s])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loc::FieldRep;
 
     fn l(o: u32, off: u64) -> Loc {
         Loc::off(ObjId(o), off)
@@ -253,24 +243,34 @@ mod tests {
     #[test]
     fn range_queries() {
         let mut fs = FactStore::new();
-        fs.insert(l(0, 0), l(1, 0));
-        fs.insert(l(0, 4), l(1, 0));
         fs.insert(l(0, 8), l(1, 0));
+        fs.insert(l(0, 0), l(1, 0));
         fs.insert(l(2, 4), l(1, 0));
-        let in_range = fs.sources_in_range(ObjId(0), 0, 8);
-        assert_eq!(in_range.len(), 2);
-        assert!(in_range.contains(&l(0, 0)));
-        assert!(in_range.contains(&l(0, 4)));
-        assert_eq!(fs.sources_in(ObjId(0)).len(), 3);
-        assert_eq!(fs.sources_in(ObjId(7)).len(), 0);
+        fs.insert(l(0, 8), l(2, 0));
+        fs.insert(l(0, 4), l(1, 0));
+        // The Offsets instance's byte-range walk over one object.
+        let in_range: Vec<Loc> = fs
+            .sources_in(ObjId(0))
+            .filter(|s| matches!(s.field, FieldRep::Off(o) if o < 8))
+            .copied()
+            .collect();
+        assert_eq!(in_range, vec![l(0, 0), l(0, 4)]);
+        let all: Vec<Loc> = fs.sources_in(ObjId(0)).copied().collect();
+        assert_eq!(all, vec![l(0, 8), l(0, 0), l(0, 4)], "first-fact order");
+        assert_eq!(fs.sources_in(ObjId(2)).count(), 1);
+        assert_eq!(fs.sources_in(ObjId(7)).count(), 0);
     }
 
     #[test]
     fn range_query_skips_path_locs() {
         let mut fs = FactStore::new();
         fs.insert(Loc::leaf(ObjId(0), 0), l(1, 0));
-        assert!(fs.sources_in_range(ObjId(0), 0, 100).is_empty());
-        assert_eq!(fs.sources_in(ObjId(0)).len(), 1);
+        let offsets = fs
+            .sources_in(ObjId(0))
+            .filter(|s| matches!(s.field, FieldRep::Off(_)))
+            .count();
+        assert_eq!(offsets, 0);
+        assert_eq!(fs.sources_in(ObjId(0)).count(), 1);
     }
 
     #[test]
@@ -284,6 +284,21 @@ mod tests {
         assert!(fs.insert(l(3, 0), l(1, 0)));
         assert_eq!(fs.len(), 3);
         assert_eq!(fs.iter().count(), 3);
+    }
+
+    #[test]
+    fn a_sealed_store_appends_in_order() {
+        let mut fs = FactStore::new();
+        fs.insert(l(0, 0), l(1, 0));
+        fs.insert(l(3, 0), l(1, 0));
+        fs.insert(l(0, 0), l(2, 0));
+        fs.seal();
+        assert!(fs.insert(l(0, 0), l(4, 0)));
+        assert!(!fs.insert(l(0, 0), l(2, 0)));
+        let pts: Vec<Loc> = fs.points_to(&l(0, 0)).copied().collect();
+        assert_eq!(pts, vec![l(1, 0), l(2, 0), l(4, 0)]);
+        let edges: Vec<(Loc, Loc)> = fs.iter().map(|(s, t)| (*s, *t)).collect();
+        assert_eq!(edges[3], (l(3, 0), l(1, 0)), "source order is id order");
     }
 
     #[test]

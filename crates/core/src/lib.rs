@@ -106,6 +106,7 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
+mod arena;
 mod budget;
 pub mod demand;
 mod facts;

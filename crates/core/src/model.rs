@@ -148,6 +148,12 @@ fn pct(n: u64, d: u64) -> f64 {
 /// All methods receive the [`Program`] for type information; locations
 /// passed in are already normalized (solver invariant).
 ///
+/// The four hooks that produce locations (`lookup`, `resolve`,
+/// `resolve_all`, `spread`) **append** their results to a caller-owned
+/// `out` buffer and never clear it or read what it held before. The solver
+/// owns one buffer per result type and reuses it across every call of a
+/// run, so a firing allocates nothing for its results.
+///
 /// Instances are plain data (`Send + Sync`): multi-model solving ships
 /// solved results between threads and the query server shares them
 /// across its workers, so every model must be safely shareable. All methods
@@ -161,9 +167,9 @@ pub trait FieldModel: Send + Sync {
     /// `obj.path` (where `path` is a declared-type field path).
     fn normalize(&self, prog: &Program, obj: ObjId, path: &FieldPath) -> Loc;
 
-    /// The paper's `lookup(τ, α, t.β̂)`: the field(s) of the pointed-to
-    /// location `target` actually referenced when a pointer declared to
-    /// point to `tau` is dereferenced with field path `alpha`.
+    /// The paper's `lookup(τ, α, t.β̂)`: appends to `out` the field(s) of
+    /// the pointed-to location `target` actually referenced when a pointer
+    /// declared to point to `tau` is dereferenced with field path `alpha`.
     ///
     /// `stats` classifies the call for Figure 3.
     fn lookup(
@@ -173,23 +179,25 @@ pub trait FieldModel: Send + Sync {
         alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc>;
+        out: &mut Vec<Loc>,
+    );
 
-    /// The paper's `resolve(s.ĵ, t.k̂, τ)`: pairs `(dst_loc, src_loc)` such
-    /// that the value at `src_loc` is copied to `dst_loc` when `sizeof(τ)`
-    /// bytes are copied from `src` to `dst`.
+    /// The paper's `resolve(s.ĵ, t.k̂, τ)`: appends to `out` the pairs
+    /// `(dst_loc, src_loc)` such that the value at `src_loc` is copied to
+    /// `dst_loc` when `sizeof(τ)` bytes are copied from `src` to `dst`.
     ///
     /// The offset instance consults `facts` to enumerate the byte range
     /// lazily (semantically identical to the paper's per-byte pairs).
     ///
     /// **Purity contract.** When [`FieldModel::resolve_is_pure`] returns
-    /// true, the result and the `stats` increment must be a function of
-    /// `(type_of(dst.obj), dst.field, type_of(src.obj), src.field, τ)`
-    /// alone: `facts` is not read, and every returned pair lies in
+    /// true, the pairs appended and the `stats` increment must be a
+    /// function of `(type_of(dst.obj), dst.field, type_of(src.obj),
+    /// src.field, τ)` alone: `facts` is not read, and every pair lies in
     /// `dst.obj` × `src.obj`. The solver then calls `resolve` at most once
     /// per such type-level key and replays the stored pairs and `stats`
     /// increment for every later call. Collapse Always, Collapse on Cast
     /// and Common Initial Sequence meet the contract; Offsets does not.
+    #[allow(clippy::too_many_arguments)]
     fn resolve(
         &self,
         prog: &Program,
@@ -198,15 +206,16 @@ pub trait FieldModel: Send + Sync {
         tau: TypeId,
         facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)>;
+        out: &mut Vec<(Loc, Loc)>,
+    );
 
     /// Whether [`FieldModel::resolve`] meets its purity contract (it ignores
     /// `facts` and depends only on the two locations' types and fields and
     /// on `τ`), so the solver may memoize it per type-level key.
     fn resolve_is_pure(&self) -> bool;
 
-    /// Bulk copy of unknown length (`memcpy`): pairs covering everything
-    /// from `src` onward into `dst` onward.
+    /// Bulk copy of unknown length (`memcpy`): appends to `out` the pairs
+    /// covering everything from `src` onward into `dst` onward.
     fn resolve_all(
         &self,
         prog: &Program,
@@ -214,18 +223,19 @@ pub trait FieldModel: Send + Sync {
         src: &Loc,
         facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)>;
+        out: &mut Vec<(Loc, Loc)>,
+    );
 
-    /// Pointer-arithmetic spread (§4.2.1): the normalized positions of the
-    /// outermost object that the result of arithmetic on a pointer to
-    /// `target` could address.
+    /// Pointer-arithmetic spread (§4.2.1): appends to `out` the normalized
+    /// positions of the outermost object that the result of arithmetic on
+    /// a pointer to `target` could address.
     ///
     /// `pointee` is the declared pointee type of the pointer being moved;
     /// models built with the Wilson–Lam stride refinement (related work §6)
     /// use it to confine the spread to positions reachable in multiples of
     /// `sizeof(pointee)` — without it, every position of the outermost
     /// object is possible.
-    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc>;
+    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>, out: &mut Vec<Loc>);
 
     /// How many concrete locations a points-to *target* stands for, used to
     /// expand Collapse-Always struct targets when comparing set sizes

@@ -92,8 +92,9 @@ impl FieldModel for CollapseOnCastModel {
         alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc> {
-        counted_lookup(self, prog, tau, alpha, target, stats)
+        out: &mut Vec<Loc>,
+    ) {
+        counted_lookup(self, prog, tau, alpha, target, stats, out);
     }
 
     fn resolve(
@@ -104,8 +105,9 @@ impl FieldModel for CollapseOnCastModel {
         tau: TypeId,
         _facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        counted_resolve(self, prog, dst, src, tau, stats)
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        counted_resolve(self, prog, dst, src, tau, stats, out);
     }
 
     /// Pure: a lookup reads only the target's object type and leaf, and
@@ -121,20 +123,47 @@ impl FieldModel for CollapseOnCastModel {
         src: &Loc,
         _facts: &FactStore,
         _stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        following_pairs(prog, dst, src)
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        following_pairs(prog, dst, src, out);
     }
 
-    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
-        super::util::path_spread(prog, target, pointee, self.arith_stride, self.compat)
+    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>, out: &mut Vec<Loc>) {
+        super::util::path_spread(prog, target, pointee, self.arith_stride, self.compat, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::util::{lookup_leaves, resolve_leaves};
+    use crate::models::util;
     use structcast_ir::lower_source;
+
+    /// [`util::lookup_leaves`] into a fresh vector.
+    fn lookup_leaves(
+        m: &CollapseOnCastModel,
+        prog: &Program,
+        tau: TypeId,
+        alpha: &FieldPath,
+        target: &Loc,
+    ) -> (Vec<Loc>, bool) {
+        let mut out = Vec::new();
+        let mismatch = util::lookup_leaves(m, prog, tau, alpha, target, &mut out);
+        (out, mismatch)
+    }
+
+    /// [`util::resolve_leaves`] into a fresh vector.
+    fn resolve_leaves(
+        m: &CollapseOnCastModel,
+        prog: &Program,
+        dst: &Loc,
+        src: &Loc,
+        tau: TypeId,
+    ) -> (Vec<(Loc, Loc)>, bool) {
+        let mut out = Vec::new();
+        let mismatch = util::resolve_leaves(m, prog, dst, src, tau, &mut out);
+        (out, mismatch)
+    }
 
     /// The location of `obj`'s leaf with field path `steps`.
     fn at(prog: &Program, obj: ObjId, steps: &[u32]) -> Loc {
@@ -257,6 +286,9 @@ mod tests {
         let prog = lower_source("struct S { int *a; struct Inner { int *x; } i; } s;").unwrap();
         let m = CollapseOnCastModel::new(CompatMode::Structural);
         let s = prog.object_by_name("s").unwrap();
-        assert_eq!(m.spread(&prog, &m.normalize(&prog, s, &FieldPath::empty()), None).len(), 2);
+        let mut spread = Vec::new();
+        let whole = m.normalize(&prog, s, &FieldPath::empty());
+        m.spread(&prog, &whole, None, &mut spread);
+        assert_eq!(spread.len(), 2);
     }
 }

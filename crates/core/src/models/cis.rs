@@ -179,8 +179,9 @@ impl FieldModel for CommonInitialSeqModel {
         alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc> {
-        counted_lookup(self, prog, tau, alpha, target, stats)
+        out: &mut Vec<Loc>,
+    ) {
+        counted_lookup(self, prog, tau, alpha, target, stats, out);
     }
 
     fn resolve(
@@ -191,8 +192,9 @@ impl FieldModel for CommonInitialSeqModel {
         tau: TypeId,
         _facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        counted_resolve(self, prog, dst, src, tau, stats)
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        counted_resolve(self, prog, dst, src, tau, stats, out);
     }
 
     /// Pure: a lookup reads only the target's object type and leaf, and
@@ -208,20 +210,34 @@ impl FieldModel for CommonInitialSeqModel {
         src: &Loc,
         _facts: &FactStore,
         _stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        following_pairs(prog, dst, src)
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        following_pairs(prog, dst, src, out);
     }
 
-    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
-        super::util::path_spread(prog, target, pointee, self.arith_stride, self.compat)
+    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>, out: &mut Vec<Loc>) {
+        super::util::path_spread(prog, target, pointee, self.arith_stride, self.compat, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::util::lookup_leaves;
+    use crate::models::util;
     use structcast_ir::lower_source;
+
+    /// [`util::lookup_leaves`] into a fresh vector.
+    fn lookup_leaves<M: util::Portable>(
+        m: &M,
+        prog: &Program,
+        tau: TypeId,
+        alpha: &FieldPath,
+        target: &Loc,
+    ) -> (Vec<Loc>, bool) {
+        let mut out = Vec::new();
+        let mismatch = util::lookup_leaves(m, prog, tau, alpha, target, &mut out);
+        (out, mismatch)
+    }
 
     /// The location of `obj`'s leaf with field path `steps`.
     fn at(prog: &Program, obj: ObjId, steps: &[u32]) -> Loc {

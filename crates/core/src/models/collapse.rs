@@ -41,12 +41,13 @@ impl FieldModel for CollapseAlwaysModel {
         _alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc> {
+        out: &mut Vec<Loc>,
+    ) {
         stats.lookup_calls += 1;
         if involves_structs(prog, tau, &[target]) {
             stats.lookup_struct += 1;
         }
-        vec![Loc::whole(target.obj)]
+        out.push(Loc::whole(target.obj));
     }
 
     fn resolve(
@@ -57,12 +58,13 @@ impl FieldModel for CollapseAlwaysModel {
         tau: TypeId,
         _facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
         stats.resolve_calls += 1;
         if involves_structs(prog, tau, &[dst, src]) {
             stats.resolve_struct += 1;
         }
-        vec![(Loc::whole(dst.obj), Loc::whole(src.obj))]
+        out.push((Loc::whole(dst.obj), Loc::whole(src.obj)));
     }
 
     /// Pure: both pairs are the whole objects, and the Figure 3 class reads
@@ -78,17 +80,13 @@ impl FieldModel for CollapseAlwaysModel {
         src: &Loc,
         _facts: &FactStore,
         _stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        vec![(Loc::whole(dst.obj), Loc::whole(src.obj))]
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        out.push((Loc::whole(dst.obj), Loc::whole(src.obj)));
     }
 
-    fn spread(
-        &self,
-        _prog: &Program,
-        target: &Loc,
-        _pointee: Option<structcast_types::TypeId>,
-    ) -> Vec<Loc> {
-        vec![Loc::whole(target.obj)]
+    fn spread(&self, _prog: &Program, target: &Loc, _pointee: Option<TypeId>, out: &mut Vec<Loc>) {
+        out.push(Loc::whole(target.obj));
     }
 
     /// Figure 4's fairness expansion: a collapsed struct target stands for
@@ -116,7 +114,9 @@ mod tests {
         assert_eq!(n, Loc::whole(s));
         let mut stats = ModelStats::default();
         let sty = prog.type_of(s);
-        let looked = m.lookup(&prog, sty, &FieldPath::from_steps([0u32]), &n, &mut stats);
+        let mut looked = Vec::new();
+        let alpha = FieldPath::from_steps([0u32]);
+        m.lookup(&prog, sty, &alpha, &n, &mut stats, &mut looked);
         assert_eq!(looked, vec![Loc::whole(s)]);
         assert_eq!(stats.lookup_calls, 1);
         assert_eq!(stats.lookup_struct, 1);

@@ -117,9 +117,9 @@ pub(crate) mod util {
             }
         }
 
-        /// The leaves as locations of `obj`.
-        pub fn locs(self, obj: structcast_ir::ObjId, shape: &Shape) -> Vec<Loc> {
-            self.indices(shape).map(|i| Loc::leaf(obj, i)).collect()
+        /// Appends the leaves to `out` as locations of `obj`.
+        pub fn push_locs(self, obj: structcast_ir::ObjId, shape: &Shape, out: &mut Vec<Loc>) {
+            out.extend(self.indices(shape).map(|i| Loc::leaf(obj, i)));
         }
     }
 
@@ -149,7 +149,7 @@ pub(crate) mod util {
     /// The field paths `resolve` walks for a copy of type `tau`: each leaf
     /// of `tau` (a single empty path for a scalar or a union, so scalar
     /// copies such as `*p = q` with `p: int**` resolve uniformly).
-    pub fn copy_alphas(prog: &Program, tau: TypeId) -> impl Iterator<Item = Alpha<'_>> {
+    pub fn copy_alphas(prog: &Program, tau: TypeId) -> impl ExactSizeIterator<Item = Alpha<'_>> {
         let tau_s = prog.types.strip_arrays(tau);
         let shape = prog.types.shape(tau_s);
         (0..shape.len()).map(move |a| Alpha {
@@ -182,15 +182,17 @@ pub(crate) mod util {
         ) -> (Leaves, bool);
     }
 
-    /// The paper's `lookup(τ, α, t.β̂)` for a portable instance: the result
-    /// locations and whether the types failed to match.
+    /// The paper's `lookup(τ, α, t.β̂)` for a portable instance: appends
+    /// the result locations to `out` and returns whether the types failed
+    /// to match.
     pub fn lookup_leaves<M: Portable>(
         m: &M,
         prog: &Program,
         tau: TypeId,
         alpha: &FieldPath,
         target: &Loc,
-    ) -> (Vec<Loc>, bool) {
+        out: &mut Vec<Loc>,
+    ) -> bool {
         let shape = shape_of(prog, target);
         let beta = leaf_of(target);
         let landing = m.land(prog, tau, shape, beta);
@@ -199,44 +201,50 @@ pub(crate) mod util {
             tau_leaf: None,
         };
         let (leaves, mismatch) = M::follow(prog, shape, landing, beta, alpha);
-        (leaves.locs(target.obj, shape), mismatch)
+        leaves.push_locs(target.obj, shape, out);
+        mismatch
     }
 
     /// The paper's `resolve(s.ĵ, t.k̂, τ)` for a portable instance:
     /// `lookup(τ, δ, ·)` on both sides for every leaf `δ` of `τ`, the
     /// cross product of each `δ`'s two leaf sets in `δ` order, each pair
-    /// kept at its first occurrence; and whether any lookup mismatched.
+    /// kept at its first occurrence, appended to `out`; returns whether
+    /// any lookup mismatched.
     pub fn resolve_leaves<M: Portable>(
         m: &M,
         prog: &Program,
         dst: &Loc,
         src: &Loc,
         tau: TypeId,
-    ) -> (Vec<(Loc, Loc)>, bool) {
+        out: &mut Vec<(Loc, Loc)>,
+    ) -> bool {
         let (dshape, sshape) = (shape_of(prog, dst), shape_of(prog, src));
         let (bd, bs) = (leaf_of(dst), leaf_of(src));
         let (ld, ls) = (m.land(prog, tau, dshape, bd), m.land(prog, tau, sshape, bs));
         let mut mismatch = false;
+        let alphas = copy_alphas(prog, tau);
+        // One `δ` (a scalar copy) has one cross product, with no repeats:
+        // the dedup sets stay empty and allocate nothing.
+        let dedup = alphas.len() > 1;
         let mut seen_sides = IdHashSet::default();
         let mut seen = IdHashSet::default();
-        let mut out = Vec::new();
-        for delta in copy_alphas(prog, tau) {
+        for delta in alphas {
             let (g, m1) = M::follow(prog, dshape, ld, bd, delta);
             let (h, m2) = M::follow(prog, sshape, ls, bs, delta);
             mismatch |= m1 || m2;
             // A `δ` whose two sets repeat an earlier `δ`'s adds no pair.
-            if !seen_sides.insert((g, h)) {
+            if dedup && !seen_sides.insert((g, h)) {
                 continue;
             }
             for d in g.indices(dshape) {
                 for s in h.indices(sshape) {
-                    if seen.insert((d, s)) {
+                    if !dedup || seen.insert((d, s)) {
                         out.push((Loc::leaf(dst.obj, d), Loc::leaf(src.obj, s)));
                     }
                 }
             }
         }
-        (out, mismatch)
+        mismatch
     }
 
     /// [`lookup_leaves`] with the call classified for Figure 3.
@@ -247,17 +255,17 @@ pub(crate) mod util {
         alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc> {
+        out: &mut Vec<Loc>,
+    ) {
         stats.lookup_calls += 1;
         let structy = involves_structs(prog, tau, &[target]);
         if structy {
             stats.lookup_struct += 1;
         }
-        let (locs, mismatch) = lookup_leaves(m, prog, tau, alpha, target);
+        let mismatch = lookup_leaves(m, prog, tau, alpha, target, out);
         if structy && mismatch {
             stats.lookup_mismatch += 1;
         }
-        locs
     }
 
     /// [`resolve_leaves`] with the call classified for Figure 3.
@@ -268,31 +276,31 @@ pub(crate) mod util {
         src: &Loc,
         tau: TypeId,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
         stats.resolve_calls += 1;
         let structy = involves_structs(prog, tau, &[dst, src]);
         if structy {
             stats.resolve_struct += 1;
         }
-        let (pairs, mismatch) = resolve_leaves(m, prog, dst, src, tau);
+        let mismatch = resolve_leaves(m, prog, dst, src, tau, out);
         if structy && mismatch {
             stats.resolve_mismatch += 1;
         }
-        pairs
     }
 
-    /// Bulk copy of unknown length: everything from `dst` onward paired
-    /// with everything from `src` onward (a safe over-approximation).
-    pub fn following_pairs(prog: &Program, dst: &Loc, src: &Loc) -> Vec<(Loc, Loc)> {
+    /// Bulk copy of unknown length: appends everything from `dst` onward
+    /// paired with everything from `src` onward (a safe
+    /// over-approximation).
+    pub fn following_pairs(prog: &Program, dst: &Loc, src: &Loc, out: &mut Vec<(Loc, Loc)>) {
         let (ds, ss) = (shape_of(prog, dst), shape_of(prog, src));
         let (d, s) = (leaf_of(dst), leaf_of(src));
-        let mut out = Vec::with_capacity(ds.following_len(d) * ss.following_len(s));
+        out.reserve(ds.following_len(d) * ss.following_len(s));
         for dl in ds.following(d) {
             for sl in ss.following(s) {
                 out.push((Loc::leaf(dst.obj, dl), Loc::leaf(src.obj, sl)));
             }
         }
-        out
     }
 
     /// True if `ty` is (after array stripping) a struct or union.
@@ -349,22 +357,25 @@ pub(crate) mod util {
         pointee: Option<TypeId>,
         stride: bool,
         compat: structcast_types::CompatMode,
-    ) -> Vec<Loc> {
+        out: &mut Vec<Loc>,
+    ) {
         let shape = shape_of(prog, target);
         let leaf = |i| Loc::leaf(target.obj, i);
         if let (Some(pointee), true) = (pointee, stride) {
             let p = prog.types.strip_arrays(pointee);
-            let matching: Vec<Loc> = (0..shape.len())
-                .filter(|&i| {
-                    let lt = prog.types.strip_arrays(shape.leaf_type(i));
-                    lt == p || structcast_types::compatible(&prog.types, lt, p, compat)
-                })
-                .map(leaf)
-                .collect();
-            if !matching.is_empty() {
-                return matching;
+            let start = out.len();
+            out.extend(
+                (0..shape.len())
+                    .filter(|&i| {
+                        let lt = prog.types.strip_arrays(shape.leaf_type(i));
+                        lt == p || structcast_types::compatible(&prog.types, lt, p, compat)
+                    })
+                    .map(leaf),
+            );
+            if out.len() > start {
+                return;
             }
         }
-        (0..shape.len()).map(leaf).collect()
+        out.extend((0..shape.len()).map(leaf));
     }
 }

@@ -79,7 +79,8 @@ impl FieldModel for OffsetsModel {
         alpha: &FieldPath,
         target: &Loc,
         stats: &mut ModelStats,
-    ) -> Vec<Loc> {
+        out: &mut Vec<Loc>,
+    ) {
         stats.lookup_calls += 1;
         if involves_structs(prog, tau, &[target]) {
             stats.lookup_struct += 1;
@@ -93,10 +94,10 @@ impl FieldModel for OffsetsModel {
         if size > 0 && n >= size {
             // Beyond the actual object: invalid under Assumption 1; dropped.
             stats.out_of_bounds += 1;
-            return Vec::new();
+            return;
         }
         let canon = table.canonical_offset(&prog.types, t_ty, n);
-        vec![Loc::off(target.obj, canon)]
+        out.push(Loc::off(target.obj, canon));
     }
 
     fn resolve(
@@ -107,13 +108,14 @@ impl FieldModel for OffsetsModel {
         tau: TypeId,
         facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
         stats.resolve_calls += 1;
         if involves_structs(prog, tau, &[dst, src]) {
             stats.resolve_struct += 1;
         }
         let len = self.table(prog).size_of(tau).max(1);
-        self.byte_range_pairs(prog, dst, src, len, facts, stats)
+        self.byte_range_pairs(prog, dst, src, len, facts, stats, out);
     }
 
     /// Not pure: the byte range is enumerated against the offsets that
@@ -129,11 +131,12 @@ impl FieldModel for OffsetsModel {
         src: &Loc,
         facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
-        self.byte_range_pairs(prog, dst, src, u64::MAX, facts, stats)
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
+        self.byte_range_pairs(prog, dst, src, u64::MAX, facts, stats, out);
     }
 
-    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
+    fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>, out: &mut Vec<Loc>) {
         let obj = target.obj;
         let table = self.table(prog);
         let offs = table.spread_offsets(&prog.types, prog.type_of(obj));
@@ -145,21 +148,26 @@ impl FieldModel for OffsetsModel {
         if self.arith_stride {
             if let (Some(p), FieldRep::Off(start)) = (pointee, target.field) {
                 let s = table.size_of(p).max(1);
-                let filtered: Vec<Loc> = offs
-                    .iter()
-                    .filter(|&&o| o % s == start % s)
-                    .map(|&o| Loc::off(obj, o))
-                    .collect();
-                if !filtered.is_empty() {
-                    return filtered;
+                let start_len = out.len();
+                out.extend(
+                    offs.iter()
+                        .filter(|&&o| o % s == start % s)
+                        .map(|&o| Loc::off(obj, o)),
+                );
+                if out.len() > start_len {
+                    return;
                 }
             }
         }
-        offs.iter().map(|&o| Loc::off(obj, o)).collect()
+        out.extend(offs.iter().map(|&o| Loc::off(obj, o)));
     }
 }
 
 impl OffsetsModel {
+    /// The pairs of a `len`-byte copy from `src` to `dst`: one per source
+    /// location of `src.obj` holding facts in `[k, k + len)`, visited in
+    /// place in the store's first-fact order.
+    #[allow(clippy::too_many_arguments)]
     fn byte_range_pairs(
         &self,
         prog: &Program,
@@ -168,25 +176,27 @@ impl OffsetsModel {
         len: u64,
         facts: &FactStore,
         stats: &mut ModelStats,
-    ) -> Vec<(Loc, Loc)> {
+        out: &mut Vec<(Loc, Loc)>,
+    ) {
         let j = Self::off_of(dst);
         let k = Self::off_of(src);
         let hi = k.saturating_add(len);
         let table = self.table(prog);
         let d_ty = prog.type_of(dst.obj);
         let d_size = table.size_of(d_ty);
-        let mut out = Vec::new();
-        for src_loc in facts.sources_in_range(src.obj, k, hi) {
-            let n = Self::off_of(&src_loc);
+        for src_loc in facts.sources_in(src.obj) {
+            let n = match src_loc.field {
+                FieldRep::Off(n) if n >= k && n < hi => n,
+                _ => continue,
+            };
             let m = j + (n - k);
             if d_size > 0 && m >= d_size {
                 stats.out_of_bounds += 1;
                 continue;
             }
             let m = table.canonical_offset(&prog.types, d_ty, m);
-            out.push((Loc::off(dst.obj, m), src_loc));
+            out.push((Loc::off(dst.obj, m), *src_loc));
         }
-        out
     }
 }
 
@@ -226,12 +236,14 @@ mod tests {
         let p = prog.object_by_name("p").unwrap();
         let s_ty = prog.pointee_of(p).unwrap();
         let mut stats = ModelStats::default();
-        let locs = m.lookup(
+        let mut locs = Vec::new();
+        m.lookup(
             &prog,
             s_ty,
             &FieldPath::from_steps([2u32]),
             &Loc::off(t, 0),
             &mut stats,
+            &mut locs,
         );
         assert_eq!(locs, vec![Loc::off(t, 8)]);
         assert_eq!(stats.lookup_struct, 1);
@@ -245,12 +257,14 @@ mod tests {
         let s_ty = prog.pointee_of(p).unwrap();
         let mut stats = ModelStats::default();
         // (*p).s3 when p points at a lone int: offset 8 ≥ sizeof(int).
-        let locs = m.lookup(
+        let mut locs = Vec::new();
+        m.lookup(
             &prog,
             s_ty,
             &FieldPath::from_steps([2u32]),
             &Loc::off(x, 0),
             &mut stats,
+            &mut locs,
         );
         assert!(locs.is_empty());
         assert_eq!(stats.out_of_bounds, 1);
@@ -269,13 +283,15 @@ mod tests {
         let s_ty = prog.type_of(s);
         let mut stats = ModelStats::default();
         // s = (struct S)t copies sizeof(struct S) = 12 bytes.
-        let pairs = m.resolve(
+        let mut pairs = Vec::new();
+        m.resolve(
             &prog,
             &Loc::off(s, 0),
             &Loc::off(t, 0),
             s_ty,
             &facts,
             &mut stats,
+            &mut pairs,
         );
         assert_eq!(pairs.len(), 2);
         assert!(pairs.contains(&(Loc::off(s, 0), Loc::off(t, 0))));
@@ -304,7 +320,9 @@ mod tests {
         }
         let t_ty = prog.type_of(t2);
         let mut stats = ModelStats::default();
-        let pairs = m.resolve(&prog, &Loc::off(r, 0), &Loc::off(s, 0), t_ty, &facts, &mut stats);
+        let (r0, s0) = (Loc::off(r, 0), Loc::off(s, 0));
+        let mut pairs = Vec::new();
+        m.resolve(&prog, &r0, &s0, t_ty, &facts, &mut stats, &mut pairs);
         // sizeof(struct T2) = 8: only offsets 0 and 4 transfer.
         assert_eq!(pairs.len(), 2);
         assert!(pairs.iter().all(|(_, sl)| Loc::off(s, 8) != *sl));
@@ -314,8 +332,9 @@ mod tests {
     fn spread_lists_leaf_offsets() {
         let (prog, m) = prog_and_model();
         let s = prog.object_by_name("s").unwrap();
-        let offs: Vec<u64> = m
-            .spread(&prog, &Loc::off(s, 0), None)
+        let mut spread = Vec::new();
+        m.spread(&prog, &Loc::off(s, 0), None, &mut spread);
+        let offs: Vec<u64> = spread
             .into_iter()
             .map(|l| match l.field {
                 FieldRep::Off(o) => o,

@@ -42,11 +42,20 @@
 //! (whose `resolve` reads the store) and `CopyAll` re-resolve each firing
 //! and keep their cursors keyed by `(stmt, dst, src)`.
 //!
+//! The hot path allocates little. The per-key lists of the graph (the
+//! subscribers of each object and the pair list of each statement, like
+//! the fact store's target and source lists) each live in one
+//! [`ListArena`], not one `Vec` per key. The model hooks append their
+//! results to buffers the engine owns and clears before each call, a delta
+//! is copied by position without a snapshot, and call binding reads the
+//! call's operands from the compiled statement by index.
+//!
 //! Indirect calls are resolved inside the same fixpoint: when the points-to
 //! set of a call's function pointer grows a function object, parameter and
 //! return bindings are synthesized as fresh `Copy` statements (monotone, so
 //! the fixpoint remains well-defined).
 
+use crate::arena::ListArena;
 use crate::budget::{Budget, SolveError, TIME_CHECK_INTERVAL};
 use crate::facts::FactStore;
 use crate::loc::{FieldRep, Loc, LocId};
@@ -140,7 +149,8 @@ enum CStmt {
     },
 }
 
-/// One copy edge of a [`PairList`] with its read position into `pts(src)`.
+/// One copy edge of a statement's pair list with its read position into
+/// `pts(src)`.
 #[derive(Clone, Copy)]
 struct Pair {
     dst: LocId,
@@ -148,14 +158,15 @@ struct Pair {
     cur: u32,
 }
 
-/// A Load, Store or Copy statement's resolved copy edges under a pure
-/// `resolve`.
+/// A Load, Store or Copy statement's resolve progress under a pure
+/// `resolve`. Its copy edges are the statement's list in
+/// [`Engine::pairs`], in target order then `resolve` order.
 ///
 /// A pair that two targets both produce appears twice, each copy with its
 /// own cursor. The second copy re-inserts only facts the first already
 /// inserted, so the facts, their order and the wakes equal those of one
 /// shared cursor.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct PairList {
     /// Targets of the dereferenced pointer resolved so far, in
     /// `pts(ptr)` order (a Copy counts its one operand pair as a target).
@@ -163,14 +174,14 @@ struct PairList {
     /// Summed `ModelStats` increments of those targets' `resolve` calls,
     /// added to the run's stats once per firing.
     stats: ModelStats,
-    /// The targets' pairs, in target order then `resolve` order.
-    pairs: Vec<Pair>,
 }
 
-/// One memoized `resolve` call: the pairs' field components and the
-/// call's stats increment.
+/// One memoized `resolve` call: where its pairs' field components lie in
+/// [`ResolveMemo::fields`], and the call's stats increment.
+#[derive(Clone, Copy)]
 struct Resolved {
-    fields: Vec<(FieldRep, FieldRep)>,
+    start: u32,
+    len: u32,
     stats: ModelStats,
 }
 
@@ -178,80 +189,16 @@ struct Resolved {
 /// `(type_of(dst.obj), dst.field, type_of(src.obj), src.field, τ)`.
 type ShapeKey = (TypeId, FieldRep, TypeId, FieldRep, TypeId);
 
-/// The `resolve` memo and the per-statement pair lists of a run whose
-/// instance has a pure `resolve`. Dropped with the engine.
+/// The `resolve` memo and the per-statement resolve progress of a run
+/// whose instance has a pure `resolve`. Dropped with the engine.
 #[derive(Default)]
 struct ResolveMemo {
     /// Type-level key → the one `resolve` call made for it.
     results: IdHashMap<ShapeKey, Resolved>,
-    /// Statement index → its pair list.
+    /// The field pairs of every memoized call, back to back.
+    fields: Vec<(FieldRep, FieldRep)>,
+    /// Statement index → its resolve progress.
     lists: Vec<PairList>,
-}
-
-impl ResolveMemo {
-    /// Appends the interned pairs of `resolve(dst, src, τ)` to `list`,
-    /// calling the model only on the first use of the type-level key, and
-    /// adds the call's stats increment to the list's sum either way.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_onto(
-        &mut self,
-        prog: &Program,
-        model: &dyn FieldModel,
-        facts: &mut FactStore,
-        dst: LocId,
-        src: LocId,
-        tau: TypeId,
-        list: &mut PairList,
-    ) {
-        let (dl, sl) = (*facts.loc(dst), *facts.loc(src));
-        let key = (
-            prog.type_of(dl.obj),
-            dl.field,
-            prog.type_of(sl.obj),
-            sl.field,
-            tau,
-        );
-        let r = self.results.entry(key).or_insert_with(|| {
-            let before = list.stats;
-            let pairs = model.resolve(prog, &dl, &sl, tau, facts, &mut list.stats);
-            let stats = list.stats - before;
-            list.stats = before;
-            let fields = pairs
-                .into_iter()
-                .map(|(d, s)| {
-                    assert!(
-                        d.obj == dl.obj && s.obj == sl.obj,
-                        "a pure resolve returned a pair outside its operands' objects"
-                    );
-                    (d.field, s.field)
-                })
-                .collect();
-            Resolved { fields, stats }
-        });
-        list.stats += r.stats;
-        for &(df, sf) in &r.fields {
-            list.pairs.push(Pair {
-                dst: facts.intern(Loc { field: df, ..dl }),
-                src: facts.intern(Loc { field: sf, ..sl }),
-                cur: 0,
-            });
-        }
-    }
-
-    fn take_list(&mut self, idx: u32) -> PairList {
-        self.lists
-            .get_mut(idx as usize)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    fn put_list(&mut self, idx: u32, list: PairList) {
-        let i = idx as usize;
-        if i >= self.lists.len() {
-            self.lists.resize_with(i + 1, PairList::default);
-        }
-        self.lists[i] = list;
-    }
 }
 
 /// The mutable engine state, split from the compiled statement list so
@@ -263,7 +210,7 @@ struct Engine<'p> {
     stats: ModelStats,
     /// Object (by dense id) → statements to re-fire when a fact rooted in
     /// it changes.
-    subs: Vec<Vec<u32>>,
+    subs: ListArena<u32>,
     /// Subscription dedup: `(stmt, obj)` pairs already registered.
     subbed: IdHashSet<(u32, u32)>,
     queued: Vec<bool>,
@@ -288,11 +235,19 @@ struct Engine<'p> {
     /// discovered at different times (e.g. overlapping Offsets ranges),
     /// each needing its own replay point.
     pair_cursors: IdHashMap<(u32, LocId, LocId), u32>,
-    /// The `resolve` memo and Rules 3/4/5 pair lists; `None` when the
-    /// instance's `resolve` is not pure (Offsets).
+    /// The `resolve` memo and Rules 3/4/5 resolve progress; `None` when
+    /// the instance's `resolve` is not pure (Offsets).
     memo: Option<ResolveMemo>,
-    /// Scratch for draining a delta while inserting facts.
-    delta_buf: Vec<LocId>,
+    /// Statement index → its pair list (pure `resolve` only).
+    pairs: ListArena<Pair>,
+    /// Reused result buffers of the model hooks (`lookup`, `spread`) and
+    /// (`resolve`, `resolve_all`); each call clears one, then reads it.
+    loc_buf: Vec<Loc>,
+    pair_buf: Vec<(Loc, Loc)>,
+    /// Reused buffers of call binding: callees newly found at an indirect
+    /// call, and a binding's `(param, arg)` copies.
+    callee_buf: Vec<FuncId>,
+    bind_buf: Vec<(ObjId, ObjId)>,
 }
 
 /// The solver state for one analysis run.
@@ -427,15 +382,9 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Re-fires every subscriber of `obj` (index loop: no subscriber-set
-    /// copy).
+    /// Re-fires every subscriber of `obj`.
     fn wake_obj(&mut self, obj: ObjId) {
-        let oi = obj.0 as usize;
-        if oi >= self.subs.len() {
-            return;
-        }
-        for k in 0..self.subs[oi].len() {
-            let s = self.subs[oi][k];
+        for &s in self.subs.get(obj.0 as usize) {
             if !self.queued[s as usize] {
                 self.queued[s as usize] = true;
                 self.worklist.push_back(s);
@@ -445,11 +394,7 @@ impl<'p> Engine<'p> {
 
     fn subscribe(&mut self, idx: u32, obj: ObjId) {
         if self.subbed.insert((idx, obj.0)) {
-            let oi = obj.0 as usize;
-            if oi >= self.subs.len() {
-                self.subs.resize_with(oi + 1, Vec::new);
-            }
-            self.subs[oi].push(idx);
+            self.subs.push(obj.0 as usize, idx);
         }
     }
 
@@ -476,16 +421,13 @@ impl<'p> Engine<'p> {
     }
 
     /// Copies `pts(src)[cur..total]` into `pts(dst)` and propagates the
-    /// corrupted-pointer flag alongside.
+    /// corrupted-pointer flag alongside. The delta is read by position, so
+    /// facts this copy adds (to `src` itself when `dst == src`) land past
+    /// `total` and are not re-read.
     fn copy_range(&mut self, dst: LocId, src: LocId, cur: usize, total: usize) {
-        if cur < total {
-            self.delta_buf.clear();
-            self.delta_buf
-                .extend_from_slice(self.facts.targets_from(src, cur));
-            for k in 0..self.delta_buf.len() {
-                let t = self.delta_buf[k];
-                self.add_fact_ids(dst, t);
-            }
+        for k in cur..total {
+            let t = self.facts.target_at(src, k);
+            self.add_fact_ids(dst, t);
         }
         // `ArithMode::Spread` never flags a location: skip the probe.
         if !self.unknown.is_empty() && self.unknown.contains(&src) {
@@ -507,67 +449,135 @@ impl<'p> Engine<'p> {
         self.copy_range(dst, src, cur, total);
     }
 
-    /// Copies each pair's delta and advances its inline cursor.
-    fn copy_pairs(&mut self, pairs: &mut [Pair]) {
-        for pair in pairs {
+    /// Copies the delta of each pair of statement `idx` from position
+    /// `from` on, and advances the pairs' cursors.
+    fn copy_pairs(&mut self, idx: u32, from: usize) {
+        let key = idx as usize;
+        for k in from..self.pairs.len_of(key) {
+            let pair = self.pairs.get(key)[k];
             let total = self.facts.targets_len(pair.src);
             self.copy_range(pair.dst, pair.src, pair.cur as usize, total);
-            pair.cur = total as u32;
+            self.pairs.get_mut(key)[k].cur = total as u32;
         }
     }
 
-    /// Statement `idx`'s pair list, taken out of the memo for the firing
-    /// (`None` when `resolve` is not pure).
-    fn take_list(&mut self, idx: u32) -> Option<PairList> {
-        self.memo.as_mut().map(|m| m.take_list(idx))
+    /// Statement `idx`'s resolve progress for the firing (`None` when
+    /// `resolve` is not pure).
+    fn pair_list(&self, idx: u32) -> Option<PairList> {
+        self.memo
+            .as_ref()
+            .map(|m| m.lists.get(idx as usize).copied().unwrap_or_default())
     }
 
-    /// Resolves `(dst, src)` through the memo, appends the pairs to `list`
-    /// and copies their deltas.
-    fn resolve_onto(&mut self, list: &mut PairList, dst: LocId, src: LocId, tau: TypeId) {
+    /// Resolves `(dst, src)` through the memo, calling the model only on
+    /// the first use of the type-level key, appends the interned pairs to
+    /// statement `idx`'s pair list, adds the call's stats increment to
+    /// `list`'s sum, and copies the new pairs' deltas.
+    fn resolve_onto(&mut self, idx: u32, list: &mut PairList, dst: LocId, src: LocId, tau: TypeId) {
         let memo = self
             .memo
             .as_mut()
             .expect("pair lists exist only with a memo");
-        let start = list.pairs.len();
-        memo.resolve_onto(
-            self.prog,
-            &*self.model,
-            &mut self.facts,
-            dst,
-            src,
+        let (dl, sl) = (*self.facts.loc(dst), *self.facts.loc(src));
+        let key = (
+            self.prog.type_of(dl.obj),
+            dl.field,
+            self.prog.type_of(sl.obj),
+            sl.field,
             tau,
-            list,
         );
-        self.copy_pairs(&mut list.pairs[start..]);
+        let r = match memo.results.get(&key) {
+            Some(&r) => r,
+            None => {
+                let mut stats = ModelStats::default();
+                self.pair_buf.clear();
+                self.model.resolve(
+                    self.prog,
+                    &dl,
+                    &sl,
+                    tau,
+                    &self.facts,
+                    &mut stats,
+                    &mut self.pair_buf,
+                );
+                let start = memo.fields.len();
+                memo.fields.extend(self.pair_buf.iter().map(|(d, s)| {
+                    assert!(
+                        d.obj == dl.obj && s.obj == sl.obj,
+                        "a pure resolve returned a pair outside its operands' objects"
+                    );
+                    (d.field, s.field)
+                }));
+                let r = Resolved {
+                    start: start as u32,
+                    len: (memo.fields.len() - start) as u32,
+                    stats,
+                };
+                memo.results.insert(key, r);
+                r
+            }
+        };
+        list.stats += r.stats;
+        let from = self.pairs.len_of(idx as usize);
+        for &(df, sf) in &memo.fields[r.start as usize..(r.start + r.len) as usize] {
+            let pair = Pair {
+                dst: self.facts.intern(Loc { field: df, ..dl }),
+                src: self.facts.intern(Loc { field: sf, ..sl }),
+                cur: 0,
+            };
+            self.pairs.push(idx as usize, pair);
+        }
+        self.copy_pairs(idx, from);
     }
 
     /// Ends a pair-list firing: adds the list's stats sum to the run's
-    /// counts and stores the list back.
+    /// counts and stores the progress back.
     fn finish_list(&mut self, idx: u32, list: PairList) {
         self.stats += list.stats;
-        let memo = self
+        let lists = &mut self
             .memo
             .as_mut()
-            .expect("pair lists exist only with a memo");
-        memo.put_list(idx, list);
+            .expect("pair lists exist only with a memo")
+            .lists;
+        let i = idx as usize;
+        if i >= lists.len() {
+            lists.resize(i + 1, PairList::default());
+        }
+        lists[i] = list;
     }
 
     /// `resolve(dst, src, τ)` against the store, copying each pair's delta
     /// under a `(stmt, dst, src)` cursor (impure instances).
     fn resolve_and_copy(&mut self, idx: u32, dst: LocId, src: LocId, tau: TypeId) {
-        let pairs = self.model.resolve(
+        self.pair_buf.clear();
+        self.model.resolve(
             self.prog,
             self.facts.loc(dst),
             self.facts.loc(src),
             tau,
             &self.facts,
             &mut self.stats,
+            &mut self.pair_buf,
         );
-        for (dl, sl) in pairs {
+        self.copy_pair_buf(idx);
+    }
+
+    /// Interns each pair of `pair_buf` and copies its delta under a
+    /// `(stmt, dst, src)` cursor.
+    fn copy_pair_buf(&mut self, idx: u32) {
+        for k in 0..self.pair_buf.len() {
+            let (dl, sl) = self.pair_buf[k];
             let di = self.facts.intern(dl);
             let si = self.facts.intern(sl);
             self.copy_pair(idx, di, si);
+        }
+    }
+
+    /// Interns each location of `loc_buf` as a new target of `d`.
+    fn add_loc_buf(&mut self, d: LocId) {
+        for k in 0..self.loc_buf.len() {
+            let li = self.facts.intern(self.loc_buf[k]);
+            self.add_fact_ids(d, li);
         }
     }
 
@@ -579,17 +589,16 @@ impl<'p> Engine<'p> {
         let (cur, total) = self.take_scan_window(idx, p);
         for k in cur..total {
             let tgt = self.facts.target_at(p, k);
-            let results = self.model.lookup(
+            self.loc_buf.clear();
+            self.model.lookup(
                 self.prog,
                 tau_p,
                 path,
                 self.facts.loc(tgt),
                 &mut self.stats,
+                &mut self.loc_buf,
             );
-            for r in results {
-                let rid = self.facts.intern(r);
-                self.add_fact_ids(d, rid);
-            }
+            self.add_loc_buf(d);
         }
     }
 
@@ -599,13 +608,13 @@ impl<'p> Engine<'p> {
     /// store, so its pair set can grow) but still copied as deltas.
     fn fire_copy(&mut self, idx: u32, d: LocId, s: LocId, tau: TypeId) {
         self.subscribe(idx, self.facts.obj_of(s));
-        let Some(mut list) = self.take_list(idx) else {
+        let Some(mut list) = self.pair_list(idx) else {
             self.resolve_and_copy(idx, d, s, tau);
             return;
         };
-        self.copy_pairs(&mut list.pairs);
+        self.copy_pairs(idx, 0);
         if list.resolved == 0 {
-            self.resolve_onto(&mut list, d, s, tau);
+            self.resolve_onto(idx, &mut list, d, s, tau);
             list.resolved = 1;
         }
         self.finish_list(idx, list);
@@ -617,7 +626,7 @@ impl<'p> Engine<'p> {
     fn fire_load(&mut self, idx: u32, d: LocId, p: LocId, tau: TypeId) {
         self.subscribe(idx, self.facts.obj_of(p));
         let total = self.facts.targets_len(p);
-        let Some(mut list) = self.take_list(idx) else {
+        let Some(mut list) = self.pair_list(idx) else {
             for k in 0..total {
                 let tgt = self.facts.target_at(p, k);
                 self.subscribe(idx, self.facts.obj_of(tgt));
@@ -625,11 +634,11 @@ impl<'p> Engine<'p> {
             }
             return;
         };
-        self.copy_pairs(&mut list.pairs);
+        self.copy_pairs(idx, 0);
         for k in list.resolved as usize..total {
             let tgt = self.facts.target_at(p, k);
             self.subscribe(idx, self.facts.obj_of(tgt));
-            self.resolve_onto(&mut list, d, tgt, tau);
+            self.resolve_onto(idx, &mut list, d, tgt, tau);
         }
         list.resolved = total as u32;
         self.finish_list(idx, list);
@@ -642,17 +651,17 @@ impl<'p> Engine<'p> {
         self.subscribe(idx, self.facts.obj_of(p));
         self.subscribe(idx, self.facts.obj_of(s));
         let total = self.facts.targets_len(p);
-        let Some(mut list) = self.take_list(idx) else {
+        let Some(mut list) = self.pair_list(idx) else {
             for k in 0..total {
                 let tgt = self.facts.target_at(p, k);
                 self.resolve_and_copy(idx, tgt, s, tau_p);
             }
             return;
         };
-        self.copy_pairs(&mut list.pairs);
+        self.copy_pairs(idx, 0);
         for k in list.resolved as usize..total {
             let tgt = self.facts.target_at(p, k);
-            self.resolve_onto(&mut list, tgt, s, tau_p);
+            self.resolve_onto(idx, &mut list, tgt, s, tau_p);
         }
         list.resolved = total as u32;
         self.finish_list(idx, list);
@@ -669,11 +678,10 @@ impl<'p> Engine<'p> {
                 let (cur, total) = self.take_scan_window(idx, s);
                 for k in cur..total {
                     let tgt = self.facts.target_at(s, k);
-                    let spread = self.model.spread(self.prog, self.facts.loc(tgt), pointee);
-                    for l in spread {
-                        let li = self.facts.intern(l);
-                        self.add_fact_ids(d, li);
-                    }
+                    self.loc_buf.clear();
+                    self.model
+                        .spread(self.prog, self.facts.loc(tgt), pointee, &mut self.loc_buf);
+                    self.add_loc_buf(d);
                 }
             }
             ArithMode::FlagUnknown => {
@@ -693,54 +701,55 @@ impl<'p> Engine<'p> {
             for j in 0..sn {
                 let st = self.facts.target_at(sp, j);
                 self.subscribe(idx, self.facts.obj_of(st));
-                let pairs = self.model.resolve_all(
+                self.pair_buf.clear();
+                self.model.resolve_all(
                     self.prog,
                     self.facts.loc(dt),
                     self.facts.loc(st),
                     &self.facts,
                     &mut self.stats,
+                    &mut self.pair_buf,
                 );
-                for (dl, sl) in pairs {
-                    let di = self.facts.intern(dl);
-                    let si = self.facts.intern(sl);
-                    self.copy_pair(idx, di, si);
-                }
+                self.copy_pair_buf(idx);
             }
         }
     }
 
-    /// The parameter/return copy `(dst, src)` pairs a call with `args`/`ret`
-    /// induces when it binds to `fid` (extra args spill into the varargs
-    /// slot; the return flows out of the callee's return slot).
-    fn call_bindings(&self, fid: FuncId, args: &[ObjId], ret: Option<ObjId>) -> Vec<(ObjId, ObjId)> {
-        let f = self.prog.function(fid);
-        let mut bindings: Vec<(ObjId, ObjId)> = Vec::new();
-        for (i, &arg) in args.iter().enumerate() {
-            if let Some(&param) = f.params.get(i) {
-                bindings.push((param, arg));
-            } else if let Some(va) = f.varargs {
-                bindings.push((va, arg));
-            }
-        }
-        if let (Some(r), Some(rs)) = (ret, f.ret_slot) {
-            bindings.push((r, rs));
-        }
-        bindings
-    }
-
-    /// Function objects newly appearing in the call's function-pointer
-    /// points-to set.
-    fn scan_new_callees(&mut self, idx: u32, p: LocId) -> Vec<FuncId> {
+    /// Sets `callee_buf` to the function objects newly appearing in the
+    /// call's function-pointer points-to set.
+    fn scan_new_callees(&mut self, idx: u32, p: LocId) {
         self.subscribe(idx, self.facts.obj_of(p));
         let (cur, total) = self.take_scan_window(idx, p);
-        let mut out = Vec::new();
+        self.callee_buf.clear();
         for k in cur..total {
             let tgt = self.facts.target_at(p, k);
             if let Some(fid) = self.prog.as_function(self.facts.obj_of(tgt)) {
-                out.push(fid);
+                self.callee_buf.push(fid);
             }
         }
-        out
+    }
+}
+
+/// Appends to `out` the parameter/return copy `(dst, src)` pairs a call
+/// with `args`/`ret` induces when it binds to `fid` (extra args spill into
+/// the varargs slot; the return flows out of the callee's return slot).
+fn call_bindings(
+    prog: &Program,
+    fid: FuncId,
+    args: &[ObjId],
+    ret: Option<ObjId>,
+    out: &mut Vec<(ObjId, ObjId)>,
+) {
+    let f = prog.function(fid);
+    for (i, &arg) in args.iter().enumerate() {
+        if let Some(&param) = f.params.get(i) {
+            out.push((param, arg));
+        } else if let Some(va) = f.varargs {
+            out.push((va, arg));
+        }
+    }
+    if let (Some(r), Some(rs)) = (ret, f.ret_slot) {
+        out.push((r, rs));
     }
 }
 
@@ -811,7 +820,7 @@ impl<'p> Solver<'p> {
             model,
             facts: seed.facts,
             stats: ModelStats::default(),
-            subs: vec![Vec::new(); prog.objects.len()],
+            subs: ListArena::with_capacity(prog.objects.len(), n),
             subbed: IdHashSet::default(),
             queued,
             worklist,
@@ -822,7 +831,11 @@ impl<'p> Solver<'p> {
             scan_cursors: vec![0; n],
             pair_cursors: IdHashMap::default(),
             memo,
-            delta_buf: Vec::new(),
+            pairs: ListArena::default(),
+            loc_buf: Vec::new(),
+            pair_buf: Vec::new(),
+            callee_buf: Vec::new(),
+            bind_buf: Vec::new(),
         };
         for l in seed.unknown {
             let id = en.facts.intern(l);
@@ -833,12 +846,11 @@ impl<'p> Solver<'p> {
         if dormant {
             solver.subscribe_dormant();
             for &(i, fid) in &seed.bound {
-                let (args, ret) = match solver.cstmts.get(i as usize) {
-                    Some(CStmt::CallDirect { args, ret, .. })
-                    | Some(CStmt::CallIndirect { args, ret, .. }) => (args.clone(), *ret),
-                    _ => continue,
-                };
-                solver.bind_call(i as usize, fid, &args, ret, false);
+                if let Some(CStmt::CallDirect { .. } | CStmt::CallIndirect { .. }) =
+                    solver.cstmts.get(i as usize)
+                {
+                    solver.bind_call(i as usize, fid, false);
+                }
             }
         }
         solver
@@ -939,8 +951,9 @@ impl<'p> Solver<'p> {
 
     /// Fires one compiled statement. The `CStmt` stays borrowed from
     /// `self.cstmts` while the engine mutates — disjoint fields, so no
-    /// clone is needed; only the call arms copy their (small) operand
-    /// lists because binding pushes new compiled statements.
+    /// clone is needed. The call arms release the borrow before binding,
+    /// which pushes new compiled statements; [`Solver::bind_call`] reads
+    /// the call's operands back by index.
     fn process(&mut self, idx: u32) {
         match &self.cstmts[idx as usize] {
             CStmt::AddrOf { d, t } => {
@@ -965,42 +978,42 @@ impl<'p> Solver<'p> {
             CStmt::CopyAll { dp, sp } => {
                 self.en.fire_copy_all(idx, *dp, *sp);
             }
-            CStmt::CallDirect { fid, args, ret } => {
-                let (fid, ret) = (*fid, *ret);
-                let args = args.clone();
-                self.bind_call(idx as usize, fid, &args, ret, true);
+            CStmt::CallDirect { fid, .. } => {
+                let fid = *fid;
+                self.bind_call(idx as usize, fid, true);
             }
-            CStmt::CallIndirect { p, args, ret } => {
-                let (p, ret) = (*p, *ret);
-                let args = args.clone();
-                let callees = self.en.scan_new_callees(idx, p);
-                for fid in callees {
-                    self.bind_call(idx as usize, fid, &args, ret, true);
+            CStmt::CallIndirect { p, .. } => {
+                let p = *p;
+                self.en.scan_new_callees(idx, p);
+                for k in 0..self.en.callee_buf.len() {
+                    let fid = self.en.callee_buf[k];
+                    self.bind_call(idx as usize, fid, true);
                 }
             }
         }
     }
 
-    /// Synthesizes parameter/return `Copy` bindings for a call site's newly
-    /// discovered callee (once per (site, callee) pair). With `enqueue`
-    /// off the bindings are left dormant, subscribed to their sources: the
-    /// seeded constructor pre-binds carried-over call edges this way, since
-    /// their binding facts already survived retraction — the copies only
-    /// need to exist (for `finish`'s call-edge report) and re-fire on
-    /// growth, not fire now.
-    fn bind_call(
-        &mut self,
-        idx: usize,
-        fid: FuncId,
-        args: &[ObjId],
-        ret: Option<ObjId>,
-        enqueue: bool,
-    ) {
+    /// Synthesizes parameter/return `Copy` bindings for call statement
+    /// `idx`'s newly discovered callee (once per (site, callee) pair). With
+    /// `enqueue` off the bindings are left dormant, subscribed to their
+    /// sources: the seeded constructor pre-binds carried-over call edges
+    /// this way, since their binding facts already survived retraction —
+    /// the copies only need to exist (for `finish`'s call-edge report) and
+    /// re-fire on growth, not fire now.
+    fn bind_call(&mut self, idx: usize, fid: FuncId, enqueue: bool) {
         if !self.en.bound_calls.insert((idx, fid)) {
             return;
         }
+        let (CStmt::CallDirect { args, ret, .. } | CStmt::CallIndirect { args, ret, .. }) =
+            &self.cstmts[idx]
+        else {
+            unreachable!("statement {idx} binds a callee but is not a call");
+        };
+        self.en.bind_buf.clear();
+        call_bindings(self.en.prog, fid, args, *ret, &mut self.en.bind_buf);
         let empty = FieldPath::empty();
-        for (dst, src) in self.en.call_bindings(fid, args, ret) {
+        for k in 0..self.en.bind_buf.len() {
+            let (dst, src) = self.en.bind_buf[k];
             let s = self.en.norm_id(src, &empty);
             let c = CStmt::Copy {
                 d: self.en.norm_id(dst, &empty),
@@ -1195,8 +1208,9 @@ mod tests {
             alpha: &FieldPath,
             target: &Loc,
             stats: &mut ModelStats,
-        ) -> Vec<Loc> {
-            self.inner.lookup(prog, tau, alpha, target, stats)
+            out: &mut Vec<Loc>,
+        ) {
+            self.inner.lookup(prog, tau, alpha, target, stats, out);
         }
 
         fn resolve(
@@ -1207,7 +1221,8 @@ mod tests {
             tau: TypeId,
             facts: &FactStore,
             stats: &mut ModelStats,
-        ) -> Vec<(Loc, Loc)> {
+            out: &mut Vec<(Loc, Loc)>,
+        ) {
             let key = (
                 prog.type_of(dst.obj),
                 dst.field,
@@ -1216,7 +1231,7 @@ mod tests {
                 tau,
             );
             *self.calls.lock().unwrap().entry(key).or_default() += 1;
-            self.inner.resolve(prog, dst, src, tau, facts, stats)
+            self.inner.resolve(prog, dst, src, tau, facts, stats, out);
         }
 
         fn resolve_is_pure(&self) -> bool {
@@ -1230,12 +1245,19 @@ mod tests {
             src: &Loc,
             facts: &FactStore,
             stats: &mut ModelStats,
-        ) -> Vec<(Loc, Loc)> {
-            self.inner.resolve_all(prog, dst, src, facts, stats)
+            out: &mut Vec<(Loc, Loc)>,
+        ) {
+            self.inner.resolve_all(prog, dst, src, facts, stats, out);
         }
 
-        fn spread(&self, prog: &Program, target: &Loc, pointee: Option<TypeId>) -> Vec<Loc> {
-            self.inner.spread(prog, target, pointee)
+        fn spread(
+            &self,
+            prog: &Program,
+            target: &Loc,
+            pointee: Option<TypeId>,
+            out: &mut Vec<Loc>,
+        ) {
+            self.inner.spread(prog, target, pointee, out);
         }
     }
 

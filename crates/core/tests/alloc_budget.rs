@@ -1,0 +1,140 @@
+//! Allocation budget: the fixpoint's hot path allocates little, and a
+//! sealed fact store keeps a fixed number of heap blocks.
+//!
+//! A counting global allocator (each integration test is its own binary,
+//! so it counts only this file's work) tallies, per thread, every call to
+//! `alloc`, `alloc_zeroed` and `realloc`, and the blocks currently live.
+//! Two checks:
+//!
+//! - One specialize+solve of a fixed medium progen program stays under a
+//!   pinned allocation ceiling per instance. The solve before each counted
+//!   one warms the program's shape and layout tables, which the program
+//!   keeps.
+//! - The heap blocks a sealed `FactStore` keeps live are the same for a
+//!   small and a medium program, so they do not grow with the number of
+//!   sources: every per-key list lives in one flat arena.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use structcast::{AnalysisConfig, AnalysisSession, ModelKind, Program};
+use structcast_progen::{generate, GenConfig};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note(allocs: u64, live: i64) {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when the counters are gone.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = LIVE.try_with(|c| c.set(c.get() + live));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold, and the caller's obligations (a non-zero
+// size, a pointer `System` returned with the same layout) pass through.
+// Counting touches only const-initialized thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(1, 1);
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(1, 1);
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -1);
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(1, 0);
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(|c| c.get())
+}
+
+fn live() -> i64 {
+    LIVE.with(|c| c.get())
+}
+
+fn program(cfg: &GenConfig) -> Program {
+    structcast::lower_source(&generate(cfg)).expect("generated code lowers")
+}
+
+/// Allocation ceiling per specialize+solve of `GenConfig::medium(1)` at
+/// cast ratio 0.5, per instance in `ModelKind::ALL` order. With one `Vec`
+/// per list and per hook result, the counts were 19,878, 27,291, 24,502
+/// and 53,064; each ceiling is under a quarter of those, about 25% above
+/// the counts of the arena layout (715, 2,637, 1,411 and 674).
+const CEILING: [u64; 4] = [900, 3_300, 1_800, 850];
+
+#[test]
+fn a_medium_solve_stays_under_its_allocation_ceiling() {
+    let prog = program(&GenConfig::medium(1).with_cast_ratio(0.5));
+    let session = AnalysisSession::compile(&prog);
+    for (kind, ceiling) in ModelKind::ALL.into_iter().zip(CEILING) {
+        let config = AnalysisConfig::new(kind);
+        drop(session.solve(&config));
+        let before = allocs();
+        let res = session.solve(&config);
+        let made = allocs() - before;
+        drop(res);
+        eprintln!("{kind}: {made} allocations per solve");
+        assert!(
+            made <= ceiling,
+            "{kind}: {made} allocations > ceiling {ceiling}"
+        );
+    }
+}
+
+/// Heap blocks a sealed store of `prog` keeps live, per instance, and the
+/// store's number of sources.
+fn sealed_blocks(prog: &Program) -> (Vec<i64>, usize) {
+    let session = AnalysisSession::compile(prog);
+    let mut sources = 0;
+    let blocks = ModelKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let config = AnalysisConfig::new(kind);
+            drop(session.solve(&config));
+            let before = live();
+            let facts = session.solve(&config).facts;
+            let held = live() - before;
+            sources = sources.max(facts.sources().count());
+            drop(facts);
+            held
+        })
+        .collect();
+    (blocks, sources)
+}
+
+#[test]
+fn a_sealed_store_keeps_a_fixed_number_of_blocks() {
+    let (small, small_sources) = sealed_blocks(&program(&GenConfig::small(1).with_cast_ratio(0.5)));
+    let (medium, medium_sources) =
+        sealed_blocks(&program(&GenConfig::medium(1).with_cast_ratio(0.5)));
+    eprintln!(
+        "live blocks: small {small:?} ({small_sources} sources), \
+         medium {medium:?} ({medium_sources} sources)"
+    );
+    assert!(medium_sources > 4 * small_sources);
+    assert_eq!(small, medium, "blocks grow with the number of sources");
+}

@@ -89,9 +89,9 @@ impl<'p> Reference<'p> {
                 let tau_p = self.pointee(ptr);
                 let d = self.norm_top(dst);
                 for tgt in self.facts.points_to_vec(&p) {
-                    let results = self
-                        .model
-                        .lookup(self.prog, tau_p, &path, &tgt, &mut self.stats);
+                    let mut results = Vec::new();
+                    self.model
+                        .lookup(self.prog, tau_p, &path, &tgt, &mut self.stats, &mut results);
                     for r in results {
                         self.facts.insert(d, r);
                     }
@@ -101,9 +101,16 @@ impl<'p> Reference<'p> {
                 let d = self.norm_top(dst);
                 let s = self.norm(src, &path);
                 let tau = self.prog.type_of(dst);
-                let pairs = self
-                    .model
-                    .resolve(self.prog, &d, &s, tau, &self.facts, &mut self.stats);
+                let mut pairs = Vec::new();
+                self.model.resolve(
+                    self.prog,
+                    &d,
+                    &s,
+                    tau,
+                    &self.facts,
+                    &mut self.stats,
+                    &mut pairs,
+                );
                 for (dl, sl) in pairs {
                     self.copy_facts(&dl, &sl);
                 }
@@ -113,9 +120,16 @@ impl<'p> Reference<'p> {
                 let d = self.norm_top(dst);
                 let tau = self.prog.type_of(dst);
                 for tgt in self.facts.points_to_vec(&p) {
-                    let pairs = self
-                        .model
-                        .resolve(self.prog, &d, &tgt, tau, &self.facts, &mut self.stats);
+                    let mut pairs = Vec::new();
+                    self.model.resolve(
+                        self.prog,
+                        &d,
+                        &tgt,
+                        tau,
+                        &self.facts,
+                        &mut self.stats,
+                        &mut pairs,
+                    );
                     for (dl, sl) in pairs {
                         self.copy_facts(&dl, &sl);
                     }
@@ -126,9 +140,16 @@ impl<'p> Reference<'p> {
                 let s = self.norm_top(src);
                 let tau_p = self.pointee(ptr);
                 for tgt in self.facts.points_to_vec(&p) {
-                    let pairs = self
-                        .model
-                        .resolve(self.prog, &tgt, &s, tau_p, &self.facts, &mut self.stats);
+                    let mut pairs = Vec::new();
+                    self.model.resolve(
+                        self.prog,
+                        &tgt,
+                        &s,
+                        tau_p,
+                        &self.facts,
+                        &mut self.stats,
+                        &mut pairs,
+                    );
                     for (dl, sl) in pairs {
                         self.copy_facts(&dl, &sl);
                     }
@@ -141,7 +162,9 @@ impl<'p> Reference<'p> {
                     ArithMode::Spread => {
                         let pointee = self.prog.pointee_of(src);
                         for tgt in self.facts.points_to_vec(&s) {
-                            for l in self.model.spread(self.prog, &tgt, pointee) {
+                            let mut spread = Vec::new();
+                            self.model.spread(self.prog, &tgt, pointee, &mut spread);
+                            for l in spread {
                                 self.facts.insert(d, l);
                             }
                         }
@@ -156,9 +179,15 @@ impl<'p> Reference<'p> {
                 let sp = self.norm_top(src_ptr);
                 for dt in self.facts.points_to_vec(&dp) {
                     for st in self.facts.points_to_vec(&sp) {
-                        let pairs = self
-                            .model
-                            .resolve_all(self.prog, &dt, &st, &self.facts, &mut self.stats);
+                        let mut pairs = Vec::new();
+                        self.model.resolve_all(
+                            self.prog,
+                            &dt,
+                            &st,
+                            &self.facts,
+                            &mut self.stats,
+                            &mut pairs,
+                        );
                         for (dl, sl) in pairs {
                             self.copy_facts(&dl, &sl);
                         }
