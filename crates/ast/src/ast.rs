@@ -3,8 +3,11 @@
 //! The AST is deliberately *syntactic*: types are represented as written
 //! ([`AstType`]), with typedefs unresolved and struct bodies attached where
 //! they appeared. Semantic types are built by the `structcast-ir` crate.
+//! Names and string literals are [`Sym`]s; their text is in the unit's
+//! [`Symbols`].
 
 use crate::span::Span;
+use crate::symbol::{Sym, Symbols};
 use std::fmt;
 
 /// A whole translation unit (one `.c` file after lexing/parsing).
@@ -12,6 +15,8 @@ use std::fmt;
 pub struct TranslationUnit {
     /// Top-level declarations and function definitions, in source order.
     pub decls: Vec<ExternalDecl>,
+    /// The text of every name and string literal the declarations hold.
+    pub symbols: Symbols,
 }
 
 /// A top-level item.
@@ -28,7 +33,7 @@ pub enum ExternalDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// The function's type; always [`AstType::Function`].
     pub ty: AstType,
     /// Storage class as written (`static`, `extern`, or none).
@@ -72,7 +77,7 @@ pub struct Declaration {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InitDeclarator {
     /// The declared identifier.
-    pub name: String,
+    pub name: Sym,
     /// Its complete type (base type transformed by the declarator).
     pub ty: AstType,
     /// Optional initializer.
@@ -126,7 +131,7 @@ impl AstType {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamDecl {
     /// Parameter name; `None` in prototypes like `int f(int, char *)`.
-    pub name: Option<String>,
+    pub name: Option<Sym>,
     /// Parameter type.
     pub ty: AstType,
     /// Span of the parameter.
@@ -173,7 +178,7 @@ pub enum TypeSpec {
     /// An enum type reference or definition.
     Enum(EnumSpec),
     /// A typedef name (resolved during lowering).
-    Typedef(String),
+    Typedef(Sym),
 }
 
 /// A struct or union specifier: `struct tag { ... }`, `struct tag`, or an
@@ -181,7 +186,7 @@ pub enum TypeSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordSpec {
     /// The tag, if named.
-    pub tag: Option<String>,
+    pub tag: Option<Sym>,
     /// Field declarations if a body was written; `None` for a bare reference.
     pub fields: Option<Vec<FieldDecl>>,
     /// Span of the specifier.
@@ -192,7 +197,7 @@ pub struct RecordSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldDecl {
     /// Field name. Anonymous bit-field padding gets `None`.
-    pub name: Option<String>,
+    pub name: Option<Sym>,
     /// Field type.
     pub ty: AstType,
     /// Bit-field width, if written. **Parsed but ignored by the analysis**
@@ -206,9 +211,9 @@ pub struct FieldDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnumSpec {
     /// The tag, if named.
-    pub tag: Option<String>,
+    pub tag: Option<Sym>,
     /// Enumerators (name, optional explicit value) if a body was written.
-    pub items: Option<Vec<(String, Option<Expr>)>>,
+    pub items: Option<Vec<(Sym, Option<Expr>)>>,
     /// Span of the specifier.
     pub span: Span,
 }
@@ -272,9 +277,9 @@ pub enum Stmt {
     /// `continue;`
     Continue,
     /// `goto label;`
-    Goto(String),
+    Goto(Sym),
     /// `label: stmt`
-    Labeled(String, Box<Stmt>),
+    Labeled(Sym, Box<Stmt>),
 }
 
 /// An item inside a block: a local declaration or a statement.
@@ -321,9 +326,9 @@ pub enum ExprKind {
     /// Character constant (numeric value).
     CharLit(i64),
     /// String literal.
-    StrLit(String),
+    StrLit(Sym),
     /// Identifier reference.
-    Ident(String),
+    Ident(Sym),
     /// Unary operator application.
     Unary(UnOp, Box<Expr>),
     /// Postfix `++` (true) or `--` (false).
@@ -334,18 +339,19 @@ pub enum ExprKind {
     Assign(AssignOp, Box<Expr>, Box<Expr>),
     /// Conditional `c ? t : e`.
     Cond(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// Cast `(T) e`.
-    Cast(AstType, Box<Expr>),
+    /// Cast `(T) e` (the type boxed: it is far larger than the other
+    /// variants, and every expression node is as large as its largest).
+    Cast(Box<AstType>, Box<Expr>),
     /// Function call.
     Call(Box<Expr>, Vec<Expr>),
     /// Array index `a[i]`.
     Index(Box<Expr>, Box<Expr>),
     /// Member access `e.f` (arrow = false) or `e->f` (arrow = true).
-    Member(Box<Expr>, String, bool),
+    Member(Box<Expr>, Sym, bool),
     /// `sizeof expr`
     SizeofExpr(Box<Expr>),
     /// `sizeof (T)`
-    SizeofType(AstType),
+    SizeofType(Box<AstType>),
     /// Comma expression `a, b`.
     Comma(Box<Expr>, Box<Expr>),
 }

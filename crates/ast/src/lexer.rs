@@ -8,9 +8,14 @@
 //!   callers are expected to provide needed declarations via a prelude.
 //! * Both `/* ... */` and `// ...` comments are supported.
 //! * Adjacent string literals are concatenated, as in C.
+//!
+//! Identifiers and string literals are interned into a [`Symbols`] table
+//! as they are read, so a token is `Copy` and names allocate once per
+//! distinct spelling.
 
 use crate::error::{ParseError, Result};
 use crate::span::Span;
+use crate::symbol::Symbols;
 use crate::token::{Token, TokenKind};
 
 /// Streaming lexer over a source string.
@@ -19,8 +24,9 @@ use crate::token::{Token, TokenKind};
 ///
 /// ```
 /// use structcast_ast::{Lexer, TokenKind};
-/// let toks = Lexer::new("int x = 0x1f;").tokenize()?;
+/// let (toks, syms) = Lexer::new("int x = 0x1f;").lex()?;
 /// assert_eq!(toks[0].kind, TokenKind::KwInt);
+/// assert_eq!(toks[1].kind, TokenKind::Ident(syms.get("x").unwrap()));
 /// assert_eq!(toks[3].kind, TokenKind::IntLit(31));
 /// # Ok::<(), structcast_ast::ParseError>(())
 /// ```
@@ -30,6 +36,9 @@ pub struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
+    symbols: Symbols,
+    /// Decoded text of the string literal being read.
+    buf: String,
 }
 
 impl<'a> Lexer<'a> {
@@ -40,35 +49,38 @@ impl<'a> Lexer<'a> {
             bytes: src.as_bytes(),
             pos: 0,
             line: 1,
+            symbols: Symbols::default(),
+            buf: String::new(),
         }
     }
 
     /// Lexes the entire input, returning the token stream terminated by
-    /// a single [`TokenKind::Eof`] token.
+    /// a single [`TokenKind::Eof`] token, and the table its names and
+    /// string literals index.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] on malformed literals, unterminated
     /// comments/strings, or bytes that are not part of any token.
-    pub fn tokenize(mut self) -> Result<Vec<Token>> {
+    pub fn lex(mut self) -> Result<(Vec<Token>, Symbols)> {
         let mut out = Vec::new();
         loop {
             let tok = self.next_token()?;
-            let is_eof = tok.kind == TokenKind::Eof;
-            // Concatenate adjacent string literals.
-            if let (Some(Token { kind: TokenKind::StrLit(prev), span }), TokenKind::StrLit(s)) =
-                (out.last_mut(), &tok.kind)
-            {
-                prev.push_str(s);
-                *span = span.merge(tok.span);
-            } else {
-                out.push(tok);
-            }
-            if is_eof {
-                break;
+            out.push(tok);
+            if tok.kind == TokenKind::Eof {
+                return Ok((out, self.symbols));
             }
         }
-        Ok(out)
+    }
+
+    /// Lexes the entire input like [`Lexer::lex`], for callers that need
+    /// the tokens but not the text of their names.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lexer::lex`].
+    pub fn tokenize(self) -> Result<Vec<Token>> {
+        self.lex().map(|(toks, _)| toks)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -357,7 +369,8 @@ impl<'a> Lexer<'a> {
         }
         let text = &self.src[start as usize..self.pos];
         let span = Span::new(start, self.pos as u32, line);
-        let kind = TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()));
+        let kind =
+            TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(self.symbols.intern(text)));
         Ok(Token::new(kind, span))
     }
 
@@ -490,9 +503,29 @@ impl<'a> Lexer<'a> {
         })
     }
 
+    /// Reads a string literal and every literal adjacent to it, as one
+    /// token spanning them all.
     fn lex_string(&mut self, start: u32, line: u32) -> Result<Token> {
+        self.buf.clear();
+        let (mut at, mut at_line) = (start, line);
+        loop {
+            self.lex_one_string(at, at_line)?;
+            let end = self.pos as u32;
+            self.skip_trivia()?;
+            if self.peek() != Some(b'"') {
+                let sym = self.symbols.intern(&self.buf);
+                return Ok(Token::new(
+                    TokenKind::StrLit(sym),
+                    Span::new(start, end, line),
+                ));
+            }
+            (at, at_line) = (self.pos as u32, self.line);
+        }
+    }
+
+    /// Appends the decoded text of the literal at the cursor to `buf`.
+    fn lex_one_string(&mut self, start: u32, line: u32) -> Result<()> {
         self.bump(); // opening quote
-        let mut s = String::new();
         loop {
             match self.bump() {
                 None | Some(b'\n') => {
@@ -501,18 +534,14 @@ impl<'a> Lexer<'a> {
                         Span::new(start, self.pos as u32, line),
                     ))
                 }
-                Some(b'"') => break,
+                Some(b'"') => return Ok(()),
                 Some(b'\\') => {
                     let v = self.lex_escape(line)?;
-                    s.push((v as u8) as char);
+                    self.buf.push((v as u8) as char);
                 }
-                Some(b) => s.push(b as char),
+                Some(b) => self.buf.push(b as char),
             }
         }
-        Ok(Token::new(
-            TokenKind::StrLit(s),
-            Span::new(start, self.pos as u32, line),
-        ))
     }
 
     fn lex_char(&mut self, start: u32, line: u32) -> Result<Token> {
@@ -545,20 +574,34 @@ mod tests {
     use super::*;
     use TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
+    /// A token kind with its name or literal text resolved.
+    #[derive(Debug, PartialEq)]
+    enum K {
+        T(TokenKind),
+        Id(String),
+        Str(String),
+    }
+
+    fn kinds(src: &str) -> Vec<K> {
+        let (toks, syms) = Lexer::new(src).lex().unwrap();
+        toks.into_iter()
+            .map(|t| match t.kind {
+                Ident(s) => K::Id(syms.text(s).to_string()),
+                StrLit(s) => K::Str(syms.text(s).to_string()),
+                k => K::T(k),
+            })
             .collect()
+    }
+
+    fn id(s: &str) -> K {
+        K::Id(s.into())
     }
 
     #[test]
     fn basic_declaration() {
         assert_eq!(
             kinds("int *p;"),
-            vec![KwInt, Star, Ident("p".into()), Semi, Eof]
+            vec![K::T(KwInt), K::T(Star), id("p"), K::T(Semi), K::T(Eof)]
         );
     }
 
@@ -567,35 +610,38 @@ mod tests {
         assert_eq!(
             kinds("a->b ... <<= >>= == != <= >= && || ++ --"),
             vec![
-                Ident("a".into()),
-                Arrow,
-                Ident("b".into()),
-                Ellipsis,
-                ShlAssign,
-                ShrAssign,
-                EqEq,
-                Ne,
-                Le,
-                Ge,
-                AmpAmp,
-                PipePipe,
-                PlusPlus,
-                MinusMinus,
-                Eof
+                id("a"),
+                K::T(Arrow),
+                id("b"),
+                K::T(Ellipsis),
+                K::T(ShlAssign),
+                K::T(ShrAssign),
+                K::T(EqEq),
+                K::T(Ne),
+                K::T(Le),
+                K::T(Ge),
+                K::T(AmpAmp),
+                K::T(PipePipe),
+                K::T(PlusPlus),
+                K::T(MinusMinus),
+                K::T(Eof),
             ]
         );
     }
 
     #[test]
     fn integer_bases_and_suffixes() {
-        assert_eq!(kinds("0x1F 017 42 42UL 0"), vec![
-            IntLit(31),
-            IntLit(15),
-            IntLit(42),
-            IntLit(42),
-            IntLit(0),
-            Eof
-        ]);
+        assert_eq!(
+            kinds("0x1F 017 42 42UL 0"),
+            vec![
+                K::T(IntLit(31)),
+                K::T(IntLit(15)),
+                K::T(IntLit(42)),
+                K::T(IntLit(42)),
+                K::T(IntLit(0)),
+                K::T(Eof),
+            ]
+        );
     }
 
     #[test]
@@ -603,12 +649,12 @@ mod tests {
         assert_eq!(
             kinds("1.5 2. .5 1e3 1.5e-2f"),
             vec![
-                FloatLit(1.5),
-                FloatLit(2.0),
-                FloatLit(0.5),
-                FloatLit(1000.0),
-                FloatLit(0.015),
-                Eof
+                K::T(FloatLit(1.5)),
+                K::T(FloatLit(2.0)),
+                K::T(FloatLit(0.5)),
+                K::T(FloatLit(1000.0)),
+                K::T(FloatLit(0.015)),
+                K::T(Eof),
             ]
         );
     }
@@ -618,14 +664,14 @@ mod tests {
         assert_eq!(
             kinds("s.f a...b 1.5"),
             vec![
-                Ident("s".into()),
-                Dot,
-                Ident("f".into()),
-                Ident("a".into()),
-                Ellipsis,
-                Ident("b".into()),
-                FloatLit(1.5),
-                Eof
+                id("s"),
+                K::T(Dot),
+                id("f"),
+                id("a"),
+                K::T(Ellipsis),
+                id("b"),
+                K::T(FloatLit(1.5)),
+                K::T(Eof),
             ]
         );
     }
@@ -633,7 +679,10 @@ mod tests {
     #[test]
     fn comments_and_preprocessor_lines() {
         let src = "#include <stdio.h>\n// line comment\nint /* block\ncomment */ x;\n#define FOO 1\n";
-        assert_eq!(kinds(src), vec![KwInt, Ident("x".into()), Semi, Eof]);
+        assert_eq!(
+            kinds(src),
+            vec![K::T(KwInt), id("x"), K::T(Semi), K::T(Eof)]
+        );
     }
 
     #[test]
@@ -641,19 +690,34 @@ mod tests {
         assert_eq!(
             kinds(r#""hi\n" 'a' '\n' '\0' '\x41'"#),
             vec![
-                StrLit("hi\n".into()),
-                CharLit(97),
-                CharLit(10),
-                CharLit(0),
-                CharLit(65),
-                Eof
+                K::Str("hi\n".into()),
+                K::T(CharLit(97)),
+                K::T(CharLit(10)),
+                K::T(CharLit(0)),
+                K::T(CharLit(65)),
+                K::T(Eof),
             ]
         );
     }
 
     #[test]
     fn adjacent_strings_concatenate() {
-        assert_eq!(kinds(r#""foo" "bar""#), vec![StrLit("foobar".into()), Eof]);
+        assert_eq!(
+            kinds(r#""foo" "bar""#),
+            vec![K::Str("foobar".into()), K::T(Eof)]
+        );
+        let (toks, _) = Lexer::new("x = \"a\" /* c */\n \"b\";").lex().unwrap();
+        assert_eq!(toks[2].span, Span::new(4, 20, 1));
+        assert!(Lexer::new("\"a\"\n\"b").tokenize().is_err());
+    }
+
+    #[test]
+    fn names_intern_once_per_spelling() {
+        let (toks, syms) = Lexer::new("p = q; q = \"p\";").lex().unwrap();
+        assert_eq!(syms.len(), 2);
+        assert_eq!(toks[0].kind, Ident(syms.get("p").unwrap()));
+        assert_eq!(toks[2].kind, toks[4].kind);
+        assert_eq!(toks[6].kind, StrLit(syms.get("p").unwrap()));
     }
 
     #[test]
@@ -690,12 +754,15 @@ mod tests {
     #[test]
     fn preprocessor_continuation_lines() {
         let src = "#define M(a) \\\n  (a + 1)\nint y;";
-        assert_eq!(kinds(src), vec![KwInt, Ident("y".into()), Semi, Eof]);
+        assert_eq!(
+            kinds(src),
+            vec![K::T(KwInt), id("y"), K::T(Semi), K::T(Eof)]
+        );
     }
 
     #[test]
     fn keywords_are_not_identifiers() {
-        assert_eq!(kinds("sizeof"), vec![KwSizeof, Eof]);
-        assert_eq!(kinds("sizeofx"), vec![Ident("sizeofx".into()), Eof]);
+        assert_eq!(kinds("sizeof"), vec![K::T(KwSizeof), K::T(Eof)]);
+        assert_eq!(kinds("sizeofx"), vec![id("sizeofx"), K::T(Eof)]);
     }
 }

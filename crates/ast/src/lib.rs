@@ -12,6 +12,12 @@
 //! expected to be self-contained or paired with a prelude of extern
 //! declarations; see `structcast-ir`).
 //!
+//! Names are interned: the lexer stores each distinct identifier and
+//! string literal once in the unit's [`Symbols`], and tokens and AST nodes
+//! carry a [`Sym`] index into it (so a [`Token`] is `Copy`). Read a name's
+//! text with `tu.symbols.text(sym)`; index per-name tables by symbol, as
+//! [`Scopes`] does for block-scoped namespaces.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -27,7 +33,8 @@
 //!     }
 //! "#)?;
 //! assert_eq!(tu.decls.len(), 3);
-//! assert!(matches!(tu.decls[2], ExternalDecl::Function(_)));
+//! let ExternalDecl::Function(f) = &tu.decls[2] else { unreachable!() };
+//! assert_eq!(tu.symbols.text(f.name), "main");
 //! # Ok::<(), structcast_ast::ParseError>(())
 //! ```
 
@@ -40,7 +47,9 @@ mod lexer;
 mod parser;
 mod preprocess;
 mod pretty;
+mod scope;
 mod span;
+mod symbol;
 mod token;
 
 pub use ast::{
@@ -53,5 +62,7 @@ pub use lexer::Lexer;
 pub use parser::{parse, Parser, MAX_NESTING};
 pub use preprocess::{preprocess, IncludeResolver};
 pub use pretty::{print_expr, print_translation_unit, print_type};
+pub use scope::Scopes;
 pub use span::Span;
+pub use symbol::{Sym, Symbols};
 pub use token::{Token, TokenKind};

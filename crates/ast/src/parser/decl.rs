@@ -4,18 +4,19 @@ use super::Parser;
 use crate::ast::*;
 use crate::error::Result;
 use crate::span::Span;
+use crate::symbol::Sym;
 use crate::token::TokenKind;
 
 /// Intermediate declarator tree; `Name` is innermost.
 #[derive(Debug)]
 enum Decltor {
-    Name(Option<String>, Span),
+    Name(Option<Sym>, Span),
     Pointer(Box<Decltor>),
     Array(Box<Decltor>, Option<Expr>),
     Func(Box<Decltor>, Vec<ParamDecl>, bool),
 }
 
-fn apply(d: Decltor, base: AstType) -> (Option<String>, AstType, Span) {
+fn apply(d: Decltor, base: AstType) -> (Option<Sym>, AstType, Span) {
     match d {
         Decltor::Name(n, sp) => (n, base, sp),
         Decltor::Pointer(inner) => apply(*inner, AstType::Pointer(Box::new(base))),
@@ -94,7 +95,7 @@ impl Parser {
         let mut storage = Storage::None;
         let mut b = SpecBuilder::default();
         loop {
-            let k = self.peek().clone();
+            let k = self.peek();
             match k {
                 TokenKind::KwTypedef => {
                     storage = Storage::Typedef;
@@ -184,7 +185,7 @@ impl Parser {
                     let spec = self.parse_enum_spec()?;
                     return Ok((storage, AstType::Base(TypeSpec::Enum(spec))));
                 }
-                TokenKind::Ident(name) if !b.saw_any && self.is_typedef_name(&name) => {
+                TokenKind::Ident(name) if !b.saw_any && self.is_typedef_name(name) => {
                     self.advance();
                     // Qualifiers may trail the typedef name.
                     while matches!(
@@ -205,19 +206,19 @@ impl Parser {
     fn parse_record_spec(&mut self) -> Result<RecordSpec> {
         let start = self.peek_span();
         self.advance(); // struct / union
-        let tag = match self.peek().clone() {
+        let tag = match self.peek() {
             TokenKind::Ident(n) => {
                 self.advance();
                 Some(n)
             }
             _ => None,
         };
-        let fields = if self.eat(&TokenKind::LBrace) {
+        let fields = if self.eat(TokenKind::LBrace) {
             let mut fields = Vec::new();
-            while !self.check(&TokenKind::RBrace) {
+            while !self.check(TokenKind::RBrace) {
                 self.nested(|p| p.parse_field_group(&mut fields))?;
             }
-            self.expect(&TokenKind::RBrace)?;
+            self.expect(TokenKind::RBrace)?;
             Some(fields)
         } else {
             if tag.is_none() {
@@ -235,7 +236,7 @@ impl Parser {
     fn parse_field_group(&mut self, out: &mut Vec<FieldDecl>) -> Result<()> {
         let (_storage, base) = self.parse_decl_specifiers()?;
         // Anonymous struct/union member without declarator: `struct {...};`
-        if self.check(&TokenKind::Semi) {
+        if self.check(TokenKind::Semi) {
             self.advance();
             out.push(FieldDecl {
                 name: None,
@@ -246,7 +247,7 @@ impl Parser {
             return Ok(());
         }
         loop {
-            if self.check(&TokenKind::Colon) {
+            if self.check(TokenKind::Colon) {
                 // Unnamed bit-field.
                 self.advance();
                 let w = self.parse_conditional_expr()?;
@@ -258,7 +259,7 @@ impl Parser {
                 });
             } else {
                 let (name, ty, span) = self.parse_named_declarator(base.clone())?;
-                let bit_width = if self.eat(&TokenKind::Colon) {
+                let bit_width = if self.eat(TokenKind::Colon) {
                     Some(self.parse_conditional_expr()?)
                 } else {
                     None
@@ -270,41 +271,41 @@ impl Parser {
                     span,
                 });
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(())
     }
 
     fn parse_enum_spec(&mut self) -> Result<EnumSpec> {
         let start = self.peek_span();
         self.advance(); // enum
-        let tag = match self.peek().clone() {
+        let tag = match self.peek() {
             TokenKind::Ident(n) => {
                 self.advance();
                 Some(n)
             }
             _ => None,
         };
-        let items = if self.eat(&TokenKind::LBrace) {
+        let items = if self.eat(TokenKind::LBrace) {
             let mut items = Vec::new();
-            while !self.check(&TokenKind::RBrace) {
+            while !self.check(TokenKind::RBrace) {
                 let (name, _) = self.expect_ident()?;
-                let val = if self.eat(&TokenKind::Assign) {
+                let val = if self.eat(TokenKind::Assign) {
                     Some(self.parse_conditional_expr()?)
                 } else {
                     None
                 };
                 // Enumerators are ordinary (non-typedef) names.
-                self.declare_name(&name, false);
+                self.declare_name(name, false);
                 items.push((name, val));
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::RBrace)?;
+            self.expect(TokenKind::RBrace)?;
             Some(items)
         } else {
             if tag.is_none() {
@@ -321,10 +322,7 @@ impl Parser {
 
     /// Parses a declarator that must have a name; returns
     /// `(name, full type, name span)`.
-    pub(crate) fn parse_named_declarator(
-        &mut self,
-        base: AstType,
-    ) -> Result<(String, AstType, Span)> {
+    pub(crate) fn parse_named_declarator(&mut self, base: AstType) -> Result<(Sym, AstType, Span)> {
         let d = self.parse_declarator(false)?;
         let (name, ty, span) = apply(d, base);
         match name {
@@ -334,14 +332,14 @@ impl Parser {
     }
 
     /// Parses a possibly-abstract declarator (name optional).
-    fn parse_abstract_declarator(&mut self, base: AstType) -> Result<(Option<String>, AstType, Span)> {
+    fn parse_abstract_declarator(&mut self, base: AstType) -> Result<(Option<Sym>, AstType, Span)> {
         let d = self.parse_declarator(true)?;
         Ok(apply(d, base))
     }
 
     fn parse_declarator(&mut self, allow_abstract: bool) -> Result<Decltor> {
         // Pointer prefix (with ignored qualifiers).
-        if self.eat(&TokenKind::Star) {
+        if self.eat(TokenKind::Star) {
             while matches!(self.peek(), TokenKind::KwConst | TokenKind::KwVolatile) {
                 self.advance();
             }
@@ -356,7 +354,7 @@ impl Parser {
     }
 
     fn parse_declarator_suffixes(&mut self, allow_abstract: bool) -> Result<Decltor> {
-        let mut d = match self.peek().clone() {
+        let mut d = match self.peek() {
             TokenKind::Ident(name) => {
                 let sp = self.peek_span();
                 self.advance();
@@ -365,23 +363,28 @@ impl Parser {
             TokenKind::LParen if self.paren_is_grouping(allow_abstract) => {
                 self.advance();
                 let inner = self.nested(|p| p.parse_declarator(allow_abstract))?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 inner
             }
             _ if allow_abstract => Decltor::Name(None, self.peek_span()),
-            other => return Err(self.error(format!("expected declarator, found {}", other.describe()))),
+            other => {
+                return Err(self.error(format!(
+                    "expected declarator, found {}",
+                    self.describe(other)
+                )))
+            }
         };
         // Suffixes.
         loop {
-            if self.eat(&TokenKind::LBracket) {
-                let size = if self.check(&TokenKind::RBracket) {
+            if self.eat(TokenKind::LBracket) {
+                let size = if self.check(TokenKind::RBracket) {
                     None
                 } else {
                     Some(self.nested(Self::parse_conditional_expr)?)
                 };
-                self.expect(&TokenKind::RBracket)?;
+                self.expect(TokenKind::RBracket)?;
                 d = Decltor::Array(Box::new(d), size);
-            } else if self.check(&TokenKind::LParen) {
+            } else if self.check(TokenKind::LParen) {
                 self.advance();
                 let (params, variadic) = self.nested(Self::parse_param_list)?;
                 d = Decltor::Func(Box::new(d), params, variadic);
@@ -411,18 +414,18 @@ impl Parser {
     fn parse_param_list(&mut self) -> Result<(Vec<ParamDecl>, bool)> {
         let mut params = Vec::new();
         let mut variadic = false;
-        if self.eat(&TokenKind::RParen) {
+        if self.eat(TokenKind::RParen) {
             // `()` — unspecified parameters; treat as an empty list.
             return Ok((params, false));
         }
         // `(void)`
-        if self.check(&TokenKind::KwVoid) && self.peek_nth(1) == &TokenKind::RParen {
+        if self.check(TokenKind::KwVoid) && self.peek_nth(1) == TokenKind::RParen {
             self.advance();
             self.advance();
             return Ok((params, false));
         }
         loop {
-            if self.eat(&TokenKind::Ellipsis) {
+            if self.eat(TokenKind::Ellipsis) {
                 variadic = true;
                 break;
             }
@@ -436,11 +439,11 @@ impl Parser {
                 ty,
                 span: start.merge(span),
             });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         Ok((params, variadic))
     }
 
@@ -497,13 +500,16 @@ mod tests {
 
     #[test]
     fn struct_with_fields() {
-        let ty = first_ty("struct S { int *s1; char s2; } s;");
-        match ty {
+        let tu = parse("struct S { int *s1; char s2; } s;").unwrap();
+        let ExternalDecl::Declaration(d) = &tu.decls[0] else {
+            panic!("expected declaration")
+        };
+        match d.items[0].ty.clone() {
             AstType::Base(TypeSpec::Struct(rs)) => {
-                assert_eq!(rs.tag.as_deref(), Some("S"));
+                assert_eq!(rs.tag, tu.symbols.get("S"));
                 let fields = rs.fields.unwrap();
                 assert_eq!(fields.len(), 2);
-                assert_eq!(fields[0].name.as_deref(), Some("s1"));
+                assert_eq!(fields[0].name, tu.symbols.get("s1"));
                 assert!(matches!(fields[0].ty, AstType::Pointer(_)));
             }
             other => panic!("expected struct, got {other:?}"),
@@ -521,12 +527,15 @@ mod tests {
     fn union_and_enum() {
         let ty = first_ty("union U { int i; float f; } u;");
         assert!(matches!(ty, AstType::Base(TypeSpec::Union(_))));
-        let ty = first_ty("enum E { A, B = 5, C } e;");
-        match ty {
+        let tu = parse("enum E { A, B = 5, C } e;").unwrap();
+        let ExternalDecl::Declaration(d) = &tu.decls[0] else {
+            panic!("expected declaration")
+        };
+        match d.items[0].ty.clone() {
             AstType::Base(TypeSpec::Enum(es)) => {
                 let items = es.items.unwrap();
                 assert_eq!(items.len(), 3);
-                assert_eq!(items[1].0, "B");
+                assert_eq!(tu.symbols.text(items[1].0), "B");
                 assert!(items[1].1.is_some());
             }
             other => panic!("expected enum, got {other:?}"),

@@ -6,7 +6,7 @@ use crate::error::Result;
 use crate::token::TokenKind;
 
 /// Binding powers for binary operators, higher binds tighter.
-fn binop_for(tok: &TokenKind) -> Option<(BinOp, u8)> {
+fn binop_for(tok: TokenKind) -> Option<(BinOp, u8)> {
     use BinOp::*;
     use TokenKind as T;
     Some(match tok {
@@ -32,7 +32,7 @@ fn binop_for(tok: &TokenKind) -> Option<(BinOp, u8)> {
     })
 }
 
-fn assign_op_for(tok: &TokenKind) -> Option<AssignOp> {
+fn assign_op_for(tok: TokenKind) -> Option<AssignOp> {
     use AssignOp::*;
     use TokenKind as T;
     Some(match tok {
@@ -56,7 +56,7 @@ impl Parser {
     pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
         self.left_deep(|p| {
             let mut e = p.parse_assignment_expr()?;
-            while p.check(&TokenKind::Comma) {
+            while p.check(TokenKind::Comma) {
                 p.advance();
                 let rhs = p.parse_assignment_expr()?;
                 p.grow()?;
@@ -85,9 +85,9 @@ impl Parser {
     /// Parses a conditional-expression (`?:` and below).
     pub(crate) fn parse_conditional_expr(&mut self) -> Result<Expr> {
         let cond = self.parse_binary_expr(0)?;
-        if self.eat(&TokenKind::Question) {
+        if self.eat(TokenKind::Question) {
             let then = self.nested(Self::parse_expr)?;
-            self.expect(&TokenKind::Colon)?;
+            self.expect(TokenKind::Colon)?;
             let els = self.nested(Self::parse_conditional_expr)?;
             let span = cond.span.merge(els.span);
             return Ok(Expr::new(
@@ -118,7 +118,7 @@ impl Parser {
     /// True if `(` at the current position begins a cast, i.e. the token
     /// after it starts a type-name.
     fn lparen_starts_cast(&self) -> bool {
-        if !self.check(&TokenKind::LParen) {
+        if !self.check(TokenKind::LParen) {
             return false;
         }
         match self.peek_nth(1) {
@@ -134,10 +134,13 @@ impl Parser {
             self.advance(); // (
             return self.nested(|p| {
                 let ty = p.parse_type_name()?;
-                p.expect(&TokenKind::RParen)?;
+                p.expect(TokenKind::RParen)?;
                 let inner = p.parse_cast_expr()?;
                 let span = start.merge(inner.span);
-                Ok(Expr::new(ExprKind::Cast(ty, Box::new(inner)), span))
+                Ok(Expr::new(
+                    ExprKind::Cast(Box::new(ty), Box::new(inner)),
+                    span,
+                ))
             });
         }
         self.parse_unary_expr()
@@ -145,10 +148,10 @@ impl Parser {
 
     fn parse_unary_expr(&mut self) -> Result<Expr> {
         let start = self.peek_span();
-        let un = |k: &TokenKind| -> Option<UnOp> {
+        let un = |k: TokenKind| -> Option<UnOp> {
             use TokenKind as T;
             use UnOp::*;
-            Some(match *k {
+            Some(match k {
                 T::Minus => Neg,
                 T::Plus => Plus,
                 T::Bang => Not,
@@ -164,7 +167,7 @@ impl Parser {
             let span = start.merge(inner.span);
             return Ok(Expr::new(ExprKind::Unary(op, Box::new(inner)), span));
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::PlusPlus => {
                 self.advance();
                 let inner = self.nested(Self::parse_unary_expr)?;
@@ -189,9 +192,9 @@ impl Parser {
                     if p.lparen_starts_cast() {
                         p.advance(); // (
                         let ty = p.parse_type_name()?;
-                        p.expect(&TokenKind::RParen)?;
+                        p.expect(TokenKind::RParen)?;
                         Ok(Expr::new(
-                            ExprKind::SizeofType(ty),
+                            ExprKind::SizeofType(Box::new(ty)),
                             start.merge(p.prev_span()),
                         ))
                     } else {
@@ -212,29 +215,29 @@ impl Parser {
     fn parse_postfix_chain(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::LParen => {
                     self.advance();
                     let args = self.nested(|p| {
                         let mut args = Vec::new();
-                        if !p.check(&TokenKind::RParen) {
+                        if !p.check(TokenKind::RParen) {
                             loop {
                                 args.push(p.parse_assignment_expr()?);
-                                if !p.eat(&TokenKind::Comma) {
+                                if !p.eat(TokenKind::Comma) {
                                     break;
                                 }
                             }
                         }
                         Ok(args)
                     })?;
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     let span = e.span.merge(self.prev_span());
                     e = Expr::new(ExprKind::Call(Box::new(e), args), span);
                 }
                 TokenKind::LBracket => {
                     self.advance();
                     let idx = self.nested(Self::parse_expr)?;
-                    self.expect(&TokenKind::RBracket)?;
+                    self.expect(TokenKind::RBracket)?;
                     let span = e.span.merge(self.prev_span());
                     e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), span);
                 }
@@ -269,7 +272,7 @@ impl Parser {
 
     fn parse_primary_expr(&mut self) -> Result<Expr> {
         let span = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::IntLit(v) => {
                 self.advance();
                 Ok(Expr::new(ExprKind::IntLit(v), span))
@@ -293,10 +296,13 @@ impl Parser {
             TokenKind::LParen => {
                 self.advance();
                 let e = self.nested(Self::parse_expr)?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            other => Err(self.error(format!("expected expression, found {}", other.describe()))),
+            other => Err(self.error(format!(
+                "expected expression, found {}",
+                self.describe(other)
+            ))),
         }
     }
 }
@@ -309,6 +315,11 @@ mod tests {
     /// Parses `src` as the body of a function and returns the first
     /// expression statement.
     fn expr(src: &str) -> Expr {
+        expr_in(src).0
+    }
+
+    /// [`expr`] and the table its names index.
+    fn expr_in(src: &str) -> (Expr, crate::Symbols) {
         let tu = parse(&format!(
             "typedef int T; struct S {{ int f; struct S *next; }}; \
              int x, y, *p; struct S s, *sp; int a[10]; int g(int); \
@@ -317,11 +328,11 @@ mod tests {
         .unwrap();
         for d in &tu.decls {
             if let ExternalDecl::Function(f) = d {
-                if f.name == "test" {
+                if tu.symbols.text(f.name) == "test" {
                     if let Stmt::Block(items) = &f.body {
                         for it in items {
                             if let BlockItem::Stmt(Stmt::Expr(Some(e))) = it {
-                                return e.clone();
+                                return (e.clone(), tu.symbols.clone());
                             }
                         }
                     }
@@ -391,11 +402,11 @@ mod tests {
 
     #[test]
     fn member_chains() {
-        let e = expr("x = sp->next->f");
+        let (e, syms) = expr_in("x = sp->next->f");
         match e.kind {
             ExprKind::Assign(_, _, rhs) => match rhs.kind {
                 ExprKind::Member(obj, f, arrow) => {
-                    assert_eq!(f, "f");
+                    assert_eq!(syms.text(f), "f");
                     assert!(arrow);
                     assert!(matches!(obj.kind, ExprKind::Member(_, _, true)));
                 }

@@ -1,9 +1,10 @@
 //! Recursive-descent parser for the supported C subset.
 //!
-//! The parser keeps a scope stack of names so that typedef names can be
-//! distinguished from ordinary identifiers (the classic "lexer hack", done
-//! in the parser). Declarations are parsed with the standard inside-out
-//! declarator algorithm, so `int (*f[3])(void)` and friends work.
+//! The parser keeps a scope table of names, indexed by symbol, so that
+//! typedef names can be distinguished from ordinary identifiers (the
+//! classic "lexer hack", done in the parser). Declarations are parsed with
+//! the standard inside-out declarator algorithm, so `int (*f[3])(void)` and
+//! friends work.
 
 mod decl;
 mod expr;
@@ -12,9 +13,10 @@ mod stmt;
 use crate::ast::*;
 use crate::error::{ParseError, Result};
 use crate::lexer::Lexer;
+use crate::scope::Scopes;
 use crate::span::Span;
+use crate::symbol::{Sym, Symbols};
 use crate::token::{Token, TokenKind};
-use std::collections::HashMap;
 
 /// Deepest nesting the parser accepts. A level is one AST node that
 /// parsing, lowering or `Drop` recurses through — a parenthesis, an
@@ -23,9 +25,9 @@ use std::collections::HashMap;
 /// a stack overflow.
 ///
 /// Sized by measurement (`tests/nesting_budget.rs`): the costliest shape,
-/// nested parentheses at ~3.3 KiB of parser stack per level in a release
-/// build, reaches ~620 levels on a server worker's 2 MiB stack, so 128
-/// levels leave a margin above 4×.
+/// nested parentheses at ~2.5 KiB of parser stack per level in a release
+/// build, reaches ~800 levels on a server worker's 2 MiB stack, so 128
+/// levels leave a margin above 6×.
 pub const MAX_NESTING: usize = 128;
 
 /// Parses a complete translation unit from C source text.
@@ -45,8 +47,8 @@ pub const MAX_NESTING: usize = 128;
 /// ```
 pub fn parse(src: &str) -> Result<TranslationUnit> {
     Lexer::new(src)
-        .tokenize()
-        .and_then(|tokens| Parser::new(tokens).parse_translation_unit())
+        .lex()
+        .and_then(|(tokens, symbols)| Parser::new(tokens, symbols).parse_translation_unit())
         .map_err(|e| e.locate(src))
 }
 
@@ -55,8 +57,10 @@ pub fn parse(src: &str) -> Result<TranslationUnit> {
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
-    /// Scope stack mapping declared names to "is a typedef name".
-    scopes: Vec<HashMap<String, bool>>,
+    /// The text of the tokens' names, moved into the parsed unit.
+    symbols: Symbols,
+    /// Whether each declared name in scope is a typedef name.
+    typedefs: Scopes<bool>,
     /// Nesting levels open above the node being parsed.
     depth: usize,
     /// Deepest level a node of the current left-deep tree reaches.
@@ -64,12 +68,14 @@ pub struct Parser {
 }
 
 impl Parser {
-    /// Creates a parser over a pre-lexed token stream (must end with Eof).
-    pub fn new(toks: Vec<Token>) -> Self {
+    /// Creates a parser over a pre-lexed token stream (must end with Eof)
+    /// and the symbols its names index (see [`Lexer::lex`]).
+    pub fn new(toks: Vec<Token>, symbols: Symbols) -> Self {
         Parser {
             toks,
             pos: 0,
-            scopes: vec![HashMap::new()],
+            typedefs: Scopes::with_symbols(symbols.len()),
+            symbols,
             depth: 0,
             reach: 0,
         }
@@ -82,24 +88,27 @@ impl Parser {
     /// Returns the first parse error encountered.
     pub fn parse_translation_unit(mut self) -> Result<TranslationUnit> {
         let mut decls = Vec::new();
-        while !self.check(&TokenKind::Eof) {
+        while !self.check(TokenKind::Eof) {
             // Tolerate stray semicolons at top level.
-            if self.eat(&TokenKind::Semi) {
+            if self.eat(TokenKind::Semi) {
                 continue;
             }
             decls.push(self.parse_external_decl()?);
         }
-        Ok(TranslationUnit { decls })
+        Ok(TranslationUnit {
+            decls,
+            symbols: self.symbols,
+        })
     }
 
     // ----- token helpers -----
 
-    pub(crate) fn peek(&self) -> &TokenKind {
-        &self.toks[self.pos.min(self.toks.len() - 1)].kind
+    pub(crate) fn peek(&self) -> TokenKind {
+        self.toks[self.pos.min(self.toks.len() - 1)].kind
     }
 
-    pub(crate) fn peek_nth(&self, n: usize) -> &TokenKind {
-        &self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
+    pub(crate) fn peek_nth(&self, n: usize) -> TokenKind {
+        self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
     }
 
     pub(crate) fn peek_span(&self) -> Span {
@@ -111,18 +120,18 @@ impl Parser {
     }
 
     pub(crate) fn advance(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+        let t = self.toks[self.pos.min(self.toks.len() - 1)];
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    pub(crate) fn check(&self, kind: &TokenKind) -> bool {
+    pub(crate) fn check(&self, kind: TokenKind) -> bool {
         self.peek() == kind
     }
 
-    pub(crate) fn eat(&mut self, kind: &TokenKind) -> bool {
+    pub(crate) fn eat(&mut self, kind: TokenKind) -> bool {
         if self.check(kind) {
             self.advance();
             true
@@ -131,27 +140,31 @@ impl Parser {
         }
     }
 
-    pub(crate) fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    pub(crate) fn expect(&mut self, kind: TokenKind) -> Result<Token> {
         if self.check(kind) {
             Ok(self.advance())
         } else {
             Err(self.error(format!(
                 "expected {}, found {}",
-                kind.describe(),
-                self.peek().describe()
+                self.describe(kind),
+                self.describe(self.peek())
             )))
         }
     }
 
-    pub(crate) fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let sp = self.peek_span();
-                self.advance();
-                Ok((name, sp))
-            }
-            other => Err(self.error(format!("expected identifier, found {}", other.describe()))),
+    pub(crate) fn expect_ident(&mut self) -> Result<(Sym, Span)> {
+        match self.peek() {
+            TokenKind::Ident(name) => Ok((name, self.advance().span)),
+            other => Err(self.error(format!(
+                "expected identifier, found {}",
+                self.describe(other)
+            ))),
         }
+    }
+
+    /// `kind` as error messages name it.
+    pub(crate) fn describe(&self, kind: TokenKind) -> String {
+        kind.describe(&self.symbols)
     }
 
     pub(crate) fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -197,29 +210,20 @@ impl Parser {
     // ----- scopes / typedef tracking -----
 
     pub(crate) fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.typedefs.push();
     }
 
     pub(crate) fn pop_scope(&mut self) {
-        debug_assert!(self.scopes.len() > 1, "cannot pop the global scope");
-        self.scopes.pop();
+        self.typedefs.pop();
     }
 
-    pub(crate) fn declare_name(&mut self, name: &str, is_typedef: bool) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.to_string(), is_typedef);
+    pub(crate) fn declare_name(&mut self, name: Sym, is_typedef: bool) {
+        self.typedefs.bind(name, is_typedef);
     }
 
     /// True if `name` currently resolves to a typedef name.
-    pub(crate) fn is_typedef_name(&self, name: &str) -> bool {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&is_td) = scope.get(name) {
-                return is_td;
-            }
-        }
-        false
+    pub(crate) fn is_typedef_name(&self, name: Sym) -> bool {
+        self.typedefs.get(name) == Some(true)
     }
 
     /// True if the current token can begin a declaration.
@@ -242,7 +246,7 @@ impl Parser {
         let (storage, base) = self.parse_decl_specifiers()?;
 
         // Tag-only declaration: `struct S { ... };`
-        if self.check(&TokenKind::Semi) {
+        if self.check(TokenKind::Semi) {
             self.advance();
             return Ok(ExternalDecl::Declaration(Declaration {
                 storage,
@@ -254,13 +258,13 @@ impl Parser {
 
         let (name, ty, name_span) = self.parse_named_declarator(base.clone())?;
 
-        if ty.is_function() && self.check(&TokenKind::LBrace) {
+        if ty.is_function() && self.check(TokenKind::LBrace) {
             // Function definition.
-            self.declare_name(&name, false);
+            self.declare_name(name, false);
             self.push_scope();
             if let AstType::Function { ref params, .. } = ty {
                 for p in params {
-                    if let Some(n) = &p.name {
+                    if let Some(n) = p.name {
                         self.declare_name(n, false);
                     }
                 }
@@ -287,15 +291,15 @@ impl Parser {
         &mut self,
         storage: Storage,
         base: AstType,
-        first_name: String,
+        first_name: Sym,
         first_ty: AstType,
         first_span: Span,
         start_span: Span,
     ) -> Result<Declaration> {
         let mut items = Vec::new();
         let is_typedef = storage == Storage::Typedef;
-        self.declare_name(&first_name, is_typedef);
-        let init = if self.eat(&TokenKind::Assign) {
+        self.declare_name(first_name, is_typedef);
+        let init = if self.eat(TokenKind::Assign) {
             Some(self.parse_initializer()?)
         } else {
             None
@@ -306,17 +310,17 @@ impl Parser {
             init,
             span: first_span,
         });
-        while self.eat(&TokenKind::Comma) {
+        while self.eat(TokenKind::Comma) {
             let (name, ty, span) = self.parse_named_declarator(base.clone())?;
-            self.declare_name(&name, is_typedef);
-            let init = if self.eat(&TokenKind::Assign) {
+            self.declare_name(name, is_typedef);
+            let init = if self.eat(TokenKind::Assign) {
                 Some(self.parse_initializer()?)
             } else {
                 None
             };
             items.push(InitDeclarator { name, ty, init, span });
         }
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         Ok(Declaration {
             storage,
             base,
@@ -326,20 +330,20 @@ impl Parser {
     }
 
     pub(crate) fn parse_initializer(&mut self) -> Result<Initializer> {
-        if self.eat(&TokenKind::LBrace) {
+        if self.eat(TokenKind::LBrace) {
             let mut elems = Vec::new();
-            if !self.check(&TokenKind::RBrace) {
+            if !self.check(TokenKind::RBrace) {
                 loop {
                     elems.push(self.nested(Self::parse_initializer)?);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
-                    if self.check(&TokenKind::RBrace) {
+                    if self.check(TokenKind::RBrace) {
                         break; // trailing comma
                     }
                 }
             }
-            self.expect(&TokenKind::RBrace)?;
+            self.expect(TokenKind::RBrace)?;
             Ok(Initializer::List(elems))
         } else {
             Ok(Initializer::Expr(self.parse_assignment_expr()?))

@@ -8,17 +8,17 @@ use crate::token::TokenKind;
 impl Parser {
     /// Parses a `{ ... }` block (current token must be `{`).
     pub(crate) fn parse_block(&mut self) -> Result<Stmt> {
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         self.push_scope();
         let mut items = Vec::new();
-        while !self.check(&TokenKind::RBrace) && !self.check(&TokenKind::Eof) {
+        while !self.check(TokenKind::RBrace) && !self.check(TokenKind::Eof) {
             if self.starts_declaration() {
                 items.push(BlockItem::Decl(self.parse_local_declaration()?));
             } else {
                 items.push(BlockItem::Stmt(self.parse_stmt()?));
             }
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.expect(TokenKind::RBrace)?;
         self.pop_scope();
         Ok(Stmt::Block(items))
     }
@@ -26,7 +26,7 @@ impl Parser {
     fn parse_local_declaration(&mut self) -> Result<Declaration> {
         let start = self.peek_span();
         let (storage, base) = self.parse_decl_specifiers()?;
-        if self.check(&TokenKind::Semi) {
+        if self.check(TokenKind::Semi) {
             self.advance();
             return Ok(Declaration {
                 storage,
@@ -57,7 +57,7 @@ impl Parser {
             T::KwFor => self.parse_for(),
             T::KwCase | T::KwDefault => self.parse_case(),
             // Label: `ident :` (but not `ident ::` etc.)
-            T::Ident(_) if self.peek_nth(1) == &T::Colon => self.parse_labeled(),
+            T::Ident(_) if self.peek_nth(1) == T::Colon => self.parse_labeled(),
             _ => self.parse_simple_stmt(),
         }
     }
@@ -66,11 +66,11 @@ impl Parser {
     fn parse_if(&mut self) -> Result<Stmt> {
         use TokenKind as T;
         self.advance();
-        self.expect(&T::LParen)?;
+        self.expect(T::LParen)?;
         let cond = self.parse_expr()?;
-        self.expect(&T::RParen)?;
+        self.expect(T::RParen)?;
         let then = Box::new(self.parse_stmt()?);
-        let els = if self.eat(&T::KwElse) {
+        let els = if self.eat(T::KwElse) {
             Some(Box::new(self.parse_stmt()?))
         } else {
             None
@@ -82,9 +82,9 @@ impl Parser {
     fn parse_while_or_switch(&mut self) -> Result<Stmt> {
         use TokenKind as T;
         let is_while = self.advance().kind == T::KwWhile;
-        self.expect(&T::LParen)?;
+        self.expect(T::LParen)?;
         let cond = self.parse_expr()?;
-        self.expect(&T::RParen)?;
+        self.expect(T::RParen)?;
         let body = Box::new(self.parse_stmt()?);
         Ok(if is_while {
             Stmt::While { cond, body }
@@ -98,11 +98,11 @@ impl Parser {
         use TokenKind as T;
         self.advance();
         let body = Box::new(self.parse_stmt()?);
-        self.expect(&T::KwWhile)?;
-        self.expect(&T::LParen)?;
+        self.expect(T::KwWhile)?;
+        self.expect(T::LParen)?;
         let cond = self.parse_expr()?;
-        self.expect(&T::RParen)?;
-        self.expect(&T::Semi)?;
+        self.expect(T::RParen)?;
+        self.expect(T::Semi)?;
         Ok(Stmt::DoWhile { body, cond })
     }
 
@@ -110,30 +110,30 @@ impl Parser {
     fn parse_for(&mut self) -> Result<Stmt> {
         use TokenKind as T;
         self.advance();
-        self.expect(&T::LParen)?;
+        self.expect(T::LParen)?;
         self.push_scope();
-        let init = if self.check(&T::Semi) {
+        let init = if self.check(T::Semi) {
             self.advance();
             None
         } else if self.starts_declaration() {
             Some(ForInit::Decl(self.parse_local_declaration()?))
         } else {
             let e = self.parse_expr()?;
-            self.expect(&T::Semi)?;
+            self.expect(T::Semi)?;
             Some(ForInit::Expr(e))
         };
-        let cond = if self.check(&T::Semi) {
+        let cond = if self.check(T::Semi) {
             None
         } else {
             Some(self.parse_expr()?)
         };
-        self.expect(&T::Semi)?;
-        let step = if self.check(&T::RParen) {
+        self.expect(T::Semi)?;
+        let step = if self.check(T::RParen) {
             None
         } else {
             Some(self.parse_expr()?)
         };
-        self.expect(&T::RParen)?;
+        self.expect(T::RParen)?;
         let body = Box::new(self.parse_stmt()?);
         self.pop_scope();
         Ok(Stmt::For {
@@ -148,11 +148,11 @@ impl Parser {
     fn parse_case(&mut self) -> Result<Stmt> {
         use TokenKind as T;
         if self.advance().kind == T::KwDefault {
-            self.expect(&T::Colon)?;
+            self.expect(T::Colon)?;
             return Ok(Stmt::Default(Box::new(self.parse_stmt()?)));
         }
         let val = self.parse_conditional_expr()?;
-        self.expect(&T::Colon)?;
+        self.expect(T::Colon)?;
         let inner = Box::new(self.parse_stmt()?);
         Ok(Stmt::Case(val, inner))
     }
@@ -169,11 +169,11 @@ impl Parser {
     #[inline(never)]
     fn parse_simple_stmt(&mut self) -> Result<Stmt> {
         use TokenKind as T;
-        let stmt = match self.peek().clone() {
+        let stmt = match self.peek() {
             T::Semi => Stmt::Expr(None),
             T::KwReturn => {
                 self.advance();
-                if self.check(&T::Semi) {
+                if self.check(T::Semi) {
                     Stmt::Return(None)
                 } else {
                     Stmt::Return(Some(self.parse_expr()?))
@@ -193,7 +193,7 @@ impl Parser {
             }
             _ => Stmt::Expr(Some(self.parse_expr()?)),
         };
-        self.expect(&T::Semi)?;
+        self.expect(T::Semi)?;
         Ok(stmt)
     }
 }
@@ -267,10 +267,17 @@ mod tests {
 
     #[test]
     fn goto_and_labels() {
-        let items = body("again: x = x + 1; if (x < 3) goto again;");
+        let tu = parse("int x; void f(void) { again: x = x + 1; if (x < 3) goto again; }").unwrap();
+        let again = tu.symbols.get("again");
+        let ExternalDecl::Function(f) = &tu.decls[1] else {
+            panic!("expected function")
+        };
+        let Stmt::Block(items) = &f.body else {
+            panic!("expected block")
+        };
         assert!(matches!(
             items[0],
-            BlockItem::Stmt(Stmt::Labeled(ref l, _)) if l == "again"
+            BlockItem::Stmt(Stmt::Labeled(l, _)) if Some(l) == again
         ));
     }
 

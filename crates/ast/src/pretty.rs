@@ -4,11 +4,12 @@
 //! verify that generated programs round-trip through the parser.
 
 use crate::ast::*;
+use crate::symbol::{Sym, Symbols};
 use std::fmt::Write as _;
 
 /// Renders a translation unit as C source.
 pub fn print_translation_unit(tu: &TranslationUnit) -> String {
-    let mut p = Printer::default();
+    let mut p = Printer::new(&tu.symbols);
     for d in &tu.decls {
         match d {
             ExternalDecl::Function(f) => p.function(f),
@@ -21,27 +22,45 @@ pub fn print_translation_unit(tu: &TranslationUnit) -> String {
     p.out
 }
 
-/// Renders a single expression as C source.
-pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::default();
+/// Renders a single expression as C source; `syms` is the table of the
+/// unit it came from.
+pub fn print_expr(e: &Expr, syms: &Symbols) -> String {
+    let mut p = Printer::new(syms);
     p.expr(e);
     p.out
 }
 
 /// Renders a type applied to an optional declarator name, e.g.
-/// `print_type(ty, "x")` gives `"int *x"` for pointer-to-int.
-pub fn print_type(ty: &AstType, name: &str) -> String {
-    let mut p = Printer::default();
+/// `print_type(ty, "x", syms)` gives `"int *x"` for pointer-to-int.
+pub fn print_type(ty: &AstType, name: &str, syms: &Symbols) -> String {
+    let mut p = Printer::new(syms);
     p.typed_name(ty, name)
 }
 
-#[derive(Default)]
-struct Printer {
+struct Printer<'a> {
     out: String,
     indent: usize,
+    syms: &'a Symbols,
 }
 
-impl Printer {
+impl<'a> Printer<'a> {
+    fn new(syms: &'a Symbols) -> Self {
+        Printer {
+            out: String::new(),
+            indent: 0,
+            syms,
+        }
+    }
+
+    fn text(&self, s: Sym) -> &'a str {
+        self.syms.text(s)
+    }
+
+    /// The text of an optional name; empty for `None`.
+    fn name(&self, s: Option<Sym>) -> &'a str {
+        s.map_or("", |s| self.text(s))
+    }
+
     fn nl(&mut self) {
         self.out.push('\n');
         for _ in 0..self.indent {
@@ -53,7 +72,7 @@ impl Printer {
         if f.storage == Storage::Static {
             self.out.push_str("static ");
         }
-        let sig = self.typed_name(&f.ty, &f.name);
+        let sig = self.typed_name(&f.ty, self.text(f.name));
         self.out.push_str(&sig);
         self.out.push(' ');
         self.stmt(&f.body);
@@ -74,17 +93,14 @@ impl Printer {
             return;
         }
         // Print the shared base once, then comma-separated declarators.
-        let base_str = {
-            let mut bp = Printer::default();
-            bp.typed_name(&d.base, "")
-        };
+        let base_str = Printer::new(self.syms).typed_name(&d.base, "");
         self.out.push_str(base_str.trim_end());
         self.out.push(' ');
         for (i, item) in d.items.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let s = self.declarator_only(&item.ty, &item.name);
+            let s = self.declarator_only(&item.ty, self.text(item.name));
             self.out.push_str(&s);
             if let Some(init) = &item.init {
                 self.out.push_str(" = ");
@@ -114,21 +130,21 @@ impl Printer {
     /// innermost base type (used when the base was already printed once for
     /// a comma-separated declarator list).
     fn declarator_only(&mut self, ty: &AstType, name: &str) -> String {
-        fn go(ty: &AstType, inner: String) -> String {
+        fn go(p: &Printer, ty: &AstType, inner: String) -> String {
             match ty {
                 AstType::Base(_) => inner,
                 AstType::Pointer(t) => {
                     let needs_paren = matches!(**t, AstType::Array(_, _) | AstType::Function { .. });
                     let s = format!("*{inner}");
                     let s = if needs_paren { format!("({s})") } else { s };
-                    go(t, s)
+                    go(p, t, s)
                 }
                 AstType::Array(t, n) => {
                     let dim = match n {
-                        Some(e) => print_expr(e),
+                        Some(e) => print_expr(e, p.syms),
                         None => String::new(),
                     };
-                    go(t, format!("{inner}[{dim}]"))
+                    go(p, t, format!("{inner}[{dim}]"))
                 }
                 AstType::Function {
                     ret,
@@ -137,9 +153,8 @@ impl Printer {
                 } => {
                     let mut ps = Vec::new();
                     for param in params {
-                        let pname = param.name.clone().unwrap_or_default();
-                        let mut pp = Printer::default();
-                        ps.push(pp.typed_name(&param.ty, &pname));
+                        let mut pp = Printer::new(p.syms);
+                        ps.push(pp.typed_name(&param.ty, p.name(param.name)));
                     }
                     if *variadic {
                         ps.push("...".to_string());
@@ -147,11 +162,11 @@ impl Printer {
                     if ps.is_empty() {
                         ps.push("void".to_string());
                     }
-                    go(ret, format!("{inner}({})", ps.join(", ")))
+                    go(p, ret, format!("{inner}({})", ps.join(", ")))
                 }
             }
         }
-        go(ty, name.to_string())
+        go(self, ty, name.to_string())
     }
 
     /// C declarator printing: builds `decl` around the name inside-out.
@@ -174,7 +189,7 @@ impl Printer {
                 }
                 AstType::Array(t, n) => {
                     let dim = match n {
-                        Some(e) => print_expr(e),
+                        Some(e) => print_expr(e, p.syms),
                         None => String::new(),
                     };
                     go(p, t, format!("{inner}[{dim}]"))
@@ -186,7 +201,7 @@ impl Printer {
                 } => {
                     let mut ps = Vec::new();
                     for param in params {
-                        let pname = param.name.clone().unwrap_or_default();
+                        let pname = p.name(param.name).to_string();
                         ps.push(go(p, &param.ty, pname));
                     }
                     if *variadic {
@@ -220,13 +235,13 @@ impl Printer {
             Float => "float".into(),
             Double => "double".into(),
             LongDouble => "long double".into(),
-            Typedef(n) => n.clone(),
+            Typedef(n) => self.text(*n).to_string(),
             Struct(rs) => self.record("struct", rs),
             Union(rs) => self.record("union", rs),
             Enum(es) => {
                 let mut s = "enum".to_string();
-                if let Some(tag) = &es.tag {
-                    let _ = write!(s, " {tag}");
+                if es.tag.is_some() {
+                    let _ = write!(s, " {}", self.name(es.tag));
                 }
                 if let Some(items) = &es.items {
                     s.push_str(" { ");
@@ -234,9 +249,9 @@ impl Printer {
                         if i > 0 {
                             s.push_str(", ");
                         }
-                        s.push_str(n);
+                        s.push_str(self.text(*n));
                         if let Some(e) = v {
-                            let _ = write!(s, " = {}", print_expr(e));
+                            let _ = write!(s, " = {}", print_expr(e, self.syms));
                         }
                     }
                     s.push_str(" }");
@@ -248,17 +263,16 @@ impl Printer {
 
     fn record(&mut self, kw: &str, rs: &RecordSpec) -> String {
         let mut s = kw.to_string();
-        if let Some(tag) = &rs.tag {
-            let _ = write!(s, " {tag}");
+        if rs.tag.is_some() {
+            let _ = write!(s, " {}", self.name(rs.tag));
         }
         if let Some(fields) = &rs.fields {
             s.push_str(" { ");
             for f in fields {
-                let name = f.name.clone().unwrap_or_default();
-                let mut fp = Printer::default();
-                s.push_str(&fp.typed_name(&f.ty, &name));
+                let mut fp = Printer::new(self.syms);
+                s.push_str(&fp.typed_name(&f.ty, self.name(f.name)));
                 if let Some(w) = &f.bit_width {
-                    let _ = write!(s, " : {}", print_expr(w));
+                    let _ = write!(s, " : {}", print_expr(w, self.syms));
                 }
                 s.push_str("; ");
             }
@@ -364,10 +378,10 @@ impl Printer {
             Stmt::Break => self.out.push_str("break;"),
             Stmt::Continue => self.out.push_str("continue;"),
             Stmt::Goto(l) => {
-                let _ = write!(self.out, "goto {l};");
+                let _ = write!(self.out, "goto {};", self.text(*l));
             }
             Stmt::Labeled(l, inner) => {
-                let _ = write!(self.out, "{l}: ");
+                let _ = write!(self.out, "{}: ", self.text(*l));
                 self.stmt(inner);
             }
         }
@@ -386,9 +400,9 @@ impl Printer {
                 let _ = write!(self.out, "{v}");
             }
             StrLit(s) => {
-                let _ = write!(self.out, "{s:?}");
+                let _ = write!(self.out, "{:?}", self.text(*s));
             }
-            Ident(n) => self.out.push_str(n),
+            Ident(n) => self.out.push_str(self.text(*n)),
             Unary(op, inner) => {
                 let _ = write!(self.out, "{op}");
                 self.out.push('(');
@@ -451,7 +465,7 @@ impl Printer {
                 self.expr(obj);
                 self.out.push(')');
                 self.out.push_str(if *arrow { "->" } else { "." });
-                self.out.push_str(f);
+                self.out.push_str(self.text(*f));
             }
             SizeofExpr(inner) => {
                 self.out.push_str("sizeof(");
@@ -523,7 +537,7 @@ mod tests {
     fn print_type_examples() {
         let tu = parse("int (*fp)(void);").unwrap();
         if let ExternalDecl::Declaration(d) = &tu.decls[0] {
-            let s = print_type(&d.items[0].ty, "fp");
+            let s = print_type(&d.items[0].ty, "fp", &tu.symbols);
             assert_eq!(s, "int (*fp)(void)");
         }
     }

@@ -1,10 +1,10 @@
 //! Token definitions for the C lexer.
 
 use crate::span::Span;
-use std::fmt;
+use crate::symbol::{Sym, Symbols};
 
 /// A lexical token: its kind plus the source span it was read from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// What kind of token this is (keyword, punctuation, literal, ...).
     pub kind: TokenKind,
@@ -23,12 +23,13 @@ impl Token {
 ///
 /// Keyword variants are named `Kw<Keyword>`; punctuation variants are named
 /// after their glyph (see [`TokenKind::describe`] for the rendering).
-#[derive(Debug, Clone, PartialEq)]
+/// Names and string literals are [`Sym`]s into the lexer's [`Symbols`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // keyword/punctuation variants are self-describing
 pub enum TokenKind {
     // ----- literals & names -----
     /// An identifier or typedef name (disambiguated by the parser).
-    Ident(String),
+    Ident(Sym),
     /// An integer constant (decimal, octal, or hex; suffixes consumed).
     IntLit(i64),
     /// A floating constant.
@@ -36,7 +37,7 @@ pub enum TokenKind {
     /// A character constant, stored as its numeric value.
     CharLit(i64),
     /// A string literal with escapes resolved (adjacent literals merged).
-    StrLit(String),
+    StrLit(Sym),
 
     // ----- keywords -----
     KwAuto,
@@ -199,15 +200,16 @@ impl TokenKind {
         )
     }
 
-    /// A short human-readable description, used in error messages.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description, used in error messages;
+    /// `syms` holds the text of names and string literals.
+    pub fn describe(&self, syms: &Symbols) -> String {
         use TokenKind::*;
-        match self {
-            Ident(s) => format!("identifier `{s}`"),
+        match *self {
+            Ident(s) => format!("identifier `{}`", syms.text(s)),
             IntLit(v) => format!("integer `{v}`"),
             FloatLit(v) => format!("float `{v}`"),
             CharLit(v) => format!("char constant `{v}`"),
-            StrLit(s) => format!("string literal {s:?}"),
+            StrLit(s) => format!("string literal {:?}", syms.text(s)),
             Eof => "end of input".to_string(),
             other => format!("`{}`", other.punct_str()),
         }
@@ -300,12 +302,6 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.describe())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,14 +324,19 @@ mod tests {
 
     #[test]
     fn describe_is_nonempty() {
+        let mut syms = Symbols::default();
         for k in [
             TokenKind::Arrow,
             TokenKind::Ellipsis,
             TokenKind::Eof,
-            TokenKind::Ident("x".into()),
-            TokenKind::StrLit("hi".into()),
+            TokenKind::Ident(syms.intern("x")),
+            TokenKind::StrLit(syms.intern("hi")),
         ] {
-            assert!(!k.describe().is_empty());
+            assert!(!k.describe(&syms).is_empty());
         }
+        assert_eq!(
+            TokenKind::Ident(syms.intern("x")).describe(&syms),
+            "identifier `x`"
+        );
     }
 }

@@ -11,7 +11,7 @@ use crate::types_build::TypeEnv;
 use std::collections::HashMap;
 use structcast_ast::{
     AssignOp, BinOp, BlockItem, Expr, ExprKind, ExternalDecl, ForInit, FunctionDef, Initializer,
-    Span, Stmt, Storage, TranslationUnit, UnOp,
+    Span, Stmt, Storage, Symbols, TranslationUnit, UnOp,
 };
 use structcast_types::{Layout, TypeId, TypeKind};
 
@@ -120,7 +120,9 @@ struct Frame {
 }
 
 struct Ev<'a> {
-    env: TypeEnv,
+    env: TypeEnv<'a>,
+    /// The text of the unit's names.
+    syms: &'a Symbols,
     layout: Layout,
     mem: Memory,
     globals: HashMap<String, (MemId, TypeId)>,
@@ -136,8 +138,10 @@ impl<'a> Ev<'a> {
     fn new(tu: &'a TranslationUnit, budget: u64) -> IResult<Self> {
         let layout = Layout::ilp32();
         let ptr_size = 4;
+        let syms = &tu.symbols;
         let mut ev = Ev {
-            env: TypeEnv::new(layout.clone()),
+            env: TypeEnv::new(layout.clone(), syms),
+            syms,
             layout,
             mem: Memory::new(ptr_size),
             globals: HashMap::new(),
@@ -153,7 +157,7 @@ impl<'a> Ev<'a> {
         for d in &tu.decls {
             match d {
                 ExternalDecl::Function(f) => {
-                    ev.funcs.insert(f.name.clone(), f);
+                    ev.funcs.insert(syms.text(f.name).to_string(), f);
                 }
                 ExternalDecl::Declaration(decl) => {
                     let base = ev.env.build(&decl.base).map_err(|m| InterpError {
@@ -161,6 +165,7 @@ impl<'a> Ev<'a> {
                         span: decl.span,
                     })?;
                     for item in &decl.items {
+                        let name = syms.text(item.name);
                         let ty =
                             ev.env
                                 .build_with_base(&item.ty, base)
@@ -169,21 +174,17 @@ impl<'a> Ev<'a> {
                                     span: item.span,
                                 })?;
                         match decl.storage {
-                            Storage::Typedef => ev.env.define_typedef(&item.name, ty),
+                            Storage::Typedef => ev.env.define_typedef(name, ty),
                             _ if matches!(ev.env.table.kind(ty), TypeKind::Function(_)) => {
                                 // Prototype only; body may come later.
                             }
                             _ => {
-                                if ev.globals.contains_key(&item.name) {
+                                if ev.globals.contains_key(name) {
                                     continue; // extern redeclaration
                                 }
                                 let size = ev.layout.size_of(&ev.env.table, ty).max(1);
-                                let id = ev.mem.alloc(
-                                    size,
-                                    ty,
-                                    MemKind::Var(item.name.clone()),
-                                );
-                                ev.globals.insert(item.name.clone(), (id, ty));
+                                let id = ev.mem.alloc(size, ty, MemKind::Var(name.to_string()));
+                                ev.globals.insert(name.to_string(), (id, ty));
                                 if let Some(init) = &item.init {
                                     pending_inits.push((id, ty, init));
                                 }
@@ -452,7 +453,8 @@ impl<'a> Ev<'a> {
     ) -> IResult<()> {
         match init {
             Initializer::Expr(e) => {
-                if let ExprKind::StrLit(s) = &e.kind {
+                if let ExprKind::StrLit(s) = e.kind {
+                    let s = self.syms.text(s);
                     if matches!(self.env.table.kind(ty), TypeKind::Array(_, _)) {
                         // char buf[] = "..." — copy the characters.
                         for (i, b) in s.bytes().enumerate() {
@@ -551,20 +553,20 @@ impl<'a> Ev<'a> {
         }
         let frame = Frame {
             scopes: vec![HashMap::new()],
-            fn_name: f.name.clone(),
+            fn_name: self.syms.text(f.name).to_string(),
         };
         // Bind parameters (arguments were already evaluated in the caller's
         // frame).
         if let structcast_ast::AstType::Function { params, .. } = &f.ty {
             self.frames.push(frame);
             for (i, pd) in params.iter().enumerate() {
-                let Some(name) = &pd.name else { continue };
+                let Some(name) = pd.name else { continue };
+                let name = self.syms.text(name);
                 let base = self.env.build(&pd.ty).map_err(|m| InterpError {
                     message: m,
                     span: pd.span,
                 })?;
-                let fn_name = f.name.clone();
-                let id = self.declare_local(&fn_name, name, base);
+                let id = self.declare_local(self.syms.text(f.name), name, base);
                 if let Some(a) = args.get(i) {
                     self.assign_to(PtrVal { obj: id, off: 0 }, base, a.clone(), pd.span)?;
                 }
@@ -806,15 +808,16 @@ impl<'a> Ev<'a> {
                     message: m,
                     span: item.span,
                 })?;
+            let name = self.syms.text(item.name);
             if d.storage == Storage::Typedef {
-                self.env.define_typedef(&item.name, ty);
+                self.env.define_typedef(name, ty);
                 continue;
             }
             if matches!(self.env.table.kind(ty), TypeKind::Function(_)) {
                 continue; // local prototype
             }
             let fn_name = self.frame().fn_name.clone();
-            let id = self.declare_local(&fn_name, &item.name, ty);
+            let id = self.declare_local(&fn_name, name, ty);
             if let Some(init) = &item.init {
                 self.init_object(id, 0, ty, init)?;
             }
@@ -841,6 +844,7 @@ impl<'a> Ev<'a> {
                 Ok(Slot::Val(V::Float(*v), d))
             }
             ExprKind::StrLit(s) => {
+                let s = self.syms.text(*s);
                 let ch = self.env.table.char();
                 let arr = self.env.table.array_of(ch, Some(s.len() as u64 + 1));
                 let id = self.mem.alloc(s.len() as u64 + 1, arr, MemKind::Str);
@@ -851,6 +855,7 @@ impl<'a> Ev<'a> {
                 Ok(Slot::Val(V::Ptr(Some(PtrVal { obj: id, off: 0 })), cp))
             }
             ExprKind::Ident(name) => {
+                let name = self.syms.text(*name);
                 if let Some((id, ty)) = self.resolve_var(name) {
                     return self.read_place(PtrVal { obj: id, off: 0 }, ty);
                 }
@@ -952,7 +957,7 @@ impl<'a> Ev<'a> {
                 // (fall back to evaluation for complex operands).
                 let sz = match &inner.kind {
                     ExprKind::Ident(n) => self
-                        .resolve_var(n)
+                        .resolve_var(self.syms.text(*n))
                         .map(|(_, ty)| self.size_of(ty))
                         .unwrap_or(4),
                     _ => match self.eval(inner) {
@@ -1232,9 +1237,12 @@ impl<'a> Ev<'a> {
     fn lvalue(&mut self, e: &Expr) -> IResult<(PtrVal, TypeId)> {
         self.tick(e.span)?;
         match &e.kind {
-            ExprKind::Ident(name) => match self.resolve_var(name) {
+            ExprKind::Ident(name) => match self.resolve_var(self.syms.text(*name)) {
                 Some((id, ty)) => Ok((PtrVal { obj: id, off: 0 }, ty)),
-                None => self.err(format!("`{name}` is not an lvalue"), e.span),
+                None => self.err(
+                    format!("`{}` is not an lvalue", self.syms.text(*name)),
+                    e.span,
+                ),
             },
             ExprKind::Unary(UnOp::Deref, inner) => {
                 let s = self.eval(inner)?;
@@ -1250,6 +1258,7 @@ impl<'a> Ev<'a> {
                 Ok((p, pointee))
             }
             ExprKind::Member(obj, fname, arrow) => {
+                let fname = self.syms.text(*fname);
                 let (base, base_ty) = if *arrow {
                     let s = self.eval(obj)?;
                     let (v, ty) = self.decay(s);
@@ -1339,9 +1348,10 @@ impl<'a> Ev<'a> {
             target = inner;
         }
         // Builtin or direct call by name?
-        if let ExprKind::Ident(name) = &target.kind {
+        if let ExprKind::Ident(name) = target.kind {
+            let name = self.syms.text(name);
             if self.resolve_var(name).is_none() {
-                if let Some(f) = self.funcs.get(name.as_str()).copied() {
+                if let Some(f) = self.funcs.get(name).copied() {
                     let mut argv = Vec::new();
                     for a in args {
                         argv.push(self.eval(a)?);

@@ -5,14 +5,16 @@
 //! if the two ever disagree, the differential oracle tests fail loudly.
 
 use std::collections::HashMap;
-use structcast_ast::{AstType, EnumSpec, Expr, ExprKind, RecordSpec, TypeSpec, UnOp};
+use structcast_ast::{AstType, EnumSpec, Expr, ExprKind, RecordSpec, Symbols, TypeSpec, UnOp};
 use structcast_types::{Field, FuncSig, Layout, RecordId, TypeId, TypeKind, TypeTable};
 
 /// Scoped type environment (typedefs, struct/union tags, enum constants).
-#[derive(Debug, Default)]
-pub struct TypeEnv {
+#[derive(Debug)]
+pub struct TypeEnv<'a> {
     /// The type table being built.
     pub table: TypeTable,
+    /// The text of the unit's names.
+    syms: &'a Symbols,
     typedefs: Vec<HashMap<String, TypeId>>,
     tags: Vec<HashMap<String, RecordId>>,
     /// Enumeration constants by name (flat; enums rarely shadow).
@@ -21,11 +23,13 @@ pub struct TypeEnv {
     anon: u32,
 }
 
-impl TypeEnv {
-    /// Creates a fresh environment with one (global) scope.
-    pub fn new(layout: Layout) -> Self {
+impl<'a> TypeEnv<'a> {
+    /// Creates a fresh environment with one (global) scope, for the AST
+    /// of a unit whose names are in `syms`.
+    pub fn new(layout: Layout, syms: &'a Symbols) -> Self {
         TypeEnv {
             table: TypeTable::new(),
+            syms,
             typedefs: vec![HashMap::new()],
             tags: vec![HashMap::new()],
             enum_consts: HashMap::new(),
@@ -115,9 +119,11 @@ impl TypeEnv {
             TypeSpec::Float => t.float(),
             TypeSpec::Double => t.double(),
             TypeSpec::LongDouble => t.intern(TypeKind::Float(FloatKind::LongDouble)),
-            TypeSpec::Typedef(name) => self
-                .lookup_typedef(name)
-                .ok_or_else(|| format!("unknown typedef `{name}`"))?,
+            TypeSpec::Typedef(name) => {
+                let name = self.syms.text(*name);
+                self.lookup_typedef(name)
+                    .ok_or_else(|| format!("unknown typedef `{name}`"))?
+            }
             TypeSpec::Struct(rs) => self.build_record(rs, false)?,
             TypeSpec::Union(rs) => self.build_record(rs, true)?,
             TypeSpec::Enum(es) => self.build_enum(es),
@@ -125,18 +131,18 @@ impl TypeEnv {
     }
 
     fn build_record(&mut self, rs: &RecordSpec, is_union: bool) -> Result<TypeId, String> {
-        let rid = match (&rs.tag, &rs.fields) {
+        let rid = match (rs.tag.map(|t| self.syms.text(t)), &rs.fields) {
             (Some(tag), Some(_)) => {
                 let cur = self.tags.last().expect("scope");
                 match cur.get(tag) {
                     Some(&r) if !self.table.record(r).complete => r,
                     Some(&r) => return Ok(self.table.intern(TypeKind::Record(r))),
                     None => {
-                        let (r, _) = self.table.new_record(Some(tag.clone()), is_union);
+                        let (r, _) = self.table.new_record(Some(tag.to_string()), is_union);
                         self.tags
                             .last_mut()
                             .expect("scope")
-                            .insert(tag.clone(), r);
+                            .insert(tag.to_string(), r);
                         r
                     }
                 }
@@ -144,8 +150,8 @@ impl TypeEnv {
             (Some(tag), None) => match self.lookup_tag(tag) {
                 Some(r) => r,
                 None => {
-                    let (r, _) = self.table.new_record(Some(tag.clone()), is_union);
-                    self.tags[0].insert(tag.clone(), r);
+                    let (r, _) = self.table.new_record(Some(tag.to_string()), is_union);
+                    self.tags[0].insert(tag.to_string(), r);
                     r
                 }
             },
@@ -156,9 +162,9 @@ impl TypeEnv {
             let mut built = Vec::new();
             for fd in fields {
                 let ty = self.build(&fd.ty)?;
-                match &fd.name {
+                match fd.name {
                     Some(n) => built.push(Field {
-                        name: n.clone(),
+                        name: self.syms.text(n).to_string(),
                         ty,
                         anonymous: false,
                     }),
@@ -187,11 +193,12 @@ impl TypeEnv {
                         next = v;
                     }
                 }
-                self.enum_consts.insert(name.clone(), next);
+                self.enum_consts.insert(self.syms.text(*name).to_string(), next);
                 next += 1;
             }
         }
-        self.table.intern(TypeKind::Enum(es.tag.clone()))
+        let tag = es.tag.map(|t| self.syms.text(t).to_string());
+        self.table.intern(TypeKind::Enum(tag))
     }
 
     /// Constant evaluation for array bounds / enum values / case labels.
@@ -199,7 +206,7 @@ impl TypeEnv {
         use structcast_ast::BinOp::*;
         match &e.kind {
             ExprKind::IntLit(v) | ExprKind::CharLit(v) => Some(*v),
-            ExprKind::Ident(n) => self.enum_consts.get(n).copied(),
+            ExprKind::Ident(n) => self.enum_consts.get(self.syms.text(*n)).copied(),
             ExprKind::Unary(UnOp::Neg, i) => self.const_eval(i).map(|v| -v),
             ExprKind::Unary(UnOp::Plus, i) => self.const_eval(i),
             ExprKind::Unary(UnOp::BitNot, i) => self.const_eval(i).map(|v| !v),
@@ -294,14 +301,14 @@ mod tests {
     #[test]
     fn builds_struct_types_from_ast() {
         let tu = parse("typedef struct S { int *a; char b; } S; S x;").unwrap();
-        let mut env = TypeEnv::new(Layout::ilp32());
+        let mut env = TypeEnv::new(Layout::ilp32(), &tu.symbols);
         for d in &tu.decls {
             if let structcast_ast::ExternalDecl::Declaration(decl) = d {
                 let base = env.build(&decl.base).unwrap();
                 for item in &decl.items {
                     let ty = env.build_with_base(&item.ty, base).unwrap();
                     if decl.storage == structcast_ast::Storage::Typedef {
-                        env.define_typedef(&item.name, ty);
+                        env.define_typedef(tu.symbols.text(item.name), ty);
                     } else {
                         assert_eq!(env.table.display(ty), "struct S");
                     }
@@ -313,7 +320,7 @@ mod tests {
     #[test]
     fn enum_constants_fold() {
         let tu = parse("enum E { A = 3, B, C = B * 2 };").unwrap();
-        let mut env = TypeEnv::new(Layout::ilp32());
+        let mut env = TypeEnv::new(Layout::ilp32(), &tu.symbols);
         if let structcast_ast::ExternalDecl::Declaration(d) = &tu.decls[0] {
             env.build(&d.base).unwrap();
         }

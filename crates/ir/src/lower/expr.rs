@@ -62,7 +62,7 @@ impl LValue {
     }
 }
 
-impl Lowerer {
+impl Lowerer<'_> {
     /// Lowers an expression for its value, emitting any needed statements.
     pub(crate) fn rvalue(&mut self, e: &Expr) -> Result<Val> {
         let v = self.rvalue_nodecay(e)?;
@@ -131,8 +131,9 @@ impl Lowerer {
                 let d = self.prog.types.double();
                 Ok(Val::Scalar(d))
             }
-            ExprKind::StrLit(s) => {
+            &ExprKind::StrLit(s) => {
                 // A fresh string-literal object; its address is the value.
+                let s = self.text(s);
                 let ch = self.prog.types.char();
                 let arr = self.prog.types.array_of(ch, Some(s.len() as u64 + 1));
                 let lit = self.new_object(
@@ -153,7 +154,7 @@ impl Lowerer {
                     ty: cp,
                 })
             }
-            ExprKind::Ident(name) => match self.resolve_ident(name) {
+            &ExprKind::Ident(name) => match self.resolve_ident(name) {
                 Some(Resolved::Obj(obj)) => Ok(Val::Obj {
                     obj,
                     path: FieldPath::empty(),
@@ -162,7 +163,7 @@ impl Lowerer {
                 Some(Resolved::Func(fid)) => Ok(self.function_value(fid)),
                 Some(Resolved::EnumConst(_)) => Ok(Val::Scalar(int)),
                 None => Err(LowerError::new(
-                    format!("use of undeclared identifier `{name}`"),
+                    format!("use of undeclared identifier `{}`", self.text(name)),
                     e.span,
                 )),
             },
@@ -290,7 +291,7 @@ impl Lowerer {
 
     fn lower_addr_of(&mut self, inner: &Expr) -> Result<Val> {
         // &f where f is a function: same as plain f.
-        if let ExprKind::Ident(name) = &inner.kind {
+        if let ExprKind::Ident(name) = inner.kind {
             if let Some(Resolved::Func(fid)) = self.resolve_ident(name) {
                 return Ok(self.function_value(fid));
             }
@@ -424,7 +425,7 @@ impl Lowerer {
     pub(crate) fn lvalue(&mut self, e: &Expr) -> Result<LValue> {
         self.cur_span = e.span;
         match &e.kind {
-            ExprKind::Ident(name) => match self.resolve_ident(name) {
+            &ExprKind::Ident(name) => match self.resolve_ident(name) {
                 Some(Resolved::Obj(obj)) => Ok(LValue::Direct {
                     base: obj,
                     path: FieldPath::empty(),
@@ -439,15 +440,16 @@ impl Lowerer {
                     })
                 }
                 Some(Resolved::EnumConst(_)) => Err(LowerError::new(
-                    format!("enum constant `{name}` is not an lvalue"),
+                    format!("enum constant `{}` is not an lvalue", self.text(name)),
                     e.span,
                 )),
                 None => Err(LowerError::new(
-                    format!("use of undeclared identifier `{name}`"),
+                    format!("use of undeclared identifier `{}`", self.text(name)),
                     e.span,
                 )),
             },
             ExprKind::Member(obj_e, fname, arrow) => {
+                let fname = self.text(*fname);
                 if *arrow {
                     let v = self.rvalue(obj_e)?;
                     let ptr = self.materialize(&v).ok_or_else(|| {
@@ -745,16 +747,17 @@ impl Lowerer {
             target = inner;
         }
 
-        if let ExprKind::Ident(name) = &target.kind {
-            match self.resolve_ident(name) {
+        if let ExprKind::Ident(sym) = target.kind {
+            let name = self.text(sym);
+            match self.resolve_ident(sym) {
                 Some(Resolved::Func(fid)) => {
                     let defined = self.prog.functions[fid.0 as usize].defined;
                     if !defined {
-                        if let Some(v) = self.try_summary(name, &arg_vals, args)? {
+                        if let Some(v) = self.try_summary(sym, &arg_vals, args)? {
                             return Ok(v);
                         }
                         self.warn_once(
-                            name,
+                            sym,
                             format!(
                                 "call to external function `{name}` with no summary; \
                                  assumed to have no pointer effects"
@@ -774,11 +777,11 @@ impl Lowerer {
                 }
                 None => {
                     // Implicitly-declared function: summary or no-op.
-                    if let Some(v) = self.try_summary(name, &arg_vals, args)? {
+                    if let Some(v) = self.try_summary(sym, &arg_vals, args)? {
                         return Ok(v);
                     }
                     self.warn_once(
-                        name,
+                        sym,
                         format!(
                             "call to unknown function `{name}`; \
                              assumed to have no pointer effects"

@@ -16,12 +16,15 @@ mod summaries;
 pub(crate) use expr::{LValue, Val};
 
 use crate::ir::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use structcast_ast::{
     AstType, Declaration, EnumSpec, Expr, ExprKind, ExternalDecl, FieldDecl, FunctionDef,
-    Initializer, RecordSpec, Span, Storage, TranslationUnit, TypeSpec, UnOp,
+    Initializer, ParamDecl, RecordSpec, Scopes, Span, Storage, Sym, Symbols, TranslationUnit,
+    TypeSpec, UnOp,
 };
-use structcast_types::{Field, FieldPath, FuncSig, Layout, RecordId, TypeId, TypeKind};
+use structcast_types::{
+    Field, FieldPath, FloatKind, FuncSig, IntKind, Layout, RecordId, TypeId, TypeKind,
+};
 
 /// How deeply one type may nest, counted separately along two chains: its
 /// pointer, array and function declarators (`typedef T0 *T1; typedef T1
@@ -104,7 +107,7 @@ pub type Result<T> = std::result::Result<T, LowerError>;
 /// errors: they produce a [`Program::warnings`] entry and have no pointer
 /// effect (known libc functions get real summaries; see `summaries`).
 pub fn lower(tu: &TranslationUnit) -> Result<Program> {
-    let mut lw = Lowerer::new();
+    let mut lw = Lowerer::new(&tu.symbols);
     lw.run(tu)?;
     Ok(lw.prog)
 }
@@ -131,14 +134,18 @@ pub(crate) enum Resolved {
     EnumConst(i64),
 }
 
-pub(crate) struct Lowerer {
+/// The lowering state. Name tables are indexed by the unit's symbols; a
+/// name's text is read only to build an object name or an error message.
+pub(crate) struct Lowerer<'a> {
     pub(crate) prog: Program,
-    globals: HashMap<String, Resolved>,
-    /// Local name scopes (innermost last); active while lowering a body.
-    locals: Vec<HashMap<String, ObjId>>,
-    typedefs: Vec<HashMap<String, TypeId>>,
-    tags: Vec<HashMap<String, RecordId>>,
-    enum_tags: Vec<HashMap<String, TypeId>>,
+    syms: &'a Symbols,
+    /// File-scope ordinary names (objects, functions, enum constants).
+    globals: Vec<Option<Resolved>>,
+    /// Block-scope objects; bound only while lowering a body.
+    locals: Scopes<ObjId>,
+    typedefs: Scopes<TypeId>,
+    tags: Scopes<RecordId>,
+    enum_tags: Scopes<TypeId>,
     pub(crate) current_fn: Option<FuncId>,
     temp_count: u32,
     heap_sites: u32,
@@ -148,14 +155,14 @@ pub(crate) struct Lowerer {
     consteval_layout: Layout,
     pub(crate) cur_span: Span,
     /// Deferred global initializers: (object, type, initializer).
-    pending_inits: Vec<(ObjId, TypeId, Initializer)>,
+    pending_inits: Vec<(ObjId, TypeId, &'a Initializer)>,
     /// Names already warned about (one warning per unknown function).
-    warned: std::collections::HashSet<String>,
+    warned: HashSet<Sym>,
     /// The most recent heap object created by an allocator summary; lets a
     /// surrounding pointer cast refine the allocation's element type.
     pub(crate) last_alloc: Option<ObjId>,
     /// Per-function static result buffers (`getenv`, `ctime`, ...).
-    pub(crate) static_bufs: HashMap<String, ObjId>,
+    pub(crate) static_bufs: HashMap<Sym, ObjId>,
     /// Hidden state threading `strtok(NULL, ...)` calls together.
     pub(crate) strtok_state: Option<ObjId>,
     /// Declarator depth per `TypeId` (pointer, array and function layers
@@ -165,15 +172,17 @@ pub(crate) struct Lowerer {
     record_depth: Vec<u32>,
 }
 
-impl Lowerer {
-    fn new() -> Self {
+impl<'a> Lowerer<'a> {
+    fn new(syms: &'a Symbols) -> Self {
+        let n = syms.len();
         Lowerer {
             prog: Program::default(),
-            globals: HashMap::new(),
-            locals: Vec::new(),
-            typedefs: vec![HashMap::new()],
-            tags: vec![HashMap::new()],
-            enum_tags: vec![HashMap::new()],
+            syms,
+            globals: vec![None; n],
+            locals: Scopes::with_symbols(n),
+            typedefs: Scopes::with_symbols(n),
+            tags: Scopes::with_symbols(n),
+            enum_tags: Scopes::with_symbols(n),
             current_fn: None,
             temp_count: 0,
             heap_sites: 0,
@@ -181,7 +190,7 @@ impl Lowerer {
             consteval_layout: Layout::ilp32(),
             cur_span: Span::dummy(),
             pending_inits: Vec::new(),
-            warned: std::collections::HashSet::new(),
+            warned: HashSet::new(),
             last_alloc: None,
             static_bufs: HashMap::new(),
             strtok_state: None,
@@ -190,7 +199,7 @@ impl Lowerer {
         }
     }
 
-    fn run(&mut self, tu: &TranslationUnit) -> Result<()> {
+    fn run(&mut self, tu: &'a TranslationUnit) -> Result<()> {
         // Pass 1: register all file-scope declarations.
         for d in &tu.decls {
             match d {
@@ -224,14 +233,14 @@ impl Lowerer {
 
     pub(crate) fn new_temp(&mut self, ty: TypeId) -> ObjId {
         self.temp_count += 1;
-        let name = format!("t${}", self.temp_count);
+        let name = numbered("t$", self.temp_count);
         self.new_object(name, ty, ObjKind::Temp(self.current_fn))
     }
 
     pub(crate) fn new_heap_object(&mut self, pointee: TypeId) -> ObjId {
         self.heap_sites += 1;
         let site = self.heap_sites;
-        let name = format!("malloc_{site}");
+        let name = numbered("malloc_", site);
         let obj = self.new_object(name, pointee, ObjKind::Heap(site));
         self.prog.heap_spans.push((obj, self.cur_span));
         obj
@@ -243,19 +252,24 @@ impl Lowerer {
         self.prog.stmt_funcs.push(self.current_fn);
     }
 
-    pub(crate) fn warn_once(&mut self, key: &str, msg: String) {
-        if self.warned.insert(key.to_string()) {
+    pub(crate) fn warn_once(&mut self, key: Sym, msg: String) {
+        if self.warned.insert(key) {
             self.prog.warnings.push(msg);
         }
+    }
+
+    /// The text of a name.
+    pub(crate) fn text(&self, name: Sym) -> &'a str {
+        self.syms.text(name)
     }
 
     // ----- scopes -----
 
     pub(crate) fn push_scope(&mut self) {
-        self.locals.push(HashMap::new());
-        self.typedefs.push(HashMap::new());
-        self.tags.push(HashMap::new());
-        self.enum_tags.push(HashMap::new());
+        self.locals.push();
+        self.typedefs.push();
+        self.tags.push();
+        self.enum_tags.push();
     }
 
     pub(crate) fn pop_scope(&mut self) {
@@ -265,55 +279,44 @@ impl Lowerer {
         self.enum_tags.pop();
     }
 
-    pub(crate) fn declare_local(&mut self, name: &str, obj: ObjId) {
-        self.locals
-            .last_mut()
-            .expect("declare_local outside a function")
-            .insert(name.to_string(), obj);
+    pub(crate) fn declare_local(&mut self, name: Sym, obj: ObjId) {
+        debug_assert!(
+            self.current_fn.is_some(),
+            "declare_local outside a function"
+        );
+        self.locals.bind(name, obj);
     }
 
-    pub(crate) fn resolve_ident(&self, name: &str) -> Option<Resolved> {
-        for scope in self.locals.iter().rev() {
-            if let Some(&o) = scope.get(name) {
-                return Some(Resolved::Obj(o));
-            }
+    pub(crate) fn resolve_ident(&self, name: Sym) -> Option<Resolved> {
+        match self.locals.get(name) {
+            Some(o) => Some(Resolved::Obj(o)),
+            // Enum constants are stored in the globals table too (scoped
+            // enum constants are folded into it during type building).
+            None => self.global(name),
         }
-        // Enum constants are stored in the globals map too (scoped enum
-        // constants are folded into the nearest map during type building).
-        self.globals.get(name).copied()
     }
 
-    pub(crate) fn declare_enum_const(&mut self, name: &str, value: i64) {
+    fn global(&self, name: Sym) -> Option<Resolved> {
+        self.globals.get(name.index()).copied().flatten()
+    }
+
+    fn set_global(&mut self, name: Sym, r: Resolved) {
+        self.globals[name.index()] = Some(r);
+    }
+
+    pub(crate) fn declare_enum_const(&mut self, name: Sym, value: i64) {
         // Enum constants land in the global namespace; local shadowing of
         // enum constants by variables still works because locals win.
-        self.globals
-            .entry(name.to_string())
-            .or_insert(Resolved::EnumConst(value));
-    }
-
-    fn lookup_typedef(&self, name: &str) -> Option<TypeId> {
-        for scope in self.typedefs.iter().rev() {
-            if let Some(&t) = scope.get(name) {
-                return Some(t);
-            }
+        if self.global(name).is_none() {
+            self.set_global(name, Resolved::EnumConst(value));
         }
-        None
-    }
-
-    fn lookup_tag(&self, name: &str) -> Option<RecordId> {
-        for scope in self.tags.iter().rev() {
-            if let Some(&r) = scope.get(name) {
-                return Some(r);
-            }
-        }
-        None
     }
 
     // ----- declarations -----
 
     /// Registers a declaration. In pass 1 (`file_scope = true`) initializers
     /// are deferred; locally they are lowered immediately by the caller.
-    fn register_declaration(&mut self, decl: &Declaration, file_scope: bool) -> Result<()> {
+    fn register_declaration(&mut self, decl: &'a Declaration, file_scope: bool) -> Result<()> {
         self.cur_span = decl.span;
         // Build the base type exactly once: declarators embed a clone of the
         // base spec, so rebuilding it per item would re-define records.
@@ -322,19 +325,14 @@ impl Lowerer {
             self.cur_span = item.span;
             let ty = self.build_type_with_base(&item.ty, base_built)?;
             match decl.storage {
-                Storage::Typedef => {
-                    self.typedefs
-                        .last_mut()
-                        .expect("typedef scope")
-                        .insert(item.name.clone(), ty);
-                }
+                Storage::Typedef => self.typedefs.bind(item.name, ty),
                 _ => {
                     if matches!(self.prog.types.kind(ty), TypeKind::Function(_)) {
-                        self.register_function_sig(&item.name, ty, &item.ty, false)?;
+                        self.register_function_sig(item.name, ty, &item.ty, false)?;
                     } else if file_scope {
-                        let obj = self.declare_global_var(&item.name, ty);
+                        let obj = self.declare_global_var(item.name, ty);
                         if let Some(init) = &item.init {
-                            self.pending_inits.push((obj, ty, init.clone()));
+                            self.pending_inits.push((obj, ty, init));
                         }
                     } else {
                         unreachable!("register_declaration called locally")
@@ -345,8 +343,8 @@ impl Lowerer {
         Ok(())
     }
 
-    fn declare_global_var(&mut self, name: &str, ty: TypeId) -> ObjId {
-        if let Some(Resolved::Obj(existing)) = self.globals.get(name).copied() {
+    fn declare_global_var(&mut self, name: Sym, ty: TypeId) -> ObjId {
+        if let Some(Resolved::Obj(existing)) = self.global(name) {
             // Redeclaration (e.g. extern then definition): prefer the more
             // complete type.
             let old = self.prog.type_of(existing);
@@ -355,8 +353,8 @@ impl Lowerer {
             }
             return existing;
         }
-        let obj = self.new_object(name.to_string(), ty, ObjKind::Global);
-        self.globals.insert(name.to_string(), Resolved::Obj(obj));
+        let obj = self.new_object(self.text(name).to_string(), ty, ObjKind::Global);
+        self.set_global(name, Resolved::Obj(obj));
         obj
     }
 
@@ -371,33 +369,34 @@ impl Lowerer {
     /// a definition (body present).
     fn register_function_sig(
         &mut self,
-        name: &str,
+        sym: Sym,
         fnty: TypeId,
         ast_ty: &AstType,
         defining: bool,
     ) -> Result<FuncId> {
-        let param_names: Vec<Option<String>> = match ast_ty {
-            AstType::Function { params, .. } => params.iter().map(|p| p.name.clone()).collect(),
-            _ => vec![],
+        let name = self.text(sym);
+        let decls: &[ParamDecl] = match ast_ty {
+            AstType::Function { params, .. } => params,
+            _ => &[],
         };
+        let syms = self.syms;
+        let param_name = |i: usize| decls.get(i).and_then(|p| p.name).map(|n| syms.text(n));
         let (sig_params, sig_ret, variadic) = match self.prog.types.kind(fnty) {
             TypeKind::Function(sig) => (sig.params.clone(), sig.ret, sig.variadic),
             _ => unreachable!("register_function_sig on non-function type"),
         };
 
-        if let Some(Resolved::Func(fid)) = self.globals.get(name).copied() {
+        if let Some(Resolved::Func(fid)) = self.global(sym) {
             // Update an earlier prototype.
             let need_params = sig_params.len();
             let have = self.prog.functions[fid.0 as usize].params.len();
             if need_params > have {
                 for (i, &pty) in sig_params.iter().enumerate().skip(have) {
-                    let pname = param_names
-                        .get(i)
-                        .cloned()
-                        .flatten()
-                        .unwrap_or_else(|| format!("{name}::p{i}"));
                     let p = self.new_object(
-                        format!("{name}::{pname}"),
+                        match param_name(i) {
+                            Some(pname) => qualified(name, pname),
+                            None => format!("{name}::{name}::p{i}"),
+                        },
                         pty,
                         ObjKind::Param(fid, i as u32),
                     );
@@ -422,18 +421,17 @@ impl Lowerer {
             .iter()
             .enumerate()
             .map(|(i, &pt)| {
-                let pname = param_names
-                    .get(i)
-                    .cloned()
-                    .flatten()
-                    .unwrap_or_else(|| format!("p{i}"));
-                self.new_object(format!("{name}::{pname}"), pt, ObjKind::Param(fid, i as u32))
+                let pname = match param_name(i) {
+                    Some(pname) => qualified(name, pname),
+                    None => format!("{name}::p{i}"),
+                };
+                self.new_object(pname, pt, ObjKind::Param(fid, i as u32))
             })
             .collect();
         let ret_slot = if matches!(self.prog.types.kind(sig_ret), TypeKind::Void) {
             None
         } else {
-            Some(self.new_object(format!("{name}::$ret"), sig_ret, ObjKind::Ret(fid)))
+            Some(self.new_object(qualified(name, "$ret"), sig_ret, ObjKind::Ret(fid)))
         };
         self.prog.functions.push(Function {
             name: name.to_string(),
@@ -446,14 +444,14 @@ impl Lowerer {
             variadic,
             varargs: None,
         });
-        self.globals.insert(name.to_string(), Resolved::Func(fid));
+        self.set_global(sym, Resolved::Func(fid));
         Ok(fid)
     }
 
     fn register_function_def(&mut self, f: &FunctionDef) -> Result<FuncId> {
         self.cur_span = f.span;
         let fnty = self.build_type(&f.ty)?;
-        self.register_function_sig(&f.name, fnty, &f.ty, true)
+        self.register_function_sig(f.name, fnty, &f.ty, true)
     }
 
     pub(crate) fn varargs_obj(&mut self, fid: FuncId) -> ObjId {
@@ -468,8 +466,8 @@ impl Lowerer {
     }
 
     fn lower_function_body(&mut self, f: &FunctionDef) -> Result<()> {
-        let fid = match self.globals.get(&f.name) {
-            Some(Resolved::Func(fid)) => *fid,
+        let fid = match self.global(f.name) {
+            Some(Resolved::Func(fid)) => fid,
             _ => unreachable!("function body without registration"),
         };
         self.current_fn = Some(fid);
@@ -478,7 +476,7 @@ impl Lowerer {
         let params = self.prog.functions[fid.0 as usize].params.clone();
         if let AstType::Function { params: decls, .. } = &f.ty {
             for (i, pd) in decls.iter().enumerate() {
-                if let (Some(name), Some(&pobj)) = (&pd.name, params.get(i)) {
+                if let (Some(name), Some(&pobj)) = (pd.name, params.get(i)) {
                     self.declare_local(name, pobj);
                 }
             }
@@ -608,26 +606,28 @@ impl Lowerer {
     }
 
     fn build_spec(&mut self, spec: &TypeSpec) -> Result<TypeId> {
-        use structcast_types::{FloatKind, IntKind};
         let t = &mut self.prog.types;
         Ok(match spec {
             TypeSpec::Void => t.void(),
-            TypeSpec::Char => t.intern(TypeKind::Int(IntKind::Char)),
-            TypeSpec::SChar => t.intern(TypeKind::Int(IntKind::SChar)),
-            TypeSpec::UChar => t.intern(TypeKind::Int(IntKind::UChar)),
-            TypeSpec::Short => t.intern(TypeKind::Int(IntKind::Short)),
-            TypeSpec::UShort => t.intern(TypeKind::Int(IntKind::UShort)),
-            TypeSpec::Int => t.int(),
-            TypeSpec::UInt => t.uint(),
-            TypeSpec::Long => t.long(),
-            TypeSpec::ULong => t.ulong(),
-            TypeSpec::LongLong => t.intern(TypeKind::Int(IntKind::LongLong)),
-            TypeSpec::ULongLong => t.intern(TypeKind::Int(IntKind::ULongLong)),
-            TypeSpec::Float => t.float(),
-            TypeSpec::Double => t.double(),
-            TypeSpec::LongDouble => t.intern(TypeKind::Float(FloatKind::LongDouble)),
-            TypeSpec::Typedef(name) => self.lookup_typedef(name).ok_or_else(|| {
-                LowerError::new(format!("unknown typedef name `{name}`"), self.cur_span)
+            TypeSpec::Char => t.integer(IntKind::Char),
+            TypeSpec::SChar => t.integer(IntKind::SChar),
+            TypeSpec::UChar => t.integer(IntKind::UChar),
+            TypeSpec::Short => t.integer(IntKind::Short),
+            TypeSpec::UShort => t.integer(IntKind::UShort),
+            TypeSpec::Int => t.integer(IntKind::Int),
+            TypeSpec::UInt => t.integer(IntKind::UInt),
+            TypeSpec::Long => t.integer(IntKind::Long),
+            TypeSpec::ULong => t.integer(IntKind::ULong),
+            TypeSpec::LongLong => t.integer(IntKind::LongLong),
+            TypeSpec::ULongLong => t.integer(IntKind::ULongLong),
+            TypeSpec::Float => t.floating(FloatKind::Float),
+            TypeSpec::Double => t.floating(FloatKind::Double),
+            TypeSpec::LongDouble => t.floating(FloatKind::LongDouble),
+            &TypeSpec::Typedef(name) => self.typedefs.get(name).ok_or_else(|| {
+                LowerError::new(
+                    format!("unknown typedef name `{}`", self.text(name)),
+                    self.cur_span,
+                )
             })?,
             TypeSpec::Struct(rs) => self.build_record(rs, false)?,
             TypeSpec::Union(rs) => self.build_record(rs, true)?,
@@ -636,27 +636,24 @@ impl Lowerer {
     }
 
     fn build_record(&mut self, rs: &RecordSpec, is_union: bool) -> Result<TypeId> {
-        let rid = match (&rs.tag, &rs.fields) {
+        let rid = match (rs.tag, &rs.fields) {
             (Some(tag), Some(_)) => {
                 // Definition: reuse an incomplete record declared in the
                 // *current* scope, otherwise create a fresh one here.
-                let cur = self.tags.last().expect("tag scope");
-                match cur.get(tag) {
-                    Some(&r) if !self.prog.types.record(r).complete => r,
+                match self.tags.get_innermost(tag) {
+                    Some(r) if !self.prog.types.record(r).complete => r,
                     // An already-complete record with the same tag in this
                     // scope: treat the rebuild as the same definition (field
                     // declarators clone their base spec, so this happens for
                     // legal code; true same-scope redefinitions are UB in C
                     // and accepted silently here).
-                    Some(&r) => {
+                    Some(r) => {
                         return Ok(self.prog.types.intern(TypeKind::Record(r)));
                     }
-                    _ => {
-                        let (r, _) = self.prog.types.new_record(Some(tag.clone()), is_union);
-                        self.tags
-                            .last_mut()
-                            .expect("tag scope")
-                            .insert(tag.clone(), r);
+                    None => {
+                        let tag_text = Some(self.text(tag).to_string());
+                        let (r, _) = self.prog.types.new_record(tag_text, is_union);
+                        self.tags.bind(tag, r);
                         r
                     }
                 }
@@ -664,11 +661,12 @@ impl Lowerer {
             (Some(tag), None) => {
                 // Reference: find in any scope, else declare incomplete at
                 // file scope so cross-function uses unify.
-                match self.lookup_tag(tag) {
+                match self.tags.get(tag) {
                     Some(r) => r,
                     None => {
-                        let (r, _) = self.prog.types.new_record(Some(tag.clone()), is_union);
-                        self.tags[0].insert(tag.clone(), r);
+                        let tag_text = Some(self.text(tag).to_string());
+                        let (r, _) = self.prog.types.new_record(tag_text, is_union);
+                        self.tags.bind_outermost(tag, r);
                         r
                     }
                 }
@@ -715,16 +713,16 @@ impl Lowerer {
             // an infinite layout, or a containment depth known only then.
             if let TypeKind::Record(r) = self.prog.types.kind(self.prog.types.strip_arrays(ty)) {
                 if !self.prog.types.record(*r).complete {
-                    let name = fd.name.as_deref().unwrap_or("<anonymous>");
+                    let name = fd.name.map_or("<anonymous>", |n| self.text(n));
                     return Err(LowerError::new(
                         format!("member `{name}` has incomplete type"),
                         fd.span,
                     ));
                 }
             }
-            match &fd.name {
+            match fd.name {
                 Some(name) => out.push(Field {
-                    name: name.clone(),
+                    name: self.text(name).to_string(),
                     ty,
                     anonymous: false,
                 }),
@@ -754,28 +752,25 @@ impl Lowerer {
                         next = v;
                     }
                 }
-                self.declare_enum_const(name, next);
+                self.declare_enum_const(*name, next);
                 next += 1;
             }
-            let ty = self.prog.types.intern(TypeKind::Enum(es.tag.clone()));
-            if let Some(tag) = &es.tag {
-                self.enum_tags
-                    .last_mut()
-                    .expect("enum scope")
-                    .insert(tag.clone(), ty);
+            let tag_text = es.tag.map(|t| self.text(t).to_string());
+            let ty = self.prog.types.intern(TypeKind::Enum(tag_text));
+            if let Some(tag) = es.tag {
+                self.enum_tags.bind(tag, ty);
             }
             Ok(ty)
         } else {
-            let tag = es.tag.clone().ok_or_else(|| {
-                LowerError::new("enum without tag or body", es.span)
-            })?;
-            for scope in self.enum_tags.iter().rev() {
-                if let Some(&t) = scope.get(&tag) {
-                    return Ok(t);
-                }
+            let tag = es
+                .tag
+                .ok_or_else(|| LowerError::new("enum without tag or body", es.span))?;
+            if let Some(t) = self.enum_tags.get(tag) {
+                return Ok(t);
             }
             // Reference before definition: intern by tag.
-            Ok(self.prog.types.intern(TypeKind::Enum(Some(tag))))
+            let tag_text = self.text(tag).to_string();
+            Ok(self.prog.types.intern(TypeKind::Enum(Some(tag_text))))
         }
     }
 
@@ -789,7 +784,7 @@ impl Lowerer {
         use structcast_ast::BinOp::*;
         match &e.kind {
             ExprKind::IntLit(v) | ExprKind::CharLit(v) => Some(*v),
-            ExprKind::Ident(name) => match self.resolve_ident(name) {
+            ExprKind::Ident(name) => match self.resolve_ident(*name) {
                 Some(Resolved::EnumConst(v)) => Some(v),
                 _ => None,
             },
@@ -858,28 +853,23 @@ impl Lowerer {
             self.cur_span = item.span;
             let ty = self.build_type_with_base(&item.ty, base_built)?;
             match decl.storage {
-                Storage::Typedef => {
-                    self.typedefs
-                        .last_mut()
-                        .expect("typedef scope")
-                        .insert(item.name.clone(), ty);
-                }
+                Storage::Typedef => self.typedefs.bind(item.name, ty),
                 _ => {
                     if matches!(self.prog.types.kind(ty), TypeKind::Function(_)) {
                         // Local function declaration.
-                        self.register_function_sig(&item.name, ty, &item.ty, false)?;
+                        self.register_function_sig(item.name, ty, &item.ty, false)?;
                         continue;
                     }
                     let fid = self.current_fn.expect("local declaration outside function");
                     let obj = self.new_object(
-                        format!(
-                            "{}::{}",
-                            self.prog.functions[fid.0 as usize].name, item.name
+                        qualified(
+                            &self.prog.functions[fid.0 as usize].name,
+                            self.text(item.name),
                         ),
                         ty,
                         ObjKind::Local(fid),
                     );
-                    self.declare_local(&item.name, obj);
+                    self.declare_local(item.name, obj);
                     if let Some(init) = &item.init {
                         self.lower_initializer(obj, FieldPath::empty(), ty, init)?;
                     }
@@ -888,4 +878,22 @@ impl Lowerer {
         }
         Ok(())
     }
+}
+
+/// The name of `member` of function `func` (`f::x`), built in one
+/// allocation.
+fn qualified(func: &str, member: &str) -> String {
+    let mut name = String::with_capacity(func.len() + 2 + member.len());
+    name.push_str(func);
+    name.push_str("::");
+    name.push_str(member);
+    name
+}
+
+/// `prefix` followed by `n` in decimal, built in one allocation.
+fn numbered(prefix: &str, n: u32) -> String {
+    use std::fmt::Write as _;
+    let mut name = String::with_capacity(prefix.len() + 10);
+    let _ = write!(name, "{prefix}{n}");
+    name
 }

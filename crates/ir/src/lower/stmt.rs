@@ -10,7 +10,7 @@ use crate::ir::*;
 use structcast_ast::{BlockItem, ExprKind, ForInit, Initializer, Stmt as AStmt};
 use structcast_types::{FieldPath, TypeId, TypeKind};
 
-impl Lowerer {
+impl Lowerer<'_> {
     pub(crate) fn lower_stmt(&mut self, s: &AStmt) -> Result<()> {
         match s {
             AStmt::Expr(None) => Ok(()),

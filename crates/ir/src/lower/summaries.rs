@@ -22,7 +22,7 @@
 use super::expr::Val;
 use super::{Lowerer, Result};
 use crate::ir::*;
-use structcast_ast::{Expr, ExprKind};
+use structcast_ast::{Expr, ExprKind, Sym};
 use structcast_types::{FieldPath, TypeId, TypeKind};
 
 /// What a summarized function does, pointer-wise.
@@ -102,16 +102,16 @@ fn summary_for(name: &str) -> Option<Summary> {
     })
 }
 
-impl Lowerer {
+impl Lowerer<'_> {
     /// Tries to apply a library summary for `name`. Returns `Ok(None)` if
     /// the name has no summary (caller warns and treats it as a no-op).
     pub(crate) fn try_summary(
         &mut self,
-        name: &str,
+        name: Sym,
         arg_vals: &[Val],
         arg_exprs: &[Expr],
     ) -> Result<Option<Val>> {
-        let Some(kind) = summary_for(name) else {
+        let Some(kind) = summary_for(self.text(name)) else {
             return Ok(None);
         };
         use Summary::*;
@@ -315,7 +315,7 @@ impl Lowerer {
     /// (used only by the `sizeof` heuristic above).
     fn static_type_no_effects(&mut self, e: &Expr) -> Option<TypeId> {
         match &e.kind {
-            ExprKind::Ident(name) => match self.resolve_ident(name)? {
+            &ExprKind::Ident(name) => match self.resolve_ident(name)? {
                 super::Resolved::Obj(o) => Some(self.prog.type_of(o)),
                 _ => None,
             },
@@ -328,7 +328,7 @@ impl Lowerer {
                 let rec_ty = if *arrow { self.prog.types.pointee(t)? } else { t };
                 let stripped = self.prog.types.strip_arrays(rec_ty);
                 let rid = self.prog.types.as_record(stripped)?;
-                let steps = self.prog.types.resolve_member(rid, f)?;
+                let steps = self.prog.types.resolve_member(rid, self.text(*f))?;
                 structcast_types::type_of_path(
                     &self.prog.types,
                     stripped,
@@ -348,14 +348,14 @@ impl Lowerer {
         }
     }
 
-    fn static_buffer(&mut self, name: &str) -> ObjId {
-        if let Some(&b) = self.static_bufs.get(name) {
+    fn static_buffer(&mut self, name: Sym) -> ObjId {
+        if let Some(&b) = self.static_bufs.get(&name) {
             return b;
         }
         let ch = self.prog.types.char();
         let arr = self.prog.types.array_of(ch, None);
-        let obj = self.new_object(format!("__{name}_buf"), arr, ObjKind::Global);
-        self.static_bufs.insert(name.to_string(), obj);
+        let obj = self.new_object(format!("__{}_buf", self.text(name)), arr, ObjKind::Global);
+        self.static_bufs.insert(name, obj);
         obj
     }
 

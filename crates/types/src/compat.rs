@@ -14,6 +14,16 @@
 
 use crate::idhash::IdHashSet;
 use crate::repr::{RecordId, TypeId, TypeKind, TypeTable};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The coinductive record pairs of the comparison in progress, reused
+    /// across calls so that `compatible` does not allocate on the solver's
+    /// hot path. `compat_rec` removes every pair it inserts, so the set is
+    /// empty between calls and only its capacity carries over.
+    static ASSUMED: RefCell<IdHashSet<(RecordId, RecordId)>> =
+        RefCell::new(IdHashSet::default());
+}
 
 /// How struct/union compatibility is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -52,8 +62,14 @@ pub fn compatible(table: &TypeTable, a: TypeId, b: TypeId, mode: CompatMode) -> 
     if a != b && table.leaf_count(a) != table.leaf_count(b) {
         return false;
     }
-    let mut assumed = IdHashSet::default();
-    compat_rec(table, a, b, mode, &mut assumed)
+    ASSUMED.with(|cell| {
+        let mut assumed = cell.borrow_mut();
+        if !assumed.is_empty() {
+            // Left over only by a panic inside an earlier call.
+            assumed.clear();
+        }
+        compat_rec(table, a, b, mode, &mut assumed)
+    })
 }
 
 fn compat_rec(

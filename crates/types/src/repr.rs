@@ -43,6 +43,11 @@ pub enum IntKind {
     ULongLong,
 }
 
+/// Number of [`IntKind`]s.
+const INT_KINDS: usize = IntKind::ULongLong as usize + 1;
+/// Number of scalar kinds: `void`, the integers and the floats.
+const SCALAR_KINDS: usize = 1 + INT_KINDS + FloatKind::LongDouble as usize + 1;
+
 /// Floating-point kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FloatKind {
@@ -128,6 +133,9 @@ pub struct Record {
 pub struct TypeTable {
     kinds: Vec<TypeKind>,
     intern: HashMap<TypeKind, TypeId>,
+    /// Ids of the scalar kinds interned so far: `void`, then each
+    /// [`IntKind`], then each [`FloatKind`].
+    scalars: [Option<TypeId>; SCALAR_KINDS],
     records: Vec<Record>,
     /// Shape and layout tables, built on first use (see `shape.rs`).
     pub(crate) tables: Tables,
@@ -179,44 +187,65 @@ impl TypeTable {
 
     // ----- convenience constructors -----
 
+    /// The id of a scalar kind, interned on first use and cached after, so
+    /// the scalar constructors below hash nothing.
+    fn scalar(&mut self, slot: usize, kind: TypeKind) -> TypeId {
+        if let Some(id) = self.scalars[slot] {
+            return id;
+        }
+        let id = self.intern(kind);
+        self.scalars[slot] = Some(id);
+        id
+    }
+
     /// `void`
     pub fn void(&mut self) -> TypeId {
-        self.intern(TypeKind::Void)
+        self.scalar(0, TypeKind::Void)
+    }
+
+    /// The integer type of kind `k`.
+    pub fn integer(&mut self, k: IntKind) -> TypeId {
+        self.scalar(1 + k as usize, TypeKind::Int(k))
+    }
+
+    /// The floating type of kind `k`.
+    pub fn floating(&mut self, k: FloatKind) -> TypeId {
+        self.scalar(1 + INT_KINDS + k as usize, TypeKind::Float(k))
     }
 
     /// `char`
     pub fn char(&mut self) -> TypeId {
-        self.intern(TypeKind::Int(IntKind::Char))
+        self.integer(IntKind::Char)
     }
 
     /// `int`
     pub fn int(&mut self) -> TypeId {
-        self.intern(TypeKind::Int(IntKind::Int))
+        self.integer(IntKind::Int)
     }
 
     /// `unsigned int`
     pub fn uint(&mut self) -> TypeId {
-        self.intern(TypeKind::Int(IntKind::UInt))
+        self.integer(IntKind::UInt)
     }
 
     /// `long`
     pub fn long(&mut self) -> TypeId {
-        self.intern(TypeKind::Int(IntKind::Long))
+        self.integer(IntKind::Long)
     }
 
     /// `unsigned long`
     pub fn ulong(&mut self) -> TypeId {
-        self.intern(TypeKind::Int(IntKind::ULong))
+        self.integer(IntKind::ULong)
     }
 
     /// `double`
     pub fn double(&mut self) -> TypeId {
-        self.intern(TypeKind::Float(FloatKind::Double))
+        self.floating(FloatKind::Double)
     }
 
     /// `float`
     pub fn float(&mut self) -> TypeId {
-        self.intern(TypeKind::Float(FloatKind::Float))
+        self.floating(FloatKind::Float)
     }
 
     /// Pointer to `inner`.
