@@ -122,10 +122,12 @@ echo "scast query --binary: rejected with a usage error"
 # summary and two demand answers, edit only g() via `scast update`, and
 # assert the reply: the untouched function's constraints are reused, and
 # the session serves the post-edit answer in both modes, the demand
-# queries for p and q warm from the migrated summary.
-"$SCAST" query --addr "$ADDR" \
-    '{"op":"load","name":"live","source":"int x, y, *p, *q;\nvoid f(void) { p = &x; }\nvoid g(void) { q = &y; }"}' |
-    grep -q '"ok": true' || { echo "live session load failed"; exit 1; }
+# queries for p and q warm from the migrated summary. The update releases
+# the pre-edit version, so its hash then answers like an unknown program.
+LIVE_LOAD=$("$SCAST" query --addr "$ADDR" \
+    '{"op":"load","name":"live","source":"int x, y, *p, *q;\nvoid f(void) { p = &x; }\nvoid g(void) { q = &y; }"}')
+echo "$LIVE_LOAD" | grep -q '"ok": true' || { echo "live session load failed"; exit 1; }
+BEFORE=$(echo "$LIVE_LOAD" | sed 's/.*"hash": "\([0-9a-f]*\)".*/\1/')
 "$SCAST" query --addr "$ADDR" '{"op":"points_to","program":"live","var":"q"}' |
     grep -q '"points_to": \["y"\]' || { echo "pre-edit answer wrong"; exit 1; }
 for v in p q; do
@@ -153,7 +155,12 @@ for v in p q; do
         echo "post-edit demand answer for $v must be warm:"; echo "$DEMAND"; exit 1
     }
 done
-echo "update round trip: reused_fns=$REUSED, post-edit answers correct, demand warm from the migrated summary"
+RELEASED=$("$SCAST" query --addr "$ADDR" "{\"op\":\"points_to\",\"program\":\"$BEFORE\",\"var\":\"q\"}")
+echo "$RELEASED" | grep -q '"kind": "bad_request"' &&
+    echo "$RELEASED" | grep -q "unknown program \`$BEFORE\`" || {
+    echo "the pre-edit hash $BEFORE must be released by the update:"; echo "$RELEASED"; exit 1
+}
+echo "update round trip: reused_fns=$REUSED, post-edit answers correct, demand warm from the migrated summary, pre-edit hash released"
 
 # Nesting bomb: one 200,000-deep NDJSON line must get a typed bad_request
 # (the decoders bound nesting) instead of overflowing a worker's stack and

@@ -294,8 +294,9 @@ pub enum BlockItem {
 /// The first clause of a `for` statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ForInit {
-    /// A declaration (C99-style `for (int i = 0; ...)`, accepted).
-    Decl(Declaration),
+    /// A declaration (C99-style `for (int i = 0; ...)`, accepted), boxed
+    /// so that it does not widen every [`Stmt`].
+    Decl(Box<Declaration>),
     /// An expression.
     Expr(Expr),
 }
@@ -546,5 +547,13 @@ mod tests {
         assert_eq!(UnOp::AddrOf.to_string(), "&");
         assert_eq!(BinOp::Shl.to_string(), "<<");
         assert_eq!(AssignOp::Xor.to_string(), "^=");
+    }
+
+    #[test]
+    fn stmt_stays_within_its_size_bound() {
+        // Every `Box<Stmt>` and `BlockItem` pays this size; an inline
+        // `Declaration` in `ForInit` made it 200 bytes.
+        let size = std::mem::size_of::<Stmt>();
+        assert!(size <= 152, "Stmt is {size} bytes");
     }
 }

@@ -116,7 +116,7 @@ impl Parser {
             self.advance();
             None
         } else if self.starts_declaration() {
-            Some(ForInit::Decl(self.parse_local_declaration()?))
+            Some(ForInit::Decl(Box::new(self.parse_local_declaration()?)))
         } else {
             let e = self.parse_expr()?;
             self.expect(T::Semi)?;

@@ -252,6 +252,13 @@ impl AnalysisResult {
         self.facts.points_to_vec(&l)
     }
 
+    /// The size of [`points_to`](AnalysisResult::points_to), read from the
+    /// fact store without collecting the set.
+    pub fn points_to_len(&self, prog: &Program, obj: ObjId) -> usize {
+        let l = self.model.normalize(prog, obj, &FieldPath::empty());
+        self.facts.points_to_len(&l)
+    }
+
     /// The points-to set of a top-level object rendered with
     /// [`Loc::display`], sorted and deduplicated: the form every points-to
     /// reply of the query server carries.

@@ -13,15 +13,18 @@
 //! - answers rendered from a summary: a points-to table
 //!   ([`PointsToTable`]), keyed `(source hash, "points_to/<cache key>")`,
 //!   and a MOD/REF table ([`ModRefTable`]), keyed `(source hash,
-//!   "modref/<cache key>")`. The first `points_to` or `alias` query, or
-//!   the first `modref` query, against a summary renders the table, and
-//!   later ones read it ([`SessionCache::points_to_table`],
-//!   [`SessionCache::modref`]);
+//!   "modref/<cache key>")`. The first `points_to` or `alias` query
+//!   against a summary indexes its points-to table by name, and each row
+//!   renders the first time a query reads it
+//!   ([`SessionCache::points_to_table`], [`PointsToTable::answer`]); the
+//!   first `modref` query renders the whole MOD/REF table
+//!   ([`SessionCache::modref`]);
 //! - a demand answer ([`DemandAnswer`]), keyed `(source hash,
 //!   "demand/<subject>/<cache key>")` ([`SessionCache::demand`]).
 //!
 //! No cache key is empty or starts with `points_to/`, `modref/` or
-//! `demand/`, so the shapes never collide. The slot map, the name → hash aliases and the
+//! `demand/`, so the shapes never collide. The slots of one source hash
+//! are one *version* of a program. The slot map, the name → hash aliases and the
 //! resident byte total sit under one `RwLock`, so the total always equals
 //! the sum of the slot sizes. A hit takes the read guard; **miss work is
 //! done outside the lock**, so queries for different keys solve in
@@ -39,8 +42,23 @@
 //! *forgetting*, not invalidation: entries are keyed by content hash, so
 //! an evicted program that is loaded again recompiles once and yields
 //! identical results, and a query holding an `Arc` to an evicted entry
-//! keeps a valid (just no longer shared) value. Evicting a program leaves
-//! its summaries: they are self-contained and stay correct for any reload.
+//! keeps a valid (just no longer shared) value. Evicting a program drops
+//! its name and hash aliases, so it resolves like one never loaded, and
+//! leaves its summaries: they are self-contained and stay correct for any
+//! reload.
+//!
+//! # One live version per name
+//!
+//! A name holds one version; an unnamed load holds its version under its
+//! hex hash. When [`SessionCache::update`] commits, or a
+//! [`load`](SessionCache::load) or snapshot restore binds a name to
+//! different source, the version the name held is *released* in the same
+//! write guard: its program, summaries, rendered tables, demand answers
+//! and hash alias all leave the store, unless another name still holds
+//! it. The hash alias a named load registers addresses the version but
+//! does not hold it. Released values are dropped after the guard is
+//! released, so readers never wait on the frees. A released hash answers
+//! like an evicted one; an undo is an `update` back to the old text.
 //!
 //! The lock recovers from poisoning (`PoisonError::into_inner`): every
 //! cached value is immutable once inserted and the store is structurally
@@ -50,7 +68,7 @@ use crate::metrics::{Counter, Metrics};
 use crate::proto::QueryOpts;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 use structcast::{
     compile_incremental, diff_programs, modref, resolve_incremental, try_solve_compiled_parallel,
@@ -222,8 +240,8 @@ impl Solved {
 
     /// The answer for the variable `var` of `prog` (the program this
     /// summary was solved over), rendered from the solver result. `None`
-    /// when no named variable carries the name. [`PointsToTable`] holds
-    /// the same answer for every variable.
+    /// when no named variable carries the name. A [`PointsToTable`] row
+    /// renders the same answer.
     pub fn var_answer(&self, prog: &Program, var: &str) -> Option<VarAnswer> {
         Some(VarAnswer::of(prog, &self.res, named_var(prog, var)?))
     }
@@ -285,28 +303,76 @@ impl VarAnswer {
     }
 }
 
-/// The answer of every variable of one summary, by name. The first
-/// `points_to` or `alias` query against the summary renders it
-/// ([`SessionCache::points_to_table`]); it then sits in its own slot under
-/// the same byte budget, and neither `update` nor the snapshot carries it.
-#[derive(Debug, Default)]
-pub struct PointsToTable(pub HashMap<String, VarAnswer>);
+/// The answers of one summary's variables, by name. The first `points_to`
+/// or `alias` query against the summary builds the name index
+/// ([`SessionCache::points_to_table`]); each row is rendered the first
+/// time a query reads it ([`answer`](PointsToTable::answer)), so a query
+/// pays for the rows it reads. The table sits in its own slot under the
+/// same byte budget, and neither `update` nor the snapshot carries it.
+#[derive(Debug)]
+pub struct PointsToTable {
+    /// Variable name → row, under [`named_var`]'s rule.
+    rows: HashMap<String, Row>,
+    /// The resident-byte estimate, taken at build as if every row were
+    /// rendered.
+    bytes: usize,
+}
+
+/// One variable of a [`PointsToTable`]: its object, and its answer once a
+/// query has read it.
+#[derive(Debug)]
+struct Row {
+    obj: ObjId,
+    answer: OnceLock<VarAnswer>,
+}
+
+/// Estimated resident bytes of one rendered target: its display string
+/// and its location.
+const TARGET_BYTES: usize = 96;
 
 impl PointsToTable {
     fn build(prog: &Program, res: &AnalysisResult) -> PointsToTable {
-        let mut table = HashMap::new();
+        let mut rows = HashMap::new();
+        let mut bytes = 256;
         for (i, o) in prog.objects.iter().enumerate() {
-            if o.kind.is_named_variable() && !table.contains_key(&o.name) {
-                table.insert(o.name.clone(), VarAnswer::of(prog, res, ObjId(i as u32)));
+            if o.kind.is_named_variable() && !rows.contains_key(&o.name) {
+                let obj = ObjId(i as u32);
+                bytes += o.name.len() + 96 + res.points_to_len(prog, obj) * TARGET_BYTES;
+                rows.insert(o.name.clone(), Row { obj, answer: OnceLock::new() });
             }
         }
-        PointsToTable(table)
+        PointsToTable { rows, bytes }
     }
 
-    /// Approximate resident bytes (string payloads plus overhead).
+    /// The answer for the variable `var`, rendered from `prog` and `res`
+    /// (those the table was built from) the first time any query reads it.
+    /// Returns it with the wall-clock this call paid rendering it, zero
+    /// once the row is rendered. `None` when no named variable carries the
+    /// name.
+    pub fn answer(
+        &self,
+        prog: &Program,
+        res: &AnalysisResult,
+        var: &str,
+    ) -> Option<(&VarAnswer, Duration)> {
+        let row = self.rows.get(var)?;
+        if let Some(answer) = row.answer.get() {
+            return Some((answer, Duration::ZERO));
+        }
+        let start = Instant::now();
+        let answer = row.answer.get_or_init(|| VarAnswer::of(prog, res, row.obj));
+        Some((answer, start.elapsed()))
+    }
+
+    /// How many rows a query has read so far.
+    #[cfg(test)]
+    pub(crate) fn rendered_rows(&self) -> usize {
+        self.rows.values().filter(|r| r.answer.get().is_some()).count()
+    }
+
+    /// Approximate resident bytes, fixed at build.
     pub fn approx_bytes(&self) -> usize {
-        let rows = self.0.iter().map(|(k, a)| k.len() + 96 + str_bytes(&a.shown));
-        256 + rows.sum::<usize>() + self.0.values().map(|a| a.locs.len() * 48).sum::<usize>()
+        self.bytes
     }
 }
 
@@ -488,14 +554,68 @@ struct Slot {
     last_use: AtomicU64,
 }
 
+/// What a program name or hex hash resolves to.
+struct Alias {
+    /// The source hash of the version it addresses.
+    key: u64,
+    /// Whether the binding keeps the version resident: a name does, and so
+    /// does a hex hash an unnamed load bound. The hash alias of a named
+    /// load does not.
+    holds: bool,
+}
+
 /// Everything behind the cache's one lock.
 #[derive(Default)]
 struct Store {
     slots: HashMap<Key, Slot>,
-    /// Program name (and hex hash) → source hash; latest load wins.
-    names: HashMap<String, u64>,
+    /// Program name (and hex hash) → version; latest binding wins.
+    names: HashMap<String, Alias>,
     /// Σ `slot.bytes` over `slots`.
     bytes: usize,
+}
+
+impl Store {
+    /// Binds `name` to the version `key`. The version the name addressed
+    /// before is released into `gone` when no binding holds it any more.
+    fn bind(&mut self, name: &str, key: u64, holds: bool, gone: &mut Vec<Slot>) {
+        let replaced = match self.names.get_mut(name) {
+            Some(alias) if alias.key == key => {
+                alias.holds |= holds;
+                return;
+            }
+            Some(alias) => std::mem::replace(alias, Alias { key, holds }).key,
+            None => {
+                self.names.insert(name.to_string(), Alias { key, holds });
+                return;
+            }
+        };
+        self.release_unheld(replaced, gone);
+    }
+
+    /// Demotes the binding `name` to an alias that holds nothing,
+    /// releasing its version into `gone` when no other binding holds it.
+    fn unhold(&mut self, name: &str, gone: &mut Vec<Slot>) {
+        if let Some(alias) = self.names.get_mut(name) {
+            alias.holds = false;
+            let key = alias.key;
+            self.release_unheld(key, gone);
+        }
+    }
+
+    /// Moves every slot and alias of the version `key` into `gone`, unless
+    /// a binding still holds it.
+    fn release_unheld(&mut self, key: u64, gone: &mut Vec<Slot>) {
+        if self.names.values().any(|a| a.key == key && a.holds) {
+            return;
+        }
+        self.names.retain(|_, a| a.key != key);
+        let keys: Vec<Key> = self.slots.keys().filter(|k| k.0 == key).cloned().collect();
+        for k in keys {
+            let slot = self.slots.remove(&k).expect("key was just seen");
+            self.bytes -= slot.bytes;
+            gone.push(slot);
+        }
+    }
 }
 
 /// Every resident value by layer, read in one pass for the snapshot
@@ -611,7 +731,10 @@ impl SessionCache {
             let slot = store.slots.remove(&victim).expect("victim was just seen");
             store.bytes -= slot.bytes;
             match slot.value {
-                Cached::Program(_) => programs += 1,
+                Cached::Program(_) => {
+                    store.names.retain(|_, a| a.key != victim.0);
+                    programs += 1;
+                }
                 _ => others += 1,
             }
         }
@@ -625,7 +748,8 @@ impl SessionCache {
 
     /// Loads (compiles) `source`, reusing the cached entry when the same
     /// text was loaded before. `name` registers an alias for later queries
-    /// (latest load of a name wins); unnamed programs are addressed by
+    /// (latest load of a name wins, releasing the version the name held
+    /// before; see the module docs); unnamed programs are addressed by
     /// their hash. Lower failures are reported, not cached. Returns the
     /// entry plus the compile time this call paid: the entry's own on a
     /// miss, zero on a hit.
@@ -642,13 +766,12 @@ impl SessionCache {
         let mut store = write(&self.store);
         // A racing loader's entry is identical (same source): first-in
         // wins. An eviction racing in between the miss and this insert
-        // simply means both see a miss — each recompiles once.
-        let entry = if hit { entry } else { self.put(&mut store, key, entry) };
-        if let Some(n) = name {
-            store.names.insert(n.to_string(), entry.key);
-        }
-        store.names.insert(entry.hash_hex.clone(), entry.key);
+        // simply means both see a miss — each recompiles once — and one
+        // racing in after a hit puts the entry back.
+        let entry = self.put(&mut store, key, entry);
+        let gone = self.bind_entry(&mut store, name, &entry);
         drop(store);
+        drop(gone);
         if hit {
             self.metrics.add(Counter::ProgramHits, 1);
             Ok((entry, Duration::ZERO))
@@ -664,7 +787,7 @@ impl SessionCache {
     /// resolves to `None` exactly like one never loaded — callers reload.
     pub fn entry(&self, program: &str) -> Option<Arc<ProgramEntry>> {
         let store = read(&self.store);
-        let key = (*store.names.get(program)?, String::new());
+        let key = (store.names.get(program)?.key, String::new());
         store.slots.get(&key).and_then(|s| self.touch(s))
     }
 
@@ -679,7 +802,8 @@ impl SessionCache {
     /// Every resident value, for the snapshot writer.
     pub fn export(&self) -> Resident {
         let store = read(&self.store);
-        let mut out = Resident { names: store.names.clone(), ..Resident::default() };
+        let names = store.names.iter().map(|(n, a)| (n.clone(), a.key)).collect();
+        let mut out = Resident { names, ..Resident::default() };
         for (k, slot) in &store.slots {
             match &slot.value {
                 Cached::Program(e) => out.programs.push(Arc::clone(e)),
@@ -693,14 +817,27 @@ impl SessionCache {
     }
 
     /// Inserts a restored program entry, registering its name and hash
-    /// aliases exactly as [`load`](SessionCache::load) would — but with no
+    /// aliases exactly as [`load`](SessionCache::load) would (an entry
+    /// named by its hash binds like an unnamed load) — but with no
     /// hit/miss recorded. First-in wins against a racing loader; the byte
     /// budget applies as usual.
     pub fn restore_program(&self, entry: Arc<ProgramEntry>) {
         let mut store = write(&self.store);
-        store.names.insert(entry.name.clone(), entry.key);
-        store.names.insert(entry.hash_hex.clone(), entry.key);
-        self.put(&mut store, (entry.key, String::new()), entry);
+        let name = (entry.name != entry.hash_hex).then_some(entry.name.as_str());
+        let gone = self.bind_entry(&mut store, name, &entry);
+        self.put(&mut store, (entry.key, String::new()), Arc::clone(&entry));
+        drop(store);
+        drop(gone);
+    }
+
+    /// Binds `name` (the hex hash when `None`) and the hash alias to
+    /// `entry`, returning the slots of the versions this released.
+    fn bind_entry(&self, store: &mut Store, name: Option<&str>, entry: &ProgramEntry) -> Vec<Slot> {
+        let mut gone = Vec::new();
+        store.bind(name.unwrap_or(&entry.hash_hex), entry.key, true, &mut gone);
+        store.bind(&entry.hash_hex, entry.key, false, &mut gone);
+        self.metrics.set(Counter::CacheBytes, store.bytes as u64);
+        gone
     }
 
     /// Inserts a restored solved summary under its original key, with no
@@ -881,10 +1018,12 @@ impl SessionCache {
         self.get(&(entry.key, opts.cache_key()))
     }
 
-    /// The answer of every variable under the summary `solved` of `entry`,
-    /// memoized in its own slot: the first call renders the table, later
-    /// calls read it. Returns the table plus the wall-clock this call paid
-    /// rendering it (zero on a hit), which is charged to `solve_s`.
+    /// The points-to table of the summary `solved` of `entry`, memoized in
+    /// its own slot: the first call builds the name index, later calls
+    /// read it. Returns the table plus the wall-clock this call paid
+    /// building it (zero on a hit), which is charged to `solve_s`. Rows
+    /// render on their first read ([`PointsToTable::answer`]); the server
+    /// charges those renders to `solve_s` as well.
     pub fn points_to_table(
         &self,
         entry: &ProgramEntry,
@@ -978,10 +1117,12 @@ impl SessionCache {
     /// migrates the session (name and summaries) to the edited source's
     /// hash.
     ///
-    /// Old-key entries are **kept**, not invalidated: the cache is
-    /// content-addressed, so the pre-edit session stays warm (an undo is a
-    /// free reload) and eviction forgets it under memory pressure like
-    /// anything else.
+    /// The commit **releases** the pre-edit version (program, summaries,
+    /// rendered tables, demand answers and hash alias) in the same write
+    /// guard, before the migrated values go in, unless another name still
+    /// holds it; see the module docs. A session addressed by its hash
+    /// moves to the new hash, and the old hash then answers like an
+    /// evicted one. An undo is another incremental `update`.
     ///
     /// Demand answers are not carried: after the edit a demand query is
     /// answered from the migrated summary of its options when one exists
@@ -994,8 +1135,9 @@ impl SessionCache {
     ///
     /// # Errors
     ///
-    /// A message when `program` names no cached session or the edited
-    /// source fails to lower. Nothing is modified on error.
+    /// A message when `program` names no cached session, the edited
+    /// source fails to lower or a re-solve fails. Nothing is modified on
+    /// error, so the pre-edit version keeps serving.
     pub fn update(&self, program: &str, source: &str) -> Result<UpdateReport, String> {
         let old = self
             .entry(program)
@@ -1063,20 +1205,24 @@ impl SessionCache {
         }
         let resolved_summaries = migrated.len();
 
-        // Commit under one write guard; first-in wins everywhere (a racing
+        // Commit under one write guard. Binding the session to the new
+        // version first releases the old one, so its bytes are free before
+        // the migrated values go in. First-in wins everywhere (a racing
         // load/solve of the same edited source computed identical values).
         // The program goes in last so its own insert spares it: the session
         // always resolves after an update.
         let mut store = write(&self.store);
+        let mut gone = Vec::new();
+        if program == old.hash_hex && key != old.key {
+            store.unhold(program, &mut gone);
+        }
+        gone.append(&mut self.bind_entry(&mut store, Some(&entry.name), &entry));
         for (k, s) in migrated {
             self.put(&mut store, k, s);
         }
         let entry = self.put(&mut store, (key, String::new()), entry);
-        if program != old.hash_hex {
-            store.names.insert(program.to_string(), key);
-        }
-        store.names.insert(entry.hash_hex.clone(), key);
         drop(store);
+        drop(gone);
 
         Ok(UpdateReport {
             entry,
@@ -1272,7 +1418,8 @@ mod tests {
         let entry = c.load(Some("intro"), SRC).unwrap().0;
         let (s, _) = c.solved(&entry, &QueryOpts::default()).unwrap();
         let table = c.points_to_table(&entry, &s).0;
-        let alias = |a: &str, b: &str| Some(table.0.get(a)?.aliases(table.0.get(b)?));
+        let row = |v: &str| Some(table.answer(&entry.prog, &s.res, v)?.0);
+        let alias = |a: &str, b: &str| Some(row(a)?.aliases(row(b)?));
         assert_eq!(alias("p", "q"), Some(true));
         // `s` normalizes to its first field (Problem 1), which also points
         // to x — so it aliases p. `y` holds no pointer at all.
@@ -1316,14 +1463,22 @@ mod tests {
         // Each instance has its own table.
         c.modref(&entry, &solved[0]);
         assert_eq!(c.layers().rendered.0, 2);
-        // The points-to table is rendered once per summary, too, and it
-        // agrees with rendering one variable.
+        // The points-to table is indexed once per summary, too; each row
+        // renders on its first read, agrees with rendering one variable,
+        // and is read warm afterwards.
         let (pt, paid) = c.points_to_table(&entry, &solved[2]);
         assert!(paid > Duration::ZERO);
-        assert_eq!(pt.0["p"].shown, vec!["x".to_string()]);
-        for (name, answer) in &pt.0 {
-            assert_eq!(Some(answer), solved[2].var_answer(&entry.prog, name).as_ref());
+        assert_eq!(pt.rendered_rows(), 0, "indexing renders no row");
+        let (p, render) = pt.answer(&entry.prog, &solved[2].res, "p").unwrap();
+        assert!(render > Duration::ZERO);
+        assert_eq!(p.shown, vec!["x".to_string()]);
+        for o in &entry.prog.objects {
+            let row = pt.answer(&entry.prog, &solved[2].res, &o.name).map(|(a, _)| a.clone());
+            assert_eq!(row, solved[2].var_answer(&entry.prog, &o.name), "{}", o.name);
         }
+        let (p2, render2) = pt.answer(&entry.prog, &solved[2].res, "p").unwrap();
+        assert!(std::ptr::eq(p, p2));
+        assert_eq!(render2, Duration::ZERO);
         let (again, paid2) = c.points_to_table(&entry, &solved[2]);
         assert!(Arc::ptr_eq(&pt, &again));
         assert_eq!(paid2, Duration::ZERO);
@@ -1645,9 +1800,12 @@ mod tests {
         assert_eq!(migrated.var_answer(&new_entry.prog, "p").unwrap().shown, vec!["x".to_string()]);
         // Both demand subjects read the migrated summary.
         assert_demand_warm_and_cold_equal(&c, "live", EDIT_G, &["p", "q"]);
-        // The pre-edit session stays addressable by hash: undo is a free
-        // reload, and eviction (not invalidation) forgets it eventually.
-        assert!(c.entry(&entry.hash_hex).is_some());
+        // The pre-edit version was released with the commit: its hash
+        // answers like an evicted one, and no slot of it is left.
+        assert!(c.entry(&entry.hash_hex).is_none());
+        assert!(c.solved_if_resident(&entry, &opts).is_none());
+        assert!(!c.demand_is_resident(&entry, &opts, "points_to/p"));
+        assert!(c.export().names.values().all(|&k| k == new_entry.key));
     }
 
     #[test]
@@ -1683,7 +1841,7 @@ mod tests {
         let report = c.update("rec", edit).unwrap();
         assert!(report.fallback.is_some(), "a record change defeats the diff");
         assert_eq!(report.reused_fns, 0);
-        assert_eq!(c.layers().demand.0, 1, "the pre-edit answer only");
+        assert_eq!(c.layers().demand.0, 0, "the pre-edit answer left with its version");
         // The migrated summary is still correct — it just re-ran cold.
         let new_entry = c.entry("rec").unwrap();
         let (migrated, paid) = c.solved(&new_entry, &opts).unwrap();
@@ -1762,6 +1920,94 @@ mod tests {
         let l = c.layers();
         assert_eq!((l.programs.0, l.solved.0, l.demand.0), (2, 0, 1));
         assert_eq!(l.programs.1 + l.solved.1 + l.demand.1, c.bytes());
+    }
+
+    /// The layer split and the gauge agree with the store's total.
+    fn assert_reconciled(c: &SessionCache) {
+        let l = c.layers();
+        assert_eq!(l.programs.1 + l.solved.1 + l.rendered.1 + l.demand.1, l.bytes);
+        assert_eq!(l.bytes, c.bytes());
+        assert_eq!(c.metrics.get(Counter::CacheBytes), l.bytes as u64);
+    }
+
+    #[test]
+    fn an_edit_stream_does_not_evict_an_idle_session() {
+        use structcast_progen::{edit_trace, generate, GenConfig};
+        let metrics = Arc::new(Metrics::new());
+        let c = SessionCache::with_max_bytes(Arc::clone(&metrics), 16 << 20);
+        let opts = QueryOpts::default();
+        let idle = c.load(Some("idle"), &generate(&GenConfig::medium(1))).unwrap().0;
+        c.solved(&idle, &opts).unwrap();
+        let base = generate(&GenConfig::medium(2));
+        let live = c.load(Some("live"), &base).unwrap().0;
+        c.solved(&live, &opts).unwrap();
+        for step in edit_trace(&base, 3, 40) {
+            c.update("live", &step.source).unwrap();
+            let entry = c.entry("live").unwrap();
+            let (s, paid) = c.solved(&entry, &opts).unwrap();
+            assert_eq!(paid, Duration::ZERO, "the update migrated the summary");
+            c.points_to_table(&entry, &s).0.answer(&entry.prog, &s.res, "gp0").unwrap();
+        }
+        assert!(c.entry("idle").is_some(), "the idle program stays resident");
+        assert!(c.solved_if_resident(&idle, &opts).is_some(), "and so does its summary");
+        assert_eq!(metrics.evictions(), (0, 0), "one live version each fits the cap");
+        let l = c.layers();
+        assert_eq!((l.programs.0, l.solved.0, l.rendered.0), (2, 2, 1));
+        assert_reconciled(&c);
+    }
+
+    #[test]
+    fn rebinding_a_name_releases_the_old_version_unless_another_name_holds_it() {
+        let c = cache();
+        let opts = QueryOpts::default();
+        // Two names on one source: binding one to new source leaves the
+        // other answering from the old version, summary included.
+        let a = c.load(Some("a"), SRC).unwrap().0;
+        c.load(Some("b"), SRC).unwrap();
+        c.solved(&a, &opts).unwrap();
+        c.load(Some("a"), &variant(1)).unwrap();
+        assert_eq!(c.entry("b").expect("b holds the old version").key, a.key);
+        assert!(c.solved_if_resident(&a, &opts).is_some());
+        assert!(c.entry(&a.hash_hex).is_some());
+        // Rebinding the last name releases the version: program, summary
+        // and hash alias.
+        c.load(Some("b"), &variant(2)).unwrap();
+        assert!(c.entry(&a.hash_hex).is_none());
+        assert!(c.solved_if_resident(&a, &opts).is_none());
+        assert_eq!(c.layers().programs.0, 2);
+        assert_reconciled(&c);
+        // An unnamed load holds its version under its hash: binding some
+        // other name to the same source and then away never releases it.
+        let u = c.load(None, &variant(3)).unwrap().0;
+        c.load(Some("c"), &variant(3)).unwrap();
+        c.load(Some("c"), &variant(4)).unwrap();
+        assert_eq!(c.entry(&u.hash_hex).expect("the unnamed load stays").key, u.key);
+        // Updating a session addressed by its hash releases the old hash...
+        let report = c.update(&u.hash_hex, &variant(5)).unwrap();
+        assert!(c.entry(&u.hash_hex).is_none());
+        assert_eq!(c.entry(&report.entry.hash_hex).unwrap().key, report.entry.key);
+        assert_eq!(c.layers().programs.0, 4, "a, b, c and the edited unnamed load");
+        // ...unless a name holds that version, which keeps its hash too.
+        let d = c.load(Some("d"), &variant(6)).unwrap().0;
+        c.update(&d.hash_hex, &variant(7)).unwrap();
+        assert_eq!(c.entry("d").unwrap().key, d.key);
+        assert_eq!(c.entry(&d.hash_hex).unwrap().key, d.key);
+        assert_eq!(c.layers().programs.0, 6);
+        assert_reconciled(&c);
+    }
+
+    #[test]
+    fn a_capped_sweep_keeps_the_name_table_to_the_resident_programs() {
+        let per_entry = cache().load(None, &variant(0)).unwrap().0.approx_bytes();
+        let c = SessionCache::with_max_bytes(Arc::new(Metrics::new()), per_entry * 5);
+        for i in 0..50 {
+            let entry = c.load(Some(&format!("sweep{i}")), &variant(i)).unwrap().0;
+            c.solved(&entry, &QueryOpts::default()).unwrap();
+        }
+        let (names, programs) = (c.export().names.len(), c.layers().programs.0);
+        assert!(programs < 50, "the cap evicted");
+        assert!(names <= 2 * programs, "{names} names for {programs} resident programs");
+        assert_reconciled(&c);
     }
 
     #[test]

@@ -160,10 +160,12 @@ counters! {
     BrownoutSheds: "degraded.brownout_sheds", Count, "";
     /// Compile time paid by program misses.
     Compile: "compile_s", Secs, "s solve ";
-    /// Miss work of summaries and demand answers: solve plus summary build.
+    /// Miss work of summaries and demand answers: solve plus summary
+    /// build, plus rendering answers from a summary on their first read
+    /// (a points-to table's index and each row, a MOD/REF table).
     Solve: "solve_s", Secs, "s lookup ";
     /// Request time outside compile, solve and update: parsing, cache
-    /// hits, rendering.
+    /// hits, reading rendered answers, emitting the reply.
     Lookup: "lookup_s", Secs, "s";
 }
 

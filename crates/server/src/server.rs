@@ -906,43 +906,46 @@ fn summary_field(
     paid: &mut Duration,
 ) -> Result<(&'static str, Json), ServeError> {
     let (entry, solved) = solved_for(shared, program, opts, paid)?;
-    let mut points_to_table = || {
-        let (table, table_paid) = shared.cache.points_to_table(&entry, &solved);
+    if let Query::ModRef(func) = q {
+        let (table, table_paid) = shared.cache.modref(&entry, &solved);
         *paid += table_paid;
-        table
+        let rows = match func {
+            Some(f) => {
+                let (mods, refs) = table
+                    .0
+                    .get(f)
+                    .ok_or_else(|| format!("unknown function `{f}` in `{program}`"))?;
+                vec![modref_row(f, mods, refs)]
+            }
+            None => table.0.iter().map(|(f, (mods, refs))| modref_row(f, mods, refs)).collect(),
+        };
+        return Ok(("functions", Json::Arr(rows)));
+    }
+    let (table, table_paid) = shared.cache.points_to_table(&entry, &solved);
+    *paid += table_paid;
+    // A row renders on its first read, and that render is solve time.
+    let mut answer = |var: &str| {
+        let (answer, render) = table.answer(&entry.prog, &solved.res, var)?;
+        if render > Duration::ZERO {
+            shared.metrics.add_time(Counter::Solve, render);
+            *paid += render;
+        }
+        Some(answer)
     };
     Ok(match q {
         Query::PointsTo(var) => {
-            let table = points_to_table();
-            let answer = table
-                .0
-                .get(var)
-                .ok_or_else(|| format!("unknown variable `{var}` in `{program}`"))?;
+            let answer =
+                answer(var).ok_or_else(|| format!("unknown variable `{var}` in `{program}`"))?;
             ("points_to", strs(&answer.shown))
         }
         Query::Alias(a, b) => {
-            let table = points_to_table();
-            let (va, vb) = (table.0.get(a), table.0.get(b));
-            let alias = va.zip(vb).map(|(va, vb)| va.aliases(vb)).ok_or_else(|| {
-                format!("unknown variable `{a}` or `{b}` in `{program}`")
-            })?;
+            let alias = answer(a)
+                .zip(answer(b))
+                .map(|(va, vb)| va.aliases(vb))
+                .ok_or_else(|| format!("unknown variable `{a}` or `{b}` in `{program}`"))?;
             ("alias", Json::Bool(alias))
         }
-        Query::ModRef(func) => {
-            let (table, table_paid) = shared.cache.modref(&entry, &solved);
-            *paid += table_paid;
-            let rows = match func {
-                Some(f) => {
-                    let (mods, refs) = table
-                        .0
-                        .get(f)
-                        .ok_or_else(|| format!("unknown function `{f}` in `{program}`"))?;
-                    vec![modref_row(f, mods, refs)]
-                }
-                None => table.0.iter().map(|(f, (mods, refs))| modref_row(f, mods, refs)).collect(),
-            };
-            ("functions", Json::Arr(rows))
-        }
+        Query::ModRef(_) => unreachable!("answered above"),
     })
 }
 
@@ -1225,5 +1228,55 @@ mod tests {
         }
         assert_eq!(from_args("--threads").unwrap_err(), "--threads needs a value");
         assert_eq!(from_args("--faults x").unwrap_err(), "unknown flag `--faults`");
+    }
+
+    /// A server's state with no socket, snapshot or journal behind it.
+    fn shared() -> Shared {
+        let metrics = Arc::new(Metrics::new());
+        Shared {
+            cache: SessionCache::new(Arc::clone(&metrics)),
+            metrics,
+            faults: FaultPlan::default(),
+            shutdown: AtomicBool::new(false),
+            addr: "127.0.0.1:0".parse().unwrap(),
+            read_timeout: None,
+            snapshot_dir: None,
+            wal: None,
+            stale: RwLock::new(HashSet::new()),
+            pending: AtomicUsize::new(0),
+            brownout_mark: usize::MAX,
+        }
+    }
+
+    #[test]
+    fn first_query_after_update_renders_one_row() {
+        let shared = shared();
+        let ask = |line: &str| {
+            let reply = dispatch(&shared, line).0.to_string();
+            assert!(reply.contains(r#""ok": true"#), "{line}: {reply}");
+            reply
+        };
+        ask(concat!(
+            r#"{"op":"load","name":"live","source":"int x, y, *p, *q;\n"#,
+            r#"void f(void) { p = &x; }\nvoid g(void) { q = &y; }"}"#
+        ));
+        ask(r#"{"op":"points_to","program":"live","var":"q"}"#);
+        ask(concat!(
+            r#"{"op":"update","program":"live","source":"int x, y, *p, *q;\n"#,
+            r#"void f(void) { p = &x; }\nvoid g(void) { q = &x; }"}"#
+        ));
+        let entry = shared.cache.entry("live").unwrap();
+        let (solved, _) = shared.cache.solved(&entry, &QueryOpts::default()).unwrap();
+        let table = || shared.cache.points_to_table(&entry, &solved).0;
+        let reply = ask(r#"{"op":"points_to","program":"live","var":"q"}"#);
+        assert!(reply.contains(r#""points_to": ["x"]"#), "{reply}");
+        assert_eq!(table().rendered_rows(), 1, "one answer renders one row");
+        ask(r#"{"op":"alias","program":"live","a":"p","b":"y"}"#);
+        assert_eq!(table().rendered_rows(), 3, "alias renders its two rows");
+        let table = table();
+        for o in &entry.prog.objects {
+            let row = table.answer(&entry.prog, &solved.res, &o.name).map(|(a, _)| a.clone());
+            assert_eq!(row, solved.var_answer(&entry.prog, &o.name), "{}", o.name);
+        }
     }
 }

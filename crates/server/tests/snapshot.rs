@@ -156,6 +156,10 @@ fn restore_pays_zero_compiles_and_zero_solves() {
 fn restored_programs_equal_a_cold_compile_after_an_update() {
     let cache = warm_cache();
     let bst = structcast_progen::corpus_program("bst").unwrap().source;
+    // A second name holds the pre-edit source, so the update keeps that
+    // version resident; the snapshot names it by its hash, since `bst`
+    // now names the edit.
+    cache.load(Some("bst-before"), bst).unwrap();
     let edited = format!("{bst}\nint *snap_p, snap_x;\nvoid snap_f(void) {{ snap_p = &snap_x; }}");
     let report = cache.update("bst", &edited).unwrap();
     assert!(report.reused_constraints > 0, "the edit compiled incrementally");
@@ -257,7 +261,8 @@ fn hostile_summaries_with_valid_checksums_are_refused() {
     let entry = cache.entry("tiny").unwrap();
     let (solved, _) = cache.solved(&entry, &offsets).unwrap();
     let table = cache.points_to_table(&entry, &solved).0;
-    assert_eq!(table.0["p"].shown, vec!["x".to_string()]);
+    let (p_answer, _) = table.answer(&entry.prog, &solved.res, "p").unwrap();
+    assert_eq!(p_answer.shown, vec!["x".to_string()]);
 
     // The probe: `p+0 -> object 1000000` under Offsets.
     let far = [(Loc::off(p, 0), Loc::off(ObjId(1_000_000), 0))];
